@@ -27,14 +27,9 @@ from .errors import (
 )
 from .model import (
     BlockStructure,
-    ConditionReport,
     KKTPoint,
-    KKTResidual,
     ProblemInstance,
-    ValidationReport,
     check_uniqueness_condition,
-    instance_from_dict,
-    instance_to_dict,
     kkt_residual,
     load_instance,
     merit_weight_matrices,
@@ -44,7 +39,6 @@ from .model import (
     validate_instance,
 )
 from .prox import (
-    KINDS,
     ProxFn,
     fn_value,
     prox_eval,
@@ -57,10 +51,8 @@ from .rp import (
     PermutationSampler,
     expected_update_operator,
     permutation_at,
-    rp_sweep,
     run_expected_iteration,
     run_rp_solver,
-    sample_permutation,
 )
 from .solvers import (
     GAMMA_SUP,
@@ -68,23 +60,14 @@ from .solvers import (
     SolverConfig,
     Trace,
     VARIANTS,
-    admm2_linearized_step,
-    admm2_step,
-    admm_cyclic_n_step,
-    bcd_step,
-    bcpg_step,
     linearization_proximal,
     lyapunov_decrease_floor,
     lyapunov_value,
     min_kkt_sq_curve,
     run_solver,
+    step,
 )
 from .spectral import (
-    BcdRateComparison,
-    OscillationResult,
-    PermMatrices,
-    SpectralReport,
-    WitnessCertificate,
     analyze_instance,
     bcd_rate_matrices,
     build_perm_matrices,
@@ -102,11 +85,9 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BcdRateComparison",
     "BlockStructure",
     "CertificateError",
     "ConditionError",
-    "ConditionReport",
     "CoupledSplittingError",
     "DomainError",
     "EnumerationLimitError",
@@ -114,31 +95,19 @@ __all__ = [
     "GAMMA_SUP",
     "InfeasibleError",
     "IterateState",
-    "KINDS",
     "KKTPoint",
-    "KKTResidual",
-    "OscillationResult",
-    "PermMatrices",
     "PermutationSampler",
     "ProblemInstance",
     "ProxFn",
     "SolverConfig",
-    "SpectralReport",
     "StructuralError",
     "SubproblemStructureError",
     "Trace",
     "UnsupportedOracleError",
     "UsageError",
     "VARIANTS",
-    "ValidationReport",
-    "WitnessCertificate",
-    "admm2_linearized_step",
-    "admm2_step",
-    "admm_cyclic_n_step",
     "analyze_instance",
     "bcd_rate_matrices",
-    "bcd_step",
-    "bcpg_step",
     "build_perm_matrices",
     "build_Q_M",
     "check_M_spectrum",
@@ -148,8 +117,6 @@ __all__ = [
     "divergence_witness",
     "expected_update_operator",
     "fn_value",
-    "instance_from_dict",
-    "instance_to_dict",
     "kkt_residual",
     "linearization_proximal",
     "load_instance",
@@ -165,14 +132,13 @@ __all__ = [
     "prox_fn_from_dict",
     "prox_fn_to_dict",
     "rank_identity_check",
-    "rp_sweep",
     "run_expected_iteration",
     "run_rp_solver",
     "run_solver",
-    "sample_permutation",
     "save_instance",
     "save_report",
     "solve_kkt_oracle",
+    "step",
     "subdiff_distance",
     "validate_instance",
 ]

@@ -168,35 +168,16 @@ def _cmd_rp_expect(args) -> int:
         mean_path = out / "expectation_sampled.csv"
         mean_trace.to_csv(mean_path, header_lines=header)
         trials_path = out / "trials.csv"
-        _write_trial_traces(traces, trials_path, header)
+        with open(trials_path, "w") as fh:
+            for line in header:
+                fh.write(f"# {line}\n")
+            fh.write(traces[0].csv_columns())
+            for trace in traces:
+                trace.write_csv_rows(fh)
+                fh.write(f"# trial={trace.trial} status={trace.status}\n")
         print(f"wrote {mean_path}")
         print(f"wrote {trials_path}")
     return EXIT_OK
-
-
-def _write_trial_traces(traces, path, header_lines) -> None:
-    """All per-trial residual traces in one CSV, keyed by a leading trial
-    column."""
-    n_blocks = traces[0].n_blocks
-    cols = ["trial", "k"]
-    cols += [f"r_dual_{i + 1}" for i in range(n_blocks)]
-    cols += ["r_feas", "surrogate", "objective", "lyapunov"]
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(cols) + "\n")
-        for trace in traces:
-            for row in range(len(trace)):
-                cells = [str(trace.trial), str(trace.ks[row])]
-                dual = trace.r_dual[row]
-                for i in range(n_blocks):
-                    cells.append(_fmt(None if dual is None else dual[i]))
-                cells.append(_fmt(trace.r_feas[row]))
-                cells.append(_fmt(trace.surrogate[row]))
-                cells.append(_fmt(trace.objective[row]))
-                cells.append(_fmt(trace.lyapunov[row]))
-                fh.write(",".join(cells) + "\n")
-            fh.write(f"# trial={trace.trial} status={trace.status}\n")
 
 
 def _cmd_witness(args) -> int:

@@ -162,8 +162,12 @@ class ValidationReport:
 
 def validate_instance(inst: ProblemInstance) -> ValidationReport:
     """Full structural validation. Raises StructuralError on hard violations
-    (asymmetric H, indefinite H, malformed term parameters); returns a report
-    of the measured quantities otherwise. Never mutates the input."""
+    (non-finite data, asymmetric H, indefinite H, malformed term parameters);
+    returns a report of the measured quantities otherwise. Never mutates the
+    input."""
+    for name in ("H", "g", "A", "b"):
+        if not np.all(np.isfinite(getattr(inst, name))):
+            raise StructuralError(f"{name} has a non-finite entry")
     d = inst.blocks.d
     defect = symmetry_defect(inst.H)
     if defect > H_SYMMETRY_RTOL * max(1.0, max_abs(inst.H)):

@@ -1,24 +1,23 @@
 """Randomly permuted sweeps and their expected iteration.
 
-Each step draws a uniform block order, runs one constrained sweep in that
-order, and moves the multiplier with unit dual stepsize. For instances whose
-separable terms are all zero the update is affine, and averaging it over the
-n! orders gives a deterministic linear iteration whose trajectory is followed
-exactly here.
+Each step draws a uniform block order and runs the `solvers.step` sweep of
+variant admm_cyclic_n in that order, moving the multiplier with unit dual
+stepsize. For instances whose separable terms are all zero the update is
+affine, and averaging it over the n! orders gives a deterministic linear
+iteration whose trajectory is followed exactly here.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, UsageError
+from .errors import UsageError
 from .model import ProblemInstance
-from .solvers import IterateState, SolverConfig, Trace, _record, _Workspace
-
-MAX_ENUM_BLOCKS = 8
+from .solvers import IterateState, SolverConfig, _drive, _Workspace
 
 
 def permutation_at(seed: int, counter: int, n: int) -> tuple:
@@ -49,22 +48,6 @@ class PermutationSampler:
         return sigma
 
 
-def sample_permutation(sampler: PermutationSampler, n: int) -> tuple:
-    """Draw one uniform block order and advance the sampler's counter."""
-    return sampler.draw(n)
-
-
-def rp_sweep(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, sigma) -> IterateState:
-    """One sweep in the order sigma followed by the multiplier update with
-    stepsize beta (the permuted scheme always uses unit dual stepsize)."""
-    sigma = tuple(int(v) for v in sigma)
-    n = inst.blocks.n
-    if sorted(sigma) != list(range(n)):
-        raise UsageError(f"sigma {sigma} is not a permutation of 0..{n - 1}")
-    ws = _Workspace(inst, cfg, constrained=True, linearized=False)
-    return ws.advance(state, sigma, gamma=1.0)
-
-
 def run_rp_solver(
     inst: ProblemInstance,
     cfg: SolverConfig,
@@ -76,10 +59,12 @@ def run_rp_solver(
 ):
     """Run `trials` independent randomly permuted runs.
 
-    Trial t draws its orders from a sampler seeded with seed XOR t, so any
-    single trial can be reproduced in isolation. Returns the per-trial traces
-    and the sample-mean trajectory across trials at matching iteration counts
-    (trials that stop early are held at their final iterate).
+    Each trial runs variant admm_cyclic_n with unit dual stepsize and a fresh
+    block order per sweep. Trial t draws its orders from a sampler seeded
+    with seed XOR t, so any single trial can be reproduced in isolation.
+    Returns the per-trial traces and the sample-mean trajectory across trials
+    at matching iteration counts (trials that stop early are held at their
+    final iterate).
     """
     cfg.validate(inst)
     if trials < 1:
@@ -87,43 +72,15 @@ def run_rp_solver(
     base_seed = cfg.seed if seed is None else int(seed)
     if base_seed < 0:
         raise UsageError("seed must be a nonnegative integer")
-    ws = _Workspace(inst, cfg, constrained=True, linearized=False)
-    d, m = inst.blocks.d, inst.blocks.m
+    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0))
+    n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     traces = []
     paths = []
     for t in range(int(trials)):
-        sampler = PermutationSampler(base_seed ^ t)
-        state = IterateState.start(inst, x0, mu0)
-        trace = Trace(n_blocks=inst.blocks.n, exact_residuals=ws.exact_ok)
+        draw = functools.partial(PermutationSampler(base_seed ^ t).draw, n)
+        path = []
+        trace = _drive(ws, IterateState.start(inst, x0, mu0), draw, keep_iterates, path=path)
         trace.trial = t
-        trace.warnings.extend(ws.warnings)
-        if keep_iterates:
-            trace.iterates = []
-        path = [np.concatenate([state.x, state.mu])]
-        _record(trace, ws, state, tuple(range(inst.blocks.n)), None, None, first=True, gamma=1.0)
-        stopped = False
-        if ws.exact_ok and trace.max_residual(0) <= cfg.tol:
-            trace.status = "converged"
-            stopped = True
-        if not stopped:
-            for _ in range(int(cfg.max_iter)):
-                sigma = sampler.draw(inst.blocks.n)
-                state = ws.advance(state, sigma, gamma=1.0)
-                _record(trace, ws, state, sigma, None, None, gamma=1.0)
-                path.append(np.concatenate([state.x, state.mu]))
-                if (
-                    float(np.max(np.abs(state.x))) > 1e12
-                    or (state.mu.size and float(np.max(np.abs(state.mu))) > 1e12)
-                ):
-                    trace.status = "diverged"
-                    break
-                if trace.max_residual(len(trace) - 1) <= cfg.tol:
-                    trace.status = "converged"
-                    break
-            else:
-                trace.status = "max_iter"
-        trace.x = state.x.copy()
-        trace.mu = state.mu.copy()
         traces.append(trace)
         paths.append(np.asarray(path))
 
@@ -191,10 +148,6 @@ def expected_update_operator(inst: ProblemInstance, beta: float):
 
     if any(f.kind != "zero" for f in inst.theta):
         raise UsageError("the expected iteration is defined only when every separable term is zero")
-    if inst.blocks.n > MAX_ENUM_BLOCKS:
-        raise EnumerationLimitError(
-            f"enumerating block orders is supported up to {MAX_ENUM_BLOCKS} blocks"
-        )
     report = build_Q_M(inst, beta)
     d, m = inst.blocks.d, inst.blocks.m
     Q = report.Q

@@ -36,12 +36,10 @@ from .model import (
     KKTPoint,
     ProblemInstance,
     BlockStructure,
-    check_uniqueness_condition,
-    kkt_residual,
     merit_weight_matrices,
     normalize_block_matrices,
 )
-from .prox import fn_value, prox_eval, subdiff_distance
+from .prox import prox_eval, subdiff_distance
 
 VARIANTS = ("admm2", "admm2_linearized", "admm_cyclic_n", "bcd", "bcpg")
 GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
@@ -49,6 +47,12 @@ DIVERGENCE_LIMIT = 1e12
 
 _CONSTRAINED = ("admm2", "admm2_linearized", "admm_cyclic_n")
 _LINEARIZED = ("admm2_linearized", "bcpg")
+
+
+def check_beta(beta) -> None:
+    """Reject a penalty weight that is not a positive finite number."""
+    if not 0.0 < beta < math.inf:
+        raise UsageError("beta must be positive and finite")
 
 
 @dataclass
@@ -73,12 +77,11 @@ class SolverConfig:
     def validate(self, inst: ProblemInstance) -> None:
         if self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if not self.beta > 0:
-            raise UsageError("beta must be positive")
+        check_beta(self.beta)
         if not (0.0 < self.gamma < GAMMA_SUP):
             raise UsageError(f"gamma must lie in (0, {GAMMA_SUP}) exclusive")
-        if self.tol < 0:
-            raise UsageError("tol must be nonnegative")
+        if not self.tol >= 0:
+            raise UsageError("tol must be a nonnegative number")
         if int(self.max_iter) < 1:
             raise UsageError("max_iter must be at least 1")
         if self.R is not None:
@@ -158,31 +161,30 @@ class Trace:
         return float(np.sum(np.asarray(dual) ** 2) + self.r_feas[row] ** 2)
 
     def to_csv(self, path, header_lines=()) -> None:
-        cols = ["k"]
-        if self.trial is not None:
-            cols = ["trial", "k"]
-        cols += [f"r_dual_{i + 1}" for i in range(self.n_blocks)]
-        cols += ["r_feas", "surrogate", "objective", "lyapunov"]
         with open(path, "w") as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
             for w in self.warnings:
                 fh.write(f"# warning: {w}\n")
-            fh.write(",".join(cols) + "\n")
-            for row in range(len(self.ks)):
-                cells = []
-                if self.trial is not None:
-                    cells.append(str(self.trial))
-                cells.append(str(self.ks[row]))
-                dual = self.r_dual[row]
-                for i in range(self.n_blocks):
-                    cells.append(_fmt(None if dual is None else dual[i]))
-                cells.append(_fmt(self.r_feas[row]))
-                cells.append(_fmt(self.surrogate[row]))
-                cells.append(_fmt(self.objective[row]))
-                cells.append(_fmt(self.lyapunov[row]))
-                fh.write(",".join(cells) + "\n")
+            fh.write(self.csv_columns())
+            self.write_csv_rows(fh)
             fh.write(f"# status={self.status}\n")
+
+    def csv_columns(self) -> str:
+        cols = ["k"] if self.trial is None else ["trial", "k"]
+        cols += [f"r_dual_{i + 1}" for i in range(self.n_blocks)]
+        cols += ["r_feas", "surrogate", "objective", "lyapunov"]
+        return ",".join(cols) + "\n"
+
+    def write_csv_rows(self, fh) -> None:
+        """One CSV line per recorded row, led by the trial number when set."""
+        lead = [] if self.trial is None else [str(self.trial)]
+        for row in range(len(self.ks)):
+            dual = self.r_dual[row]
+            cells = lead + [str(self.ks[row])]
+            cells += [_fmt(None if dual is None else dual[i]) for i in range(self.n_blocks)]
+            cells += [_fmt(v[row]) for v in (self.r_feas, self.surrogate, self.objective, self.lyapunov)]
+            fh.write(",".join(cells) + "\n")
 
 
 def _fmt(v) -> str:
@@ -192,6 +194,15 @@ def _fmt(v) -> str:
     if math.isnan(f):
         return ""
     return repr(f)
+
+
+def _block_model(inst: ProblemInstance, beta: float, i: int, constrained: bool) -> np.ndarray:
+    """Block i's quadratic model: H_ii + beta A_i'A_i, or H_ii alone."""
+    B = inst.H_block(i, i).copy()
+    if constrained:
+        Ai = inst.A_block(i)
+        B += beta * (Ai.T @ Ai)
+    return B
 
 
 def linearization_proximal(inst: ProblemInstance, beta: float, mode: str = "admm") -> list:
@@ -204,20 +215,40 @@ def linearization_proximal(inst: ProblemInstance, beta: float, mode: str = "admm
     """
     if mode not in ("admm", "bcd"):
         raise UsageError(f"unknown mode {mode!r}; expected 'admm' or 'bcd'")
-    if mode == "admm" and not beta > 0:
-        raise UsageError("beta must be positive")
+    if mode == "admm":
+        check_beta(beta)
     out = []
     for i in range(inst.blocks.n):
-        B = inst.H_block(i, i).copy()
-        if mode == "admm":
-            Ai = inst.A_block(i)
-            B += beta * (Ai.T @ Ai)
+        B = _block_model(inst, beta, i, mode == "admm")
         w = np.linalg.eigvalsh(0.5 * (B + B.T))
         r = float(w[-1])
         if not r > 0:
             raise ConditionError(f"block {i} has no curvature; linearization is undefined")
         out.append((r, r * np.eye(B.shape[0]) - B))
     return out
+
+
+def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
+    """The proximal matrices R_i that cfg.variant effectively applies, the
+    scalar curvatures r_i of the linearized variants (None for the others),
+    and warnings about user curvatures below a block's top eigenvalue."""
+    if cfg.variant not in _LINEARIZED:
+        return None, normalize_block_matrices(inst, cfg.R), []
+    constrained = cfg.variant in _CONSTRAINED
+    pairs = linearization_proximal(inst, cfg.beta, mode="admm" if constrained else "bcd")
+    if cfg.r is None:
+        return [p[0] for p in pairs], [p[1] for p in pairs], []
+    r = [float(v) for v in cfg.r]
+    warnings = [
+        f"r[{i}]={r[i]!r} is below the block's top curvature {r_auto!r}; descent guarantees may fail"
+        for i, (r_auto, _) in enumerate(pairs)
+        if r[i] < r_auto * (1.0 - 1e-12)
+    ]
+    R_eff = []
+    for i in range(inst.blocks.n):
+        B = _block_model(inst, cfg.beta, i, constrained)
+        R_eff.append(r[i] * np.eye(B.shape[0]) - B)
+    return r, R_eff, warnings
 
 
 class _BlockSolver:
@@ -231,16 +262,25 @@ class _BlockSolver:
 
 
 class _Workspace:
-    """Precomputed per-run data shared by every sweep."""
+    """Validated configuration plus the per-run data every sweep shares."""
 
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, constrained: bool, linearized: bool):
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
+        cfg.validate(inst)
+        variant = cfg.variant
+        constrained = variant in _CONSTRAINED
+        if variant in ("admm2", "admm2_linearized") and inst.blocks.n != 2:
+            raise UsageError(f"variant {variant} needs exactly two blocks")
+        if not constrained and inst.blocks.m:
+            raise UsageError(
+                "unconstrained variants need an instance without constraint rows; "
+                "pass ignore_constraints=True to run_solver to drop them"
+            )
         self.inst = inst
         self.cfg = cfg
         self.constrained = constrained
-        self.linearized = linearized
+        self.linearized = variant in _LINEARIZED
         self.beta = cfg.beta if constrained else 0.0
         self.gamma = cfg.gamma
-        self.warnings: list = []
         n = inst.blocks.n
         self.n = n
         self.slices = [inst.blocks.slice_of(i) for i in range(n)]
@@ -248,31 +288,8 @@ class _Workspace:
         self.H_blocks = [inst.H_block(i, i) for i in range(n)]
         self.S = inst.H + self.beta * (inst.A.T @ inst.A)
         self.exact_ok = all(f.kind != "opaque" for f in inst.theta)
-
-        if linearized:
-            pairs = linearization_proximal(inst, cfg.beta, mode="admm" if constrained else "bcd")
-            if cfg.r is None:
-                self.r = [p[0] for p in pairs]
-            else:
-                self.r = [float(v) for v in cfg.r]
-                for i, (r_auto, _) in enumerate(pairs):
-                    if self.r[i] < r_auto * (1.0 - 1e-12):
-                        self.warnings.append(
-                            f"r[{i}]={self.r[i]!r} is below the block's top curvature "
-                            f"{r_auto!r}; descent guarantees may fail"
-                        )
-            self.R_eff = []
-            for i in range(n):
-                B = self.H_blocks[i].copy()
-                if constrained:
-                    Ai = self.A_blocks[i]
-                    B += self.beta * (Ai.T @ Ai)
-                self.R_eff.append(self.r[i] * np.eye(B.shape[0]) - B)
-            self.block_solvers = None
-        else:
-            self.r = None
-            self.R_eff = normalize_block_matrices(inst, cfg.R)
-            self.block_solvers = [self._make_block_solver(i) for i in range(n)]
+        self.r, self.R_eff, self.warnings = _proximal_matrices(inst, cfg)
+        self.block_solvers = None if self.linearized else [self._make_block_solver(i) for i in range(n)]
 
     def _make_block_solver(self, i: int) -> _BlockSolver:
         d_i = self.inst.blocks.dims[i]
@@ -334,13 +351,12 @@ class _Workspace:
             else:
                 x[sl] = prox_eval(inst.theta[i], solver.ridge, -lin / solver.ridge)
 
-    def advance(self, state: IterateState, order, gamma=None) -> IterateState:
+    def advance(self, state: IterateState, order) -> IterateState:
         x = state.x.copy()
         mu = state.mu.copy()
         self.sweep(x, mu, state.x, order)
         if self.constrained and self.inst.blocks.m:
-            step = self.gamma if gamma is None else gamma
-            mu = mu - step * self.beta * (self.inst.A @ x - self.inst.b)
+            mu = mu - self.gamma * self.beta * (self.inst.A @ x - self.inst.b)
         return IterateState(x=x, x_prev=state.x.copy(), mu=mu, k=state.k + 1)
 
     # -- residual pieces -------------------------------------------------
@@ -365,16 +381,15 @@ class _Workspace:
             return 0.0
         return float(np.linalg.norm(self.inst.A @ x - self.inst.b))
 
-    def surrogate_parts(self, x_new: np.ndarray, x_old: np.ndarray, order, gamma=None) -> np.ndarray:
+    def surrogate_parts(self, x_new: np.ndarray, x_old: np.ndarray, order) -> np.ndarray:
         """Per-block norms of the exact optimality shift from one sweep: block
         i is stationary for the new point up to
         -R_i dx_i + sum over later blocks of (H_ij + beta A_i'A_j) dx_j,
         plus a multiplier-stepsize correction when gamma differs from one.
         """
         dx = x_new - x_old
-        step = self.gamma if gamma is None else gamma
         feas_vec = None
-        if self.constrained and step != 1.0 and self.inst.blocks.m:
+        if self.constrained and self.gamma != 1.0 and self.inst.blocks.m:
             feas_vec = self.inst.A @ x_new - self.inst.b
         out = np.zeros(self.n)
         later = np.zeros(self.inst.blocks.d)
@@ -383,23 +398,10 @@ class _Workspace:
             sl = self.slices[i]
             v = -(self.R_eff[i] @ dx[sl]) + self.S[sl] @ later
             if feas_vec is not None:
-                v = v - self.beta * (1.0 - step) * (self.A_blocks[i].T @ feas_vec)
+                v = v - self.beta * (1.0 - self.gamma) * (self.A_blocks[i].T @ feas_vec)
             out[i] = float(np.linalg.norm(v))
             later[sl] = dx[sl]
         return out
-
-
-def _make_workspace(inst: ProblemInstance, cfg: SolverConfig, variant: str) -> _Workspace:
-    constrained = variant in _CONSTRAINED
-    linearized = variant in _LINEARIZED
-    if variant in ("admm2", "admm2_linearized") and inst.blocks.n != 2:
-        raise UsageError(f"variant {variant} needs exactly two blocks")
-    if not constrained and inst.blocks.m:
-        raise UsageError(
-            "unconstrained variants need an instance without constraint rows; "
-            "pass ignore_constraints=True to run_solver to drop them"
-        )
-    return _Workspace(inst, cfg, constrained, linearized)
 
 
 def _strip_constraints(inst: ProblemInstance) -> ProblemInstance:
@@ -409,38 +411,21 @@ def _strip_constraints(inst: ProblemInstance) -> ProblemInstance:
     )
 
 
-# -- public one-step operations ------------------------------------------
+def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=None) -> IterateState:
+    """One sweep of cfg.variant followed, for the constrained variants, by
+    the multiplier update with stepsize gamma * beta.
 
-
-def admm2_step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState) -> IterateState:
-    """One two-block constrained sweep plus multiplier update."""
-    ws = _make_workspace(inst, cfg, "admm2")
-    return ws.advance(state, range(inst.blocks.n))
-
-
-def admm2_linearized_step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState) -> IterateState:
-    """One two-block sweep where each block takes a single-curvature gradient
-    half-step on the augmented model and then applies its prox."""
-    ws = _make_workspace(inst, cfg, "admm2_linearized")
-    return ws.advance(state, range(inst.blocks.n))
-
-
-def admm_cyclic_n_step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState) -> IterateState:
-    """One cyclic sweep over all blocks plus multiplier update."""
-    ws = _make_workspace(inst, cfg, "admm_cyclic_n")
-    return ws.advance(state, range(inst.blocks.n))
-
-
-def bcd_step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState) -> IterateState:
-    """One unconstrained cyclic sweep with proximal matrices."""
-    ws = _make_workspace(inst, cfg, "bcd")
-    return ws.advance(state, range(inst.blocks.n))
-
-
-def bcpg_step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState) -> IterateState:
-    """One unconstrained cyclic sweep of prox-gradient block updates."""
-    ws = _make_workspace(inst, cfg, "bcpg")
-    return ws.advance(state, range(inst.blocks.n))
+    The blocks are updated in `order`, a permutation of 0..n-1; None means
+    the cyclic order 0, 1, ..., n-1. The randomly permuted scheme is this
+    step with variant admm_cyclic_n, gamma 1 and a fresh uniform order per
+    sweep.
+    """
+    ws = _Workspace(inst, cfg)
+    n = inst.blocks.n
+    order = range(n) if order is None else tuple(int(v) for v in order)
+    if sorted(order) != list(range(n)):
+        raise UsageError(f"order {order} is not a permutation of 0..{n - 1}")
+    return ws.advance(state, order)
 
 
 # -- full runs -------------------------------------------------------------
@@ -455,8 +440,8 @@ def run_solver(
     ignore_constraints: bool = False,
     keep_iterates: bool = False,
 ) -> Trace:
-    """Iterate the configured variant until the largest residual component
-    falls to cfg.tol, the iterates overflow the divergence guard, or
+    """Iterate the configured variant in cyclic block order until the largest
+    residual component falls to cfg.tol, the divergence guard trips, or
     cfg.max_iter steps have run.
 
     The trace records, for every iteration, the exact per-block stationarity
@@ -464,54 +449,53 @@ def run_solver(
     surrogate optimality bound from the sweep, the objective value, and the
     merit value against `reference` when one is given (two-block runs only).
     """
-    cfg.validate(inst)
-    variant = cfg.variant
     work = inst
-    if variant in ("bcd", "bcpg") and inst.blocks.m:
+    if cfg.variant in ("bcd", "bcpg") and inst.blocks.m:
         if not ignore_constraints:
             raise UsageError(
                 "instance has constraint rows; unconstrained variants need "
                 "ignore_constraints=True (constraints are then dropped)"
             )
         work = _strip_constraints(inst)
-    ws = _make_workspace(work, cfg, variant)
-    if variant in ("admm2", "admm2_linearized"):
+    ws = _Workspace(work, cfg)
+    if cfg.variant in ("admm2", "admm2_linearized"):
         _check_two_block_condition(work, ws.R_eff)
-
-    state = IterateState.start(work, x0, mu0)
     if reference is not None and work.blocks.n != 2:
         raise UsageError("merit recording needs a two-block instance")
-    weights = None
-    if reference is not None:
-        weights = merit_weight_matrices(work, cfg.beta, ws.R_eff)
+    weights = None if reference is None else merit_weight_matrices(work, cfg.beta, ws.R_eff)
+    cyclic = tuple(range(work.blocks.n))
+    state = IterateState.start(work, x0, mu0)
+    return _drive(ws, state, lambda: cyclic, keep_iterates, weights=weights, reference=reference)
 
-    trace = Trace(n_blocks=work.blocks.n, exact_residuals=ws.exact_ok)
+
+def _drive(ws, state, next_order, keep_iterates, weights=None, reference=None, path=None) -> Trace:
+    """The run loop of every variant: record the start point, then sweep in
+    the orders that next_order() returns until the largest residual component
+    falls to the tolerance, the divergence guard trips, or max_iter sweeps
+    have run. `path`, when given, collects every iterate as one concatenated
+    (x, mu) vector."""
+    trace = Trace(n_blocks=ws.n, exact_residuals=ws.exact_ok)
     trace.warnings.extend(ws.warnings)
     if keep_iterates:
         trace.iterates = []
-
-    order = list(range(work.blocks.n))
-    _record(trace, ws, state, order, weights, reference, first=True)
-    if ws.exact_ok and trace.max_residual(0) <= cfg.tol:
+    _record(trace, ws, state, None, weights, reference, path)
+    tol = ws.cfg.tol
+    if ws.exact_ok and trace.max_residual(0) <= tol:
         trace.status = "converged"
-        _finish(trace, state)
-        return trace
-
-    for _ in range(int(cfg.max_iter)):
-        state = ws.advance(state, order)
-        _record(trace, ws, state, order, weights, reference)
-        if (
-            float(np.max(np.abs(state.x))) > DIVERGENCE_LIMIT
-            or (state.mu.size and float(np.max(np.abs(state.mu))) > DIVERGENCE_LIMIT)
-        ):
-            trace.status = "diverged"
-            break
-        if trace.max_residual(len(trace) - 1) <= cfg.tol:
-            trace.status = "converged"
-            break
     else:
-        trace.status = "max_iter"
-    _finish(trace, state)
+        for _ in range(int(ws.cfg.max_iter)):
+            order = next_order()
+            state = ws.advance(state, order)
+            _record(trace, ws, state, order, weights, reference, path)
+            # written so that NaN iterates count as diverged
+            if not (max_abs(state.x) <= DIVERGENCE_LIMIT and max_abs(state.mu) <= DIVERGENCE_LIMIT):
+                trace.status = "diverged"
+                break
+            if trace.max_residual(len(trace) - 1) <= tol:
+                trace.status = "converged"
+                break
+    trace.x = state.x.copy()
+    trace.mu = state.mu.copy()
     return trace
 
 
@@ -530,18 +514,19 @@ def _check_two_block_condition(inst: ProblemInstance, R_eff) -> None:
         )
 
 
-def _record(trace, ws, state, order, weights, reference, first=False, gamma=None):
+def _record(trace, ws, state, order, weights, reference, path):
+    """Append one row; order is None for the start point, which has no sweep."""
     trace.ks.append(state.k)
     if ws.exact_ok:
         trace.r_dual.append(ws.exact_dual(state.x, state.mu))
     else:
         trace.r_dual.append(None)
     trace.r_feas.append(ws.feasibility(state.x))
-    if first:
+    if order is None:
         trace.surrogate_blocks.append(None)
         trace.surrogate.append(math.nan)
     else:
-        parts = ws.surrogate_parts(state.x, state.x_prev, order, gamma=gamma)
+        parts = ws.surrogate_parts(state.x, state.x_prev, order)
         trace.surrogate_blocks.append(parts)
         trace.surrogate.append(float(math.sqrt(np.sum(parts**2) + trace.r_feas[-1] ** 2)))
     trace.objective.append(ws.inst.objective(state.x))
@@ -551,11 +536,8 @@ def _record(trace, ws, state, order, weights, reference, first=False, gamma=None
         trace.lyapunov.append(_merit_from_weights(ws.cfg.beta, weights, state, reference))
     if trace.iterates is not None:
         trace.iterates.append((state.x.copy(), state.mu.copy()))
-
-
-def _finish(trace, state):
-    trace.x = state.x.copy()
-    trace.mu = state.mu.copy()
+    if path is not None:
+        path.append(np.concatenate([state.x, state.mu]))
 
 
 def _merit_from_weights(beta, weights, state, reference) -> float:
@@ -571,32 +553,17 @@ def _merit_from_weights(beta, weights, state, reference) -> float:
     )
 
 
-def _effective_R(inst: ProblemInstance, cfg: SolverConfig) -> list:
-    if cfg.variant in _LINEARIZED:
-        mode = "admm" if cfg.variant in _CONSTRAINED else "bcd"
-        pairs = linearization_proximal(inst, cfg.beta, mode=mode)
-        if cfg.r is None:
-            return [p[1] for p in pairs]
-        out = []
-        for i, r in enumerate(cfg.r):
-            B = inst.H_block(i, i).copy()
-            if mode == "admm":
-                Ai = inst.A_block(i)
-                B += cfg.beta * (Ai.T @ Ai)
-            out.append(float(r) * np.eye(B.shape[0]) - B)
-        return out
-    return normalize_block_matrices(inst, cfg.R)
+def _merit_weights(inst: ProblemInstance, cfg: SolverConfig) -> dict:
+    if inst.blocks.n != 2:
+        raise UsageError("the merit function is defined for two-block instances")
+    return merit_weight_matrices(inst, cfg.beta, _proximal_matrices(inst, cfg)[1])
 
 
 def lyapunov_value(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, reference: KKTPoint) -> float:
     """Merit value of a two-block iterate against a stationary reference:
     a weighted squared distance to the reference plus a back-difference term,
     nonincreasing along constrained two-block runs with unit dual stepsize."""
-    if inst.blocks.n != 2:
-        raise UsageError("the merit function is defined for two-block instances")
-    R_eff = _effective_R(inst, cfg)
-    weights = merit_weight_matrices(inst, cfg.beta, R_eff)
-    return _merit_from_weights(cfg.beta, weights, state, reference)
+    return _merit_from_weights(cfg.beta, _merit_weights(inst, cfg), state, reference)
 
 
 def lyapunov_decrease_floor(
@@ -604,11 +571,7 @@ def lyapunov_decrease_floor(
 ) -> float:
     """Guaranteed minimum drop of the merit value across one step, evaluated
     from the two consecutive iterates."""
-    if inst.blocks.n != 2:
-        raise UsageError("the merit function is defined for two-block instances")
-    R_eff = _effective_R(inst, cfg)
-    weights = merit_weight_matrices(inst, cfg.beta, R_eff)
-    return merit_decrease_floor_from_weights(cfg.beta, weights, prev, nxt)
+    return merit_decrease_floor_from_weights(cfg.beta, _merit_weights(inst, cfg), prev, nxt)
 
 
 def merit_decrease_floor_from_weights(beta, weights, prev, nxt) -> float:

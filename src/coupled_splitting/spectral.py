@@ -44,7 +44,7 @@ from .model import (
     kkt_residual,
     normalize_block_matrices,
 )
-from .solvers import GAMMA_SUP, SolverConfig, Trace
+from .solvers import GAMMA_SUP, SolverConfig, Trace, check_beta
 
 MAX_ENUM_BLOCKS = 8
 
@@ -87,8 +87,7 @@ class PermMatrices:
 def build_perm_matrices(inst: ProblemInstance, beta: float, sigma) -> PermMatrices:
     """Assemble the block-triangular sweep matrix for the order sigma, its
     complement, and the full one-step update including the multiplier row."""
-    if not beta > 0:
-        raise UsageError("beta must be positive")
+    check_beta(beta)
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     sigma = tuple(int(v) for v in sigma)
     if sorted(sigma) != list(range(n)):
@@ -213,8 +212,7 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     if n > MAX_ENUM_BLOCKS:
         raise EnumerationLimitError(f"enumerating block orders is supported up to {MAX_ENUM_BLOCKS} blocks")
-    if not beta > 0:
-        raise UsageError("beta must be positive")
+    check_beta(beta)
     _check_sweep_blocks(inst, beta)
     S = _curvature_matrix(inst, beta)
     A = inst.A
@@ -325,8 +323,7 @@ def check_M_spectrum(report: SpectralReport) -> tuple:
 def rank_identity_check(inst: ProblemInstance, beta: float) -> bool:
     """True when the bordered curvature block has rank equal to
     rank(S) + rank(beta A'A), with SVD-thresholded ranks."""
-    if not beta > 0:
-        raise UsageError("beta must be positive")
+    check_beta(beta)
     d, m = inst.blocks.d, inst.blocks.m
     S = _curvature_matrix(inst, beta)
     A = inst.A
@@ -487,8 +484,7 @@ def divergence_witness(inst: ProblemInstance, beta: float, R=None) -> WitnessCer
     """
     if inst.blocks.n != 2:
         raise UsageError("the witness construction needs exactly two blocks")
-    if not beta > 0:
-        raise UsageError("beta must be positive")
+    check_beta(beta)
     R_mats = normalize_block_matrices(inst, R)
     Ts = []
     for i in range(2):

@@ -105,6 +105,21 @@ def test_solve_validation_exit_code(tmp_path):
     assert main(["solve", str(path)]) == 2
 
 
+def test_solve_rejects_nan_in_instance(tmp_path, capsys):
+    doc = {
+        "blocks": [1, 1],
+        "H": [[2.0, float("nan")], [1.0, 2.0]],
+        "g": [0.0, 0.0],
+        "A": [[1.0, 0.0], [0.0, 1.0]],
+        "b": [1.0, 1.0],
+        "theta": [{"kind": "zero"}, {"kind": "zero"}],
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_missing_instance_file_is_validation_error(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
@@ -120,6 +135,22 @@ def test_usage_errors_exit_64(pair_file, capsys):
     # semantic usage errors return 64 without raising
     assert main(["solve", str(pair_file), "--beta", "-1"]) == 64
     assert main(["solve", str(pair_file), "--gamma", "1.7"]) == 64
+
+
+def test_solve_rejects_nan_tol(pair_file, tmp_path, capsys):
+    assert main(["solve", str(pair_file), "--tol", "nan", "--out", str(tmp_path)]) == 64
+    assert "tol" in capsys.readouterr().err
+
+
+def test_analyze_rejects_infinite_beta(tmp_path, capsys):
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=2),
+        H=np.array([[2.0, 1.0], [1.0, 2.0]]), g=np.zeros(2), A=np.eye(2), b=_arr(1.0, 1.0),
+    )
+    path = tmp_path / "pair2.json"
+    cs.save_instance(inst, path)
+    assert main(["analyze", str(path), "--beta", "inf", "--out", str(tmp_path)]) == 64
+    assert "beta" in capsys.readouterr().err
 
 
 def test_seed_from_environment(pair_file, tmp_path, monkeypatch, capsys):

@@ -56,6 +56,22 @@ def test_validate_rejects_indefinite_h():
         cs.validate_instance(inst)
 
 
+def test_validate_rejects_non_finite_data():
+    good = dict(H=np.eye(2), g=np.zeros(2), A=np.ones((1, 2)), b=[1.0], dims=(1, 1))
+    for field, bad in (
+        ("H", np.array([[1.0, np.nan], [np.nan, 1.0]])),
+        ("g", _arr(0.0, np.inf)),
+        ("A", np.array([[1.0, -np.inf]])),
+        ("b", [np.nan]),
+    ):
+        inst = _simple(**{**good, field: bad})
+        with pytest.raises(StructuralError, match=f"^{field} has a non-finite entry"):
+            cs.validate_instance(inst)
+    # infinite box bounds are legal: they mark unbounded sides
+    box = cs.ProxFn.box([-np.inf], [np.inf])
+    cs.validate_instance(_simple(**good, theta=(box, box)))
+
+
 def test_validate_reports_defects():
     inst = _simple(np.eye(2), np.zeros(2), np.ones((1, 2)), [1.0], (1, 1))
     rep = cs.validate_instance(inst)

@@ -57,14 +57,6 @@ def test_sampler_matches_keyed_stream():
     assert sampler.counter == 8
 
 
-def test_sample_permutation_advances():
-    sampler = cs.PermutationSampler(seed=9)
-    a = cs.sample_permutation(sampler, 3)
-    b = cs.sample_permutation(sampler, 3)
-    assert sampler.counter == 2
-    assert sorted(a) == sorted(b) == [0, 1, 2]
-
-
 def test_permutation_uniformity_chi_square():
     """All n! orders of 3 blocks occur with equal frequency."""
     sampler = cs.PermutationSampler(seed=2024)
@@ -84,8 +76,8 @@ def test_rp_sweep_identity_order_matches_cyclic():
     inst = coupled_three_block()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.5, gamma=1.0, tol=0.0, max_iter=1)
     st0 = cs.IterateState.start(inst, x0=np.arange(4.0))
-    via_rp = cs.rp_sweep(inst, cfg, st0, (0, 1, 2))
-    via_cyc = cs.admm_cyclic_n_step(inst, cfg, st0)
+    via_rp = cs.step(inst, cfg, st0, order=(0, 1, 2))
+    via_cyc = cs.step(inst, cfg, st0)
     assert np.array_equal(via_rp.x, via_cyc.x)
     assert np.array_equal(via_rp.mu, via_cyc.mu)
 
@@ -94,15 +86,15 @@ def test_rp_sweep_rejects_bad_sigma():
     inst = coupled_three_block()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0)
     with pytest.raises(cs.UsageError):
-        cs.rp_sweep(inst, cfg, cs.IterateState.start(inst), (0, 0, 2))
+        cs.step(inst, cfg, cs.IterateState.start(inst), order=(0, 0, 2))
 
 
 def test_order_changes_the_iterate():
     inst = coupled_three_block()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0)
     st0 = cs.IterateState.start(inst, x0=np.ones(4))
-    a = cs.rp_sweep(inst, cfg, st0, (0, 1, 2))
-    b = cs.rp_sweep(inst, cfg, st0, (2, 1, 0))
+    a = cs.step(inst, cfg, st0, order=(0, 1, 2))
+    b = cs.step(inst, cfg, st0, order=(2, 1, 0))
     assert not np.allclose(a.x, b.x)
 
 
@@ -130,6 +122,53 @@ def test_rp_run_reproducible_and_trialwise_isolated(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     first_line = p1.read_text().splitlines()[0]
     assert first_line.split(",")[0] == "trial"
+
+
+def test_rp_trial_is_a_loop_of_steps_in_sampled_orders():
+    """Trial t is cs.step applied in the orders that a sampler seeded with
+    seed XOR t draws, iterate for iterate."""
+    inst = coupled_three_block()
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.5, gamma=1.0, tol=1e-9, max_iter=500)
+    seed = 6
+    x0 = np.linspace(-1.0, 1.0, 4)
+    traces, _ = cs.run_rp_solver(inst, cfg, x0=x0, seed=seed, trials=3, keep_iterates=True)
+    n = inst.blocks.n
+    for t, trace in enumerate(traces):
+        sampler = cs.PermutationSampler(seed ^ t)
+        state = cs.IterateState.start(inst, x0=x0)
+        assert np.array_equal(trace.iterates[0][0], state.x)
+        for k in range(1, len(trace)):
+            state = cs.step(inst, cfg, state, order=sampler.draw(n))
+            assert np.array_equal(trace.iterates[k][0], state.x)
+            assert np.array_equal(trace.iterates[k][1], state.mu)
+        assert np.array_equal(trace.x, state.x)
+        assert np.array_equal(trace.mu, state.mu)
+
+
+def test_sample_mean_holds_stopped_trials_at_their_last_iterate():
+    inst = three_by_three_instance()
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0, tol=1e-6, max_iter=5000)
+    traces, mean_trace = cs.run_rp_solver(inst, cfg, seed=1, trials=4, keep_iterates=True)
+    lengths = [len(t) for t in traces]
+    assert len(set(lengths)) > 1  # the trials stop at different k
+    k_len = max(lengths)
+    padded = np.array([
+        [np.concatenate(t.iterates[min(k, len(t) - 1)]) for k in range(k_len)] for t in traces
+    ])
+    expected = np.mean(padded, axis=0)
+    d = inst.blocks.d
+    assert mean_trace.ks == list(range(k_len))
+    assert np.array_equal(mean_trace.Ex, expected[:, :d])
+    assert np.array_equal(mean_trace.Emu, expected[:, d:])
+
+
+def test_rp_run_nan_start_trips_divergence_guard():
+    inst = three_by_three_instance()
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0, tol=1e-9, max_iter=300)
+    traces, _ = cs.run_rp_solver(inst, cfg, mu0=_arr(np.nan, 0.0, 0.0), seed=0, trials=2)
+    for t in traces:
+        assert t.status == "diverged"
+        assert len(t) == 2
 
 
 def test_rp_run_converges_where_cyclic_diverges():

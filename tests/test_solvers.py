@@ -43,7 +43,7 @@ def three_by_three_instance():
 def test_admm2_step_hand_iteration():
     inst = scalar_pair_instance()
     cfg = cs.SolverConfig(variant="admm2", beta=1.0, gamma=1.0)
-    st = cs.admm2_step(inst, cfg, cs.IterateState.start(inst))
+    st = cs.step(inst, cfg, cs.IterateState.start(inst))
     assert np.allclose(st.x, _arr(1.0, 0.5), atol=1e-15)
     assert np.allclose(st.mu, _arr(0.5), atol=1e-15)
     assert st.k == 1
@@ -52,7 +52,7 @@ def test_admm2_step_hand_iteration():
 def test_admm2_step_fixed_point():
     inst = scalar_pair_instance()
     cfg = cs.SolverConfig(variant="admm2", beta=1.0, gamma=1.0)
-    st = cs.admm2_step(inst, cfg, cs.IterateState.start(inst, x0=_arr(1.0, 1.0), mu0=_arr(1.0)))
+    st = cs.step(inst, cfg, cs.IterateState.start(inst, x0=_arr(1.0, 1.0), mu0=_arr(1.0)))
     assert np.allclose(st.x, _arr(1.0, 1.0), atol=1e-15)
     assert np.allclose(st.mu, _arr(1.0), atol=1e-15)
 
@@ -63,9 +63,42 @@ def test_admm2_step_feasible_zero_objective_point():
         H=np.zeros((2, 2)), g=np.zeros(2), A=np.array([[1.0, 1.0]]), b=_arr(0.0),
     )
     cfg = cs.SolverConfig(variant="admm2", beta=1.0)
-    st = cs.admm2_step(inst, cfg, cs.IterateState.start(inst, x0=_arr(1.0, -1.0), mu0=_arr(0.0)))
+    st = cs.step(inst, cfg, cs.IterateState.start(inst, x0=_arr(1.0, -1.0), mu0=_arr(0.0)))
     assert np.allclose(st.x, _arr(1.0, -1.0), atol=1e-15)
     assert np.allclose(st.mu, _arr(0.0), atol=1e-15)
+
+
+def test_step_default_order_is_cyclic():
+    """order=None and the explicit order 0..n-1 give the same iterate, bit
+    for bit, for every variant."""
+    rng = np.random.default_rng(15)
+    two = two_block_instance(rng, kinds=("zero",))
+    three = three_by_three_instance()
+    unconstrained = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 2, 1), m=0),
+        H=random_psd(rng, 4) + np.eye(4), g=rng.standard_normal(4), A=np.zeros((0, 4)), b=np.zeros(0),
+    )
+    cases = [
+        (two, "admm2"), (two, "admm2_linearized"), (three, "admm_cyclic_n"),
+        (unconstrained, "bcd"), (unconstrained, "bcpg"),
+    ]
+    for inst, variant in cases:
+        cfg = cs.SolverConfig(variant=variant, beta=1.3, gamma=1.2)
+        st0 = cs.IterateState.start(inst, x0=rng.standard_normal(inst.blocks.d), mu0=rng.standard_normal(inst.blocks.m))
+        a = cs.step(inst, cfg, st0)
+        b = cs.step(inst, cfg, st0, order=tuple(range(inst.blocks.n)))
+        assert np.array_equal(a.x, b.x), variant
+        assert np.array_equal(a.mu, b.mu), variant
+        assert a.k == b.k == 1
+
+
+def test_step_rejects_non_permutation():
+    inst = three_by_three_instance()
+    cfg = cs.SolverConfig(variant="admm_cyclic_n")
+    st0 = cs.IterateState.start(inst)
+    for order in ((0, 0, 2), (0, 1), (0, 1, 3), (0, 1, 2, 3), (-1, 0, 1)):
+        with pytest.raises(cs.UsageError, match="permutation"):
+            cs.step(inst, cfg, st0, order=order)
 
 
 def test_linearized_soft_threshold_composition():
@@ -137,8 +170,8 @@ def test_linearized_equals_proximal_admm():
             x=st_lin.x.copy(), x_prev=st_lin.x_prev.copy(), mu=st_lin.mu.copy(), k=0
         )
         for _ in range(30):
-            st_lin = cs.admm2_linearized_step(inst, cfg_lin, st_lin)
-            st_prox = cs.admm2_step(inst, cfg_prox, st_prox)
+            st_lin = cs.step(inst, cfg_lin, st_lin)
+            st_prox = cs.step(inst, cfg_prox, st_prox)
             scale = 1.0 + np.max(np.abs(st_prox.x))
             assert np.max(np.abs(st_lin.x - st_prox.x)) <= 1e-12 * scale
             assert np.max(np.abs(st_lin.mu - st_prox.mu)) <= 1e-12 * scale
@@ -162,8 +195,8 @@ def test_bcpg_equals_proximal_bcd():
             x=st_lin.x.copy(), x_prev=st_lin.x_prev.copy(), mu=st_lin.mu.copy(), k=0
         )
         for _ in range(30):
-            st_lin = cs.bcpg_step(inst, cfg_lin, st_lin)
-            st_prox = cs.bcd_step(inst, cfg_prox, st_prox)
+            st_lin = cs.step(inst, cfg_lin, st_lin)
+            st_prox = cs.step(inst, cfg_prox, st_prox)
             scale = 1.0 + np.max(np.abs(st_prox.x))
             assert np.max(np.abs(st_lin.x - st_prox.x)) <= 1e-12 * scale
 
@@ -252,6 +285,21 @@ def test_divergence_guard_trips_on_cyclic_three_block():
     tr = cs.run_solver(inst, cfg)
     assert tr.status == "diverged"
     assert max(np.max(np.abs(tr.x)), np.max(np.abs(tr.mu))) > 1e12
+
+
+def test_nan_prox_trips_divergence_guard():
+    """A prox that returns NaN stops the run at the first sweep instead of
+    running to max_iter."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=1),
+        H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0]]), b=_arr(1.0),
+        theta=(cs.ProxFn.opaque(lambda r, v: np.full_like(v, np.nan)), cs.ProxFn.zero()),
+    )
+    cfg = cs.SolverConfig(variant="admm2_linearized", tol=1e-8, max_iter=300)
+    tr = cs.run_solver(inst, cfg)
+    assert tr.status == "diverged"
+    assert len(tr) == 2
+    assert np.isnan(tr.x[0])
 
 
 def test_two_block_condition_precheck():

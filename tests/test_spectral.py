@@ -76,7 +76,7 @@ def test_update_matrix_agrees_with_one_sweep():
     outs = []
     for z in (za, zb):
         st = cs.IterateState.start(inst, x0=z[:d], mu0=z[d:])
-        nxt = cs.rp_sweep(inst, cfg, st, sigma)
+        nxt = cs.step(inst, cfg, st, order=sigma)
         outs.append(np.concatenate([nxt.x, nxt.mu]))
     lhs = outs[0] - outs[1]
     rhs = pm.M_sigma @ (za - zb)
@@ -215,7 +215,7 @@ def test_cyclic_update_matrix_linearity_oracle():
     za, zb = rng.standard_normal(6), rng.standard_normal(6)
     outs = []
     for z in (za, zb):
-        st = cs.admm_cyclic_n_step(inst, cfg, cs.IterateState.start(inst, x0=z[:3], mu0=z[3:]))
+        st = cs.step(inst, cfg, cs.IterateState.start(inst, x0=z[:3], mu0=z[3:]))
         outs.append(np.concatenate([st.x, st.mu]))
     assert np.allclose(outs[0] - outs[1], M @ (za - zb), atol=1e-10)
     assert rho > 1.0
