@@ -37,6 +37,7 @@ class ProxFn:
             raise UsageError(f"unknown term kind {self.kind!r}; expected one of {KINDS}")
         if self.sigma is not None:
             object.__setattr__(self, "sigma", _freeze(np.atleast_2d(self.sigma)))
+            _check_finite("sigma", self.sigma)
 
     # -- constructors -------------------------------------------------
 
@@ -49,6 +50,7 @@ class ProxFn:
     def l1(cls, lam: float, sigma=None) -> "ProxFn":
         """lam * ||x||_1 with lam >= 0."""
         lam = float(lam)
+        _check_finite("l1 weight", lam)
         if lam < 0:
             raise UsageError("l1 weight must be nonnegative")
         return cls("l1", {"lam": lam}, sigma)
@@ -60,6 +62,8 @@ class ProxFn:
         hi = _freeze(np.atleast_1d(np.asarray(hi, dtype=float)))
         if lo.shape != hi.shape:
             raise StructuralError("box bounds must have matching shapes")
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise StructuralError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise StructuralError("box requires lo <= hi elementwise")
         return cls("box", {"lo": lo, "hi": hi}, sigma)
@@ -71,6 +75,8 @@ class ProxFn:
         q = _freeze(np.atleast_1d(np.asarray(q, dtype=float)))
         if P.shape[0] != P.shape[1] or P.shape[0] != q.shape[0]:
             raise StructuralError("quadratic term needs square P matching q")
+        _check_finite("quadratic P", P)
+        _check_finite("quadratic q", q)
         if symmetry_defect(P) > 1e-12 * max(1.0, max_abs(P)):
             raise StructuralError("quadratic term matrix P is not symmetric")
         if not psd_check(P):
@@ -115,6 +121,11 @@ class ProxFn:
                 # declared modulus may not exceed the true curvature
                 if min_eig_sym(P - np.asarray(self.sigma)) < -1e-10 * max(1.0, max_abs(P)):
                     raise StructuralError("sigma exceeds the curvature of the quadratic term")
+
+
+def _check_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise StructuralError(f"{name} must be finite")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UsageError
 from .model import ProblemInstance
-from .solvers import IterateState, SolverConfig, _drive, _Workspace
+from .solvers import IterateState, SolverConfig, _drive, _Workspace, check_stopping
 
 
 def permutation_at(seed: int, counter: int, n: int) -> tuple:
@@ -169,6 +169,7 @@ def run_expected_iteration(
 ) -> ExpectationTrace:
     """Follow the exact expected trajectory until successive expected iterates
     differ by at most tol, or k_max steps have run."""
+    check_stopping(tol, k_max)
     M, c = expected_update_operator(inst, beta)
     d, m = inst.blocks.d, inst.blocks.m
     z = np.zeros(d + m) if z0 is None else np.array(z0, dtype=float).reshape(d + m)

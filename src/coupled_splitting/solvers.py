@@ -55,6 +55,15 @@ def check_beta(beta) -> None:
         raise UsageError("beta must be positive and finite")
 
 
+def check_stopping(tol, max_iter) -> None:
+    """Reject a tolerance that is not a nonnegative number (NaN included) and
+    an iteration cap below one."""
+    if not tol >= 0:
+        raise UsageError("tol must be a nonnegative number")
+    if int(max_iter) < 1:
+        raise UsageError("max_iter must be at least 1")
+
+
 @dataclass
 class SolverConfig:
     """Run parameters.
@@ -80,10 +89,7 @@ class SolverConfig:
         check_beta(self.beta)
         if not (0.0 < self.gamma < GAMMA_SUP):
             raise UsageError(f"gamma must lie in (0, {GAMMA_SUP}) exclusive")
-        if not self.tol >= 0:
-            raise UsageError("tol must be a nonnegative number")
-        if int(self.max_iter) < 1:
-            raise UsageError("max_iter must be at least 1")
+        check_stopping(self.tol, self.max_iter)
         if self.R is not None:
             normalize_block_matrices(inst, self.R)
         if self.r is not None:

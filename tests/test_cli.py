@@ -120,6 +120,23 @@ def test_solve_rejects_nan_in_instance(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_solve_rejects_nan_term_parameter(tmp_path, capsys):
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=1),
+        H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0]]), b=_arr(2.0),
+        theta=(cs.ProxFn.l1(0.5), cs.ProxFn.zero()),
+    )
+    path = tmp_path / "l1.json"
+    cs.save_instance(inst, path)
+    doc = json.loads(path.read_text())
+    doc["theta"][0]["params"]["lam"] = float("nan")
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--variant", "admm2_linearized", "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_missing_instance_file_is_validation_error(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
@@ -239,6 +256,15 @@ def test_rp_expect_with_trials(cyclic3_file, tmp_path, capsys):
     assert all("status=converged" in ln for ln in footers)
     trial_ids = {ln.split(",")[0] for ln in trials if not ln.startswith(("#", "trial"))}
     assert trial_ids == {"0", "1", "2"}
+
+
+def test_rp_expect_rejects_nan_tol_before_writing(cyclic3_file, tmp_path, capsys):
+    for extra in ([], ["--trials", "2"]):
+        out = tmp_path / f"nan{len(extra)}"
+        rc = main(["rp-expect", str(cyclic3_file), "--out", str(out), "--tol", "nan", *extra])
+        assert rc == 64
+        assert "tol" in capsys.readouterr().err
+        assert not (out / "expectation.csv").exists()
 
 
 # -- witness ---------------------------------------------------------------------

@@ -193,6 +193,27 @@ def test_l1_needs_nonnegative_weight():
         cs.ProxFn.l1(-0.5)
 
 
+def test_non_finite_parameters_are_rejected():
+    nan, inf = float("nan"), float("inf")
+    bad = [
+        lambda: cs.ProxFn.l1(nan),
+        lambda: cs.ProxFn.l1(inf),
+        lambda: cs.ProxFn.l1(-inf),
+        lambda: cs.ProxFn.box(_arr(nan), _arr(1.0)),
+        lambda: cs.ProxFn.box(_arr(0.0), _arr(nan)),
+        lambda: cs.ProxFn.quadratic(np.array([[1.0, 0.0], [0.0, nan]]), np.zeros(2)),
+        lambda: cs.ProxFn.quadratic(np.eye(2), _arr(inf, 0.0)),
+        lambda: cs.ProxFn.zero(sigma=np.array([[nan]])),
+        lambda: cs.ProxFn.l1(0.5, sigma=np.array([[inf]])),
+    ]
+    for make in bad:
+        with pytest.raises(StructuralError, match="finite|NaN"):
+            make()
+    # infinite box bounds mark unbounded sides and stay legal
+    f = cs.ProxFn.box(_arr(-inf, 0.0), _arr(1.0, inf))
+    assert np.array_equal(cs.prox_eval(f, 1.0, _arr(-5.0, 5.0)), _arr(-5.0, 5.0))
+
+
 def test_prox_fn_round_trip():
     rng = np.random.default_rng(4)
     G = rng.standard_normal((2, 2))

@@ -234,6 +234,21 @@ def test_expected_operator_enumeration_guard():
         cs.expected_update_operator(inst, 1.0)
 
 
+def test_expected_iteration_checks_stopping_rule_first():
+    # the 9-block instance would fail enumeration; the stopping rule is
+    # rejected before any of that work starts
+    n = 9
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1,) * n, m=1),
+        H=np.eye(n), g=np.zeros(n), A=np.ones((1, n)), b=_arr(1.0),
+    )
+    for tol in (float("nan"), -1.0):
+        with pytest.raises(cs.UsageError, match="tol"):
+            cs.run_expected_iteration(inst, 1.0, tol=tol)
+    with pytest.raises(cs.UsageError, match="max_iter"):
+        cs.run_expected_iteration(inst, 1.0, k_max=0)
+
+
 def test_expected_iteration_reaches_oracle():
     inst = cs.ProblemInstance(
         blocks=cs.BlockStructure(dims=(1, 1), m=1),
