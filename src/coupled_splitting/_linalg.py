@@ -20,7 +20,7 @@ def symmetry_defect(M: np.ndarray) -> float:
 
 
 def max_abs(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M))) if M.size else 0.0
+    return float(np.abs(M).max()) if M.size else 0.0
 
 
 def min_eig_sym(M: np.ndarray) -> float:

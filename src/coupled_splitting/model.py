@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedOracleError,
     UsageError,
 )
-from .prox import ProxFn, prox_fn_from_dict, prox_fn_to_dict, subdiff_distance
+from .prox import ProxFn, fn_value, prox_fn_from_dict, prox_fn_to_dict, subdiff_distance
 
 H_SYMMETRY_RTOL = 1e-12
 H_PSD_RTOL = 1e-10
@@ -141,15 +141,16 @@ class ProblemInstance:
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.H @ x + self.g
 
-    def objective(self, x: np.ndarray) -> float:
-        """Full objective value; nan when some term cannot be evaluated."""
-        from .prox import fn_value
-
+    def objective(self, x: np.ndarray, Hx: np.ndarray | None = None) -> float:
+        """Full objective value; nan when some term cannot be evaluated.
+        Hx, when given, is the precomputed product H @ x."""
         x = np.asarray(x, dtype=float)
-        smooth = 0.5 * float(x @ (self.H @ x)) + float(self.g @ x)
-        total = smooth
-        for i in range(self.blocks.n):
-            total += fn_value(self.theta[i], x[self.blocks.slice_of(i)])
+        if Hx is None:
+            Hx = self.H.dot(x)
+        total = 0.5 * float(x.dot(Hx)) + float(self.g.dot(x))
+        for i, f in enumerate(self.theta):
+            if f.kind != "zero":
+                total += fn_value(f, x[self.blocks.slice_of(i)])
         return total
 
 
@@ -374,7 +375,14 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     dims = tuple(int(v) for v in doc["blocks"])
     b = np.atleast_1d(np.asarray(doc["b"], dtype=float))
     blocks = BlockStructure(dims=dims, m=int(b.shape[0]))
-    theta = tuple(prox_fn_from_dict(t) for t in doc["theta"])
+    theta = []
+    for i, term in enumerate(doc["theta"]):
+        # a term the catalog rejects (a negative l1 weight, an unknown kind)
+        # is invalid input, not a misuse of the API
+        try:
+            theta.append(prox_fn_from_dict(term))
+        except UsageError as exc:
+            raise StructuralError(f"theta[{i}]: {exc}") from exc
     return ProblemInstance(blocks=blocks, H=doc["H"], g=doc["g"], A=doc["A"], b=b, theta=theta)
 
 

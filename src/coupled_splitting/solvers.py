@@ -148,12 +148,12 @@ class Trace:
         available and from the surrogate bound otherwise."""
         if self.exact_residuals:
             dual = self.r_dual[row]
-            worst = float(np.max(dual)) if dual is not None and dual.size else 0.0
+            worst = float(dual.max()) if dual is not None and dual.size else 0.0
         else:
             blocks = self.surrogate_blocks[row]
             if blocks is None:
                 return math.inf
-            worst = float(np.max(blocks)) if blocks.size else 0.0
+            worst = float(blocks.max()) if blocks.size else 0.0
         return max(worst, self.r_feas[row])
 
     def total_sq(self, row: int) -> float:
@@ -257,18 +257,15 @@ def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
     return r, R_eff, warnings
 
 
-class _BlockSolver:
-    __slots__ = ("mode", "Kinv", "shift", "ridge")
-
-    def __init__(self, mode, Kinv=None, shift=None, ridge=None):
-        self.mode = mode
-        self.Kinv = Kinv
-        self.shift = shift
-        self.ridge = ridge
-
-
 class _Workspace:
-    """Validated configuration plus the per-run data every sweep shares."""
+    """Validated configuration plus the per-run data every sweep shares.
+
+    Write z = (x, mu) and S = H + beta A'A. When block i is updated its value
+    still equals its proximal anchor, so the new value is one affine map of
+    the current z, v = W_i z + c_i, followed by the prox of the block's term
+    for prox blocks (prox_r[i] is the prox weight; None for direct blocks).
+    The maps are built here once per run.
+    """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
         cfg.validate(inst)
@@ -289,34 +286,54 @@ class _Workspace:
         self.gamma = cfg.gamma
         n = inst.blocks.n
         self.n = n
+        self.d = inst.blocks.d
         self.slices = [inst.blocks.slice_of(i) for i in range(n)]
-        self.A_blocks = [inst.A_block(i) for i in range(n)]
-        self.H_blocks = [inst.H_block(i, i) for i in range(n)]
-        self.S = inst.H + self.beta * (inst.A.T @ inst.A)
+        self.offsets = np.asarray(inst.blocks.offsets)
+        self.At = np.ascontiguousarray(inst.A.T)
         self.exact_ok = all(f.kind != "opaque" for f in inst.theta)
+        # blocks whose stationarity violation needs the term's subdifferential
+        self.subdiff_blocks = [i for i in range(n) if inst.theta[i].kind != "zero"]
         self.r, self.R_eff, self.warnings = _proximal_matrices(inst, cfg)
-        self.block_solvers = None if self.linearized else [self._make_block_solver(i) for i in range(n)]
+        S = inst.H + self.beta * (inst.A.T @ inst.A)
+        self.W, self.c, self.prox_r = zip(*(self._block_update(S, i) for i in range(n)))
+        # S with each diagonal block replaced by -R_i; the surrogate's matrix U
+        # for a block order keeps the blocks of it at or after the row block
+        self.surrogate_base = S.copy()
+        for sl, R in zip(self.slices, self.R_eff):
+            self.surrogate_base[sl, sl] = -R
+        self.block_of = np.repeat(np.arange(n), inst.blocks.dims)
+        self.U_order = None
+        self.U = None
 
-    def _make_block_solver(self, i: int) -> _BlockSolver:
-        d_i = self.inst.blocks.dims[i]
-        G = self.H_blocks[i] + self.R_eff[i]
-        if self.constrained:
-            Ai = self.A_blocks[i]
-            G = G + self.beta * (Ai.T @ Ai)
-        f = self.inst.theta[i]
+    def _block_update(self, S: np.ndarray, i: int) -> tuple:
+        """W_i, c_i and the prox weight of block i."""
+        inst = self.inst
+        sl = self.slices[i]
+        d_i = inst.blocks.dims[i]
+        Ai = inst.A[:, sl]
+        # block i's rows of the sweep's linear term in z: S_i x - A_i' mu,
+        # plus a constant
+        row = np.hstack([S[sl], -Ai.T])
+        lin = inst.g[sl] - self.beta * (Ai.T @ inst.b)
+        if self.linearized:
+            r = self.r[i]
+            row[:, sl] -= r * np.eye(d_i)
+            return -row / r, -lin / r, r
+        row[:, sl] = -self.R_eff[i]
+        G = inst.H_block(i, i) + self.R_eff[i] + self.beta * (Ai.T @ Ai)
+        f = inst.theta[i]
         if f.kind in ("zero", "quadratic"):
-            K = G.copy()
-            shift = np.zeros(d_i)
+            K = G
             if f.kind == "quadratic":
                 K = K + f.params["P"]
-                shift = f.params["q"]
+                lin = lin + f.params["q"]
             w = np.linalg.eigvalsh(0.5 * (K + K.T))
             if w[0] <= 1e-12 * max(1.0, float(w[-1])):
                 raise ConditionError(
                     f"block {i}: subproblem matrix is singular "
                     f"(min eigenvalue {float(w[0]):.3e}); the uniqueness condition fails"
                 )
-            return _BlockSolver("direct", Kinv=np.linalg.inv(K), shift=shift)
+            return -np.linalg.solve(K, row), -np.linalg.solve(K, lin), None
         ridge = float(np.trace(G)) / d_i
         off = max_abs(G - ridge * np.eye(d_i))
         if not ridge > 0 or off > 1e-10 * max(1.0, abs(ridge)):
@@ -325,56 +342,38 @@ class _Workspace:
                 "identity, so no closed-form subproblem exists; use variant "
                 "admm2_linearized (or bcpg for unconstrained runs)"
             )
-        return _BlockSolver("prox", ridge=ridge)
+        return -row / ridge, -lin / ridge, ridge
 
     # -- sweeps --------------------------------------------------------
 
-    def sweep(self, x: np.ndarray, mu: np.ndarray, anchor: np.ndarray, order) -> None:
-        """Update x in place, one block at a time against the latest values."""
-        inst = self.inst
-        H, g, A, b = inst.H, inst.g, inst.A, inst.b
-        beta = self.beta
+    def advance(self, state: IterateState, order) -> tuple:
+        """One sweep in `order`, each block against the latest values, then
+        the multiplier step. Returns the new state, its concatenated vector
+        z = (x, mu), of which the state's x and mu are views, and Ax - b."""
+        d = self.d
+        theta, W, c, prox_r, slices = self.inst.theta, self.W, self.c, self.prox_r, self.slices
+        z = np.concatenate([state.x, state.mu])
+        x = z[:d]
+        # ndarray.dot rather than @: on vectors this short the matmul
+        # ufunc's per-call overhead outweighs the arithmetic
         for i in order:
-            sl = self.slices[i]
-            xi = x[sl]
-            coup = H[sl] @ x - self.H_blocks[i] @ xi
-            if self.linearized:
-                t = self.r[i] * xi - self.H_blocks[i] @ xi - coup - g[sl]
-                if self.constrained:
-                    Ai = self.A_blocks[i]
-                    ax_other = A @ x - Ai @ xi
-                    t = t - beta * (Ai.T @ (Ai @ xi)) - beta * (Ai.T @ (ax_other - b)) + Ai.T @ mu
-                x[sl] = prox_eval(inst.theta[i], self.r[i], t / self.r[i])
-                continue
-            lin = coup + g[sl] - self.R_eff[i] @ anchor[sl]
-            if self.constrained:
-                Ai = self.A_blocks[i]
-                ax_other = A @ x - Ai @ xi
-                lin = lin - Ai.T @ mu + beta * (Ai.T @ (ax_other - b))
-            solver = self.block_solvers[i]
-            if solver.mode == "direct":
-                x[sl] = solver.Kinv @ (-(lin + solver.shift))
-            else:
-                x[sl] = prox_eval(inst.theta[i], solver.ridge, -lin / solver.ridge)
-
-    def advance(self, state: IterateState, order) -> IterateState:
-        x = state.x.copy()
-        mu = state.mu.copy()
-        self.sweep(x, mu, state.x, order)
-        if self.constrained and self.inst.blocks.m:
-            mu = mu - self.gamma * self.beta * (self.inst.A @ x - self.inst.b)
-        return IterateState(x=x, x_prev=state.x.copy(), mu=mu, k=state.k + 1)
+            v = W[i].dot(z) + c[i]
+            r = prox_r[i]
+            x[slices[i]] = v if r is None else prox_eval(theta[i], r, v)
+        resid = self.inst.A.dot(x) - self.inst.b
+        z[d:] -= self.gamma * self.beta * resid
+        return IterateState(x=x, x_prev=state.x.copy(), mu=z[d:], k=state.k + 1), z, resid
 
     # -- residual pieces -------------------------------------------------
 
-    def exact_dual(self, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        grad = self.inst.H @ x + self.inst.g
-        out = np.zeros(self.n)
-        for i in range(self.n):
+    def exact_dual(self, x: np.ndarray, mu: np.ndarray, Hx: np.ndarray) -> np.ndarray:
+        """Per-block stationarity violations at (x, mu), given Hx."""
+        s = Hx + self.inst.g - self.At.dot(mu)
+        out = np.sqrt(np.add.reduceat(s * s, self.offsets))
+        for i in self.subdiff_blocks:
             sl = self.slices[i]
-            s = grad[sl] - self.A_blocks[i].T @ mu
             try:
-                out[i] = subdiff_distance(self.inst.theta[i], x[sl], s)
+                out[i] = subdiff_distance(self.inst.theta[i], x[sl], s[sl])
             except DomainError:
                 # outside dom theta_i the subdifferential is empty; the
                 # distance to it is infinite (possible only at the start
@@ -382,32 +381,23 @@ class _Workspace:
                 out[i] = math.inf
         return out
 
-    def feasibility(self, x: np.ndarray) -> float:
-        if not self.inst.blocks.m:
-            return 0.0
-        return float(np.linalg.norm(self.inst.A @ x - self.inst.b))
-
-    def surrogate_parts(self, x_new: np.ndarray, x_old: np.ndarray, order) -> np.ndarray:
-        """Per-block norms of the exact optimality shift from one sweep: block
-        i is stationary for the new point up to
+    def surrogate_parts(self, dx: np.ndarray, resid: np.ndarray, order) -> np.ndarray:
+        """Per-block norms of the exact optimality shift from one sweep that
+        moved x by dx: block i is stationary for the new point up to
         -R_i dx_i + sum over later blocks of (H_ij + beta A_i'A_j) dx_j,
         plus a multiplier-stepsize correction when gamma differs from one.
         """
-        dx = x_new - x_old
-        feas_vec = None
-        if self.constrained and self.gamma != 1.0 and self.inst.blocks.m:
-            feas_vec = self.inst.A @ x_new - self.inst.b
-        out = np.zeros(self.n)
-        later = np.zeros(self.inst.blocks.d)
-        for p in reversed(range(len(order))):
-            i = order[p]
-            sl = self.slices[i]
-            v = -(self.R_eff[i] @ dx[sl]) + self.S[sl] @ later
-            if feas_vec is not None:
-                v = v - self.beta * (1.0 - self.gamma) * (self.A_blocks[i].T @ feas_vec)
-            out[i] = float(np.linalg.norm(v))
-            later[sl] = dx[sl]
-        return out
+        if order != self.U_order:
+            pos = [0] * self.n
+            for p, i in enumerate(order):
+                pos[i] = p
+            pe = np.array(pos)[self.block_of]
+            self.U = self.surrogate_base * (pe >= pe[:, None])
+            self.U_order = order
+        v = self.U.dot(dx)
+        if self.gamma != 1.0:
+            v -= self.beta * (1.0 - self.gamma) * self.At.dot(resid)
+        return np.sqrt(np.add.reduceat(v * v, self.offsets))
 
 
 def _strip_constraints(inst: ProblemInstance) -> ProblemInstance:
@@ -431,7 +421,7 @@ def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=No
     order = range(n) if order is None else tuple(int(v) for v in order)
     if sorted(order) != list(range(n)):
         raise UsageError(f"order {order} is not a permutation of 0..{n - 1}")
-    return ws.advance(state, order)
+    return ws.advance(state, order)[0]
 
 
 # -- full runs -------------------------------------------------------------
@@ -484,17 +474,18 @@ def _drive(ws, state, next_order, keep_iterates, weights=None, reference=None, p
     trace.warnings.extend(ws.warnings)
     if keep_iterates:
         trace.iterates = []
-    _record(trace, ws, state, None, weights, reference, path)
+    z = np.concatenate([state.x, state.mu])
+    _record(trace, ws, state, z, ws.inst.A.dot(state.x) - ws.inst.b, None, weights, reference, path)
     tol = ws.cfg.tol
     if ws.exact_ok and trace.max_residual(0) <= tol:
         trace.status = "converged"
     else:
         for _ in range(int(ws.cfg.max_iter)):
             order = next_order()
-            state = ws.advance(state, order)
-            _record(trace, ws, state, order, weights, reference, path)
+            state, z, resid = ws.advance(state, order)
+            _record(trace, ws, state, z, resid, order, weights, reference, path)
             # written so that NaN iterates count as diverged
-            if not (max_abs(state.x) <= DIVERGENCE_LIMIT and max_abs(state.mu) <= DIVERGENCE_LIMIT):
+            if not max_abs(z) <= DIVERGENCE_LIMIT:
                 trace.status = "diverged"
                 break
             if trace.max_residual(len(trace) - 1) <= tol:
@@ -520,30 +511,32 @@ def _check_two_block_condition(inst: ProblemInstance, R_eff) -> None:
         )
 
 
-def _record(trace, ws, state, order, weights, reference, path):
-    """Append one row; order is None for the start point, which has no sweep."""
+def _record(trace, ws, state, z, resid, order, weights, reference, path):
+    """Append one row for the state whose concatenated vector is z and whose
+    constraint residual is resid; order is None for the start point, which
+    has no sweep."""
+    x = state.x
+    Hx = ws.inst.H.dot(x)
     trace.ks.append(state.k)
-    if ws.exact_ok:
-        trace.r_dual.append(ws.exact_dual(state.x, state.mu))
-    else:
-        trace.r_dual.append(None)
-    trace.r_feas.append(ws.feasibility(state.x))
+    trace.r_dual.append(ws.exact_dual(x, state.mu, Hx) if ws.exact_ok else None)
+    r_feas = math.sqrt(float(resid.dot(resid)))
+    trace.r_feas.append(r_feas)
     if order is None:
         trace.surrogate_blocks.append(None)
         trace.surrogate.append(math.nan)
     else:
-        parts = ws.surrogate_parts(state.x, state.x_prev, order)
+        parts = ws.surrogate_parts(x - state.x_prev, resid, order)
         trace.surrogate_blocks.append(parts)
-        trace.surrogate.append(float(math.sqrt(np.sum(parts**2) + trace.r_feas[-1] ** 2)))
-    trace.objective.append(ws.inst.objective(state.x))
+        trace.surrogate.append(math.sqrt(float(parts.dot(parts)) + r_feas**2))
+    trace.objective.append(ws.inst.objective(x, Hx))
     if reference is None:
         trace.lyapunov.append(None)
     else:
         trace.lyapunov.append(_merit_from_weights(ws.cfg.beta, weights, state, reference))
     if trace.iterates is not None:
-        trace.iterates.append((state.x.copy(), state.mu.copy()))
+        trace.iterates.append((x.copy(), state.mu.copy()))
     if path is not None:
-        path.append(np.concatenate([state.x, state.mu]))
+        path.append(z)
 
 
 def _merit_from_weights(beta, weights, state, reference) -> float:

@@ -137,6 +137,30 @@ def test_solve_rejects_nan_term_parameter(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "term, message",
+    [({"kind": "l1", "params": {"lam": -0.5}}, "nonnegative"), ({"kind": "huber", "params": {}}, "unknown")],
+)
+def test_solve_rejects_invalid_term_document(tmp_path, capsys, term, message):
+    """A term the catalog rejects is invalid input (exit 2), not a usage
+    error (exit 64)."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=1),
+        H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0]]), b=_arr(2.0),
+        theta=(cs.ProxFn.l1(0.5), cs.ProxFn.zero()),
+    )
+    path = tmp_path / "bad_term.json"
+    cs.save_instance(inst, path)
+    doc = json.loads(path.read_text())
+    doc["theta"][0] = term
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--variant", "admm2_linearized", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "theta[0]" in err and message in err
+    assert not (out / "trace.csv").exists()
+
+
 def test_missing_instance_file_is_validation_error(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
 

@@ -1,6 +1,8 @@
 """Tests for the sweep solvers: single steps, variant equivalences, runs,
 traces, merit values and surrogate residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from coupled_splitting.errors import ConditionError, SubproblemStructureError
 from gen import (
     proximal_weights_for,
     quadratic_two_block_instance,
+    random_prox,
     random_psd,
     two_block_instance,
 )
@@ -313,6 +316,22 @@ def test_two_block_condition_precheck():
         cs.run_solver(inst, cfg)
 
 
+def test_singular_block_subproblem_is_rejected():
+    """A block with no curvature at all (H_ii = 0, A_i = 0, R_i = 0) has no
+    unique update, in cyclic and in randomly permuted runs."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1, 1), m=1),
+        H=np.diag(_arr(1.0, 0.0, 1.0)), g=np.zeros(3), A=np.array([[1.0, 0.0, 1.0]]), b=_arr(1.0),
+    )
+    cfg = cs.SolverConfig(variant="admm_cyclic_n")
+    with pytest.raises(ConditionError, match="block 1: subproblem matrix is singular"):
+        cs.run_solver(inst, cfg)
+    with pytest.raises(ConditionError, match="block 1: subproblem matrix is singular"):
+        cs.run_rp_solver(inst, cfg, trials=2)
+    # a proximal weight on the flat block makes its update unique
+    assert len(cs.run_solver(inst, cs.SolverConfig(variant="admm_cyclic_n", R=[0.0, 1.0, 0.0], max_iter=5))) >= 2
+
+
 def test_prox_block_needs_scaled_identity():
     rng = np.random.default_rng(13)
     inst = two_block_instance(rng, kinds=("l1",), d_max=3)
@@ -539,3 +558,240 @@ def test_start_state_back_difference_is_zero():
     st = cs.IterateState.start(inst, x0=_arr(3.0, -1.0))
     assert np.array_equal(st.x, st.x_prev)
     assert st.x is not st.x_prev
+
+
+# -- the sweep engine against the per-block formulas ---------------------------
+
+_CONSTRAINED = ("admm2", "admm2_linearized", "admm_cyclic_n")
+_LINEARIZED = ("admm2_linearized", "bcpg")
+
+
+def _soft_threshold_opaque(lam):
+    return cs.ProxFn.opaque(
+        lambda r, v: np.sign(v) * np.maximum(np.abs(v) - lam / r, 0.0),
+        value=lambda x: lam * float(np.sum(np.abs(x))),
+    )
+
+
+def _mixed_instance(rng, dims, m, kinds):
+    """Strongly convex instance with one term per block, of the given kinds
+    ("opaque" is a black-box soft threshold); boxes contain a feasible point."""
+    d = sum(dims)
+    W = rng.standard_normal((d, d))
+    H = W @ W.T / d + 0.5 * np.eye(d)
+    H = 0.5 * (H + H.T)
+    A = rng.standard_normal((m, d))
+    x_feas = rng.standard_normal(d)
+    blocks = cs.BlockStructure(dims=dims, m=m)
+    theta = tuple(
+        _soft_threshold_opaque(0.4) if kind == "opaque"
+        else random_prox(rng, dims[i], kinds=(kind,), center=x_feas[blocks.slice_of(i)])
+        for i, kind in enumerate(kinds)
+    )
+    return cs.ProblemInstance(blocks=blocks, H=H, g=rng.standard_normal(d), A=A, b=A @ x_feas, theta=theta)
+
+
+def _block_curvatures(inst, beta):
+    """B_i = H_ii + beta A_i'A_i for every block."""
+    return [
+        inst.H_block(i, i) + beta * (inst.A_block(i).T @ inst.A_block(i)) for i in range(inst.blocks.n)
+    ]
+
+
+def _scaled_identity_R(inst, beta, margin=1.5):
+    """R_i = r_i I - B_i with r_i above the top eigenvalue of B_i, so every
+    block's subproblem is a scaled identity and prox blocks are solvable."""
+    return [
+        margin * float(np.linalg.eigvalsh(B)[-1]) * np.eye(B.shape[0]) - B
+        for B in _block_curvatures(inst, beta)
+    ]
+
+
+def _oracle_weights(inst, cfg):
+    """The penalty the sweep uses, the linearization curvatures r_i (None for
+    the proximal variants) and the proximal matrices R_i, derived from cfg."""
+    beta = cfg.beta if cfg.variant in _CONSTRAINED else 0.0
+    dims = inst.blocks.dims
+    if cfg.variant in _LINEARIZED:
+        B = _block_curvatures(inst, beta)
+        r = [float(v) for v in cfg.r] if cfg.r is not None else [float(np.linalg.eigvalsh(Bi)[-1]) for Bi in B]
+        return beta, r, [r[i] * np.eye(dims[i]) - B[i] for i in range(len(dims))]
+    R = []
+    for i, entry in enumerate(cfg.R if cfg.R is not None else [None] * len(dims)):
+        if entry is None:
+            entry = 0.0
+        entry = np.asarray(entry, dtype=float)
+        R.append(float(entry) * np.eye(dims[i]) if entry.ndim == 0 else entry)
+    return beta, None, R
+
+
+def _oracle_step(inst, cfg, state, order):
+    """One sweep written block by block: the coupling H_i x - H_ii x_i and
+    A x - A_i x_i against the latest values, then the K_i solve, the prox
+    of the scaled-identity subproblem, or the prox of the gradient step."""
+    H, g, A, b = inst.H, inst.g, inst.A, inst.b
+    beta, r, R = _oracle_weights(inst, cfg)
+    x = state.x.copy()
+    anchor = state.x
+    mu = state.mu.copy()
+    for i in order:
+        sl = inst.blocks.slice_of(i)
+        xi = x[sl].copy()
+        Hii, Ai = inst.H_block(i, i), inst.A_block(i)
+        coup = H[sl] @ x - Hii @ xi
+        ax_other = A @ x - Ai @ xi
+        f = inst.theta[i]
+        if cfg.variant in _LINEARIZED:
+            t = r[i] * xi - Hii @ xi - coup - g[sl]
+            t = t - beta * (Ai.T @ (Ai @ xi)) - beta * (Ai.T @ (ax_other - b)) + Ai.T @ mu
+            x[sl] = cs.prox_eval(f, r[i], t / r[i])
+            continue
+        lin = coup + g[sl] - R[i] @ anchor[sl] - Ai.T @ mu + beta * (Ai.T @ (ax_other - b))
+        K = Hii + R[i] + beta * (Ai.T @ Ai)
+        if f.kind == "quadratic":
+            x[sl] = np.linalg.solve(K + f.params["P"], -(lin + f.params["q"]))
+        elif f.kind == "zero":
+            x[sl] = np.linalg.solve(K, -lin)
+        else:
+            ridge = float(np.trace(K)) / K.shape[0]
+            x[sl] = cs.prox_eval(f, ridge, -lin / ridge)
+    mu = mu - cfg.gamma * beta * (A @ x - b)
+    return x, mu
+
+
+def _assert_close(got, want, scale):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _engine_cases():
+    """(instance, cfg) pairs covering every variant; the zero, quadratic, l1,
+    box and opaque kinds; user R matrices and r overrides, one of them below
+    the top curvature so that R_eff is indefinite; m = 0 and m > 0; and
+    gamma != 1."""
+    rng = np.random.default_rng(41)
+    all_kinds = ("zero", "quadratic", "l1", "box", "opaque")
+    cases = []
+    for kinds in (("l1", "box"), ("zero", "opaque"), ("quadratic", "zero")):
+        inst = _mixed_instance(rng, (2, 3), 2, kinds)
+        cases.append((inst, cs.SolverConfig(variant="admm2", beta=1.7, gamma=1.3, R=_scaled_identity_R(inst, 1.7))))
+        cases.append((inst, cs.SolverConfig(variant="admm2_linearized", beta=0.8, gamma=0.6)))
+    direct = _mixed_instance(rng, (3, 2), 3, ("zero", "quadratic"))
+    cases.append((direct, cs.SolverConfig(variant="admm2", beta=2.0, R=[random_psd(rng, 3), 0.7])))
+    cases.append((direct, cs.SolverConfig(variant="admm2", beta=0.9, gamma=1.5)))
+    # a user curvature below the top eigenvalue makes R_eff indefinite
+    low = _mixed_instance(rng, (2, 2), 2, ("l1", "zero"))
+    top = [float(np.linalg.eigvalsh(B)[-1]) for B in _block_curvatures(low, 1.0)]
+    cases.append((low, cs.SolverConfig(variant="admm2_linearized", gamma=1.2, r=[0.8 * top[0], 1.1 * top[1]])))
+    five = _mixed_instance(rng, (1, 2, 3, 1, 2), 4, all_kinds)
+    cases.append((five, cs.SolverConfig(variant="admm_cyclic_n", beta=1.3, gamma=0.8, R=_scaled_identity_R(five, 1.3))))
+    zeros = _mixed_instance(rng, (1, 2, 1), 3, ("zero", "zero", "quadratic"))
+    cases.append((zeros, cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.1, R=[None, 0.5, random_psd(rng, 1)])))
+    unconstrained = _mixed_instance(rng, (2, 1, 2, 2, 1), 0, all_kinds)
+    cases.append((unconstrained, cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, R=_scaled_identity_R(unconstrained, 1.0))))
+    cases.append((unconstrained, cs.SolverConfig(variant="bcd", R=_scaled_identity_R(unconstrained, 0.0, 1.2))))
+    cases.append((unconstrained, cs.SolverConfig(variant="bcpg", gamma=1.4)))
+    cases.append((unconstrained, cs.SolverConfig(variant="bcpg", r=[0.2, 3.0, 1.0, 4.0, 0.5])))
+    plain = _mixed_instance(rng, (2, 2, 1), 0, ("zero", "quadratic", "zero"))
+    cases.append((plain, cs.SolverConfig(variant="bcd", R=[None, random_psd(rng, 2), 0.3])))
+    return rng, cases
+
+
+def test_step_matches_per_block_formulas():
+    """cs.step equals the block-by-block sweep for every variant, term kind,
+    weight choice and random block orders."""
+    rng, cases = _engine_cases()
+    for inst, cfg in cases:
+        n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
+        state = cs.IterateState.start(inst, x0=rng.standard_normal(d), mu0=rng.standard_normal(m))
+        for _ in range(4):
+            order = tuple(int(v) for v in rng.permutation(n))
+            x, mu = _oracle_step(inst, cfg, state, order)
+            new = cs.step(inst, cfg, state, order=order)
+            scale = 1.0 + max(np.max(np.abs(x)), np.max(np.abs(mu), initial=0.0))
+            _assert_close(new.x, x, scale)
+            _assert_close(new.mu, mu, scale)
+            assert np.array_equal(new.x_prev, state.x)
+            state = new
+
+
+def _oracle_surrogate(inst, beta, gamma, R, x_old, x_new, order):
+    """Per-block shift -R_i dx_i + sum over blocks j after i in the order of
+    (H_ij + beta A_i'A_j) dx_j, minus beta (1 - gamma) A_i'(Ax - b), and the
+    magnitude of the terms summed."""
+    pos = {blk: p for p, blk in enumerate(order)}
+    dx = x_new - x_old
+    resid = inst.A @ x_new - inst.b
+    parts, mag = [], 0.0
+    for i in range(inst.blocks.n):
+        sl = inst.blocks.slice_of(i)
+        Ai = inst.A_block(i)
+        v = -(R[i] @ dx[sl])
+        size = np.abs(R[i]) @ np.abs(dx[sl])
+        for j in range(inst.blocks.n):
+            if pos[j] > pos[i]:
+                Sij = inst.H_block(i, j) + beta * (Ai.T @ inst.A_block(j))
+                v = v + Sij @ dx[inst.blocks.slice_of(j)]
+                size = size + np.abs(Sij) @ np.abs(dx[inst.blocks.slice_of(j)])
+        v = v - beta * (1.0 - gamma) * (Ai.T @ resid)
+        size = size + abs(beta * (1.0 - gamma)) * (np.abs(Ai.T) @ np.abs(resid))
+        parts.append(float(np.linalg.norm(v)))
+        mag = max(mag, float(np.max(size)))
+    return np.asarray(parts), mag
+
+
+def _check_rows(inst, cfg, trace, orders):
+    """Every recorded row against kkt_residual, ||Ax - b||, inst.objective
+    and the n-block surrogate formula."""
+    beta, _, R = _oracle_weights(inst, cfg)
+    H, g, A, b = inst.H, inst.g, inst.A, inst.b
+    assert len(trace.iterates) == len(trace)
+    for row, (x, mu) in enumerate(trace.iterates):
+        resid = A @ x - b
+        scale = 1.0 + max(
+            float(np.max(np.abs(H) @ np.abs(x) + np.abs(g) + np.abs(A.T) @ np.abs(mu))),
+            float(np.max(np.abs(A) @ np.abs(x) + np.abs(b), initial=0.0)),
+            0.5 * float(np.abs(x) @ np.abs(H) @ np.abs(x)) + float(np.abs(g) @ np.abs(x)),
+        )
+        _assert_close(trace.r_feas[row], np.linalg.norm(resid), scale)
+        if trace.exact_residuals:
+            try:
+                want = cs.kkt_residual(inst, cs.KKTPoint(x=x, mu=mu)).r_dual
+            except cs.DomainError:
+                assert np.any(np.isinf(trace.r_dual[row]))
+            else:
+                _assert_close(trace.r_dual[row], want, scale)
+        else:
+            assert trace.r_dual[row] is None
+        objective = inst.objective(x)
+        if np.isnan(objective):
+            assert np.isnan(trace.objective[row])
+        else:
+            _assert_close(trace.objective[row], objective, scale + abs(objective))
+        if row == 0:
+            assert trace.surrogate_blocks[0] is None and np.isnan(trace.surrogate[0])
+            continue
+        parts, mag = _oracle_surrogate(inst, beta, cfg.gamma, R, trace.iterates[row - 1][0], x, orders[row - 1])
+        _assert_close(trace.surrogate_blocks[row], parts, 1.0 + mag)
+        surrogate = np.sqrt(np.sum(parts**2) + trace.r_feas[row] ** 2)
+        _assert_close(trace.surrogate[row], surrogate, 1.0 + mag + scale)
+
+
+def test_recorded_rows_match_independent_oracles():
+    rng, cases = _engine_cases()
+    for inst, cfg in cases:
+        run_cfg = dataclasses.replace(cfg, tol=0.0, max_iter=12)
+        d, m = inst.blocks.d, inst.blocks.m
+        trace = cs.run_solver(inst, run_cfg, x0=rng.standard_normal(d), mu0=rng.standard_normal(m), keep_iterates=True)
+        assert len(trace) == 13
+        _check_rows(inst, run_cfg, trace, [tuple(range(inst.blocks.n))] * 12)
+
+
+def test_random_order_rows_match_independent_oracles():
+    """Randomly permuted trials: the order changes from sweep to sweep."""
+    rng = np.random.default_rng(42)
+    inst = _mixed_instance(rng, (1, 2, 1, 2), 3, ("zero",) * 4)
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.2, R=[0.5, None, random_psd(rng, 1), 0.0], tol=0.0, max_iter=15)
+    traces, _ = cs.run_rp_solver(inst, cfg, seed=9, trials=2, keep_iterates=True)
+    for t, trace in enumerate(traces):
+        sampler = cs.PermutationSampler(9 ^ t)
+        _check_rows(inst, cfg, trace, [sampler.draw(4) for _ in range(15)])
