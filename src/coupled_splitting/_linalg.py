@@ -30,6 +30,13 @@ def min_eig_sym(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(sym_part(M))[0])
 
 
+def singular_sym(M: np.ndarray) -> tuple[bool, float]:
+    """Whether the symmetric part of M is singular relative to its largest
+    eigenvalue (floored at one), and its smallest eigenvalue."""
+    w = np.linalg.eigvalsh(sym_part(M))
+    return float(w[0]) <= 1e-12 * max(1.0, float(w[-1])), float(w[0])
+
+
 def psd_check(M: np.ndarray, rel: float = 1e-10) -> bool:
     """True when min eig >= -rel * ||M||_2, i.e. PSD up to roundoff."""
     if M.shape[0] == 0:

@@ -258,7 +258,8 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing or unreadable instance file, or an --out path that is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CoupledSplittingError as exc:

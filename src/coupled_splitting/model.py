@@ -20,7 +20,6 @@ import numpy as np
 from ._linalg import (
     block_diag,
     max_abs,
-    quad_form,
     symmetry_defect,
     unit_min_eigvec,
 )
@@ -215,16 +214,20 @@ def check_uniqueness_condition(
     When violated, the report carries a unit null witness embedded in the full
     primal space.
     """
-    n = inst.blocks.n
     if mode not in CONDITION_MODES:
         raise UsageError(f"unknown mode {mode!r}; expected one of {CONDITION_MODES}")
-    if mode == "two_block_full" and n != 2:
+    if mode == "two_block_full" and inst.blocks.n != 2:
         raise UsageError("mode two_block_full needs exactly two blocks")
     if mode == "nblock_qp" and any(f.kind != "zero" for f in inst.theta):
         raise UsageError("mode nblock_qp applies only when every separable term is zero")
-    R_mats = normalize_block_matrices(inst, R)
+    return _uniqueness_condition(inst, normalize_block_matrices(inst, R), mode, tolerance)
+
+
+def _uniqueness_condition(inst: ProblemInstance, R_mats, mode: str, tolerance: float) -> ConditionReport:
+    """check_uniqueness_condition on per-block matrices R_mats taken as given,
+    which may be indefinite."""
     best = (np.inf, None, None)
-    for i in range(n):
+    for i in range(inst.blocks.n):
         Ai = inst.A_block(i)
         T = inst.H_block(i, i) + Ai.T @ Ai
         if mode == "two_block_full":
@@ -368,22 +371,39 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
     }
 
 
+# what decoding a malformed document raises before a check can name the field;
+# a term the catalog rejects (a negative l1 weight, an unknown kind) raises
+# UsageError, and it too is invalid input rather than a misuse of the API
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError, UsageError)
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
+    """Instance from its document; a malformed field or term raises
+    StructuralError naming it."""
+    if not isinstance(doc, dict):
+        raise StructuralError("instance document must be a JSON object")
     for key in ("blocks", "H", "g", "A", "b", "theta"):
         if key not in doc:
             raise StructuralError(f"instance document missing field {key!r}")
-    dims = tuple(int(v) for v in doc["blocks"])
-    b = np.atleast_1d(np.asarray(doc["b"], dtype=float))
-    blocks = BlockStructure(dims=dims, m=int(b.shape[0]))
-    theta = []
-    for i, term in enumerate(doc["theta"]):
-        # a term the catalog rejects (a negative l1 weight, an unknown kind)
-        # is invalid input, not a misuse of the API
-        try:
+    field = "blocks"
+    try:
+        dims = tuple(int(v) for v in doc["blocks"])
+        arrays = {}
+        for field in ("H", "g", "A", "b"):
+            arrays[field] = np.asarray(doc[field], dtype=float)
+        field = "theta"
+        theta = []
+        for i, term in enumerate(doc["theta"]):
+            field = f"theta[{i}]"
             theta.append(prox_fn_from_dict(term))
-        except UsageError as exc:
-            raise StructuralError(f"theta[{i}]: {exc}") from exc
-    return ProblemInstance(blocks=blocks, H=doc["H"], g=doc["g"], A=doc["A"], b=b, theta=theta)
+        # construction reshapes A to m rows, the one step left that can fail
+        field = "A"
+        b = np.atleast_1d(arrays.pop("b"))
+        blocks = BlockStructure(dims=dims, m=int(b.shape[0]))
+        return ProblemInstance(blocks=blocks, b=b, theta=theta, **arrays)
+    except _DECODE_ERRORS as exc:
+        detail = f"missing parameter {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise StructuralError(f"{field}: {detail}") from exc
 
 
 def save_instance(inst: ProblemInstance, path) -> None:
@@ -393,32 +413,13 @@ def save_instance(inst: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise StructuralError(f"instance file is not UTF-8 text: {exc}") from exc
+        except ValueError as exc:
             raise StructuralError(f"instance file is not valid JSON: {exc}") from exc
     inst = instance_from_dict(doc)
     validate_instance(inst)
     return inst
-
-
-def merit_weight_matrices(inst: ProblemInstance, beta: float, R_mats) -> dict:
-    """Weight matrices used by the two-block merit function and its
-    guaranteed per-step decrease."""
-    if inst.blocks.n != 2:
-        raise UsageError("merit weights are defined for two-block instances")
-    sl2 = inst.blocks.slice_of(1)
-    A2 = inst.A_block(1)
-    sigma = inst.sigma_full()
-    R_full = block_diag(R_mats)
-    H22 = inst.H_block(1, 1)
-    sigma2 = inst.sigma_block(1)
-    return {
-        "level": inst.H + sigma + (4.0 / 7.0) * R_full,
-        "level_b2": H22 + sigma2 + beta * (A2.T @ A2),
-        "drop": inst.H + sigma + 8.0 * R_full,
-        "drop_b2": H22 + sigma2 + 3.0 * beta * (A2.T @ A2),
-        "slice2": sl2,
-        "R2": R_mats[1],
-    }

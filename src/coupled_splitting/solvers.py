@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import max_abs, quad_form
+from ._linalg import block_diag, max_abs, quad_form, singular_sym
 from .errors import (
     ConditionError,
     DomainError,
@@ -36,7 +36,8 @@ from .model import (
     KKTPoint,
     ProblemInstance,
     BlockStructure,
-    merit_weight_matrices,
+    UNIQUENESS_TOL,
+    _uniqueness_condition,
     normalize_block_matrices,
 )
 from .prox import prox_eval, subdiff_distance
@@ -265,9 +266,14 @@ class _Workspace:
     the current z, v = W_i z + c_i, followed by the prox of the block's term
     for prox blocks (prox_r[i] is the prox weight; None for direct blocks).
     The maps are built here once per run.
+
+    With min_norm set, a direct block whose subproblem matrix is singular
+    takes the minimum-norm solution instead of raising ConditionError; the
+    subproblem must then be bounded below for every z, which is checked once
+    here.
     """
 
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, min_norm: bool = False):
         cfg.validate(inst)
         variant = cfg.variant
         constrained = variant in _CONSTRAINED
@@ -280,6 +286,7 @@ class _Workspace:
             )
         self.inst = inst
         self.cfg = cfg
+        self.min_norm = min_norm
         self.constrained = constrained
         self.linearized = variant in _LINEARIZED
         self.beta = cfg.beta if constrained else 0.0
@@ -327,11 +334,19 @@ class _Workspace:
             if f.kind == "quadratic":
                 K = K + f.params["P"]
                 lin = lin + f.params["q"]
-            w = np.linalg.eigvalsh(0.5 * (K + K.T))
-            if w[0] <= 1e-12 * max(1.0, float(w[-1])):
+            if self.min_norm:
+                # minimum-norm solutions of K v = -(row z + lin); they solve it
+                # for every z exactly when K W = -row and K c = -lin
+                rhs = np.hstack([row, lin[:, None]])
+                sol = np.linalg.lstsq(K, -rhs, rcond=None)[0]
+                if np.any(np.abs(K @ sol + rhs).max(axis=0) > 1e-8 * (1.0 + np.abs(rhs).max(axis=0))):
+                    raise UsageError(f"block {i} subproblem is unbounded below")
+                return sol[:, :-1], sol[:, -1], None
+            singular, w_min = singular_sym(K)
+            if singular:
                 raise ConditionError(
                     f"block {i}: subproblem matrix is singular "
-                    f"(min eigenvalue {float(w[0]):.3e}); the uniqueness condition fails"
+                    f"(min eigenvalue {w_min:.3e}); the uniqueness condition fails"
                 )
             return -np.linalg.solve(K, row), -np.linalg.solve(K, lin), None
         ridge = float(np.trace(G)) / d_i
@@ -455,7 +470,13 @@ def run_solver(
         work = _strip_constraints(inst)
     ws = _Workspace(work, cfg)
     if cfg.variant in ("admm2", "admm2_linearized"):
-        _check_two_block_condition(work, ws.R_eff)
+        # measured on the effective R_i, which user curvatures r can make indefinite
+        cond = _uniqueness_condition(work, ws.R_eff, "two_block_full", UNIQUENESS_TOL)
+        if not cond.satisfied:
+            raise ConditionError(
+                f"two-block uniqueness condition fails (min eigenvalue {cond.min_eigenvalue:.3e}); "
+                "see check_uniqueness_condition"
+            )
     if reference is not None and work.blocks.n != 2:
         raise UsageError("merit recording needs a two-block instance")
     weights = None if reference is None else merit_weight_matrices(work, cfg.beta, ws.R_eff)
@@ -496,21 +517,6 @@ def _drive(ws, state, next_order, keep_iterates, weights=None, reference=None, p
     return trace
 
 
-def _check_two_block_condition(inst: ProblemInstance, R_eff) -> None:
-    # user-override curvatures can make R_eff indefinite; measure directly
-    worst = math.inf
-    for i in range(2):
-        Ai = inst.A_block(i)
-        T = inst.H_block(i, i) + inst.sigma_block(i) + Ai.T @ Ai + R_eff[i]
-        w = np.linalg.eigvalsh(0.5 * (T + T.T))
-        worst = min(worst, float(w[0]))
-    if worst <= 1e-10:
-        raise ConditionError(
-            f"two-block uniqueness condition fails (min eigenvalue {worst:.3e}); "
-            "see check_uniqueness_condition"
-        )
-
-
 def _record(trace, ws, state, z, resid, order, weights, reference, path):
     """Append one row for the state whose concatenated vector is z and whose
     constraint residual is resid; order is None for the start point, which
@@ -537,6 +543,27 @@ def _record(trace, ws, state, z, resid, order, weights, reference, path):
         trace.iterates.append((x.copy(), state.mu.copy()))
     if path is not None:
         path.append(z)
+
+
+def merit_weight_matrices(inst: ProblemInstance, beta: float, R_mats) -> dict:
+    """Weight matrices used by the two-block merit function and its
+    guaranteed per-step decrease."""
+    if inst.blocks.n != 2:
+        raise UsageError("merit weights are defined for two-block instances")
+    sl2 = inst.blocks.slice_of(1)
+    A2 = inst.A_block(1)
+    sigma = inst.sigma_full()
+    R_full = block_diag(R_mats)
+    H22 = inst.H_block(1, 1)
+    sigma2 = inst.sigma_block(1)
+    return {
+        "level": inst.H + sigma + (4.0 / 7.0) * R_full,
+        "level_b2": H22 + sigma2 + beta * (A2.T @ A2),
+        "drop": inst.H + sigma + 8.0 * R_full,
+        "drop_b2": H22 + sigma2 + 3.0 * beta * (A2.T @ A2),
+        "slice2": sl2,
+        "R2": R_mats[1],
+    }
 
 
 def _merit_from_weights(beta, weights, state, reference) -> float:
@@ -570,10 +597,8 @@ def lyapunov_decrease_floor(
 ) -> float:
     """Guaranteed minimum drop of the merit value across one step, evaluated
     from the two consecutive iterates."""
-    return merit_decrease_floor_from_weights(cfg.beta, _merit_weights(inst, cfg), prev, nxt)
-
-
-def merit_decrease_floor_from_weights(beta, weights, prev, nxt) -> float:
+    beta = cfg.beta
+    weights = _merit_weights(inst, cfg)
     dx = nxt.x - prev.x
     sl2 = weights["slice2"]
     dmu = nxt.mu - prev.mu

@@ -13,6 +13,7 @@ uniqueness condition fails.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -25,6 +26,7 @@ from ._linalg import (
     max_abs,
     psd_sqrt,
     rank_svd,
+    singular_sym,
     spectral_radius,
     sym_part,
     symmetry_defect,
@@ -44,7 +46,7 @@ from .model import (
     kkt_residual,
     normalize_block_matrices,
 )
-from .solvers import GAMMA_SUP, SolverConfig, Trace, check_beta
+from .solvers import GAMMA_SUP, IterateState, SolverConfig, Trace, _Workspace, check_beta
 
 MAX_ENUM_BLOCKS = 8
 
@@ -69,9 +71,7 @@ def _curvature_matrix(inst: ProblemInstance, beta: float) -> np.ndarray:
 def _check_sweep_blocks(inst: ProblemInstance, beta: float) -> None:
     for i in range(inst.blocks.n):
         Ai = inst.A_block(i)
-        Sii = inst.H_block(i, i) + beta * (Ai.T @ Ai)
-        w = np.linalg.eigvalsh(sym_part(Sii))
-        if float(w[0]) <= 1e-12 * max(1.0, float(w[-1])):
+        if singular_sym(inst.H_block(i, i) + beta * (Ai.T @ Ai))[0]:
             raise ConditionError(
                 f"block {i}: diagonal curvature is singular, so ordered sweeps are not "
                 "uniquely solvable (see check_uniqueness_condition mode 'nblock_qp')"
@@ -415,8 +415,7 @@ def bcd_rate_matrices(H, d1: int) -> BcdRateComparison:
         raise UsageError("the split must leave both blocks nonempty")
     H11, H12, H22 = H[:d1, :d1], H[:d1, d1:], H[d1:, d1:]
     for name, blockmat in (("leading", H11), ("trailing", H22)):
-        w = np.linalg.eigvalsh(sym_part(blockmat))
-        if float(w[0]) <= 1e-12 * max(1.0, float(w[-1])):
+        if singular_sym(blockmat)[0]:
             raise ConditionError(f"{name} diagonal block of H is not positive definite")
     d2 = d - d1
     lower = np.zeros((d, d))
@@ -474,12 +473,15 @@ class WitnessCertificate:
         }
 
 
-def _witness_checks(inst: ProblemInstance, R_mats, y: np.ndarray) -> dict:
+def _verified_witness(inst: ProblemInstance, R_mats, y: np.ndarray, failure: str) -> dict:
+    """Largest image of the unit direction y under every curvature piece of a
+    two-block instance; raises CertificateError, led by `failure`, when one
+    exceeds 1e-10 of the data scale."""
     sl1 = inst.blocks.slice_of(0)
     sl2 = inst.blocks.slice_of(1)
     y1, y2 = y[sl1], y[sl2]
     H12 = inst.H_block(0, 1)
-    return {
+    checks = {
         "coupling_full": float(np.max(np.abs(inst.H @ y), initial=0.0)),
         "constraint_block_1": float(np.max(np.abs(inst.A_block(0) @ y1), initial=0.0)),
         "constraint_block_2": float(np.max(np.abs(inst.A_block(1) @ y2), initial=0.0)),
@@ -488,6 +490,11 @@ def _witness_checks(inst: ProblemInstance, R_mats, y: np.ndarray) -> dict:
         "cross_block_12": float(np.max(np.abs(H12 @ y2), initial=0.0)),
         "cross_block_21": float(np.max(np.abs(H12.T @ y1), initial=0.0)),
     }
+    scale = 1.0 + max(max_abs(inst.H), max_abs(inst.A), *[max_abs(Rm) for Rm in R_mats])
+    bad = {k: v for k, v in checks.items() if v > 1e-10 * scale}
+    if bad:
+        raise CertificateError(f"{failure}: {bad}")
+    return checks
 
 
 def divergence_witness(inst: ProblemInstance, beta: float, R=None) -> WitnessCertificate | None:
@@ -508,11 +515,7 @@ def divergence_witness(inst: ProblemInstance, beta: float, R=None) -> WitnessCer
     lam, y = unit_min_eigvec(block_diag(Ts))
     if lam > UNIQUENESS_TOL:
         return None
-    checks = _witness_checks(inst, R_mats, y)
-    scale = 1.0 + max(max_abs(inst.H), max_abs(inst.A), *[max_abs(Rm) for Rm in R_mats])
-    bad = {k: v for k, v in checks.items() if v > 1e-10 * scale}
-    if bad:
-        raise CertificateError(f"witness verification failed: {bad}")
+    checks = _verified_witness(inst, R_mats, y, "witness verification failed")
     return WitnessCertificate(ybar=y, min_eigenvalue=lam, beta=float(beta), checks=checks)
 
 
@@ -538,8 +541,10 @@ def oscillation_demo(
     every subproblem optimality condition, so both are legitimate runs of the
     method; the perturbed one keeps a persistent gap and never converges.
 
-    Separable terms must all be zero (the construction is for the purely
-    quadratic case)."""
+    The baseline is k_max cyclic sweeps of the solver engine (variant
+    admm_cyclic_n with cfg's beta, gamma and R) whose blocks take the
+    minimum-norm solution of their subproblem. Separable terms must all be
+    zero (the construction is for the purely quadratic case)."""
     if inst.blocks.n != 2:
         raise UsageError("the oscillation construction needs exactly two blocks")
     if any(f.kind != "zero" for f in inst.theta):
@@ -551,45 +556,22 @@ def oscillation_demo(
     y = np.asarray(ybar, dtype=float).reshape(inst.blocks.d)
     ynorm = float(np.linalg.norm(y))
     if ynorm > 0:
-        checks = _witness_checks(inst, R_mats, y / ynorm)
-        scale = 1.0 + max(max_abs(inst.H), max_abs(inst.A), *[max_abs(Rm) for Rm in R_mats])
-        bad = {k: v for k, v in checks.items() if v > 1e-10 * scale}
-        if bad:
-            raise CertificateError(f"ybar is not a valid witness: {bad}")
+        _verified_witness(inst, R_mats, y / ynorm, "ybar is not a valid witness")
 
-    beta, gamma = cfg.beta, cfg.gamma
-    d, m = inst.blocks.d, inst.blocks.m
-    slices = [inst.blocks.slice_of(i) for i in range(2)]
-    A_blocks = [inst.A_block(i) for i in range(2)]
-    H_blocks = [inst.H_block(i, i) for i in range(2)]
-    Ts = [H_blocks[i] + beta * (A_blocks[i].T @ A_blocks[i]) + R_mats[i] for i in range(2)]
-
-    x = np.zeros(d) if x0 is None else np.array(x0, dtype=float).reshape(d)
-    mu = np.zeros(m) if mu0 is None else np.array(mu0, dtype=float).reshape(m)
-    xs, mus = [x.copy()], [mu.copy()]
+    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n"), min_norm=True)
+    state = IterateState.start(inst, x0, mu0)
+    xs, mus = [state.x], [state.mu]
     for _ in range(int(k_max)):
-        x = x.copy()
-        for i in range(2):
-            sl = slices[i]
-            xi = x[sl]
-            coup = inst.H[sl] @ x - H_blocks[i] @ xi
-            Ai = A_blocks[i]
-            ax_other = inst.A @ x - Ai @ xi
-            lin = coup + inst.g[sl] - Ai.T @ mu + beta * (Ai.T @ (ax_other - inst.b)) - R_mats[i] @ xs[-1][sl]
-            sol, *_ = np.linalg.lstsq(Ts[i], -lin, rcond=None)
-            if float(np.linalg.norm(Ts[i] @ sol + lin)) > 1e-8 * (1.0 + float(np.linalg.norm(lin))):
-                raise UsageError(f"block {i} subproblem is unbounded below at step {len(xs)}")
-            x[sl] = sol
-        mu = mu - gamma * beta * (inst.A @ x - inst.b)
-        xs.append(x.copy())
-        mus.append(mu.copy())
+        state = ws.advance(state, (0, 1))[0]
+        xs.append(state.x)
+        mus.append(state.mu)
 
     # the perturbed trajectory adds the witness at every even generated step
     xs_p = [xk + (y if (k % 2 == 0 and k >= 2) else 0.0) for k, xk in enumerate(xs)]
     mus_p = mus
 
-    defect = _recheck_steps(inst, R_mats, beta, gamma, xs_p, mus_p)
-    scale = 1.0 + max(float(np.max(np.abs(np.asarray(xs_p)))), float(np.max(np.abs(np.asarray(mus_p)))) if m else 0.0)
+    defect = _recheck_steps(inst, R_mats, cfg.beta, cfg.gamma, xs_p, mus_p)
+    scale = 1.0 + max(float(np.max(np.abs(np.asarray(xs_p)))), float(np.max(np.abs(np.asarray(mus_p)))) if inst.blocks.m else 0.0)
     if defect > 1e-10 * scale:
         raise CertificateError(
             f"perturbed trajectory fails the optimality recheck: defect {defect:.3e}"

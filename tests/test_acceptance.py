@@ -14,6 +14,7 @@ import pytest
 
 import coupled_splitting as cs
 from coupled_splitting.cli import main as cli_main
+from coupled_splitting.spectral import build_Q_M
 from gen import (
     proximal_weights_for,
     quadratic_two_block_instance,
@@ -218,7 +219,7 @@ def test_criterion_5_averaged_eigenvalue_band(spectral_batch):
         H=np.array([[2.0, 1.0], [1.0, 2.0]]), g=np.zeros(2),
         A=np.eye(2), b=np.zeros(2),
     )
-    desk_report = cs.build_Q_M(desk, beta=1.0)
+    desk_report = build_Q_M(desk, beta=1.0)
     if not np.allclose(np.sort(desk_report.eig_QS), [7.0 / 9.0, 10.0 / 9.0], atol=DESK_EIG_TOL):
         failures.append(("desk", desk_report.eig_QS))
     _verdict(5, failures)

@@ -10,6 +10,7 @@ import pytest
 
 import coupled_splitting as cs
 from coupled_splitting.cli import main
+from coupled_splitting.spectral import load_report
 
 
 def _arr(*vals):
@@ -165,6 +166,64 @@ def test_missing_instance_file_is_validation_error(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
 
+def _pair_doc(**fields):
+    doc = {
+        "blocks": [1, 1], "H": [[1.0, 0.0], [0.0, 1.0]], "g": [0.0, 0.0], "A": [[1.0, 1.0]], "b": [2.0],
+        "theta": [{"kind": "zero", "params": {}, "sigma": None}] * 2,
+    }
+    doc.update(fields)
+    return doc
+
+
+def _term0(term):
+    return _pair_doc(theta=[term, {"kind": "zero", "params": {}, "sigma": None}])
+
+
+_MALFORMED = {
+    "H_string": (_pair_doc(H="x"), "error: H: "),
+    "H_ragged": (_pair_doc(H=[[1.0, 0.0], [0.0]]), "error: H: "),
+    "blocks_string": (_pair_doc(blocks="x"), "error: blocks: "),
+    "l1_without_lam": (_term0({"kind": "l1", "params": {}}), "theta[0]: missing parameter 'lam'"),
+    "box_without_hi": (_term0({"kind": "box", "params": {"lo": [0.0]}}), "theta[0]: missing parameter 'hi'"),
+    "quadratic_without_q": (_term0({"kind": "quadratic", "params": {"P": [[1.0]]}}), "theta[0]: missing parameter 'q'"),
+    "params_list": (_term0({"kind": "l1", "params": [1]}), "theta[0]"),
+    "sigma_string": (_term0({"kind": "zero", "params": {}, "sigma": "x"}), "theta[0]"),
+    "lam_string": (_term0({"kind": "l1", "params": {"lam": "a"}}), "theta[0]"),
+    "theta_string": (_pair_doc(theta="zero"), "theta[0]"),
+    "theta_entry_string": (_pair_doc(theta=["zero", {"kind": "zero"}]), "theta[0]"),
+    "document_not_object": ([1, 2], "JSON object"),
+}
+
+_SUBCOMMANDS = (["solve"], ["analyze"], ["compare-bcd"], ["rp-expect", "--max-iter", "5"], ["witness"])
+
+
+@pytest.mark.parametrize(
+    "case", list(_MALFORMED) + ["instance_is_directory", "instance_not_utf8", "out_is_a_file"]
+)
+def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
+    """Every subcommand turns a malformed document or an unreadable path into
+    exit 2 with a one-line error, never an uncaught exception."""
+    out = tmp_path / "out"
+    path = tmp_path / "inst.json"
+    expect = None
+    if case in _MALFORMED:
+        doc, expect = _MALFORMED[case]
+        path.write_text(json.dumps(doc))
+    elif case == "instance_is_directory":
+        path.mkdir()
+    elif case == "instance_not_utf8":
+        path.write_bytes(b'{"blocks": [1, 1], "H": "\xff\xfe"}')
+        expect = "not UTF-8"
+    else:
+        path.write_text(json.dumps(_pair_doc()))
+        out.write_text("a file, not a directory")
+    for cmd in _SUBCOMMANDS:
+        assert main([cmd[0], str(path), *cmd[1:], "--out", str(out)]) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert expect is None or expect in err, err
+
+
 def test_usage_errors_exit_64(pair_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", str(pair_file), "--beta", "notafloat"])
@@ -215,7 +274,7 @@ def test_analyze_report_round_trip(singular_pair_file, tmp_path, capsys):
     assert "lemma_3_1=True" in stdout
     assert "lemma_3_4=True" in stdout
     assert "am_one=1 gm_one=1" in stdout
-    report = cs.load_report(out / "report.json")
+    report = load_report(out / "report.json")
     eig = np.sort_complex(report.eig_M)
     assert np.allclose(eig, _arr(0.0, 0.0, 1.0), atol=1e-12)
     assert report.verdicts["lemma_3_5"] is True

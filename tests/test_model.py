@@ -6,6 +6,8 @@ import pytest
 
 import coupled_splitting as cs
 from coupled_splitting.errors import InfeasibleError, StructuralError, UnsupportedOracleError
+from coupled_splitting.model import validate_instance
+from coupled_splitting.solvers import merit_weight_matrices
 
 from gen import random_psd, two_block_instance
 
@@ -46,14 +48,14 @@ def test_validate_rejects_asymmetric_h():
     H = np.array([[1.0, 0.5], [0.0, 1.0]])
     inst = _simple(H, np.zeros(2), np.zeros((1, 2)), [0.0], (1, 1))
     with pytest.raises(StructuralError, match="symmetric"):
-        cs.validate_instance(inst)
+        validate_instance(inst)
 
 
 def test_validate_rejects_indefinite_h():
     H = np.array([[1.0, 2.0], [2.0, 1.0]])
     inst = _simple(H, np.zeros(2), np.zeros((1, 2)), [0.0], (1, 1))
     with pytest.raises(StructuralError, match="semidefinite"):
-        cs.validate_instance(inst)
+        validate_instance(inst)
 
 
 def test_validate_rejects_non_finite_data():
@@ -66,15 +68,15 @@ def test_validate_rejects_non_finite_data():
     ):
         inst = _simple(**{**good, field: bad})
         with pytest.raises(StructuralError, match=f"^{field} has a non-finite entry"):
-            cs.validate_instance(inst)
+            validate_instance(inst)
     # infinite box bounds are legal: they mark unbounded sides
     box = cs.ProxFn.box([-np.inf], [np.inf])
-    cs.validate_instance(_simple(**good, theta=(box, box)))
+    validate_instance(_simple(**good, theta=(box, box)))
 
 
 def test_validate_reports_defects():
     inst = _simple(np.eye(2), np.zeros(2), np.ones((1, 2)), [1.0], (1, 1))
-    rep = cs.validate_instance(inst)
+    rep = validate_instance(inst)
     assert rep.h_symmetry_defect == 0.0
     assert rep.h_min_eigenvalue == pytest.approx(1.0)
     assert rep.partition_ok
@@ -230,7 +232,7 @@ def test_merit_weights_shapes_and_values():
     inst = two_block_instance(rng, kinds=("zero",))
     beta = 2.5
     R = [random_psd(rng, inst.blocks.dims[0]), random_psd(rng, inst.blocks.dims[1])]
-    w = cs.merit_weight_matrices(inst, beta, R)
+    w = merit_weight_matrices(inst, beta, R)
     d = inst.blocks.d
     sl2 = w["slice2"]
     A2 = inst.A_block(1)

@@ -6,6 +6,13 @@ import pytest
 
 import coupled_splitting as cs
 from coupled_splitting.errors import DomainError, StructuralError, UnsupportedOracleError
+from coupled_splitting.prox import (
+    fn_value,
+    prox_eval,
+    prox_fn_from_dict,
+    prox_fn_to_dict,
+    subdiff_distance,
+)
 
 
 def _arr(*vals):
@@ -18,22 +25,22 @@ def _arr(*vals):
 def test_prox_zero_is_identity():
     f = cs.ProxFn.zero()
     v = _arr(1.5, -2.0, 0.0)
-    out = cs.prox_eval(f, 3.7, v)
+    out = prox_eval(f, 3.7, v)
     assert np.array_equal(out, v)
     assert out is not v
 
 
 def test_prox_l1_soft_threshold_points():
     f = cs.ProxFn.l1(1.0)
-    assert cs.prox_eval(f, 1.0, _arr(2.0))[0] == 1.0
-    assert cs.prox_eval(f, 1.0, _arr(-0.5))[0] == 0.0
+    assert prox_eval(f, 1.0, _arr(2.0))[0] == 1.0
+    assert prox_eval(f, 1.0, _arr(-0.5))[0] == 0.0
 
 
 def test_prox_box_projects():
     f = cs.ProxFn.box(_arr(0.0), _arr(1.0))
-    assert cs.prox_eval(f, 3.0, _arr(1.7))[0] == 1.0
-    assert cs.prox_eval(f, 3.0, _arr(-0.2))[0] == 0.0
-    assert cs.prox_eval(f, 3.0, _arr(0.4))[0] == 0.4
+    assert prox_eval(f, 3.0, _arr(1.7))[0] == 1.0
+    assert prox_eval(f, 3.0, _arr(-0.2))[0] == 0.0
+    assert prox_eval(f, 3.0, _arr(0.4))[0] == 0.4
 
 
 def test_prox_box_idempotent():
@@ -41,8 +48,8 @@ def test_prox_box_idempotent():
     lo, hi = -rng.random(4), rng.random(4)
     f = cs.ProxFn.box(lo, hi)
     v = rng.standard_normal(4) * 3
-    once = cs.prox_eval(f, 2.0, v)
-    twice = cs.prox_eval(f, 2.0, once)
+    once = prox_eval(f, 2.0, v)
+    twice = prox_eval(f, 2.0, once)
     assert np.array_equal(once, twice)
 
 
@@ -53,7 +60,7 @@ def test_prox_quadratic_matches_linear_solve():
     q = rng.standard_normal(3)
     f = cs.ProxFn.quadratic(P, q)
     r, v = 1.7, rng.standard_normal(3)
-    out = cs.prox_eval(f, r, v)
+    out = prox_eval(f, r, v)
     # stationarity: P x + q + r (x - v) = 0
     assert np.linalg.norm(P @ out + q + r * (out - v)) < 1e-12
 
@@ -70,23 +77,23 @@ def test_prox_minimizes_objective():
         for _ in range(20):
             r = 0.5 + rng.random()
             v = rng.standard_normal(2)
-            x = cs.prox_eval(f, r, v)
-            base = cs.fn_value(f, x) + 0.5 * r * np.sum((x - v) ** 2)
+            x = prox_eval(f, r, v)
+            base = fn_value(f, x) + 0.5 * r * np.sum((x - v) ** 2)
             for _ in range(10):
                 y = x + 0.1 * rng.standard_normal(2)
-                val = cs.fn_value(f, y) + 0.5 * r * np.sum((y - v) ** 2)
+                val = fn_value(f, y) + 0.5 * r * np.sum((y - v) ** 2)
                 if np.isfinite(val):
                     assert val >= base - 1e-10
 
 
 def test_prox_opaque_calls_through():
     f = cs.ProxFn.opaque(lambda r, v: np.zeros_like(v))
-    assert np.array_equal(cs.prox_eval(f, 1.0, _arr(3.0, 4.0)), _arr(0.0, 0.0))
+    assert np.array_equal(prox_eval(f, 1.0, _arr(3.0, 4.0)), _arr(0.0, 0.0))
 
 
 def test_prox_requires_positive_r():
     with pytest.raises(cs.UsageError):
-        cs.prox_eval(cs.ProxFn.zero(), 0.0, _arr(1.0))
+        prox_eval(cs.ProxFn.zero(), 0.0, _arr(1.0))
 
 
 # -- subdiff_distance --------------------------------------------------------
@@ -94,40 +101,40 @@ def test_prox_requires_positive_r():
 
 def test_subdiff_zero_is_norm():
     f = cs.ProxFn.zero()
-    assert cs.subdiff_distance(f, _arr(1.0, 1.0), _arr(3.0, 4.0)) == 5.0
+    assert subdiff_distance(f, _arr(1.0, 1.0), _arr(3.0, 4.0)) == 5.0
 
 
 def test_subdiff_l1_interval_at_zero():
     f = cs.ProxFn.l1(1.0)
     # -s must be within [-1, 1] at x = 0
-    assert cs.subdiff_distance(f, _arr(0.0), _arr(0.5)) == 0.0
-    assert cs.subdiff_distance(f, _arr(0.0), _arr(1.5)) == pytest.approx(0.5)
+    assert subdiff_distance(f, _arr(0.0), _arr(0.5)) == 0.0
+    assert subdiff_distance(f, _arr(0.0), _arr(1.5)) == pytest.approx(0.5)
     # at x > 0 the subgradient is exactly +1
-    assert cs.subdiff_distance(f, _arr(2.0), _arr(-1.0)) == 0.0
-    assert cs.subdiff_distance(f, _arr(2.0), _arr(1.0)) == pytest.approx(2.0)
+    assert subdiff_distance(f, _arr(2.0), _arr(-1.0)) == 0.0
+    assert subdiff_distance(f, _arr(2.0), _arr(1.0)) == pytest.approx(2.0)
 
 
 def test_subdiff_box_normal_cone():
     f = cs.ProxFn.box(_arr(0.0), _arr(1.0))
     # interior: cone is {0}
-    assert cs.subdiff_distance(f, _arr(0.5), _arr(0.3)) == pytest.approx(0.3)
+    assert subdiff_distance(f, _arr(0.5), _arr(0.3)) == pytest.approx(0.3)
     # at lower edge the cone is (-inf, 0]; -s = -0.4 is inside
-    assert cs.subdiff_distance(f, _arr(0.0), _arr(0.4)) == 0.0
-    assert cs.subdiff_distance(f, _arr(0.0), _arr(-0.4)) == pytest.approx(0.4)
+    assert subdiff_distance(f, _arr(0.0), _arr(0.4)) == 0.0
+    assert subdiff_distance(f, _arr(0.0), _arr(-0.4)) == pytest.approx(0.4)
     # at upper edge the cone is [0, inf)
-    assert cs.subdiff_distance(f, _arr(1.0), _arr(-0.4)) == 0.0
-    assert cs.subdiff_distance(f, _arr(1.0), _arr(0.4)) == pytest.approx(0.4)
+    assert subdiff_distance(f, _arr(1.0), _arr(-0.4)) == 0.0
+    assert subdiff_distance(f, _arr(1.0), _arr(0.4)) == pytest.approx(0.4)
 
 
 def test_subdiff_box_outside_domain():
     f = cs.ProxFn.box(_arr(0.0), _arr(1.0))
     with pytest.raises(DomainError):
-        cs.subdiff_distance(f, _arr(1.5), _arr(0.0))
+        subdiff_distance(f, _arr(1.5), _arr(0.0))
 
 
 def test_subdiff_pinned_interval_accepts_everything():
     f = cs.ProxFn.box(_arr(0.5), _arr(0.5))
-    assert cs.subdiff_distance(f, _arr(0.5), _arr(123.0)) == 0.0
+    assert subdiff_distance(f, _arr(0.5), _arr(123.0)) == 0.0
 
 
 def test_subdiff_quadratic_gradient():
@@ -136,14 +143,14 @@ def test_subdiff_quadratic_gradient():
     f = cs.ProxFn.quadratic(P, q)
     x = _arr(1.0, 1.0)
     s = -(P @ x + q)
-    assert cs.subdiff_distance(f, x, s) == 0.0
-    assert cs.subdiff_distance(f, x, s + _arr(0.3, -0.4)) == pytest.approx(0.5)
+    assert subdiff_distance(f, x, s) == 0.0
+    assert subdiff_distance(f, x, s + _arr(0.3, -0.4)) == pytest.approx(0.5)
 
 
 def test_subdiff_opaque_unsupported():
     f = cs.ProxFn.opaque(lambda r, v: v)
     with pytest.raises(UnsupportedOracleError):
-        cs.subdiff_distance(f, _arr(0.0), _arr(0.0))
+        subdiff_distance(f, _arr(0.0), _arr(0.0))
 
 
 def test_subdiff_consistent_with_prox_fixed_point():
@@ -159,22 +166,22 @@ def test_subdiff_consistent_with_prox_fixed_point():
         for _ in range(25):
             r = 0.2 + 2 * rng.random()
             v = 2 * rng.standard_normal(3)
-            x = cs.prox_eval(f, r, v)
+            x = prox_eval(f, r, v)
             s = r * (x - v)  # dist(-s, subdiff f(x)) must be 0
-            assert cs.subdiff_distance(f, x, s) < 1e-12
+            assert subdiff_distance(f, x, s) < 1e-12
 
 
 # -- values, validation, serialization ---------------------------------------
 
 
 def test_fn_values():
-    assert cs.fn_value(cs.ProxFn.zero(), _arr(5.0)) == 0.0
-    assert cs.fn_value(cs.ProxFn.l1(2.0), _arr(1.0, -2.0)) == 6.0
+    assert fn_value(cs.ProxFn.zero(), _arr(5.0)) == 0.0
+    assert fn_value(cs.ProxFn.l1(2.0), _arr(1.0, -2.0)) == 6.0
     box = cs.ProxFn.box(_arr(0.0), _arr(1.0))
-    assert cs.fn_value(box, _arr(0.5)) == 0.0
-    assert cs.fn_value(box, _arr(2.0)) == np.inf
+    assert fn_value(box, _arr(0.5)) == 0.0
+    assert fn_value(box, _arr(2.0)) == np.inf
     quad = cs.ProxFn.quadratic(np.eye(2), _arr(1.0, 0.0))
-    assert cs.fn_value(quad, _arr(1.0, 1.0)) == pytest.approx(2.0)
+    assert fn_value(quad, _arr(1.0, 1.0)) == pytest.approx(2.0)
 
 
 def test_box_bounds_must_be_ordered():
@@ -211,7 +218,7 @@ def test_non_finite_parameters_are_rejected():
             make()
     # infinite box bounds mark unbounded sides and stay legal
     f = cs.ProxFn.box(_arr(-inf, 0.0), _arr(1.0, inf))
-    assert np.array_equal(cs.prox_eval(f, 1.0, _arr(-5.0, 5.0)), _arr(-5.0, 5.0))
+    assert np.array_equal(prox_eval(f, 1.0, _arr(-5.0, 5.0)), _arr(-5.0, 5.0))
 
 
 def test_prox_fn_round_trip():
@@ -224,14 +231,14 @@ def test_prox_fn_round_trip():
         cs.ProxFn.quadratic(G @ G.T, _arr(1.0, -1.0), sigma=0.1 * np.eye(2)),
     ]
     for f in fns:
-        g = cs.prox_fn_from_dict(cs.prox_fn_to_dict(f))
+        g = prox_fn_from_dict(prox_fn_to_dict(f))
         assert g.kind == f.kind
         v = rng.standard_normal(2 if f.kind != "l1" else 1)
         r = 1.3
-        assert np.array_equal(cs.prox_eval(f, r, v[: v.size]), cs.prox_eval(g, r, v[: v.size]))
+        assert np.array_equal(prox_eval(f, r, v[: v.size]), prox_eval(g, r, v[: v.size]))
 
 
 def test_opaque_not_serializable():
     f = cs.ProxFn.opaque(lambda r, v: v)
     with pytest.raises(cs.UsageError):
-        cs.prox_fn_to_dict(f)
+        prox_fn_to_dict(f)

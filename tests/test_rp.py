@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import coupled_splitting as cs
+from coupled_splitting.rp import permutation_at, PermutationSampler
 
 
 def _arr(*vals):
@@ -39,27 +40,27 @@ def coupled_three_block():
 
 def test_permutation_at_is_deterministic():
     for seed, counter, n in [(0, 0, 3), (7, 12, 4), (123456, 3, 6)]:
-        a = cs.permutation_at(seed, counter, n)
-        b = cs.permutation_at(seed, counter, n)
+        a = permutation_at(seed, counter, n)
+        b = permutation_at(seed, counter, n)
         assert a == b
         assert sorted(a) == list(range(n))
 
 
 def test_permutation_streams_differ_by_seed_and_counter():
-    draws = {cs.permutation_at(s, c, 6) for s in range(6) for c in range(6)}
+    draws = {permutation_at(s, c, 6) for s in range(6) for c in range(6)}
     assert len(draws) > 10  # distinct keys give varied orders
 
 
 def test_sampler_matches_keyed_stream():
-    sampler = cs.PermutationSampler(seed=42)
+    sampler = PermutationSampler(seed=42)
     seq = [sampler.draw(4) for _ in range(8)]
-    assert seq == [cs.permutation_at(42, c, 4) for c in range(8)]
+    assert seq == [permutation_at(42, c, 4) for c in range(8)]
     assert sampler.counter == 8
 
 
 def test_permutation_uniformity_chi_square():
     """All n! orders of 3 blocks occur with equal frequency."""
-    sampler = cs.PermutationSampler(seed=2024)
+    sampler = PermutationSampler(seed=2024)
     cells = {p: 0 for p in itertools.permutations(range(3))}
     draws = 6000
     for _ in range(draws):
@@ -134,7 +135,7 @@ def test_rp_trial_is_a_loop_of_steps_in_sampled_orders():
     traces, _ = cs.run_rp_solver(inst, cfg, x0=x0, seed=seed, trials=3, keep_iterates=True)
     n = inst.blocks.n
     for t, trace in enumerate(traces):
-        sampler = cs.PermutationSampler(seed ^ t)
+        sampler = PermutationSampler(seed ^ t)
         state = cs.IterateState.start(inst, x0=x0)
         assert np.array_equal(trace.iterates[0][0], state.x)
         for k in range(1, len(trace)):

@@ -8,6 +8,10 @@ import pytest
 
 import coupled_splitting as cs
 from coupled_splitting.errors import ConditionError, SubproblemStructureError
+from coupled_splitting.model import normalize_block_matrices
+from coupled_splitting.prox import prox_eval
+from coupled_splitting.rp import PermutationSampler
+from coupled_splitting.solvers import linearization_proximal, lyapunov_value
 
 from gen import (
     proximal_weights_for,
@@ -115,9 +119,9 @@ def test_linearized_soft_threshold_composition():
     # t/r = x1 - (A1'(x2 - b)) with x = (0.3 + x2, x2)? simpler: verify via prox_eval
     r1 = 1.0
     half = 0.3
-    assert cs.prox_eval(inst.theta[0], r1, _arr(half))[0] == pytest.approx(max(half - 1.0 / r1, 0.0))
+    assert prox_eval(inst.theta[0], r1, _arr(half))[0] == pytest.approx(max(half - 1.0 / r1, 0.0))
     r1 = 10.0
-    assert cs.prox_eval(inst.theta[0], r1, _arr(half))[0] == pytest.approx(max(half - 1.0 / r1, 0.0))
+    assert prox_eval(inst.theta[0], r1, _arr(half))[0] == pytest.approx(max(half - 1.0 / r1, 0.0))
 
 
 # -- linearization curvatures ------------------------------------------------
@@ -128,7 +132,7 @@ def test_linearization_identity_block():
         blocks=cs.BlockStructure(dims=(2,), m=0),
         H=np.eye(2), g=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0),
     )
-    pairs = cs.linearization_proximal(inst, 1.0, mode="admm")
+    pairs = linearization_proximal(inst, 1.0, mode="admm")
     assert pairs[0][0] == pytest.approx(1.0)
     assert np.allclose(pairs[0][1], np.zeros((2, 2)), atol=1e-12)
 
@@ -138,7 +142,7 @@ def test_linearization_eigensolve():
         blocks=cs.BlockStructure(dims=(2,), m=0),
         H=np.array([[2.0, 1.0], [1.0, 2.0]]), g=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0),
     )
-    pairs = cs.linearization_proximal(inst, 1.0, mode="admm")
+    pairs = linearization_proximal(inst, 1.0, mode="admm")
     assert pairs[0][0] == pytest.approx(3.0)
     assert np.allclose(pairs[0][1], np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
 
@@ -148,7 +152,7 @@ def test_linearization_bcd_diagonal():
         blocks=cs.BlockStructure(dims=(2,), m=0),
         H=np.diag(_arr(4.0, 1.0)), g=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0),
     )
-    pairs = cs.linearization_proximal(inst, 1.0, mode="bcd")
+    pairs = linearization_proximal(inst, 1.0, mode="bcd")
     assert pairs[0][0] == pytest.approx(4.0)
     assert np.allclose(pairs[0][1], np.diag(_arr(0.0, 3.0)), atol=1e-12)
 
@@ -163,7 +167,7 @@ def test_linearized_equals_proximal_admm():
     for trial in range(5):
         inst = two_block_instance(rng, kinds=("zero", "l1", "box"))
         beta = float(rng.uniform(0.5, 4.0))
-        pairs = cs.linearization_proximal(inst, beta, mode="admm")
+        pairs = linearization_proximal(inst, beta, mode="admm")
         cfg_lin = cs.SolverConfig(variant="admm2_linearized", beta=beta, tol=0.0, max_iter=1)
         cfg_prox = cs.SolverConfig(
             variant="admm2", beta=beta, tol=0.0, max_iter=1, R=[p[1] for p in pairs]
@@ -190,7 +194,7 @@ def test_bcpg_equals_proximal_bcd():
             H=inst.H, g=inst.g, A=np.zeros((0, inst.blocks.d)), b=np.zeros(0),
             theta=inst.theta,
         )
-        pairs = cs.linearization_proximal(inst, 1.0, mode="bcd")
+        pairs = linearization_proximal(inst, 1.0, mode="bcd")
         cfg_lin = cs.SolverConfig(variant="bcpg", tol=0.0, max_iter=1)
         cfg_prox = cs.SolverConfig(variant="bcd", tol=0.0, max_iter=1, R=[p[1] for p in pairs])
         st_lin = cs.IterateState.start(inst, x0=rng.standard_normal(inst.blocks.d))
@@ -316,6 +320,20 @@ def test_two_block_condition_precheck():
         cs.run_solver(inst, cfg)
 
 
+def test_two_block_condition_on_indefinite_linearized_weights():
+    """Curvatures r_i below the block model make R_i = r_i I - H_ii -
+    beta A_i'A_i indefinite. Every block update is still defined (the
+    linearized variant divides by r_i), so only the two-block condition on
+    H_ii + A_i'A_i + R_i = 1 + 1 - 4.5 catches it."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=1),
+        H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0]]), b=_arr(1.0),
+    )
+    cfg = cs.SolverConfig(variant="admm2_linearized", beta=4.0, r=[0.5, 0.5])
+    with pytest.raises(ConditionError, match=r"two-block uniqueness condition fails \(min eigenvalue -2\.500e\+00\)"):
+        cs.run_solver(inst, cfg)
+
+
 def test_singular_block_subproblem_is_rejected():
     """A block with no curvature at all (H_ii = 0, A_i = 0, R_i = 0) has no
     unique update, in cyclic and in randomly permuted runs."""
@@ -381,7 +399,7 @@ def test_lyapunov_desk_value():
     cfg = cs.SolverConfig(variant="admm2", beta=1.0)
     ref = cs.KKTPoint(x=_arr(1.0, 1.0), mu=_arr(1.0))
     st = cs.IterateState.start(inst)  # (0,0,0), back-difference 0
-    assert cs.lyapunov_value(inst, cfg, st, ref) == pytest.approx(13.0 / 4.0, abs=1e-15)
+    assert lyapunov_value(inst, cfg, st, ref) == pytest.approx(13.0 / 4.0, abs=1e-15)
 
 
 def test_lyapunov_zero_at_reference():
@@ -389,7 +407,7 @@ def test_lyapunov_zero_at_reference():
     cfg = cs.SolverConfig(variant="admm2", beta=1.0)
     ref = cs.KKTPoint(x=_arr(1.0, 1.0), mu=_arr(1.0))
     st = cs.IterateState(x=_arr(1.0, 1.0), x_prev=_arr(1.0, 1.0), mu=_arr(1.0), k=3)
-    assert cs.lyapunov_value(inst, cfg, st, ref) == 0.0
+    assert lyapunov_value(inst, cfg, st, ref) == 0.0
 
 
 def test_lyapunov_formula_collapse():
@@ -403,7 +421,7 @@ def test_lyapunov_formula_collapse():
     ref = cs.KKTPoint(x=_arr(0.0, 1.0), mu=_arr(0.0))
     st = cs.IterateState(x=_arr(5.0, 3.0), x_prev=_arr(5.0, 3.0), mu=_arr(2.0), k=1)
     expect = 0.5 * (3.0 - 1.0) ** 2 + 0.5 * (2.0 - 0.0) ** 2
-    assert cs.lyapunov_value(inst, cfg, st, ref) == pytest.approx(expect, abs=1e-14)
+    assert lyapunov_value(inst, cfg, st, ref) == pytest.approx(expect, abs=1e-14)
 
 
 def test_merit_monotone_with_guaranteed_floor():
@@ -448,7 +466,7 @@ def test_surrogate_matches_two_block_formula():
     sl2 = inst.blocks.slice_of(1)
     A1, A2 = inst.A_block(0), inst.A_block(1)
     H12 = inst.H_block(0, 1)
-    R_mats = cs.normalize_block_matrices(inst, R)
+    R_mats = normalize_block_matrices(inst, R)
     for row in range(1, len(tr)):
         x_old, _ = tr.iterates[row - 1]
         x_new, _ = tr.iterates[row]
@@ -644,7 +662,7 @@ def _oracle_step(inst, cfg, state, order):
         if cfg.variant in _LINEARIZED:
             t = r[i] * xi - Hii @ xi - coup - g[sl]
             t = t - beta * (Ai.T @ (Ai @ xi)) - beta * (Ai.T @ (ax_other - b)) + Ai.T @ mu
-            x[sl] = cs.prox_eval(f, r[i], t / r[i])
+            x[sl] = prox_eval(f, r[i], t / r[i])
             continue
         lin = coup + g[sl] - R[i] @ anchor[sl] - Ai.T @ mu + beta * (Ai.T @ (ax_other - b))
         K = Hii + R[i] + beta * (Ai.T @ Ai)
@@ -654,7 +672,7 @@ def _oracle_step(inst, cfg, state, order):
             x[sl] = np.linalg.solve(K, -lin)
         else:
             ridge = float(np.trace(K)) / K.shape[0]
-            x[sl] = cs.prox_eval(f, ridge, -lin / ridge)
+            x[sl] = prox_eval(f, ridge, -lin / ridge)
     mu = mu - cfg.gamma * beta * (A @ x - b)
     return x, mu
 
@@ -793,5 +811,5 @@ def test_random_order_rows_match_independent_oracles():
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.2, R=[0.5, None, random_psd(rng, 1), 0.0], tol=0.0, max_iter=15)
     traces, _ = cs.run_rp_solver(inst, cfg, seed=9, trials=2, keep_iterates=True)
     for t, trace in enumerate(traces):
-        sampler = cs.PermutationSampler(9 ^ t)
+        sampler = PermutationSampler(9 ^ t)
         _check_rows(inst, cfg, trace, [sampler.draw(4) for _ in range(15)])

@@ -10,6 +10,15 @@ import numpy as np
 import pytest
 
 import coupled_splitting as cs
+from coupled_splitting.solvers import GAMMA_SUP
+from coupled_splitting.spectral import (
+    build_perm_matrices,
+    build_Q_M,
+    check_eig_QS,
+    check_M_spectrum,
+    load_report,
+    rank_identity_check,
+)
 from gen import spectral_instance, two_block_instance, violating_instance
 
 
@@ -38,7 +47,7 @@ def three_by_three_instance():
 
 def test_perm_matrices_hand_example():
     inst = pair_instance(2.0 * np.eye(2))
-    pm = cs.build_perm_matrices(inst, beta=1.0, sigma=(0, 1))
+    pm = build_perm_matrices(inst, beta=1.0, sigma=(0, 1))
     assert np.array_equal(pm.L_sigma, np.array([[3.0, 0.0], [1.0, 3.0]]))
     assert np.array_equal(pm.R_sigma, np.array([[0.0, -1.0], [0.0, 0.0]]))
     assert np.array_equal(pm.Lbar[2, :], _arr(1.0, 1.0, 1.0))
@@ -51,22 +60,22 @@ def test_reversing_the_order_transposes_the_factor():
     rng = np.random.default_rng(11)
     inst = spectral_instance(rng, n_choices=(3,), d_max=3)
     for sigma in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
-        fwd = cs.build_perm_matrices(inst, 1.0, sigma)
-        rev = cs.build_perm_matrices(inst, 1.0, sigma[::-1])
+        fwd = build_perm_matrices(inst, 1.0, sigma)
+        rev = build_perm_matrices(inst, 1.0, sigma[::-1])
         assert np.allclose(fwd.L_sigma.T, rev.L_sigma, atol=1e-14)
 
 
 def test_perm_matrices_input_errors():
     inst = pair_instance(np.eye(2))
     with pytest.raises(cs.UsageError):
-        cs.build_perm_matrices(inst, 1.0, (0, 0))
+        build_perm_matrices(inst, 1.0, (0, 0))
     with pytest.raises(cs.UsageError):
-        cs.build_perm_matrices(inst, -1.0, (0, 1))
+        build_perm_matrices(inst, -1.0, (0, 1))
     singular = pair_instance(np.zeros((2, 2)), A=((1.0, 0.0),))
     with pytest.raises(cs.ConditionError, match="block 1"):
-        cs.build_perm_matrices(singular, 1.0, (0, 1))
+        build_perm_matrices(singular, 1.0, (0, 1))
     with pytest.raises(cs.ConditionError, match="block 1"):
-        cs.build_Q_M(singular, 1.0)
+        build_Q_M(singular, 1.0)
 
 
 def test_update_matrix_agrees_with_one_sweep():
@@ -76,7 +85,7 @@ def test_update_matrix_agrees_with_one_sweep():
     inst = spectral_instance(rng, n_choices=(3,), d_max=2)
     d, m = inst.blocks.d, inst.blocks.m
     sigma = (2, 0, 1)
-    pm = cs.build_perm_matrices(inst, 1.0, sigma)
+    pm = build_perm_matrices(inst, 1.0, sigma)
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0)
     za, zb = rng.standard_normal(d + m), rng.standard_normal(d + m)
     outs = []
@@ -94,7 +103,7 @@ def test_update_matrix_agrees_with_one_sweep():
 
 def test_averaged_inverse_hand_example():
     inst = pair_instance(2.0 * np.eye(2))
-    report = cs.build_Q_M(inst, beta=1.0)
+    report = build_Q_M(inst, beta=1.0)
     assert np.allclose(report.Q, np.array([[1 / 3, -1 / 18], [-1 / 18, 1 / 3]]), atol=1e-15)
     assert np.allclose(np.sort(report.eig_QS), _arr(7 / 9, 10 / 9), atol=1e-12)
     assert report.q_min_eig > 0
@@ -121,7 +130,7 @@ def test_averaged_update_powers_stabilize_to_projector():
     """M^k converges; the limit has rank equal to the multiplicity of the
     unit eigenvalue."""
     inst = pair_instance(np.zeros((2, 2)))
-    report = cs.build_Q_M(inst, beta=1.0)
+    report = build_Q_M(inst, beta=1.0)
     P = np.linalg.matrix_power(report.M, 60)
     P_next = report.M @ P
     assert np.max(np.abs(P_next - P)) <= 1e-12
@@ -136,7 +145,7 @@ def test_enumeration_guard():
         H=np.eye(n), g=np.zeros(n), A=np.ones((1, n)), b=_arr(1.0),
     )
     with pytest.raises(cs.EnumerationLimitError):
-        cs.build_Q_M(inst, 1.0)
+        build_Q_M(inst, 1.0)
 
 
 def _pd_instance(rng, dims, m):
@@ -177,7 +186,7 @@ def test_build_Q_M_matches_per_order_loop_bitwise():
             Q = np.zeros((d, d))
             M_direct = np.zeros((d + m, d + m))
             for sigma in itertools.permutations(range(n)):
-                pm = cs.build_perm_matrices(inst, beta, sigma)
+                pm = build_perm_matrices(inst, beta, sigma)
                 assert np.array_equal(pm.L_sigma, _hand_block_factor(inst, S, sigma))
                 inv_L = np.linalg.inv(pm.L_sigma)
                 inv_L += inv_L @ (np.eye(d) - pm.L_sigma @ inv_L)
@@ -185,7 +194,7 @@ def test_build_Q_M_matches_per_order_loop_bitwise():
                 M_direct += pm.M_sigma
             Q /= math.factorial(n)
             M_direct /= math.factorial(n)
-            report = cs.build_Q_M(inst, beta)
+            report = build_Q_M(inst, beta)
             assert np.array_equal(report.Q, Q), (n, m)
             assert report.consistency_defect == float(np.max(np.abs(report.M - M_direct))), (n, m)
 
@@ -198,7 +207,7 @@ def test_build_Q_M_memory_stays_bounded_at_seven_blocks():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        report = cs.build_Q_M(inst, 1.0)
+        report = build_Q_M(inst, 1.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -208,32 +217,32 @@ def test_build_Q_M_memory_stays_bounded_at_seven_blocks():
 
 def test_rank_identity_hand_example():
     inst = pair_instance(np.zeros((2, 2)))
-    assert cs.rank_identity_check(inst, 1.0)
+    assert rank_identity_check(inst, 1.0)
     inst2 = pair_instance(2.0 * np.eye(2))
-    assert cs.rank_identity_check(inst2, 1.0)
+    assert rank_identity_check(inst2, 1.0)
 
 
 def test_verdict_checks_flag_fabricated_failures():
     inst = pair_instance(2.0 * np.eye(2))
-    report = cs.build_Q_M(inst, beta=1.0)
-    assert cs.check_eig_QS(report)
+    report = build_Q_M(inst, beta=1.0)
+    assert check_eig_QS(report)
     report.eig_QS = _arr(0.5, 4.0 / 3.0)
-    assert not cs.check_eig_QS(report)
+    assert not check_eig_QS(report)
     report.eig_QS = _arr(-1e-9, 0.5)
-    assert not cs.check_eig_QS(report)
+    assert not check_eig_QS(report)
     report.eig_QS = _arr(0.5, 1.0)
     report.q_min_eig = 0.0
-    assert not cs.check_eig_QS(report)
+    assert not check_eig_QS(report)
 
-    report2 = cs.build_Q_M(inst, beta=1.0)
-    ok, _ = cs.check_M_spectrum(report2)
+    report2 = build_Q_M(inst, beta=1.0)
+    ok, _ = check_M_spectrum(report2)
     assert ok
     report2.eig_M = np.array([1.0 + 0.0j, 1.0j])
-    ok, _ = cs.check_M_spectrum(report2)
+    ok, _ = check_M_spectrum(report2)
     assert not ok
     assert report2.verdicts["lemma_3_4"] is False
     report2.am_one, report2.gm_one = 2, 1
-    _, mult_ok = cs.check_M_spectrum(report2)
+    _, mult_ok = check_M_spectrum(report2)
     assert not mult_ok
 
 
@@ -263,7 +272,7 @@ def test_report_json_round_trip(tmp_path):
     report = cs.analyze_instance(inst, beta=0.1)
     path = tmp_path / "report.json"
     cs.save_report(report, path)
-    back = cs.load_report(path)
+    back = load_report(path)
     assert back.verdicts == report.verdicts
     assert np.array_equal(back.Q, report.Q)
     assert np.array_equal(back.M, report.M)
@@ -307,7 +316,7 @@ def test_contrast_cyclic_diverges_averaged_contracts():
 def test_cyclic_update_matrix_guards():
     inst = three_by_three_instance()
     with pytest.raises(cs.UsageError):
-        cs.cyclic_update_matrix(inst, beta=1.0, gamma=cs.GAMMA_SUP)
+        cs.cyclic_update_matrix(inst, beta=1.0, gamma=GAMMA_SUP)
     with pytest.raises(cs.UsageError):
         cs.cyclic_update_matrix(inst, beta=1.0, gamma=0.0)
     nonsmooth = cs.ProblemInstance(
@@ -417,11 +426,85 @@ def test_oscillation_two_legitimate_trajectories():
     res = cs.oscillation_demo(inst, cfg, cert.ybar, k_max=12)
     assert res.max_optimality_defect <= 1e-10
     assert res.gap_persists
-    # the baseline settles; the perturbed path keeps stepping by the witness
-    base_tail = res.baseline.iterates if res.baseline.iterates else None
-    xs_gap = np.linalg.norm(res.perturbed.x - res.baseline.x)
-    assert xs_gap >= 0.5 or base_tail is None
+    # k_max is even, so the perturbed path ends one witness step off the baseline
+    gap = np.linalg.norm(res.perturbed.x - res.baseline.x)
+    assert gap >= 0.5 * np.linalg.norm(cert.ybar)
     assert res.perturbed.status != "converged"
+
+
+def _lstsq_sweeps(inst, R_mats, beta, gamma, x0, mu0, k_max):
+    """Oracle for the oscillation baseline: k_max two-block sweeps written out
+    block by block, each block the minimum-norm least-squares solution of its
+    subproblem, with the consistency of every solve checked."""
+    d, m = inst.blocks.d, inst.blocks.m
+    x = np.array(x0, dtype=float).reshape(d)
+    mu = np.array(mu0, dtype=float).reshape(m)
+    xs, mus = [x.copy()], [mu.copy()]
+    for _ in range(k_max):
+        x = x.copy()
+        for i in range(2):
+            sl = inst.blocks.slice_of(i)
+            xi = x[sl]
+            Ai = inst.A_block(i)
+            Hii = inst.H_block(i, i)
+            T = Hii + beta * (Ai.T @ Ai) + R_mats[i]
+            coup = inst.H[sl] @ x - Hii @ xi
+            ax_other = inst.A @ x - Ai @ xi
+            lin = coup + inst.g[sl] - Ai.T @ mu + beta * (Ai.T @ (ax_other - inst.b)) - R_mats[i] @ xs[-1][sl]
+            sol, *_ = np.linalg.lstsq(T, -lin, rcond=None)
+            assert np.linalg.norm(T @ sol + lin) <= 1e-8 * (1.0 + np.linalg.norm(lin))
+            x[sl] = sol
+        mu = mu - gamma * beta * (inst.A @ x - inst.b)
+        xs.append(x.copy())
+        mus.append(mu.copy())
+    return xs, mus
+
+
+def _within(a, b, rtol):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b), initial=0.0)) <= rtol * (1.0 + float(np.max(np.abs(b), initial=0.0)))
+
+
+def test_oscillation_baseline_matches_lstsq_sweeps():
+    """The engine's minimum-norm sweeps reproduce the per-step least-squares
+    sweeps, with a start point, gamma != 1 and a proximal weight on both
+    blocks that leaves the witness in the null space."""
+    rng = np.random.default_rng(61)
+    beta, gamma, k_max = 1.3, 1.5, 8
+    for _ in range(10):
+        inst, ybar = violating_instance(rng)
+        d1, d2 = inst.blocks.dims
+        y1 = ybar[:d1]
+        proj = np.eye(d1) - np.outer(y1, y1)
+        B1 = proj @ rng.standard_normal((d1, d1))
+        B2 = rng.standard_normal((d2, d2))
+        # R_1 is zero when block 1 is the witness alone; R_2 never is
+        R = [0.5 * (B1 @ B1.T + (B1 @ B1.T).T), B2 @ B2.T]
+        x0 = rng.standard_normal(inst.blocks.d)
+        mu0 = rng.standard_normal(inst.blocks.m)
+        cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=beta, gamma=gamma, R=R)
+        xs, mus = _lstsq_sweeps(inst, R, beta, gamma, x0, mu0, k_max)
+        # the baseline trace keeps only its last iterate, so each run length
+        # pins one more point of the path
+        for k in range(2, k_max + 1):
+            res = cs.oscillation_demo(inst, cfg, ybar, k_max=k, x0=x0, mu0=mu0)
+            assert _within(res.baseline.x, xs[k], 1e-12)
+            assert _within(res.baseline.mu, mus[k], 1e-12)
+            assert res.max_optimality_defect <= 1e-10
+        for row in range(k_max + 1):
+            oracle = cs.kkt_residual(inst, cs.KKTPoint(x=xs[row], mu=mus[row]))
+            assert _within(res.baseline.r_dual[row], oracle.r_dual, 1e-12)
+            assert _within(res.baseline.r_feas[row], oracle.r_feas, 1e-12)
+            assert _within(res.baseline.objective[row], inst.objective(xs[row]), 1e-12)
+
+
+def test_oscillation_rejects_subproblem_unbounded_below():
+    # g pushes along the witness direction, where the block subproblem is flat
+    base = witness_instance()
+    inst = cs.ProblemInstance(blocks=base.blocks, H=base.H, g=_arr(0.5, 0.0), A=base.A, b=base.b)
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0)
+    with pytest.raises(cs.UsageError, match="block 0 subproblem is unbounded below"):
+        cs.oscillation_demo(inst, cfg, _arr(1.0, 0.0), k_max=6)
 
 
 def test_oscillation_rejects_invalid_witness():
