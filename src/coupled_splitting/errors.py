@@ -40,4 +40,4 @@ class CertificateError(CoupledSplittingError):
 
 
 class EnumerationLimitError(UsageError):
-    """Permutation enumeration requested beyond the supported block count."""
+    """Averaging over block orders requested beyond its supported cost."""

@@ -162,12 +162,24 @@ class ValidationReport:
 
 def validate_instance(inst: ProblemInstance) -> ValidationReport:
     """Full structural validation. Raises StructuralError on hard violations
-    (non-finite data, asymmetric H, indefinite H, malformed term parameters);
+    (non-finite data, data whose products H'H, A'A or A'b overflow,
+    asymmetric H, indefinite H, malformed term parameters);
     returns a report of the measured quantities otherwise. Never mutates the
     input."""
     for name in ("H", "g", "A", "b"):
         if not np.all(np.isfinite(getattr(inst, name))):
             raise StructuralError(f"{name} has a non-finite entry")
+    # the solvers and certificates form these products; where one
+    # overflows, their subproblem matrices and ranks are meaningless
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = (
+            ("H", "H'H", inst.H.T @ inst.H),
+            ("A", "A'A", inst.A.T @ inst.A),
+            ("A, b", "A'b", inst.A.T @ inst.b),
+        )
+    for name, label, product in products:
+        if not np.all(np.isfinite(product)):
+            raise StructuralError(f"{name}: entries too large, {label} overflows")
     d = inst.blocks.d
     defect = symmetry_defect(inst.H)
     if defect > H_SYMMETRY_RTOL * max(1.0, max_abs(inst.H)):

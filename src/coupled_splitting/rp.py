@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._averaging import averaged_update
 from .errors import UsageError
 from .model import ProblemInstance
 from .solvers import IterateState, SolverConfig, _drive, _Workspace, check_stopping
@@ -144,20 +145,10 @@ class ExpectationTrace:
 def expected_update_operator(inst: ProblemInstance, beta: float):
     """The averaged affine update (M, c): expected iterates follow
     z -> M z + c. Defined for instances whose separable terms are all zero."""
-    from .spectral import build_Q_M
-
     if any(f.kind != "zero" for f in inst.theta):
         raise UsageError("the expected iteration is defined only when every separable term is zero")
-    report = build_Q_M(inst, beta)
-    d, m = inst.blocks.d, inst.blocks.m
-    Q = report.Q
-    A = inst.A
-    Qbar = np.zeros((d + m, d + m))
-    Qbar[:d, :d] = Q
-    Qbar[d:, :d] = -beta * (A @ Q)
-    Qbar[d:, d:] = np.eye(m)
-    bbar = np.concatenate([-inst.g + beta * (A.T @ inst.b), beta * inst.b])
-    return report.M, Qbar @ bbar
+    update = averaged_update(inst, beta)
+    return update.M, update.c
 
 
 def run_expected_iteration(

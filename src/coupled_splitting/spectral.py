@@ -14,7 +14,6 @@ uniqueness condition fails.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,7 +34,6 @@ from ._linalg import (
 from .errors import (
     CertificateError,
     ConditionError,
-    EnumerationLimitError,
     StructuralError,
     UsageError,
 )
@@ -46,15 +44,8 @@ from .model import (
     kkt_residual,
     normalize_block_matrices,
 )
+from ._averaging import averaged_update, bordered_curvature, check_sweep_blocks, curvature_matrix
 from .solvers import GAMMA_SUP, IterateState, SolverConfig, Trace, _Workspace, check_beta
-
-MAX_ENUM_BLOCKS = 8
-
-# Block orders per stacked solve in build_Q_M. Each stack then holds at most
-# this many (d+m) x (d+m) matrices, so memory does not grow with n!. At
-# d+m = 20, 64 orders run as fast as 128 and leave the process's peak RSS
-# where the one-order-at-a-time loop left it; 128 raised it by about 1 MB.
-_ORDER_CHUNK = 64
 
 # Eigenvalue classification bands. A value within EIG_ONE_TOL of 1+0i counts
 # as one; a modulus below 1 - EIG_ONE_TOL counts as strictly inside; anything
@@ -62,20 +53,6 @@ _ORDER_CHUNK = 64
 EIG_ONE_TOL = 1e-8
 QS_LOWER = -1e-10
 QS_UPPER_GAP = 1e-12
-
-
-def _curvature_matrix(inst: ProblemInstance, beta: float) -> np.ndarray:
-    return inst.H + beta * (inst.A.T @ inst.A)
-
-
-def _check_sweep_blocks(inst: ProblemInstance, beta: float) -> None:
-    for i in range(inst.blocks.n):
-        Ai = inst.A_block(i)
-        if singular_sym(inst.H_block(i, i) + beta * (Ai.T @ Ai))[0]:
-            raise ConditionError(
-                f"block {i}: diagonal curvature is singular, so ordered sweeps are not "
-                "uniquely solvable (see check_uniqueness_condition mode 'nblock_qp')"
-            )
 
 
 @dataclass
@@ -125,8 +102,8 @@ def build_perm_matrices(inst: ProblemInstance, beta: float, sigma) -> PermMatric
     sigma = tuple(int(v) for v in sigma)
     if sorted(sigma) != list(range(n)):
         raise UsageError(f"sigma {sigma} is not a permutation of 0..{n - 1}")
-    _check_sweep_blocks(inst, beta)
-    S = _curvature_matrix(inst, beta)
+    check_sweep_blocks(inst, beta)
+    S = curvature_matrix(inst, beta)
     L, Lbar, Rbar, M = (a[0] for a in _order_stacks(inst, beta, S, np.array([sigma])))
     return PermMatrices(sigma=sigma, L_sigma=L, R_sigma=Rbar[:d, :d], Lbar=Lbar, Rbar=Rbar, M_sigma=M)
 
@@ -215,49 +192,17 @@ def load_report(path) -> SpectralReport:
 
 
 def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
-    """Average the sweep update over all block orders.
+    """Average the sweep update over all block orders and analyze it.
 
-    Q is the averaged inverse of the ordered curvature factor; M is the full
-    averaged one-step update, assembled in closed form from Q and verified
-    against the direct average of the per-order updates to 1e-12.
+    Q is the averaged inverse of the ordered curvature factor, built by a DP
+    over block paths; M is the full averaged one-step update, assembled in
+    closed form from Q and verified to 1e-12 against the direct average of
+    the per-order updates from an independent first-block recursion.
     """
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
-    if n > MAX_ENUM_BLOCKS:
-        raise EnumerationLimitError(f"enumerating block orders is supported up to {MAX_ENUM_BLOCKS} blocks")
-    check_beta(beta)
-    _check_sweep_blocks(inst, beta)
-    S = _curvature_matrix(inst, beta)
-    A = inst.A
-    Q = np.zeros((d, d))
-    M_direct = np.zeros((d + m, d + m))
-    count = 0
-    eye_d = np.eye(d)
-    orders = itertools.permutations(range(n))
-    while chunk := list(itertools.islice(orders, _ORDER_CHUNK)):
-        L, _, _, M_sigma = _order_stacks(inst, beta, S, np.array(chunk))
-        inv_L = np.linalg.inv(L)
-        # one refinement pass, matching the accuracy of the direct average
-        inv_L += inv_L @ (eye_d - L @ inv_L)
-        # summed one order at a time so the result does not depend on the chunk
-        for inv_one, M_one in zip(inv_L, M_sigma):
-            Q += inv_one
-            M_direct += M_one
-        count += len(chunk)
-    Q /= count
-    M_direct /= count
-
+    update = averaged_update(inst, beta)
+    S, Q, M, A = update.S, update.Q, update.M, inst.A
     QS = Q @ S
-    M = np.zeros((d + m, d + m))
-    M[:d, :d] = np.eye(d) - QS
-    M[:d, d:] = Q @ A.T
-    M[d:, :d] = -beta * A + beta * (A @ QS)
-    M[d:, d:] = np.eye(m) - beta * (A @ Q @ A.T)
-
-    consistency = max_abs(M - M_direct)
-    if consistency > 1e-12 * max(1.0, max_abs(M)):
-        raise CertificateError(
-            f"closed-form averaged update disagrees with the direct average by {consistency:.3e}"
-        )
 
     q_eigs = np.linalg.eigvalsh(sym_part(Q))
     q_min = float(q_eigs[0])
@@ -272,11 +217,7 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
     gram = beta * (A.T @ A)
     rank_gram = rank_svd(gram)
     rank_S_plus = rank_svd(gram + inst.H)
-    kkt_block = np.zeros((d + m, d + m))
-    kkt_block[:d, :d] = S
-    kkt_block[:d, d:] = -A.T
-    kkt_block[d:, :d] = beta * A
-    rank_kkt = rank_svd(kkt_block)
+    rank_kkt = rank_svd(update.Sbar)
     am_one = m + d - rank_gram - rank_S_plus
     gm_one = m + d - rank_kkt
     eig_one_count = int(np.sum(np.abs(eig_M - 1.0) <= EIG_ONE_TOL))
@@ -291,7 +232,7 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
         eig_QS=eig_QS,
         eig_M=eig_M,
         q_min_eig=q_min,
-        consistency_defect=consistency,
+        consistency_defect=update.consistency,
         rank_S=rank_svd(S),
         rank_penalized_gram=rank_gram,
         rank_stationarity_block=rank_kkt,
@@ -339,14 +280,9 @@ def rank_identity_check(inst: ProblemInstance, beta: float) -> bool:
     """True when the bordered curvature block has rank equal to
     rank(S) + rank(beta A'A), with SVD-thresholded ranks."""
     check_beta(beta)
-    d, m = inst.blocks.d, inst.blocks.m
-    S = _curvature_matrix(inst, beta)
+    S = curvature_matrix(inst, beta)
     A = inst.A
-    block = np.zeros((d + m, d + m))
-    block[:d, :d] = S
-    block[:d, d:] = -A.T
-    block[d:, :d] = beta * A
-    return rank_svd(block) == rank_svd(S) + rank_svd(beta * (A.T @ A))
+    return rank_svd(bordered_curvature(S, A, beta)) == rank_svd(S) + rank_svd(beta * (A.T @ A))
 
 
 def analyze_instance(inst: ProblemInstance, beta: float) -> SpectralReport:

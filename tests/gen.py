@@ -3,6 +3,7 @@
 import numpy as np
 
 import coupled_splitting as cs
+from coupled_splitting._averaging import MAX_SUBSET_WORK
 
 
 def random_psd(rng, d, rank=None, scale=1.0):
@@ -188,3 +189,16 @@ def violating_instance(rng, d_max=4, m_max=3):
     blocks = cs.BlockStructure(dims=(d1, d2), m=m)
     ybar = np.concatenate([y1, np.zeros(d2)])
     return cs.ProblemInstance(blocks=blocks, H=H, g=g, A=A, b=b), ybar
+
+
+def past_guard_instance():
+    """The smallest scalar-block instance with 14 blocks that the cost guard
+    of the averaged update refuses: one constraint row fewer stays within
+    the limit."""
+    n = d = 14
+    m = next(m for m in range(d) if 2**n * (d + m) ** 2 * d > MAX_SUBSET_WORK)
+    assert m > 0
+    return cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1,) * n, m=m),
+        H=np.eye(n), g=np.zeros(n), A=np.ones((m, n)), b=np.ones(m),
+    )

@@ -1,0 +1,76 @@
+"""Independent references for the order-averaged update, by enumerating all
+n! block orders: one in floats, in stacked solves (the algorithm build_Q_M
+used before its subset algorithms), and one in exact rationals."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from coupled_splitting.spectral import _order_stacks
+
+# block orders per stacked solve: memory stays bounded at any n
+ORDER_CHUNK = 64
+
+
+def enumerated_average(inst, beta):
+    """Averages over all block orders, each order's inverse refined once:
+    Q = E[L_sigma^-1], Qbar = E[Lbar_sigma^-1] and the direct average of the
+    per-order one-step updates. Orders are summed one at a time in
+    itertools.permutations order."""
+    n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
+    S = inst.H + beta * (inst.A.T @ inst.A)
+    Q = np.zeros((d, d))
+    Qbar = np.zeros((d + m, d + m))
+    M_direct = np.zeros((d + m, d + m))
+    eye_d, eye_dm = np.eye(d), np.eye(d + m)
+    orders = itertools.permutations(range(n))
+    while chunk := list(itertools.islice(orders, ORDER_CHUNK)):
+        L, Lbar, _, M_sigma = _order_stacks(inst, beta, S, np.array(chunk))
+        inv_L = np.linalg.inv(L)
+        inv_L += inv_L @ (eye_d - L @ inv_L)
+        inv_Lbar = np.linalg.inv(Lbar)
+        inv_Lbar += inv_Lbar @ (eye_dm - Lbar @ inv_Lbar)
+        for inv_one, inv_bar, M_one in zip(inv_L, inv_Lbar, M_sigma):
+            Q += inv_one
+            Qbar += inv_bar
+            M_direct += M_one
+    count = math.factorial(n)
+    return Q / count, Qbar / count, M_direct / count
+
+
+def _exact_inverse(rows):
+    """Gauss-Jordan inverse of a nonsingular matrix of Fractions."""
+    d = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(d)] for i, r in enumerate(rows)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [v / scale for v in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]
+
+
+def exact_averaged_inverse(S, dims):
+    """E[L_sigma^-1] in exact rationals for an integer-valued curvature
+    matrix S with the given block sizes; entry (j, l) of L_sigma keeps S[j, l]
+    when the block of j comes no earlier in the order than the block of l."""
+    S = np.asarray(S, dtype=float)
+    assert np.array_equal(S, np.round(S)), "S must be integer-valued"
+    S = [[Fraction(int(v)) for v in row] for row in S]
+    d, n = len(S), len(dims)
+    blk = [b for b, size in enumerate(dims) for _ in range(size)]
+    total = [[Fraction(0)] * d for _ in range(d)]
+    for sigma in itertools.permutations(range(n)):
+        pos = {b: p for p, b in enumerate(sigma)}
+        L = [[S[j][l] if pos[blk[j]] >= pos[blk[l]] else Fraction(0) for l in range(d)] for j in range(d)]
+        for row, inv_row in zip(total, _exact_inverse(L)):
+            for c in range(d):
+                row[c] += inv_row[c]
+    count = math.factorial(n)
+    return [[v / count for v in row] for row in total]

@@ -224,6 +224,29 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         assert expect is None or expect in err, err
 
 
+_OVERFLOWING = {
+    # A'A is inf: solve used to call the subproblem matrix singular with
+    # "min eigenvalue inf"
+    "A_huge": (_pair_doc(A=[[1e300, 1.0]]), "error: A: entries too large, A'A overflows"),
+    # H'H is inf: analyze used to exit 0 with am_one=1 < gm_one=2
+    "H_huge": (_pair_doc(H=[[1e300, 0.0], [0.0, 1.0]]), "error: H: entries too large, H'H overflows"),
+    "Ab_huge": (_pair_doc(A=[[1e100, 1.0]], b=[1e250]), "error: A, b: entries too large, A'b overflows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+def test_overflowing_finite_data_exits_2(case, tmp_path, capsys):
+    """Finite entries whose products overflow are invalid input for every
+    subcommand: exit 2 with one error line that names the field."""
+    doc, expect = _OVERFLOWING[case]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    for cmd in _SUBCOMMANDS:
+        assert main([cmd[0], str(path), *cmd[1:], "--out", str(tmp_path / "out")]) == 2, cmd
+        err = capsys.readouterr().err
+        assert err == expect + "\n", err
+
+
 def test_usage_errors_exit_64(pair_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", str(pair_file), "--beta", "notafloat"])

@@ -1,16 +1,21 @@
 """Property test of the input boundary: a mutated instance document or flag
 makes every subcommand finish with one of the documented exit codes, never
-an uncaught exception."""
+an uncaught exception, and a document whose products overflow is invalid
+input."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
-from coupled_splitting.cli import main
+from coupled_splitting.cli import build_parser, main
+from coupled_splitting.model import instance_from_dict
 
 EXIT_CODES = {0, 2, 3, 64}
 
@@ -126,12 +131,37 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
+def _parses(argv) -> bool:
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            return False
+    return True
+
+
+def _products_overflow(doc) -> bool:
+    """Whether the document decodes to an instance with a non-finite H'H, A'A
+    or A'b, as when a 1e300 entry is multiplied."""
+    try:
+        inst = instance_from_dict(doc)
+    except Exception:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = (inst.H.T @ inst.H, inst.A.T @ inst.A, inst.A.T @ inst.b)
+    return not all(np.all(np.isfinite(p)) for p in products)
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(doc=st.one_of(documents(), st.sampled_from(BASES)), argv=command_lines())
 def test_mutated_input_gets_a_documented_exit_code(doc, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "inst.json"
         path.write_text(json.dumps(doc))
-        code = _exit_code([argv[0], str(path), *argv[1:], "--out", str(Path(tmp) / "out")])
+        full = [argv[0], str(path), *argv[1:], "--out", str(Path(tmp) / "out")]
+        code = _exit_code(full)
     event(f"exit {code}")
     assert code in EXIT_CODES, (code, argv, doc)
+    if _products_overflow(doc) and _parses(full):
+        event("products overflow")
+        assert code == 2, (code, argv, doc)

@@ -9,6 +9,7 @@ from scipy import stats
 
 import coupled_splitting as cs
 from coupled_splitting.rp import permutation_at, PermutationSampler
+from gen import past_guard_instance
 
 
 def _arr(*vals):
@@ -226,23 +227,14 @@ def test_expected_operator_requires_zero_terms():
 
 
 def test_expected_operator_enumeration_guard():
-    n = 9
-    inst = cs.ProblemInstance(
-        blocks=cs.BlockStructure(dims=(1,) * n, m=1),
-        H=np.eye(n), g=np.zeros(n), A=np.ones((1, n)), b=_arr(1.0),
-    )
     with pytest.raises(cs.EnumerationLimitError):
-        cs.expected_update_operator(inst, 1.0)
+        cs.expected_update_operator(past_guard_instance(), 1.0)
 
 
 def test_expected_iteration_checks_stopping_rule_first():
-    # the 9-block instance would fail enumeration; the stopping rule is
-    # rejected before any of that work starts
-    n = 9
-    inst = cs.ProblemInstance(
-        blocks=cs.BlockStructure(dims=(1,) * n, m=1),
-        H=np.eye(n), g=np.zeros(n), A=np.ones((1, n)), b=_arr(1.0),
-    )
+    # the instance would fail the cost guard; the stopping rule is rejected
+    # before any of that work starts
+    inst = past_guard_instance()
     for tol in (float("nan"), -1.0):
         with pytest.raises(cs.UsageError, match="tol"):
             cs.run_expected_iteration(inst, 1.0, tol=tol)

@@ -4,12 +4,16 @@ non-uniqueness witnesses."""
 
 import itertools
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import coupled_splitting as cs
+from coupled_splitting._averaging import averaged_bordered_inverse, subset_layers
+from coupled_splitting.cli import main as cli_main
 from coupled_splitting.solvers import GAMMA_SUP
 from coupled_splitting.spectral import (
     build_perm_matrices,
@@ -19,7 +23,8 @@ from coupled_splitting.spectral import (
     load_report,
     rank_identity_check,
 )
-from gen import spectral_instance, two_block_instance, violating_instance
+from gen import past_guard_instance, spectral_instance, two_block_instance, violating_instance
+from oracles import enumerated_average, exact_averaged_inverse
 
 
 def _arr(*vals):
@@ -139,12 +144,9 @@ def test_averaged_update_powers_stabilize_to_projector():
 
 
 def test_enumeration_guard():
-    n = 9
-    inst = cs.ProblemInstance(
-        blocks=cs.BlockStructure(dims=(1,) * n, m=1),
-        H=np.eye(n), g=np.zeros(n), A=np.ones((1, n)), b=_arr(1.0),
-    )
-    with pytest.raises(cs.EnumerationLimitError):
+    inst = past_guard_instance()
+    work = 2**14 * (14 + inst.blocks.m) ** 2 * 14
+    with pytest.raises(cs.EnumerationLimitError, match=re.escape(f"estimated {work:.3g} multiply-adds")):
         build_Q_M(inst, 1.0)
 
 
@@ -172,9 +174,11 @@ def _hand_block_factor(inst, S, sigma):
     return L
 
 
-def test_build_Q_M_matches_per_order_loop_bitwise():
-    """The stacked enumeration gives the same bits as a loop of one-order
-    assemblies; n = 6 has 720 orders, so a partial last chunk is covered."""
+def test_enumeration_oracle_matches_per_order_loop_bitwise():
+    """The stacked float enumeration of the test oracle gives the same bits
+    as a loop of one-order assemblies, whose factors match a hand-built
+    block-triangular factor; n = 6 has 720 orders, so a partial last chunk
+    is covered."""
     rng = np.random.default_rng(20)
     beta = 0.7
     for n in range(1, 7):
@@ -194,15 +198,87 @@ def test_build_Q_M_matches_per_order_loop_bitwise():
                 M_direct += pm.M_sigma
             Q /= math.factorial(n)
             M_direct /= math.factorial(n)
+            oracle_Q, _, oracle_M = enumerated_average(inst, beta)
+            assert np.array_equal(oracle_Q, Q), (n, m)
+            assert np.array_equal(oracle_M, M_direct), (n, m)
+
+
+def enumeration_rtol(n):
+    """Tolerance, relative to max|Q|, for comparing with the float
+    enumeration. Its own rounding error grows with the n! inverses it sums:
+    against an exact rational enumeration (integer-valued scalar-block S,
+    cond about 4) it was 1.6e-14 at n = 6, 7.1e-14 at n = 7 and 9.0e-13 at
+    n = 8, while the path DP stayed within 6e-17. 2e-16 n! is about ten
+    times the measured error at n = 7 and 8; the 1e-14 floor covers small
+    n, where both sides sit at rounding level."""
+    return 2e-16 * math.factorial(n) + 1e-14
+
+
+def test_subset_algorithms_match_float_enumeration():
+    """Every n <= 8 with mixed block sizes, without and with constraint
+    rows: the path DP's Q, the first-block recursion's averaged bordered
+    inverse and the closed-form M each match the enumerated averages, and
+    the two subset algorithms agree far more closely with each other."""
+    rng = np.random.default_rng(22)
+    beta = 0.7
+    for n in range(1, 9):
+        dims = tuple(1 + (n + i) % 3 for i in range(n))
+        d = sum(dims)
+        for m in (0, min(d, n + 1)):
+            inst = _pd_instance(rng, dims, m)
+            Q, Qbar, M_direct = enumerated_average(inst, beta)
             report = build_Q_M(inst, beta)
-            assert np.array_equal(report.Q, Q), (n, m)
-            assert report.consistency_defect == float(np.max(np.abs(report.M - M_direct))), (n, m)
+            tol = enumeration_rtol(n)
+            assert np.max(np.abs(report.Q - Q)) <= tol * np.max(np.abs(Q)), (n, m)
+            assert np.max(np.abs(report.M - M_direct)) <= tol * max(1.0, np.max(np.abs(M_direct))), (n, m)
+            S = inst.H + beta * (inst.A.T @ inst.A)
+            blk = np.repeat(np.arange(n), dims)
+            Dinv = np.linalg.inv(np.where(blk[:, None] == blk[None, :], S, 0.0))
+            C = np.vstack([S, beta * inst.A])
+            recursion = averaged_bordered_inverse(C, Dinv, blk, subset_layers(n))
+            assert np.max(np.abs(recursion - Qbar)) <= tol * np.max(np.abs(Qbar)), (n, m)
+            assert report.consistency_defect <= 1e-14 * max(1.0, np.max(np.abs(report.M))), (n, m)
+
+
+def _integer_instance(rng, dims, m):
+    """Instance whose curvature S = H + A'A (beta = 1) is integer-valued,
+    with H diagonally dominant."""
+    d = sum(dims)
+    B = np.triu(rng.integers(-3, 4, size=(d, d)), 1)
+    H = B + B.T
+    H += np.diag(np.abs(H).sum(axis=1) + rng.integers(1, 4, size=d))
+    A = rng.integers(-2, 3, size=(m, d))
+    return cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=dims, m=m),
+        H=H.astype(float), g=np.zeros(d), A=A.astype(float), b=np.zeros(m),
+    )
+
+
+def test_path_dp_matches_exact_rational_enumeration():
+    """For integer-valued curvature at n <= 5, scalar and mixed 1-2 dimensional
+    blocks, the path DP's Q is within 1e-15 of max|Q| of the exact average of
+    the order inverses in rationals."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 6):
+        for dims in ((1,) * n, tuple(1 + (i + n) % 2 for i in range(n))):
+            for m in (0, 2):
+                inst = _integer_instance(rng, dims, m)
+                S = inst.H + inst.A.T @ inst.A
+                exact = exact_averaged_inverse(S, dims)
+                report = build_Q_M(inst, 1.0)
+                scale = max(abs(v) for row in exact for v in row)
+                worst = max(
+                    abs(Fraction(float(q)) - v)
+                    for q_row, row in zip(report.Q, exact)
+                    for q, v in zip(q_row, row)
+                )
+                assert worst <= Fraction(1e-15) * scale, (dims, m, float(worst / scale))
 
 
 def test_build_Q_M_memory_stays_bounded_at_seven_blocks():
     """All 5,040 orders of a 7-block instance with d = 14, m = 6 would take
-    about 16 MB per stack of matrices; enumerating in chunks keeps the traced
-    peak far below that."""
+    about 16 MB per stack of matrices; the subset algorithms hold one layer of
+    at most 35 subsets at a time, and the traced peak stays far below that."""
     inst = _pd_instance(np.random.default_rng(21), (2,) * 7, 6)
     tracemalloc.start()
     try:
@@ -213,6 +289,53 @@ def test_build_Q_M_memory_stays_bounded_at_seven_blocks():
         tracemalloc.stop()
     assert report.q_min_eig > 0
     assert peak < 8 * 2**20, peak
+
+
+def eight_block_probe():
+    """Scalar 8-block instance with H = BB'/8 + I/2 and two constraint rows;
+    cond(S) = 13.8 at beta = 1. The float enumeration of all 40,320 orders
+    missed its own direct average by 2.6e-12 here, so analyze raised
+    CertificateError."""
+    rng = np.random.default_rng(1)
+    B = rng.standard_normal((8, 8))
+    H = B @ B.T / 8 + 0.5 * np.eye(8)
+    return cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1,) * 8, m=2),
+        H=0.5 * (H + H.T), g=rng.standard_normal(8), A=rng.standard_normal((2, 8)), b=rng.standard_normal(2),
+    )
+
+
+def test_eight_block_probe_certifies(tmp_path):
+    path = tmp_path / "probe8.json"
+    cs.save_instance(eight_block_probe(), path)
+    assert cli_main(["analyze", str(path), "--out", str(tmp_path)]) == 0
+    report = load_report(tmp_path / "report.json")
+    assert report.consistency_defect <= 1e-12
+    assert all(v for v in report.verdicts.values() if v is not None), report.verdicts
+
+
+def test_analyze_beyond_enumeration():
+    """n = 7..10 with 1-2 dimensional blocks, rank-deficient H and duplicated
+    constraint rows: QS has its eigenvalues in [0, 4/3), and the unit
+    eigenvalue multiplicities match rank formulas computed here and agree."""
+    rng = np.random.default_rng(24)
+    for n in (7, 8, 9, 10):
+        for beta in (0.5, 2.0):
+            inst = spectral_instance(rng, n_choices=(n,), d_max=2)
+            d, m = inst.blocks.d, inst.blocks.m
+            report = cs.analyze_instance(inst, beta)
+            S = inst.H + beta * (inst.A.T @ inst.A)
+            eig_QS = np.linalg.eigvals(report.Q @ S)
+            assert np.max(np.abs(eig_QS.imag)) <= 1e-10, (n, beta)
+            assert np.all(eig_QS.real >= -1e-10) and np.all(eig_QS.real < 4 / 3 - 1e-12), (n, beta)
+            assert report.verdicts["lemma_3_1"], (n, beta)
+            Sbar = np.block([[S, -inst.A.T], [beta * inst.A, np.zeros((m, m))]])
+            rank = np.linalg.matrix_rank
+            am = m + d - rank(beta * (inst.A.T @ inst.A)) - rank(S)
+            gm = m + d - rank(Sbar)
+            assert (report.am_one, report.gm_one) == (am, gm), (n, beta)
+            assert am == gm == report.eig_one_count, (n, beta)
+            assert report.verdicts["lemma_3_4"] and report.verdicts["lemma_3_5"], (n, beta)
 
 
 def test_rank_identity_hand_example():
