@@ -23,10 +23,16 @@ from .solvers import check_beta
 
 # Cost guard of the two subset algorithms, which do about
 # 2^n (d+m)^2 d multiply-adds in batched matmuls and hold one layer of
-# C(n, k) (d+m) x (d+m) matrices at a time. The estimate must not exceed
-# this. With one BLAS thread on a 2 GHz Xeon, builds just under the limit
-# (14 scalar blocks and 3 rows, or 12 two-dimensional blocks and 2 rows)
-# took at most 0.6 s and 32 MB of traced peak memory.
+# C(n, k) (d+m) x (d+m) matrices at a time. Instances of up to
+# MAX_UNGUARDED_BLOCKS blocks are admitted whatever their size, as when the
+# n! orders were enumerated: for them the estimate is at most twice
+# n! (d+m)^2 d, less than the enumeration's work, and a layer holds at most
+# 70 matrices, about as many as the enumeration's stack of 64 orders. Beyond
+# that the estimate must not exceed MAX_SUBSET_WORK. With one BLAS thread on a 2 GHz
+# Xeon, builds just under that limit (14 scalar blocks and 3 rows, or 12
+# two-dimensional blocks and 2 rows) took at most 0.6 s and 32 MB of traced
+# peak memory.
+MAX_UNGUARDED_BLOCKS = 8
 MAX_SUBSET_WORK = 2**26
 
 
@@ -65,6 +71,8 @@ def subset_layers(n: int) -> tuple:
     src = np.where(member, rank[masks[:, None] ^ bits], counts[np.maximum(size - 1, 0)][:, None])[order]
     src.setflags(write=False)
     return tuple(src[a:b] for a, b in zip(starts[:-1], starts[1:]))
+
+
 def _gather_rows(stack: np.ndarray, src: np.ndarray) -> np.ndarray:
     """out[t, r] = stack[src[t, r], r]. The last entry of the stack is the
     zero sentinel."""
@@ -163,50 +171,48 @@ def averaged_update(inst: ProblemInstance, beta: float) -> AveragedUpdate:
 
     Q comes from the path DP. With Qbar = [[Q, 0], [-beta A Q, I]] and
     bbar = [-g + beta A'b; beta b], the averaged update is M = I - Qbar Sbar
-    and its offset c = Qbar bbar. Q, M and c are formed in extended
+    and its offset c = Qbar bbar. M and c are assembled from Q in extended
     precision and rounded once: on instances with a multiple unit eigenvalue
     the expected iteration drifts along its eigenvectors by the rounding
-    error of M and c. M is verified to 1e-12 against the direct average of
-    the per-order updates, I - E[Lbar_sigma^-1] Sbar, whose averaged bordered
-    inverse comes from the independent first-block recursion in double
-    precision.
+    error of M and c, and in double precision that drift can exceed a
+    stopping tolerance of 1e-12. M is verified to 1e-12 against the direct
+    average of the per-order updates, I - E[Lbar_sigma^-1] Sbar, whose
+    averaged bordered inverse comes from the independent first-block
+    recursion.
     """
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     work = 2**n * (d + m) ** 2 * d
-    if work > MAX_SUBSET_WORK:
+    if n > MAX_UNGUARDED_BLOCKS and work > MAX_SUBSET_WORK:
         raise EnumerationLimitError(
             f"averaging over block orders needs an estimated {work:.3g} multiply-adds "
-            f"(2^n (d+m)^2 d), above the limit of {MAX_SUBSET_WORK:.3g}"
+            f"(2^n (d+m)^2 d), above the limit of {MAX_SUBSET_WORK:.3g} "
+            f"for more than {MAX_UNGUARDED_BLOCKS} blocks"
         )
     check_beta(beta)
     check_sweep_blocks(inst, beta)
     S = curvature_matrix(inst, beta)
     Sbar = bordered_curvature(S, inst.A, beta)
     blk = np.repeat(np.arange(n), inst.blocks.dims)
+    # the block-diagonal inverse: elimination never mixes the blocks
+    Dinv = np.linalg.inv(np.where(blk[:, None] == blk[None, :], S, 0.0))
+    layers = subset_layers(n)
+    Q = averaged_inverse(S, Dinv, blk, layers)
 
     ext = np.longdouble
-    H, A, g, b = (a.astype(ext) for a in (inst.H, inst.A, inst.g, inst.b))
+    A, g, b = (a.astype(ext) for a in (inst.A, inst.g, inst.b))
     beta_x = ext(beta)
-    S_x = H + beta_x * (A.T @ A)
-    # the block-diagonal inverse: elimination never mixes the blocks
-    same_block = blk[:, None] == blk[None, :]
-    Dinv_x = np.linalg.inv(np.where(same_block, S, 0.0)).astype(ext)
-    D_x = np.where(same_block, S_x, 0)
-    for _ in range(2):
-        Dinv_x += Dinv_x @ (np.eye(d, dtype=ext) - D_x @ Dinv_x)
-    layers = subset_layers(n)
-    Q = averaged_inverse(S_x, Dinv_x, blk, layers)
     Qbar = np.zeros((d + m, d + m), dtype=ext)
     Qbar[:d, :d] = Q
     Qbar[d:, :d] = -beta_x * (A @ Q)
     Qbar[d:, d:] = np.eye(m)
-    M = (np.eye(d + m) - Qbar @ bordered_curvature(S_x, A, beta_x)).astype(float)
+    Sbar_x = bordered_curvature(inst.H.astype(ext) + beta_x * (A.T @ A), A, beta_x)
+    M = (np.eye(d + m) - Qbar @ Sbar_x).astype(float)
     c = (Qbar @ np.concatenate([-g + beta_x * (A.T @ b), beta_x * b])).astype(float)
 
-    M_direct = np.eye(d + m) - averaged_bordered_inverse(Sbar[:, :d], Dinv_x.astype(float), blk, layers) @ Sbar
+    M_direct = np.eye(d + m) - averaged_bordered_inverse(Sbar[:, :d], Dinv, blk, layers) @ Sbar
     consistency = max_abs(M - M_direct)
     if consistency > 1e-12 * max(1.0, max_abs(M)):
         raise CertificateError(
             f"closed-form averaged update disagrees with the direct average by {consistency:.3e}"
         )
-    return AveragedUpdate(S=S, Sbar=Sbar, Q=Q.astype(float), M=M, c=c, consistency=consistency)
+    return AveragedUpdate(S=S, Sbar=Sbar, Q=Q, M=M, c=c, consistency=consistency)

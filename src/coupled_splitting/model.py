@@ -162,7 +162,7 @@ class ValidationReport:
 
 def validate_instance(inst: ProblemInstance) -> ValidationReport:
     """Full structural validation. Raises StructuralError on hard violations
-    (non-finite data, data whose products H'H, A'A or A'b overflow,
+    (non-finite data, data whose products A'A or A'b overflow,
     asymmetric H, indefinite H, malformed term parameters);
     returns a report of the measured quantities otherwise. Never mutates the
     input."""
@@ -170,10 +170,9 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
         if not np.all(np.isfinite(getattr(inst, name))):
             raise StructuralError(f"{name} has a non-finite entry")
     # the solvers and certificates form these products; where one
-    # overflows, their subproblem matrices and ranks are meaningless
+    # overflows, their subproblem matrices are meaningless
     with np.errstate(over="ignore", invalid="ignore"):
         products = (
-            ("H", "H'H", inst.H.T @ inst.H),
             ("A", "A'A", inst.A.T @ inst.A),
             ("A, b", "A'b", inst.A.T @ inst.b),
         )

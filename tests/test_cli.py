@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import coupled_splitting as cs
+from coupled_splitting._averaging import MAX_SUBSET_WORK, MAX_UNGUARDED_BLOCKS
 from coupled_splitting.cli import main
 from coupled_splitting.spectral import load_report
 
@@ -228,8 +229,6 @@ _OVERFLOWING = {
     # A'A is inf: solve used to call the subproblem matrix singular with
     # "min eigenvalue inf"
     "A_huge": (_pair_doc(A=[[1e300, 1.0]]), "error: A: entries too large, A'A overflows"),
-    # H'H is inf: analyze used to exit 0 with am_one=1 < gm_one=2
-    "H_huge": (_pair_doc(H=[[1e300, 0.0], [0.0, 1.0]]), "error: H: entries too large, H'H overflows"),
     "Ab_huge": (_pair_doc(A=[[1e100, 1.0]], b=[1e250]), "error: A, b: entries too large, A'b overflows"),
 }
 
@@ -245,6 +244,48 @@ def test_overflowing_finite_data_exits_2(case, tmp_path, capsys):
         assert main([cmd[0], str(path), *cmd[1:], "--out", str(tmp_path / "out")]) == 2, cmd
         err = capsys.readouterr().err
         assert err == expect + "\n", err
+
+
+@pytest.mark.parametrize("h00", [1e300, 1e11])
+def test_wide_dynamic_range_fails_analyze_only(h00, tmp_path, capsys):
+    """H = diag(h00, 1) with A = [1, 1] is valid input. Its ranks are lost at
+    the 1e-10 relative threshold, and the rank formulas then give am_one=1
+    below gm_one=2, which cannot hold: analyze exits 2 instead of reporting
+    them, and the other subcommands run."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_pair_doc(H=[[h00, 0.0], [0.0, 1.0]])))
+    for cmd in _SUBCOMMANDS:
+        rc = main([cmd[0], str(path), *cmd[1:], "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if cmd[0] == "analyze":
+            assert rc == 2
+            assert err.startswith("error: rank formulas give am_one=1 below gm_one=2:"), err
+            assert err.count("\n") == 1, err
+        else:
+            assert rc == 0, (cmd, err)
+
+
+def test_large_blocks_within_block_limit(tmp_path, capsys):
+    """Two 150-dimensional blocks: the averaging's cost estimate is above
+    MAX_SUBSET_WORK, but instances of up to MAX_UNGUARDED_BLOCKS blocks are
+    admitted whatever their size, as when the block orders were enumerated."""
+    rng = np.random.default_rng(3)
+    n, d = 2, 300
+    assert n <= MAX_UNGUARDED_BLOCKS and 2**n * d**3 > MAX_SUBSET_WORK
+    B = rng.standard_normal((d, d))
+    H = B @ B.T / d + 0.5 * np.eye(d)
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(150, 150), m=0),
+        H=0.5 * (H + H.T), g=rng.standard_normal(d), A=np.zeros((0, d)), b=np.zeros(0),
+    )
+    path = tmp_path / "big.json"
+    cs.save_instance(inst, path)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "an")]) == 0
+    report = load_report(tmp_path / "an" / "report.json")
+    assert report.consistency_defect <= 1e-12 * max(1.0, np.max(np.abs(report.M)))
+    assert report.verdicts["lemma_3_1"] and report.am_one == report.gm_one == 0
+    assert main(["rp-expect", str(path), "--max-iter", "5", "--out", str(tmp_path / "rp")]) == 0
+    capsys.readouterr()
 
 
 def test_usage_errors_exit_64(pair_file, capsys):

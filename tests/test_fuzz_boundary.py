@@ -141,14 +141,14 @@ def _parses(argv) -> bool:
 
 
 def _products_overflow(doc) -> bool:
-    """Whether the document decodes to an instance with a non-finite H'H, A'A
-    or A'b, as when a 1e300 entry is multiplied."""
+    """Whether the document decodes to an instance with a non-finite A'A or
+    A'b, as when a 1e300 entry is multiplied."""
     try:
         inst = instance_from_dict(doc)
     except Exception:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
-        products = (inst.H.T @ inst.H, inst.A.T @ inst.A, inst.A.T @ inst.b)
+        products = (inst.A.T @ inst.A, inst.A.T @ inst.b)
     return not all(np.all(np.isfinite(p)) for p in products)
 
 
