@@ -47,10 +47,16 @@ def psd_check(M: np.ndarray, rel: float = 1e-10) -> bool:
 
 
 def rank_svd(M: np.ndarray, rel: float = RANK_RTOL) -> int:
-    """Rank counted from singular values above rel * sigma_max."""
+    """Rank of a square matrix, counted from singular values above
+    rel * sigma_max after scaling it symmetrically by one positive diagonal:
+    D^-1 M D^-1 with D = sqrt(row max-abs), zero rows left unscaled. The
+    scaling leaves the rank unchanged and keeps entries of a wide dynamic
+    range, such as H = diag(1e11, 1), from falling below the cutoff."""
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
+    row = np.abs(M).max(axis=1)
+    scale = 1.0 / np.sqrt(np.where(row > 0, row, 1.0))
+    s = np.linalg.svd(scale[:, None] * M * scale, compute_uv=False)
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > rel * s[0]))

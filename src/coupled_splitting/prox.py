@@ -140,6 +140,12 @@ def _box_bounds(f: ProxFn, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _box_edge(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-coordinate distance within which x counts as on a bound."""
+    edge = _BOX_EDGE_TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    return np.where(np.isfinite(edge), edge, _BOX_EDGE_TOL)
+
+
 def prox_eval(f: ProxFn, r: float, v: np.ndarray) -> np.ndarray:
     """Exact minimizer of f(x) + (r/2)||x - v||^2 for r > 0."""
     if not r > 0:
@@ -185,8 +191,7 @@ def subdiff_distance(f: ProxFn, x: np.ndarray, s: np.ndarray) -> float:
         return float(np.linalg.norm(d))
     if f.kind == "box":
         lo, hi = _box_bounds(f, x.shape[0])
-        edge = _BOX_EDGE_TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-        edge = np.where(np.isfinite(edge), edge, _BOX_EDGE_TOL)
+        edge = _box_edge(lo, hi)
         if np.any(x < lo - edge) or np.any(x > hi + edge):
             raise DomainError("point lies outside the box")
         at_lo = x <= lo + edge
@@ -215,8 +220,7 @@ def fn_value(f: ProxFn, x: np.ndarray) -> float:
         return float(f.params["lam"] * np.sum(np.abs(x)))
     if f.kind == "box":
         lo, hi = _box_bounds(f, x.shape[0])
-        edge = _BOX_EDGE_TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-        edge = np.where(np.isfinite(edge), edge, _BOX_EDGE_TOL)
+        edge = _box_edge(lo, hi)
         inside = np.all(x >= lo - edge) and np.all(x <= hi + edge)
         return 0.0 if inside else float("inf")
     if f.kind == "quadratic":

@@ -27,7 +27,7 @@ def permutation_at(seed: int, counter: int, n: int) -> tuple:
     if n < 1:
         raise UsageError("need at least one block")
     rng = np.random.default_rng((int(seed), int(counter)))
-    return tuple(int(v) for v in rng.permutation(n))
+    return tuple(rng.permutation(n).tolist())
 
 
 @dataclass

@@ -27,7 +27,6 @@ import numpy as np
 from ._linalg import block_diag, max_abs, quad_form, singular_sym
 from .errors import (
     ConditionError,
-    DomainError,
     StructuralError,
     SubproblemStructureError,
     UsageError,
@@ -40,7 +39,10 @@ from .model import (
     _uniqueness_condition,
     normalize_block_matrices,
 )
-from .prox import prox_eval, subdiff_distance
+# subdiff_distance is the per-block reference for _Observer's formulas; it
+# stays in this namespace, where the solver layer's callers and tracers
+# look it up
+from .prox import ProxFn, _box_bounds, _box_edge, fn_value, prox_eval, subdiff_distance  # noqa: F401
 
 VARIANTS = ("admm2", "admm2_linearized", "admm_cyclic_n", "bcd", "bcpg")
 GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
@@ -258,14 +260,122 @@ def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
     return r, R_eff, warnings
 
 
+def _block_prox(f: ProxFn, r: float, dim: int):
+    """v -> prox_eval(f, r, v) with the term's parameters laid out once:
+    None for the identity (a zero term), a soft threshold at lam / r, a clip
+    to the broadcast box; other kinds call prox_eval."""
+    if f.kind == "zero":
+        return None
+    if f.kind == "l1":
+        cut = f.params["lam"] / r
+        return lambda v: np.sign(v) * np.maximum(np.abs(v) - cut, 0.0)
+    if f.kind == "box":
+        # the broadcast views prox_eval clips against: another memory layout
+        # can take another clip loop, which may differ in the sign of a zero
+        lo, hi = _box_bounds(f, dim)
+        return lambda v: np.clip(v, lo, hi)
+    return lambda v: prox_eval(f, r, v)
+
+
+class _Observer:
+    """Exact per-block stationarity violations and the objective at a point,
+    from whole-vector formulas laid out once per run.
+
+    Quadratic terms are folded into the smooth part, H' = H + blkdiag(P_i)
+    and g' = g + q; l1 weights and box bounds are spread over the full
+    vector, with a mask for each kind. The formulas are those of
+    prox.subdiff_distance and prox.fn_value, which stay the per-block
+    references; only opaque terms are evaluated block by block.
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        blocks, d = inst.blocks, inst.blocks.d
+        self.H = inst.H.copy()
+        self.g = inst.g.copy()
+        self.At = np.ascontiguousarray(inst.A.T) if blocks.m else None
+        self.offsets = np.asarray(blocks.offsets)
+        self.lam = np.zeros(d)
+        self.l1 = np.zeros(d, dtype=bool)
+        lo, hi = np.full(d, -math.inf), np.full(d, math.inf)
+        self.box = np.zeros(d, dtype=bool)
+        self.opaque = []
+        for i, f in enumerate(inst.theta):
+            sl = blocks.slice_of(i)
+            if f.kind == "quadratic":
+                self.H[sl, sl] += f.params["P"]
+                self.g[sl] += f.params["q"]
+            elif f.kind == "l1":
+                self.lam[sl] = f.params["lam"]
+                self.l1[sl] = True
+            elif f.kind == "box":
+                lo[sl], hi[sl] = _box_bounds(f, blocks.dims[i])
+                self.box[sl] = True
+            elif f.kind == "opaque":
+                self.opaque.append((f, sl))
+        self.exact = not self.opaque
+        self.l1_at = np.flatnonzero(self.l1)
+        self.lam_at = self.lam[self.l1_at]
+        self.has_box = bool(self.box.any())
+        # off the boxes lo = -inf and hi = inf, so no coordinate there lies
+        # outside; within edge of a bound x sits on that face
+        edge = _box_edge(lo, hi)
+        self.out_lo, self.out_hi = lo - edge, hi + edge
+        self.face_lo, self.face_hi = lo + edge, hi - edge
+
+    def __call__(self, x: np.ndarray, mu: np.ndarray) -> tuple:
+        """(r_dual, objective) at (x, mu). r_dual is None when some term is
+        opaque; a block with a coordinate outside its box reads inf, and so
+        does the objective."""
+        Hx = self.H.dot(x)
+        objective = 0.5 * float(x.dot(Hx)) + float(self.g.dot(x))
+        if self.l1_at.size:
+            objective += float(self.lam_at.dot(np.abs(x[self.l1_at])))
+        outside = None
+        if self.has_box:
+            outside = (x < self.out_lo) | (x > self.out_hi)
+            if outside.any():
+                objective = math.inf
+            else:
+                outside = None
+        for f, sl in self.opaque:
+            objective += fn_value(f, x[sl])
+        if not self.exact:
+            return None, objective
+        s = Hx + self.g
+        if self.At is not None:
+            s -= self.At.dot(mu)
+        # distance from -s to the subdifferential, coordinate by coordinate
+        dist = np.abs(s)
+        if self.l1_at.size:
+            lam = self.lam
+            l1 = np.where(x == 0.0, np.maximum(dist - lam, 0.0), np.abs(s + lam * np.sign(x)))
+            dist = np.where(self.l1, l1, dist)
+        if self.has_box:
+            at_lo = x <= self.face_lo
+            at_hi = x >= self.face_hi
+            # normal cone: {0} inside, a ray on a face, R on a pinned coordinate
+            box = np.where(
+                at_lo,
+                np.where(at_hi, 0.0, np.maximum(-s, 0.0)),
+                np.where(at_hi, np.maximum(s, 0.0), dist),
+            )
+            dist = np.where(self.box, box, dist)
+        r_dual = np.sqrt(np.add.reduceat(dist * dist, self.offsets))
+        if outside is not None:
+            # outside dom theta_i the subdifferential is empty (possible only
+            # at the start point, before the first sweep projects the block)
+            r_dual[np.logical_or.reduceat(outside, self.offsets)] = math.inf
+        return r_dual, objective
+
+
 class _Workspace:
     """Validated configuration plus the per-run data every sweep shares.
 
     Write z = (x, mu) and S = H + beta A'A. When block i is updated its value
     still equals its proximal anchor, so the new value is one affine map of
     the current z, v = W_i z + c_i, followed by the prox of the block's term
-    for prox blocks (prox_r[i] is the prox weight; None for direct blocks).
-    The maps are built here once per run.
+    for prox blocks (prox[i], None for direct blocks and zero terms). The
+    maps, the proxes and the row observer are built here once per run.
 
     With min_norm set, a direct block whose subproblem matrix is singular
     takes the minimum-norm solution instead of raising ConditionError; the
@@ -297,12 +407,10 @@ class _Workspace:
         self.slices = [inst.blocks.slice_of(i) for i in range(n)]
         self.offsets = np.asarray(inst.blocks.offsets)
         self.At = np.ascontiguousarray(inst.A.T)
-        self.exact_ok = all(f.kind != "opaque" for f in inst.theta)
-        # blocks whose stationarity violation needs the term's subdifferential
-        self.subdiff_blocks = [i for i in range(n) if inst.theta[i].kind != "zero"]
         self.r, self.R_eff, self.warnings = _proximal_matrices(inst, cfg)
         S = inst.H + self.beta * (inst.A.T @ inst.A)
-        self.W, self.c, self.prox_r = zip(*(self._block_update(S, i) for i in range(n)))
+        self.W, self.c, self.prox = zip(*(self._block_update(S, i) for i in range(n)))
+        self.observe = _Observer(inst)
         # S with each diagonal block replaced by -R_i; the surrogate's matrix U
         # for a block order keeps the blocks of it at or after the row block
         self.surrogate_base = S.copy()
@@ -313,7 +421,7 @@ class _Workspace:
         self.U = None
 
     def _block_update(self, S: np.ndarray, i: int) -> tuple:
-        """W_i, c_i and the prox weight of block i."""
+        """W_i, c_i and the prox of block i (None for a direct block)."""
         inst = self.inst
         sl = self.slices[i]
         d_i = inst.blocks.dims[i]
@@ -325,7 +433,7 @@ class _Workspace:
         if self.linearized:
             r = self.r[i]
             row[:, sl] -= r * np.eye(d_i)
-            return -row / r, -lin / r, r
+            return -row / r, -lin / r, _block_prox(inst.theta[i], r, d_i)
         row[:, sl] = -self.R_eff[i]
         G = inst.H_block(i, i) + self.R_eff[i] + self.beta * (Ai.T @ Ai)
         f = inst.theta[i]
@@ -357,7 +465,7 @@ class _Workspace:
                 "identity, so no closed-form subproblem exists; use variant "
                 "admm2_linearized (or bcpg for unconstrained runs)"
             )
-        return -row / ridge, -lin / ridge, ridge
+        return -row / ridge, -lin / ridge, _block_prox(f, ridge, d_i)
 
     # -- sweeps --------------------------------------------------------
 
@@ -366,35 +474,20 @@ class _Workspace:
         the multiplier step. Returns the new state, its concatenated vector
         z = (x, mu), of which the state's x and mu are views, and Ax - b."""
         d = self.d
-        theta, W, c, prox_r, slices = self.inst.theta, self.W, self.c, self.prox_r, self.slices
+        W, c, prox, slices = self.W, self.c, self.prox, self.slices
         z = np.concatenate([state.x, state.mu])
         x = z[:d]
         # ndarray.dot rather than @: on vectors this short the matmul
         # ufunc's per-call overhead outweighs the arithmetic
         for i in order:
             v = W[i].dot(z) + c[i]
-            r = prox_r[i]
-            x[slices[i]] = v if r is None else prox_eval(theta[i], r, v)
+            p = prox[i]
+            x[slices[i]] = v if p is None else p(v)
         resid = self.inst.A.dot(x) - self.inst.b
         z[d:] -= self.gamma * self.beta * resid
         return IterateState(x=x, x_prev=state.x.copy(), mu=z[d:], k=state.k + 1), z, resid
 
     # -- residual pieces -------------------------------------------------
-
-    def exact_dual(self, x: np.ndarray, mu: np.ndarray, Hx: np.ndarray) -> np.ndarray:
-        """Per-block stationarity violations at (x, mu), given Hx."""
-        s = Hx + self.inst.g - self.At.dot(mu)
-        out = np.sqrt(np.add.reduceat(s * s, self.offsets))
-        for i in self.subdiff_blocks:
-            sl = self.slices[i]
-            try:
-                out[i] = subdiff_distance(self.inst.theta[i], x[sl], s[sl])
-            except DomainError:
-                # outside dom theta_i the subdifferential is empty; the
-                # distance to it is infinite (possible only at the start
-                # point, before the first sweep projects the block inside)
-                out[i] = math.inf
-        return out
 
     def surrogate_parts(self, dx: np.ndarray, resid: np.ndarray, order) -> np.ndarray:
         """Per-block norms of the exact optimality shift from one sweep that
@@ -491,14 +584,14 @@ def _drive(ws, state, next_order, keep_iterates, weights=None, reference=None, p
     falls to the tolerance, the divergence guard trips, or max_iter sweeps
     have run. `path`, when given, collects every iterate as one concatenated
     (x, mu) vector."""
-    trace = Trace(n_blocks=ws.n, exact_residuals=ws.exact_ok)
+    trace = Trace(n_blocks=ws.n, exact_residuals=ws.observe.exact)
     trace.warnings.extend(ws.warnings)
     if keep_iterates:
         trace.iterates = []
     z = np.concatenate([state.x, state.mu])
     _record(trace, ws, state, z, ws.inst.A.dot(state.x) - ws.inst.b, None, weights, reference, path)
     tol = ws.cfg.tol
-    if ws.exact_ok and trace.max_residual(0) <= tol:
+    if trace.exact_residuals and trace.max_residual(0) <= tol:
         trace.status = "converged"
     else:
         for _ in range(int(ws.cfg.max_iter)):
@@ -522,9 +615,9 @@ def _record(trace, ws, state, z, resid, order, weights, reference, path):
     constraint residual is resid; order is None for the start point, which
     has no sweep."""
     x = state.x
-    Hx = ws.inst.H.dot(x)
+    r_dual, objective = ws.observe(x, state.mu)
     trace.ks.append(state.k)
-    trace.r_dual.append(ws.exact_dual(x, state.mu, Hx) if ws.exact_ok else None)
+    trace.r_dual.append(r_dual)
     r_feas = math.sqrt(float(resid.dot(resid)))
     trace.r_feas.append(r_feas)
     if order is None:
@@ -534,7 +627,7 @@ def _record(trace, ws, state, z, resid, order, weights, reference, path):
         parts = ws.surrogate_parts(x - state.x_prev, resid, order)
         trace.surrogate_blocks.append(parts)
         trace.surrogate.append(math.sqrt(float(parts.dot(parts)) + r_feas**2))
-    trace.objective.append(ws.inst.objective(x, Hx))
+    trace.objective.append(objective)
     if reference is None:
         trace.lyapunov.append(None)
     else:
@@ -616,11 +709,13 @@ def min_kkt_sq_curve(trace: Trace) -> np.ndarray:
     rows = [row for row in range(len(trace)) if trace.ks[row] >= 1]
     if not rows:
         raise UsageError("trace has no generated iterates")
-    out = np.zeros((len(rows), 2))
-    best = math.inf
-    for j, row in enumerate(rows):
-        best = min(best, trace.total_sq(row))
-        k = trace.ks[row]
-        out[j, 0] = k
-        out[j, 1] = k * best
-    return out
+    dual = trace.r_dual if trace.exact_residuals else trace.surrogate_blocks
+    missing = np.full(trace.n_blocks, math.inf)
+    parts = np.array([missing if dual[row] is None else dual[row] for row in rows], dtype=float)
+    feas = np.array([trace.r_feas[row] for row in rows], dtype=float)
+    # the summed squares of Trace.total_sq, row by row; a NaN row never
+    # lowers the running minimum
+    total = np.sum(parts**2, axis=1) + feas**2
+    best = np.minimum.accumulate(np.where(np.isnan(total), math.inf, total))
+    k = np.array([trace.ks[row] for row in rows], dtype=float)
+    return np.column_stack([k, k * best])

@@ -222,10 +222,10 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
     gm_one = m + d - rank_kkt
     if am_one < gm_one:
         # an eigenvalue's algebraic multiplicity is never below its geometric
-        # one, so a thresholded rank is wrong, as on data of a wide dynamic range
+        # one, so a thresholded rank is wrong
         raise CertificateError(
             f"rank formulas give am_one={am_one} below gm_one={gm_one}: the ranks are not "
-            "resolved at 1e-10 of each matrix's largest singular value"
+            "resolved at 1e-10 of each balanced matrix's largest singular value"
         )
     eig_one_count = int(np.sum(np.abs(eig_M - 1.0) <= EIG_ONE_TOL))
 

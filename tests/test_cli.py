@@ -247,22 +247,21 @@ def test_overflowing_finite_data_exits_2(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("h00", [1e300, 1e11])
-def test_wide_dynamic_range_fails_analyze_only(h00, tmp_path, capsys):
-    """H = diag(h00, 1) with A = [1, 1] is valid input. Its ranks are lost at
-    the 1e-10 relative threshold, and the rank formulas then give am_one=1
-    below gm_one=2, which cannot hold: analyze exits 2 instead of reporting
-    them, and the other subcommands run."""
+def test_wide_dynamic_range_keeps_ranks(h00, tmp_path, capsys):
+    """H = diag(h00, 1) with A = [1, 1] is valid input. Its ranks survive
+    the 1e-10 relative threshold once each matrix is balanced by a positive
+    diagonal: am_one = gm_one = 0, every verdict holds, and every subcommand
+    runs."""
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(_pair_doc(H=[[h00, 0.0], [0.0, 1.0]])))
     for cmd in _SUBCOMMANDS:
         rc = main([cmd[0], str(path), *cmd[1:], "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        if cmd[0] == "analyze":
-            assert rc == 2
-            assert err.startswith("error: rank formulas give am_one=1 below gm_one=2:"), err
-            assert err.count("\n") == 1, err
-        else:
-            assert rc == 0, (cmd, err)
+        assert rc == 0, (cmd, err)
+    report = load_report(tmp_path / "out" / "report.json")
+    assert (report.am_one, report.gm_one) == (0, 0)
+    assert (report.rank_S, report.rank_penalized_gram, report.rank_stationarity_block) == (2, 1, 3)
+    assert all(report.verdicts.values()), report.verdicts
 
 
 def test_large_blocks_within_block_limit(tmp_path, capsys):

@@ -52,6 +52,18 @@ def test_permutation_streams_differ_by_seed_and_counter():
     assert len(draws) > 10  # distinct keys give varied orders
 
 
+def test_permutation_stream_is_pinned():
+    """The orders are those of numpy's keyed generator, entry by entry, as
+    Python ints, over seeds up to and past 2**31 and n up to 14."""
+    for seed in (0, 1, 9, 2**31 - 1, 2**31, 2**31 + 1, 2**32 + 5):
+        for counter in (0, 1, 2, 17, 12345):
+            for n in (1, 2, 3, 7, 14):
+                want = tuple(int(v) for v in np.random.default_rng((seed, counter)).permutation(n))
+                got = permutation_at(seed, counter, n)
+                assert got == want
+                assert all(type(v) is int for v in got)
+
+
 def test_sampler_matches_keyed_stream():
     sampler = PermutationSampler(seed=42)
     seq = [sampler.draw(4) for _ in range(8)]

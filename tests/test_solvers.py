@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import coupled_splitting as cs
+from coupled_splitting import model, solvers
 from coupled_splitting.errors import ConditionError, SubproblemStructureError
 from coupled_splitting.model import normalize_block_matrices
-from coupled_splitting.prox import prox_eval
+from coupled_splitting.prox import prox_eval, subdiff_distance
 from coupled_splitting.rp import PermutationSampler
 from coupled_splitting.solvers import linearization_proximal, lyapunov_value
 
@@ -564,11 +565,22 @@ def test_min_kkt_curve_running_minimum():
     assert curve[-1, 0] == 50
     mins = curve[:, 1] / curve[:, 0]
     assert np.all(np.diff(mins) <= 1e-300)  # running minimum never increases
-    # direct check against the recorded residuals
-    best = np.inf
-    for row in range(1, len(tr)):
-        best = min(best, tr.total_sq(row))
-        assert curve[row - 1, 1] == pytest.approx(tr.ks[row] * best, rel=1e-15)
+    # bitwise against the running minimum of the recorded residuals, also
+    # for many blocks and for surrogate (opaque-term) traces
+    rng = np.random.default_rng(46)
+    nine = _mixed_instance(rng, (1,) * 9, 3, ("l1", "box", "zero") * 3)
+    opaque = _mixed_instance(rng, (2, 2, 1), 2, ("opaque", "l1", "zero"))
+    for inst, cfg in (
+        (inst, cfg),
+        (nine, cs.SolverConfig(variant="admm_cyclic_n", R=_scaled_identity_R(nine, 1.0), tol=0.0, max_iter=40)),
+        (opaque, cs.SolverConfig(variant="admm_cyclic_n", R=_scaled_identity_R(opaque, 1.0), tol=0.0, max_iter=40)),
+    ):
+        tr = cs.run_solver(inst, cfg, x0=rng.standard_normal(inst.blocks.d))
+        curve = cs.min_kkt_sq_curve(tr)
+        best = np.inf
+        for row in range(1, len(tr)):
+            best = min(best, tr.total_sq(row))
+            assert curve[row - 1, 1] == tr.ks[row] * best
 
 
 def test_start_state_back_difference_is_zero():
@@ -757,34 +769,60 @@ def _oracle_surrogate(inst, beta, gamma, R, x_old, x_new, order):
     return np.asarray(parts), mag
 
 
+def _oracle_r_dual(inst, x, mu):
+    """kkt_residual's per-block violations; where a block has a coordinate
+    outside its box its subdifferential is empty, and the block reads inf."""
+    try:
+        return cs.kkt_residual(inst, cs.KKTPoint(x=x, mu=mu)).r_dual
+    except cs.DomainError:
+        s = inst.smooth_gradient(x) - inst.A.T @ mu
+        out = np.zeros(inst.blocks.n)
+        for i, f in enumerate(inst.theta):
+            sl = inst.blocks.slice_of(i)
+            try:
+                out[i] = subdiff_distance(f, x[sl], s[sl])
+            except cs.DomainError:
+                out[i] = np.inf
+        return out
+
+
+def _row_scale(inst, x, mu):
+    """1 plus the magnitude of the terms summed in a row's residuals and
+    objective."""
+    H, g, A, b = inst.H, inst.g, inst.A, inst.b
+    return 1.0 + max(
+        float(np.max(np.abs(H) @ np.abs(x) + np.abs(g) + np.abs(A.T) @ np.abs(mu))),
+        float(np.max(np.abs(A) @ np.abs(x) + np.abs(b), initial=0.0)),
+        0.5 * float(np.abs(x) @ np.abs(H) @ np.abs(x)) + float(np.abs(g) @ np.abs(x)),
+    )
+
+
+def _check_observed(inst, x, mu, exact, r_dual, objective):
+    """One row's r_dual and objective against kkt_residual and
+    inst.objective; r_dual is None when some term has no oracle."""
+    scale = _row_scale(inst, x, mu)
+    if exact:
+        _assert_close(r_dual, _oracle_r_dual(inst, x, mu), scale)
+    else:
+        assert r_dual is None
+    want = inst.objective(x)
+    if np.isnan(want):
+        assert np.isnan(objective)
+    else:
+        _assert_close(objective, want, scale + abs(want))
+
+
 def _check_rows(inst, cfg, trace, orders):
     """Every recorded row against kkt_residual, ||Ax - b||, inst.objective
     and the n-block surrogate formula."""
     beta, _, R = _oracle_weights(inst, cfg)
-    H, g, A, b = inst.H, inst.g, inst.A, inst.b
+    A, b = inst.A, inst.b
     assert len(trace.iterates) == len(trace)
     for row, (x, mu) in enumerate(trace.iterates):
         resid = A @ x - b
-        scale = 1.0 + max(
-            float(np.max(np.abs(H) @ np.abs(x) + np.abs(g) + np.abs(A.T) @ np.abs(mu))),
-            float(np.max(np.abs(A) @ np.abs(x) + np.abs(b), initial=0.0)),
-            0.5 * float(np.abs(x) @ np.abs(H) @ np.abs(x)) + float(np.abs(g) @ np.abs(x)),
-        )
+        scale = _row_scale(inst, x, mu)
         _assert_close(trace.r_feas[row], np.linalg.norm(resid), scale)
-        if trace.exact_residuals:
-            try:
-                want = cs.kkt_residual(inst, cs.KKTPoint(x=x, mu=mu)).r_dual
-            except cs.DomainError:
-                assert np.any(np.isinf(trace.r_dual[row]))
-            else:
-                _assert_close(trace.r_dual[row], want, scale)
-        else:
-            assert trace.r_dual[row] is None
-        objective = inst.objective(x)
-        if np.isnan(objective):
-            assert np.isnan(trace.objective[row])
-        else:
-            _assert_close(trace.objective[row], objective, scale + abs(objective))
+        _check_observed(inst, x, mu, trace.exact_residuals, trace.r_dual[row], trace.objective[row])
         if row == 0:
             assert trace.surrogate_blocks[0] is None and np.isnan(trace.surrogate[0])
             continue
@@ -813,3 +851,118 @@ def test_random_order_rows_match_independent_oracles():
     for t, trace in enumerate(traces):
         sampler = PermutationSampler(9 ^ t)
         _check_rows(inst, cfg, trace, [sampler.draw(4) for _ in range(15)])
+
+
+def _edge_instance(rng, m):
+    """Terms at the edges of the whole-vector formulas: scalar box bounds
+    broadcast over a block, pinned coordinates (lo == hi) beside one-sided
+    infinite bounds, an l1 weight large enough to hold iterates at exactly
+    0, and a quadratic term whose P dwarfs H."""
+    dims = (3, 4, 2, 2)
+    d = sum(dims)
+    W = rng.standard_normal((d, d))
+    H = W @ W.T / d + 0.5 * np.eye(d)
+    theta = (
+        cs.ProxFn.box([-0.5], [0.5]),
+        cs.ProxFn.box([0.2, -np.inf, -1.0, 0.0], [0.2, 1.0, np.inf, 0.0]),
+        cs.ProxFn.l1(50.0),
+        cs.ProxFn.quadratic(1e6 * random_psd(rng, 2) + 1e5 * np.eye(2), 1e3 * rng.standard_normal(2)),
+    )
+    A = rng.standard_normal((m, d))
+    x_feas = np.concatenate([[0.1, -0.2, 0.3], [0.2, 0.5, 0.0, 0.0], [0.0, 0.0], rng.standard_normal(2)])
+    return cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=dims, m=m), H=0.5 * (H + H.T), g=rng.standard_normal(d),
+        A=A, b=A @ x_feas, theta=theta,
+    )
+
+
+def test_recorded_rows_at_term_edges():
+    """Rows against the per-block oracles where the formulas branch: a start
+    outside a box reads inf in that block's r_dual and in the objective,
+    pinned and one-sided bounds, l1 iterates at exactly 0, and P >> H."""
+    rng = np.random.default_rng(43)
+    constrained = _edge_instance(rng, 3)
+    unconstrained = _edge_instance(rng, 0)
+    runs = [
+        (constrained, cs.SolverConfig(variant="admm_cyclic_n", beta=1.1, gamma=0.9, R=_scaled_identity_R(constrained, 1.1))),
+        (unconstrained, cs.SolverConfig(variant="bcpg")),
+        (unconstrained, cs.SolverConfig(variant="bcd", R=_scaled_identity_R(unconstrained, 0.0, 1.3))),
+    ]
+    for inst, cfg in runs:
+        run_cfg = dataclasses.replace(cfg, tol=0.0, max_iter=12)
+        d, m = inst.blocks.d, inst.blocks.m
+        x0 = rng.standard_normal(d)
+        x0[0] = 2.0  # outside block 0's box [-0.5, 0.5]
+        x0[3:7] = [0.2, 0.5, 0.3, 0.0]  # inside block 1's box
+        trace = cs.run_solver(inst, run_cfg, x0=x0, mu0=rng.standard_normal(m), keep_iterates=True)
+        assert trace.r_dual[0][0] == np.inf and trace.objective[0] == np.inf
+        assert np.all(np.isfinite(trace.r_dual[0][1:]))
+        xs = np.array([x for x, _ in trace.iterates[1:]])
+        assert np.all(xs[:, 3] == 0.2) and np.all(xs[:, 6] == 0.0)  # pinned
+        assert np.all(xs[:, 7:9] == 0.0)  # l1 held at 0
+        assert np.all(np.isfinite(trace.objective[1:]))
+        _check_rows(inst, run_cfg, trace, [tuple(range(inst.blocks.n))] * 12)
+
+
+def test_observer_near_box_faces():
+    """The row observer against the per-block oracles at points on, within
+    rounding of, and just beyond every box face, with l1 coordinates at
+    exactly 0 or not."""
+    rng = np.random.default_rng(47)
+    inst = _edge_instance(rng, 3)
+    observe = solvers._Workspace(inst, cs.SolverConfig(variant="admm_cyclic_n", R=_scaled_identity_R(inst, 1.0))).observe
+    faces = [(0, (-0.5, 0.5)), (1, (-0.5, 0.5)), (2, (-0.5, 0.5)), (4, (1.0,)), (5, (-1.0,))]
+    for _ in range(300):
+        x = rng.standard_normal(inst.blocks.d)
+        mu = rng.standard_normal(inst.blocks.m)
+        for j, bounds in faces:
+            x[j] = rng.choice(bounds) + rng.choice([-1e-11, -1e-13, 0.0, 1e-13, 1e-11])
+        x[3], x[6] = 0.2, 0.0
+        x[7:9] *= rng.random(2) < 0.5
+        r_dual, objective = observe(x, mu)
+        _check_observed(inst, x, mu, True, r_dual, objective)
+
+
+def test_block_prox_matches_prox_eval_bitwise():
+    """The per-run l1 and box proxes equal prox_eval bit for bit."""
+    rng = np.random.default_rng(44)
+    terms = [
+        cs.ProxFn.l1(0.0),
+        cs.ProxFn.l1(0.37),
+        cs.ProxFn.l1(5.0),
+        cs.ProxFn.box([-0.5], [0.5]),
+        cs.ProxFn.box([-0.0], [0.0]),
+        cs.ProxFn.box([0.2, -np.inf, -1.0, 0.0, -np.inf], [0.2, 1.0, np.inf, 0.0, np.inf]),
+    ]
+    for f in terms:
+        dim = f.params["lo"].size if f.kind == "box" and f.params["lo"].size > 1 else 5
+        for r in (1e-3, 0.7, 1.0, 3.3, 1e4):
+            prox = solvers._block_prox(f, r, dim)
+            for _ in range(20):
+                v = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+                v[rng.random(dim) < 0.2] = 0.0
+                v[rng.random(dim) < 0.1] = -0.0
+                assert prox(v).tobytes() == prox_eval(f, r, v).tobytes(), (f.kind, r, v)
+
+
+def test_rows_need_no_per_block_oracle(monkeypatch):
+    """Sweeps and rows of zero, l1, box and quadratic terms with direct or
+    l1/box prox blocks run without the per-block oracles, which stay the
+    references only."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-block oracle called on the hot path")
+
+    monkeypatch.setattr(solvers, "subdiff_distance", refuse)
+    monkeypatch.setattr(solvers, "prox_eval", refuse)
+    monkeypatch.setattr(model, "fn_value", refuse)
+    rng = np.random.default_rng(45)
+    inst = _mixed_instance(rng, (2, 3, 2, 2), 2, ("l1", "box", "zero", "quadratic"))
+    # admm_cyclic_n: the zero and quadratic blocks are direct solves, the l1
+    # and box blocks proxes of a scaled-identity subproblem
+    R = _scaled_identity_R(inst, 1.0)
+    R[2], R[3] = None, 0.5
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, R=R, tol=0.0, max_iter=30)
+    trace = cs.run_solver(inst, cfg)
+    assert len(trace) == 31 and trace.exact_residuals
+    assert all(np.all(np.isfinite(v)) for v in trace.r_dual[1:])
