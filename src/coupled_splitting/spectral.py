@@ -214,11 +214,10 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
         eig_QS = np.sort(vals.real)
 
     eig_M = np.linalg.eigvals(M)
-    gram = beta * (A.T @ A)
-    rank_gram = rank_svd(gram)
-    rank_S_plus = rank_svd(gram + inst.H)
+    rank_gram = rank_svd(beta * (A.T @ A))
+    rank_S = rank_svd(S)
     rank_kkt = rank_svd(update.Sbar)
-    am_one = m + d - rank_gram - rank_S_plus
+    am_one = m + d - rank_gram - rank_S
     gm_one = m + d - rank_kkt
     if am_one < gm_one:
         # an eigenvalue's algebraic multiplicity is never below its geometric
@@ -240,7 +239,7 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
         eig_M=eig_M,
         q_min_eig=q_min,
         consistency_defect=update.consistency,
-        rank_S=rank_svd(S),
+        rank_S=rank_S,
         rank_penalized_gram=rank_gram,
         rank_stationarity_block=rank_kkt,
         am_one=am_one,
