@@ -138,6 +138,8 @@ def _cmd_compare_bcd(args) -> int:
 
 
 def _cmd_rp_expect(args) -> int:
+    if args.trials < 0:
+        raise UsageError("trials must be a nonnegative integer")
     inst = load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     out = _out_dir(args)

@@ -15,10 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _keystream
 from ._averaging import averaged_update
 from .errors import UsageError
 from .model import ProblemInstance
 from .solvers import IterateState, SolverConfig, _drive, _Workspace, check_stopping
+
+
+# Orders a sampler draws in its first call; each refill doubles the last, up
+# to MAX_KEYS, the keys drawn in one call. run_rp_solver draws the first
+# blocks of as many trials together as MAX_KEYS allows.
+FIRST_BLOCK = 256
+MAX_KEYS = 4096
 
 
 def permutation_at(seed: int, counter: int, n: int) -> tuple:
@@ -30,9 +38,26 @@ def permutation_at(seed: int, counter: int, n: int) -> tuple:
     return tuple(rng.permutation(n).tolist())
 
 
+def _order_blocks(seeds, start: int, count: int, n: int) -> np.ndarray:
+    """(len(seeds), count, n): row [s, c] is permutation_at(seeds[s],
+    start + c, n), from the vectorized stream where it has words enough."""
+    if n < 1:
+        raise UsageError("need at least one block")
+    blocks, ok = _keystream.permutations(seeds, start, count, n)
+    for s, c in zip(*np.nonzero(~ok)):
+        blocks[s, c] = permutation_at(seeds[s], start + int(c), n)
+    return blocks
+
+
 @dataclass
 class PermutationSampler:
-    """Uniform sampler over block orders, reproducible from (seed, counter)."""
+    """Uniform sampler over block orders, reproducible from (seed, counter).
+
+    The draw at counter k is permutation_at(seed, k, n). Draws are served
+    from a buffer of consecutive counters for one n, computed many at a
+    time; a draw for another n or at a counter outside the buffer refills it
+    from the current counter, with twice the orders of the last fill.
+    """
 
     seed: int
     counter: int = 0
@@ -42,11 +67,24 @@ class PermutationSampler:
             raise UsageError("seed must be a nonnegative integer")
         self.seed = int(self.seed)
         self.counter = int(self.counter)
+        self._n = None
+        self._start = 0
+        self._orders = []
+        self._next_block = FIRST_BLOCK
 
     def draw(self, n: int) -> tuple:
-        sigma = permutation_at(self.seed, self.counter, n)
+        at = self.counter - self._start
+        if n != self._n or not 0 <= at < len(self._orders):
+            self._hold(n, self.counter, _order_blocks([self.seed], self.counter, self._next_block, n)[0])
+            at = 0
         self.counter += 1
-        return sigma
+        return self._orders[at]
+
+    def _hold(self, n: int, start: int, block: np.ndarray) -> None:
+        """Serve the orders of counters start, start + 1, ... from block."""
+        self._n, self._start = n, start
+        self._orders = [tuple(row) for row in block.tolist()]
+        self._next_block = min(2 * len(block), MAX_KEYS)
 
 
 def run_rp_solver(
@@ -77,8 +115,16 @@ def run_rp_solver(
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     traces = []
     paths = []
+    # a trial draws at most max_iter orders
+    first = min(int(cfg.max_iter), FIRST_BLOCK)
+    together = max(1, MAX_KEYS // first)
     for t in range(int(trials)):
-        draw = functools.partial(PermutationSampler(base_seed ^ t).draw, n)
+        if t % together == 0:
+            seeds = [base_seed ^ u for u in range(t, min(t + together, int(trials)))]
+            blocks = _order_blocks(seeds, 0, first, n)
+        sampler = PermutationSampler(base_seed ^ t)
+        sampler._hold(n, 0, blocks[t % together])
+        draw = functools.partial(sampler.draw, n)
         path = []
         trace = _drive(ws, IterateState.start(inst, x0, mu0), draw, keep_iterates, path=path)
         trace.trial = t

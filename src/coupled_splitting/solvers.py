@@ -47,6 +47,8 @@ from .prox import ProxFn, _box_bounds, _box_edge, fn_value, prox_eval, subdiff_d
 VARIANTS = ("admm2", "admm2_linearized", "admm_cyclic_n", "bcd", "bcpg")
 GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
 DIVERGENCE_LIMIT = 1e12
+# bytes of surrogate matrices U a run keeps, one per block order swept
+SURROGATE_CACHE_BYTES = 1 << 20
 
 _CONSTRAINED = ("admm2", "admm2_linearized", "admm_cyclic_n")
 _LINEARIZED = ("admm2_linearized", "bcpg")
@@ -187,13 +189,18 @@ class Trace:
 
     def write_csv_rows(self, fh) -> None:
         """One CSV line per recorded row, led by the trial number when set."""
-        lead = [] if self.trial is None else [str(self.trial)]
-        for row in range(len(self.ks)):
-            dual = self.r_dual[row]
-            cells = lead + [str(self.ks[row])]
-            cells += [_fmt(None if dual is None else dual[i]) for i in range(self.n_blocks)]
-            cells += [_fmt(v[row]) for v in (self.r_feas, self.surrogate, self.objective, self.lyapunov)]
-            fh.write(",".join(cells) + "\n")
+        lead = "" if self.trial is None else f"{self.trial},"
+        opaque = [math.nan] * self.n_blocks
+        dual = [opaque if v is None else v for v in self.r_dual]
+        # float64 columns, None read as NaN; .tolist() gives Python floats,
+        # whose repr is _fmt's, and a NaN cell ("nan") is written empty
+        rows = np.column_stack([
+            np.array(dual, dtype=float),
+            np.array([self.r_feas, self.surrogate, self.objective, self.lyapunov], dtype=float).T,
+        ]).tolist()
+        fh.writelines(
+            f"{lead}{k},{','.join(map(repr, row)).replace('nan', '')}\n" for k, row in zip(self.ks, rows)
+        )
 
 
 def _fmt(v) -> str:
@@ -417,8 +424,9 @@ class _Workspace:
         for sl, R in zip(self.slices, self.R_eff):
             self.surrogate_base[sl, sl] = -R
         self.block_of = np.repeat(np.arange(n), inst.blocks.dims)
-        self.U_order = None
-        self.U = None
+        # each block order's U, built on its first sweep, up to
+        # SURROGATE_CACHE_BYTES in all
+        self.U = {}
 
     def _block_update(self, S: np.ndarray, i: int) -> tuple:
         """W_i, c_i and the prox of block i (None for a direct block)."""
@@ -495,14 +503,16 @@ class _Workspace:
         -R_i dx_i + sum over later blocks of (H_ij + beta A_i'A_j) dx_j,
         plus a multiplier-stepsize correction when gamma differs from one.
         """
-        if order != self.U_order:
+        U = self.U.get(order)
+        if U is None:
             pos = [0] * self.n
             for p, i in enumerate(order):
                 pos[i] = p
             pe = np.array(pos)[self.block_of]
-            self.U = self.surrogate_base * (pe >= pe[:, None])
-            self.U_order = order
-        v = self.U.dot(dx)
+            U = self.surrogate_base * (pe >= pe[:, None])
+            if (len(self.U) + 1) * U.nbytes <= SURROGATE_CACHE_BYTES:
+                self.U[order] = U
+        v = U.dot(dx)
         if self.gamma != 1.0:
             v -= self.beta * (1.0 - self.gamma) * self.At.dot(resid)
         return np.sqrt(np.add.reduceat(v * v, self.offsets))

@@ -284,7 +284,9 @@ def check_M_spectrum(report: SpectralReport) -> tuple:
 
 def rank_identity_check(inst: ProblemInstance, beta: float) -> bool:
     """True when the bordered curvature block has rank equal to
-    rank(S) + rank(beta A'A), with SVD-thresholded ranks."""
+    rank(S) + rank(beta A'A), with SVD-thresholded ranks. analyze_instance
+    reads the same verdict off the ranks build_Q_M counted; this builds and
+    ranks the three matrices itself."""
     check_beta(beta)
     S = curvature_matrix(inst, beta)
     A = inst.A
@@ -299,7 +301,7 @@ def analyze_instance(inst: ProblemInstance, beta: float) -> SpectralReport:
     report = build_Q_M(inst, beta)
     check_eig_QS(report)
     check_M_spectrum(report)
-    report.verdicts["lemma_3_3"] = rank_identity_check(inst, beta)
+    report.verdicts["lemma_3_3"] = report.rank_stationarity_block == report.rank_S + report.rank_penalized_gram
     prop = None
     if inst.blocks.n == 2:
         d1 = inst.blocks.dims[0]

@@ -413,6 +413,21 @@ def test_rp_expect_rejects_nan_tol_before_writing(cyclic3_file, tmp_path, capsys
         assert not (out / "expectation.csv").exists()
 
 
+def test_rp_expect_rejects_negative_trials(cyclic3_file, tmp_path, capsys):
+    """A negative --trials is a usage error, raised before anything is
+    written; --trials 0 runs the expected iteration alone."""
+    out = tmp_path / "neg"
+    assert main(["rp-expect", str(cyclic3_file), "--out", str(out), "--trials", "-2"]) == 64
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "zero"
+    assert main(["rp-expect", str(cyclic3_file), "--out", str(out), "--trials", "0"]) == 0
+    capsys.readouterr()
+    assert (out / "expectation.csv").exists()
+    assert "# trials=0" in (out / "expectation.csv").read_text().splitlines()
+    assert not (out / "trials.csv").exists()
+
+
 # -- witness ---------------------------------------------------------------------
 
 

@@ -8,8 +8,10 @@ import pytest
 from scipy import stats
 
 import coupled_splitting as cs
+from coupled_splitting import _keystream, rp, solvers
 from coupled_splitting.rp import permutation_at, PermutationSampler
-from gen import past_guard_instance
+from coupled_splitting.solvers import _Workspace
+from gen import past_guard_instance, random_psd
 
 
 def _arr(*vals):
@@ -69,6 +71,64 @@ def test_sampler_matches_keyed_stream():
     seq = [sampler.draw(4) for _ in range(8)]
     assert seq == [permutation_at(42, c, 4) for c in range(8)]
     assert sampler.counter == 8
+
+
+def _keyed(seed, counter, n):
+    return tuple(np.random.default_rng((seed, counter)).permutation(n).tolist())
+
+
+def test_batched_orders_match_keyed_generator():
+    """Every order drawn many keys at a time equals numpy's keyed generator:
+    seeds of one, two and three words, counters of one word from 0 and of
+    two words at and past 2**32 (also in one call), n from 1 to 20."""
+    keys = 0
+    for seed in (0, 2**31 - 1, 2**31 + 1, 2**32 + 5, 2**64 + 7):
+        seeds = [seed, seed ^ 1]
+        for n in (1, 2, 14, 20):
+            for start, count in ((0, 70), (2**32 - 3, 7)):
+                blocks = rp._order_blocks(seeds, start, count, n)
+                assert blocks.shape == (2, count, n)
+                for s, sd in enumerate(seeds):
+                    for c in range(count):
+                        assert tuple(blocks[s, c].tolist()) == _keyed(sd, start + c, n), (sd, start + c, n)
+                        keys += 1
+    assert keys >= 3000
+
+
+def test_batched_orders_fall_back_when_words_run_out(monkeypatch):
+    """Keys whose pre-generated words run out, and counters past 2**64,
+    take permutation_at's orders."""
+    monkeypatch.setattr(_keystream, "SPARE_OUTPUTS", -4)
+    _, ok = _keystream.permutations([3], 0, 200, 14)
+    assert 0 < (~ok).sum() < 200
+    blocks = rp._order_blocks([3, 2**40], 0, 200, 14)
+    for s, seed in enumerate((3, 2**40)):
+        assert [tuple(r) for r in blocks[s].tolist()] == [_keyed(seed, c, 14) for c in range(200)]
+    monkeypatch.undo()
+    blocks = rp._order_blocks([5], 2**64 - 2, 4, 3)
+    assert [tuple(r) for r in blocks[0].tolist()] == [_keyed(5, 2**64 - 2 + c, 3) for c in range(4)]
+
+
+def test_sampler_refills_for_new_n_and_reassigned_counter(monkeypatch):
+    """Draws across refill boundaries, after n changes, and after the
+    counter is assigned backwards, forwards and past 2**32 are the keyed
+    generator's orders at the current counter."""
+    monkeypatch.setattr(rp, "FIRST_BLOCK", 3)
+    monkeypatch.setattr(rp, "MAX_KEYS", 8)
+    sampler = PermutationSampler(seed=2**31 + 1)
+    seen = []
+    for n in (4, 4, 4, 4, 4, 4, 4, 3, 3, 4, 14, 14, 1, 20):
+        seen.append((sampler.counter, n, sampler.draw(n)))
+    for counter in (2, 40, 0, 2**32 - 1, 2**32, 1):
+        sampler.counter = counter
+        for _ in range(9):
+            seen.append((sampler.counter, 5, sampler.draw(5)))
+    assert sampler.counter == 10
+    for counter, n, order in seen:
+        assert order == _keyed(2**31 + 1, counter, n)
+        assert all(type(v) is int for v in order)
+    with pytest.raises(cs.UsageError):
+        sampler.draw(0)
 
 
 def test_permutation_uniformity_chi_square():
@@ -157,6 +217,66 @@ def test_rp_trial_is_a_loop_of_steps_in_sampled_orders():
             assert np.array_equal(trace.iterates[k][1], state.mu)
         assert np.array_equal(trace.x, state.x)
         assert np.array_equal(trace.mu, state.mu)
+
+
+def test_rp_trials_do_not_depend_on_how_orders_are_batched(monkeypatch):
+    """Trials whose first blocks are drawn in several calls and refilled
+    many times run bitwise as with the default batching."""
+    inst = coupled_three_block()
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.5, gamma=1.0, tol=1e-9, max_iter=400)
+    want, want_mean = cs.run_rp_solver(inst, cfg, seed=12, trials=5, keep_iterates=True)
+    monkeypatch.setattr(rp, "FIRST_BLOCK", 4)
+    monkeypatch.setattr(rp, "MAX_KEYS", 8)
+    got, got_mean = cs.run_rp_solver(inst, cfg, seed=12, trials=5, keep_iterates=True)
+    for a, b in zip(want, got):
+        assert a.ks == b.ks and len(a) > 20
+        for (xa, ma), (xb, mb) in zip(a.iterates, b.iterates):
+            assert np.array_equal(xa, xb) and np.array_equal(ma, mb)
+    assert np.array_equal(want_mean.Ex, got_mean.Ex)
+
+
+def _uncached_U(ws, order):
+    """The surrogate matrix built entry by entry: block (i, j) of
+    surrogate_base where block j comes at or after block i in the order."""
+    pos = {blk: p for p, blk in enumerate(order)}
+    U = np.zeros_like(ws.surrogate_base)
+    for i, si in enumerate(ws.slices):
+        for j, sj in enumerate(ws.slices):
+            if pos[j] >= pos[i]:
+                U[si, sj] = ws.surrogate_base[si, sj]
+    return U
+
+
+def test_surrogate_matrices_are_cached_per_order_within_budget(monkeypatch):
+    rng = np.random.default_rng(8)
+    dims = (1, 2, 1, 2)
+    d = sum(dims)
+    A = rng.standard_normal((2, d))
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=dims, m=2), H=random_psd(rng, d) + 0.3 * np.eye(d),
+        g=rng.standard_normal(d), A=A, b=A @ rng.standard_normal(d),
+    )
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.3, R=[0.5, None, 0.2, None])
+    orders = list(itertools.permutations(range(4)))
+    dx, resid = rng.standard_normal(d), rng.standard_normal(2)
+    ws = _Workspace(inst, cfg)
+    parts = {}
+    for order in orders + orders:
+        got = ws.surrogate_parts(dx, resid, order)
+        assert np.array_equal(parts.setdefault(order, got), got)
+    assert len(ws.U) == 24
+    for order in orders:
+        U = _uncached_U(ws, order)
+        assert np.array_equal(ws.U[order], U)
+        v = U.dot(dx)
+        assert np.array_equal(parts[order], np.sqrt(np.add.reduceat(v * v, ws.offsets)))
+    # a budget of five matrices keeps the first five orders; the others are
+    # built on each call, to the same values
+    monkeypatch.setattr(solvers, "SURROGATE_CACHE_BYTES", 5 * d * d * 8)
+    ws = _Workspace(inst, cfg)
+    for order in orders + orders:
+        assert np.array_equal(ws.surrogate_parts(dx, resid, order), parts[order])
+    assert list(ws.U) == orders[:5]
 
 
 def test_sample_mean_holds_stopped_trials_at_their_last_iterate():

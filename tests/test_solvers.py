@@ -2,6 +2,7 @@
 traces, merit values and surrogate residuals."""
 
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -554,6 +555,48 @@ def test_trace_csv_deterministic_bytes(tmp_path):
     cs.run_solver(inst, cfg).to_csv(p1)
     cs.run_solver(inst, cfg).to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _cell_by_cell_rows(trace) -> str:
+    """Trace rows written one _fmt cell at a time."""
+    lead = [] if trace.trial is None else [str(trace.trial)]
+    out = []
+    for row in range(len(trace.ks)):
+        dual = trace.r_dual[row]
+        cells = lead + [str(trace.ks[row])]
+        cells += [solvers._fmt(None if dual is None else dual[i]) for i in range(trace.n_blocks)]
+        cols = (trace.r_feas, trace.surrogate, trace.objective, trace.lyapunov)
+        cells += [solvers._fmt(v[row]) for v in cols]
+        out.append(",".join(cells) + "\n")
+    return "".join(out)
+
+
+def test_trace_rows_match_cell_by_cell_format():
+    """Rows with opaque (None) r_dual, NaN and infinite cells, a lyapunov
+    column, a signed zero and a trial lead are written byte for byte as
+    _fmt writes each cell."""
+    rng = np.random.default_rng(47)
+    inst = scalar_pair_instance()
+    ref = cs.solve_kkt_oracle(inst)
+    merit = cs.run_solver(inst, cs.SolverConfig(variant="admm2", tol=0.0, max_iter=30), reference=ref)
+    opaque = _mixed_instance(rng, (2, 2, 1), 2, ("opaque", "l1", "zero"))
+    opaque_run = cs.run_solver(
+        opaque, cs.SolverConfig(variant="admm_cyclic_n", R=_scaled_identity_R(opaque, 1.0), tol=0.0, max_iter=30)
+    )
+    edge = solvers.Trace(
+        n_blocks=3, ks=[0, 1, 2],
+        r_dual=[None, np.array([np.inf, np.nan, -0.0]), np.array([1e-300, 2.5, 1.0 / 3.0])],
+        r_feas=[0.0, np.inf, 5e-324], surrogate=[np.nan, 1e300, np.float64(0.1)],
+        objective=[np.inf, -np.inf, -7.0], lyapunov=[None, np.nan, 2.0],
+    )
+    assert any(v is not None for v in merit.lyapunov)
+    assert all(v is None for v in opaque_run.r_dual)
+    for trace in (merit, opaque_run, edge):
+        for trial in (None, 3):
+            trace.trial = trial
+            fh = io.StringIO()
+            trace.write_csv_rows(fh)
+            assert fh.getvalue() == _cell_by_cell_rows(trace)
 
 
 def test_min_kkt_curve_running_minimum():

@@ -23,7 +23,7 @@ from coupled_splitting.spectral import (
     load_report,
     rank_identity_check,
 )
-from gen import past_guard_instance, spectral_instance, two_block_instance, violating_instance
+from gen import past_guard_instance, random_psd, spectral_instance, two_block_instance, violating_instance
 from oracles import enumerated_average, exact_averaged_inverse
 
 
@@ -343,6 +343,43 @@ def test_rank_identity_hand_example():
     assert rank_identity_check(inst, 1.0)
     inst2 = pair_instance(2.0 * np.eye(2))
     assert rank_identity_check(inst2, 1.0)
+
+
+def _batch_shape_instance(rng, j):
+    """An instance of the j-th shape of the benchmark's analyze-batch
+    workload: 2 to 4 blocks of 1 to 3 coordinates, H of full, one-short,
+    half or zero rank, and every other instance with a duplicated
+    constraint row; its diagonal sweep blocks are nonsingular."""
+    n = 2 + j % 3
+    dims = tuple(1 + (j + i) % 3 for i in range(n))
+    d = sum(dims)
+    duplicate = j % 2 == 1
+    m = min(d, max(dims) + 1 + duplicate)
+    rank = (d, d - 1, d // 2, 0)[j % 4]
+    beta = (0.5, 1.0, 2.0)[(j // 4) % 3]
+    while True:
+        A = rng.standard_normal((m, d))
+        if duplicate and m >= 2:
+            A[m - 1] = A[0]
+        inst = cs.ProblemInstance(
+            blocks=cs.BlockStructure(dims=dims, m=m), H=random_psd(rng, d, rank=rank),
+            g=rng.standard_normal(d), A=A, b=A @ rng.standard_normal(d),
+        )
+        try:
+            return inst, beta, cs.analyze_instance(inst, beta)
+        except (cs.ConditionError, cs.CertificateError):
+            continue
+
+
+def test_rank_identity_verdict_equals_standalone_check():
+    """analyze_instance's lemma_3_3, read off build_Q_M's ranks, is the
+    verdict of rank_identity_check, which ranks the matrices anew."""
+    rng = np.random.default_rng(48)
+    for j in range(48):
+        inst, beta, report = _batch_shape_instance(rng, j)
+        assert report.verdicts["lemma_3_3"] is rank_identity_check(inst, beta), j
+    wide = pair_instance(np.diag([1e11, 1.0]))
+    assert cs.analyze_instance(wide, 1.0).verdicts["lemma_3_3"] is rank_identity_check(wide, 1.0) is True
 
 
 def test_verdict_checks_flag_fabricated_failures():
