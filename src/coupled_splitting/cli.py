@@ -15,6 +15,7 @@ byte-identical output. Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .model import load_instance
 from .rp import run_expected_iteration, run_rp_solver
-from .solvers import _fmt, SolverConfig, VARIANTS, run_solver
+from .solvers import _fmt, _write_artifact, SolverConfig, VARIANTS, run_solver
 from .spectral import analyze_instance, bcd_rate_matrices, divergence_witness, save_report
 
 EXIT_OK = 0
@@ -59,13 +60,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    raw = os.environ.get("COUPLED_SPLITTING_SEED", "0")
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise UsageError(f"COUPLED_SPLITTING_SEED={raw!r} is not an integer")
+    if value is None:
+        raw = os.environ.get("COUPLED_SPLITTING_SEED", "0")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"COUPLED_SPLITTING_SEED={raw!r} is not an integer")
+    seed = int(value)
     if seed < 0:
         raise UsageError("seed must be a nonnegative integer")
     return seed
@@ -125,13 +126,12 @@ def _cmd_compare_bcd(args) -> int:
         raise UsageError("compare-bcd needs a two-block instance")
     cmp = bcd_rate_matrices(inst.H, inst.blocks.dims[0])
     path = _out_dir(args) / "compare_bcd.csv"
-    with open(path, "w") as fh:
-        fh.write(f"# command=compare-bcd instance={Path(args.instance).name}\n")
-        fh.write("rho1,rho2,rho3,sigma1,rho3_closed_form\n")
-        cells = [_fmt(cmp.rho1), _fmt(cmp.rho2), _fmt(cmp.rho3)]
-        cells.append("" if cmp.sigma1 is None else _fmt(cmp.sigma1))
-        cells.append("" if cmp.rho3_closed_form is None else _fmt(cmp.rho3_closed_form))
-        fh.write(",".join(cells) + "\n")
+    cells = [_fmt(cmp.rho1), _fmt(cmp.rho2), _fmt(cmp.rho3), _fmt(cmp.sigma1), _fmt(cmp.rho3_closed_form)]
+    _write_artifact(
+        path,
+        f"# command=compare-bcd instance={Path(args.instance).name}\n"
+        f"rho1,rho2,rho3,sigma1,rho3_closed_form\n{','.join(cells)}\n",
+    )
     print(f"wrote {path}")
     print(f"rho1={_fmt(cmp.rho1)} rho2={_fmt(cmp.rho2)} rho3={_fmt(cmp.rho3)}")
     return EXIT_OK
@@ -170,13 +170,11 @@ def _cmd_rp_expect(args) -> int:
         mean_path = out / "expectation_sampled.csv"
         mean_trace.to_csv(mean_path, header_lines=header)
         trials_path = out / "trials.csv"
-        with open(trials_path, "w") as fh:
-            for line in header:
-                fh.write(f"# {line}\n")
-            fh.write(traces[0].csv_columns())
-            for trace in traces:
-                trace.write_csv_rows(fh)
-                fh.write(f"# trial={trace.trial} status={trace.status}\n")
+        parts = [f"# {line}\n" for line in header]
+        parts.append(traces[0].csv_columns())
+        for trace in traces:
+            parts += (trace.csv_rows(), f"# trial={trace.trial} status={trace.status}\n")
+        _write_artifact(trials_path, "".join(parts))
         print(f"wrote {mean_path}")
         print(f"wrote {trials_path}")
     return EXIT_OK
@@ -189,9 +187,7 @@ def _cmd_witness(args) -> int:
     doc = {"found": cert is not None}
     if cert is not None:
         doc.update(cert.to_dict())
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_artifact(path, json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}")
     if cert is None:
         print("witness: none (subproblem curvature is positive definite)")
@@ -249,9 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: parse_args keeps no state
+    # between calls, and building the tree costs far more than a parse
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

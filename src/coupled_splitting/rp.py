@@ -19,7 +19,7 @@ from . import _keystream
 from ._averaging import averaged_update
 from .errors import UsageError
 from .model import ProblemInstance
-from .solvers import IterateState, SolverConfig, _drive, _Workspace, check_stopping
+from .solvers import IterateState, SolverConfig, _drive, _Workspace, _write_artifact, check_stopping
 
 
 # Orders a sampler draws in its first call; each refill doubles the last, up
@@ -175,17 +175,13 @@ class ExpectationTrace:
         d = self.Ex.shape[1]
         m = self.Emu.shape[1]
         cols = ["k"] + [f"Ex_{j + 1}" for j in range(d)] + [f"Emu_{j + 1}" for j in range(m)] + ["mode"]
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(cols) + "\n")
-            for row, k in enumerate(self.ks):
-                cells = [str(k)]
-                cells += [repr(float(v)) for v in self.Ex[row]]
-                cells += [repr(float(v)) for v in self.Emu[row]]
-                cells.append(self.mode)
-                fh.write(",".join(cells) + "\n")
-            fh.write(f"# status={self.status}\n")
+        lines = [f"# {line}\n" for line in header_lines]
+        lines.append(",".join(cols) + "\n")
+        # .tolist() gives Python floats, whose repr is repr(float(v)) per cell
+        rows = np.hstack([self.Ex, self.Emu]).astype(float, copy=False).tolist()
+        lines += [",".join((str(k), *map(repr, row), self.mode)) + "\n" for k, row in zip(self.ks, rows)]
+        lines.append(f"# status={self.status}\n")
+        _write_artifact(path, "".join(lines))
 
 
 def expected_update_operator(inst: ProblemInstance, beta: float):

@@ -20,6 +20,7 @@ bcpg              n blocks, no constraints, scalar curvatures r_i
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,14 +173,9 @@ class Trace:
         return float(np.sum(np.asarray(dual) ** 2) + self.r_feas[row] ** 2)
 
     def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            for w in self.warnings:
-                fh.write(f"# warning: {w}\n")
-            fh.write(self.csv_columns())
-            self.write_csv_rows(fh)
-            fh.write(f"# status={self.status}\n")
+        head = "".join(f"# {line}\n" for line in header_lines)
+        head += "".join(f"# warning: {w}\n" for w in self.warnings)
+        _write_artifact(path, f"{head}{self.csv_columns()}{self.csv_rows()}# status={self.status}\n")
 
     def csv_columns(self) -> str:
         cols = ["k"] if self.trial is None else ["trial", "k"]
@@ -187,7 +183,7 @@ class Trace:
         cols += ["r_feas", "surrogate", "objective", "lyapunov"]
         return ",".join(cols) + "\n"
 
-    def write_csv_rows(self, fh) -> None:
+    def csv_rows(self) -> str:
         """One CSV line per recorded row, led by the trial number when set."""
         lead = "" if self.trial is None else f"{self.trial},"
         opaque = [math.nan] * self.n_blocks
@@ -198,9 +194,7 @@ class Trace:
             np.array(dual, dtype=float),
             np.array([self.r_feas, self.surrogate, self.objective, self.lyapunov], dtype=float).T,
         ]).tolist()
-        fh.writelines(
-            f"{lead}{k},{','.join(map(repr, row)).replace('nan', '')}\n" for k, row in zip(self.ks, rows)
-        )
+        return "".join(f"{lead}{k},{','.join(map(repr, row)).replace('nan', '')}\n" for k, row in zip(self.ks, rows))
 
 
 def _fmt(v) -> str:
@@ -210,6 +204,25 @@ def _fmt(v) -> str:
     if math.isnan(f):
         return ""
     return repr(f)
+
+
+def _write_artifact(path, text: str) -> None:
+    """Write an artifact whole, in place, and cut the file to its length.
+
+    The file is opened without O_TRUNC: rewriting the blocks a file already
+    holds is far cheaper on some filesystems than truncating it and
+    allocating new ones. As with truncate-and-write, a rewrite is not
+    atomic.
+    """
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def _block_model(inst: ProblemInstance, beta: float, i: int, constrained: bool) -> np.ndarray:

@@ -45,7 +45,7 @@ from .model import (
     normalize_block_matrices,
 )
 from ._averaging import averaged_update, bordered_curvature, check_sweep_blocks, curvature_matrix
-from .solvers import GAMMA_SUP, IterateState, SolverConfig, Trace, _Workspace, check_beta
+from .solvers import GAMMA_SUP, IterateState, SolverConfig, Trace, _Workspace, _write_artifact, check_beta
 
 # Eigenvalue classification bands. A value within EIG_ONE_TOL of 1+0i counts
 # as one; a modulus below 1 - EIG_ONE_TOL counts as strictly inside; anything
@@ -181,9 +181,7 @@ class SpectralReport:
 
 
 def save_report(report: SpectralReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_artifact(path, json.dumps(report.to_dict(), indent=2) + "\n")
 
 
 def load_report(path) -> SpectralReport:

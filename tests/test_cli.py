@@ -10,7 +10,8 @@ import pytest
 
 import coupled_splitting as cs
 from coupled_splitting._averaging import MAX_SUBSET_WORK, MAX_UNGUARDED_BLOCKS
-from coupled_splitting.cli import main
+from coupled_splitting.cli import build_parser, main
+from coupled_splitting.solvers import _write_artifact
 from coupled_splitting.spectral import load_report
 
 
@@ -326,6 +327,21 @@ def test_seed_from_environment(pair_file, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_on_command_line_exits_64_before_writing(pair_file, cyclic3_file, tmp_path, capsys):
+    """A negative --seed is rejected like a negative $COUPLED_SPLITTING_SEED,
+    before any artifact is written."""
+    cases = (
+        ["solve", str(pair_file)],
+        ["rp-expect", str(cyclic3_file)],
+        ["rp-expect", str(cyclic3_file), "--trials", "2"],
+    )
+    for i, argv in enumerate(cases):
+        out = tmp_path / f"neg{i}"
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 64, argv
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir()), argv
+
+
 # -- analyze -------------------------------------------------------------------
 
 
@@ -457,6 +473,129 @@ def test_witness_found_and_absent(tmp_path, capsys):
     capsys.readouterr()
     doc2 = json.loads((out2 / "witness.json").read_text())
     assert doc2["found"] is False
+
+
+# -- artifacts written in place ---------------------------------------------------
+
+
+def test_write_artifact_cuts_a_longer_file_to_the_new_text(tmp_path):
+    path = tmp_path / "a.csv"
+    _write_artifact(path, "0123456789," * 1000 + "\n")
+    _write_artifact(path, "k,v\n1,2\n")
+    assert path.read_bytes() == b"k,v\n1,2\n"
+
+
+def test_write_artifact_creates_a_fresh_file(tmp_path):
+    path = tmp_path / "fresh.csv"
+    assert not path.exists()
+    _write_artifact(path, "k,v\n")
+    assert path.read_bytes() == b"k,v\n"
+
+
+def _save(tmp_path, name, H, A, b):
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1,) * len(H), m=len(b)), H=np.asarray(H, dtype=float),
+        g=np.zeros(len(H)), A=np.asarray(A, dtype=float), b=np.asarray(b, dtype=float),
+    )
+    path = tmp_path / name
+    cs.save_instance(inst, path)
+    return str(path)
+
+
+def _rerun_cases(tmp_path, pair_file, cyclic3_file):
+    """Per subcommand: a run that writes longer artifacts, then a run that
+    writes shorter ones under the same names."""
+    pair, c3 = str(pair_file), str(cyclic3_file)
+    norm = _save(tmp_path, "norm.json", [[1.0, 0.5], [0.5, 1.0]], [[1.0, 1.0]], [0.0])
+    degen = _save(tmp_path, "degen.json", [[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0]], [1.0])
+    return {
+        "solve": (["solve", pair, "--tol", "0", "--max-iter", "50"], ["solve", pair, "--tol", "0", "--max-iter", "5"]),
+        "analyze": (["analyze", c3], ["analyze", pair]),
+        "compare-bcd": (["compare-bcd", norm], ["compare-bcd", pair]),
+        "rp-expect": (
+            ["rp-expect", c3, "--max-iter", "200", "--trials", "3"],
+            ["rp-expect", c3, "--max-iter", "20", "--trials", "1"],
+        ),
+        "witness": (["witness", degen], ["witness", pair]),
+    }
+
+
+def _artifacts(out) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "compare-bcd", "rp-expect", "witness"])
+def test_rerun_over_longer_artifacts_matches_fresh_run(command, pair_file, cyclic3_file, tmp_path, capsys):
+    """Artifacts rewritten in place over a longer run's are byte-identical to
+    the same run's artifacts in an empty directory: no stale tail is left."""
+    longer, shorter = _rerun_cases(tmp_path, pair_file, cyclic3_file)[command]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main([*longer, "--out", str(reused)]) == 0
+    before = _artifacts(reused)
+    assert main([*shorter, "--out", str(reused)]) == 0
+    assert main([*shorter, "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    after = _artifacts(fresh)
+    assert after == _artifacts(reused)
+    assert before.keys() == after.keys()
+    assert all(len(before[name]) > len(after[name]) for name in after)
+
+
+@pytest.mark.parametrize(
+    "cmd, artifact",
+    [
+        (["solve"], "trace.csv"),
+        (["analyze"], "report.json"),
+        (["compare-bcd"], "compare_bcd.csv"),
+        (["rp-expect", "--max-iter", "5"], "expectation.csv"),
+        (["witness"], "witness.json"),
+    ],
+)
+def test_artifact_path_that_is_a_directory_exits_2(cmd, artifact, pair_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main([cmd[0], str(pair_file), *cmd[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and artifact in err, err
+
+
+# -- one parser per process ----------------------------------------------------------
+
+
+def _header(path, key) -> str:
+    return next(ln for ln in path.read_text().splitlines() if ln.startswith(f"# {key}="))
+
+
+def test_main_keeps_no_argument_between_calls(pair_file, cyclic3_file, tmp_path, monkeypatch, capsys):
+    """main reuses one parser, yet a flag given to one call is not seen by the
+    next: an omitted --seed reads $COUPLED_SPLITTING_SEED, then 0."""
+    out = tmp_path / "seq"
+    trace, expect = out / "trace.csv", out / "expectation.csv"
+    monkeypatch.setenv("COUPLED_SPLITTING_SEED", "5")
+    assert main(["solve", str(pair_file), "--seed", "11", "--beta", "2", "--out", str(out)]) == 0
+    assert (_header(trace, "seed"), _header(trace, "beta")) == ("# seed=11", "# beta=2.0")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(pair_file), "--seed", "x"])
+    assert exc.value.code == 64
+    assert main(["rp-expect", str(cyclic3_file), "--max-iter", "5", "--out", str(out)]) == 0
+    assert (_header(expect, "seed"), _header(expect, "beta")) == ("# seed=5", "# beta=1.0")
+    assert main(["solve", str(pair_file), "--out", str(out)]) == 0
+    assert (_header(trace, "seed"), _header(trace, "beta")) == ("# seed=5", "# beta=1.0")
+    assert main(["rp-expect", str(cyclic3_file), "--max-iter", "5", "--seed", "3", "--out", str(out)]) == 0
+    assert _header(expect, "seed") == "# seed=3"
+    monkeypatch.delenv("COUPLED_SPLITTING_SEED")
+    assert main(["analyze", str(pair_file), "--beta", "3", "--out", str(out)]) == 0
+    assert main(["solve", str(pair_file), "--out", str(out)]) == 0
+    assert _header(trace, "seed") == "# seed=0"
+    assert main(["rp-expect", str(cyclic3_file), "--max-iter", "5", "--out", str(out)]) == 0
+    assert (_header(expect, "seed"), _header(expect, "beta")) == ("# seed=0", "# beta=1.0")
+    capsys.readouterr()
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    first = build_parser()
+    assert build_parser() is not first
+    assert first.parse_args(["witness", "x.json"]).beta == 1.0
 
 
 # -- console entry point -----------------------------------------------------------

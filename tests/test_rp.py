@@ -432,3 +432,34 @@ def test_expectation_trace_csv(tmp_path):
     assert np.array_equal(
         np.array([float(v) for v in row5[1:4]]), et.Ex[5]
     )
+
+
+def _cell_by_cell_expectation(et, header_lines) -> str:
+    """ExpectationTrace.to_csv's text, written one repr(float(v)) cell at a time."""
+    d, m = et.Ex.shape[1], et.Emu.shape[1]
+    cols = ["k"] + [f"Ex_{j + 1}" for j in range(d)] + [f"Emu_{j + 1}" for j in range(m)] + ["mode"]
+    out = [f"# {line}\n" for line in header_lines] + [",".join(cols) + "\n"]
+    for row, k in enumerate(et.ks):
+        cells = [str(k)] + [repr(float(v)) for v in et.Ex[row]] + [repr(float(v)) for v in et.Emu[row]]
+        out.append(",".join(cells + [et.mode]) + "\n")
+    out.append(f"# status={et.status}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("m", [2, 0])
+def test_expectation_trace_csv_matches_cell_by_cell_format(tmp_path, m):
+    """NaN, infinite, signed-zero and subnormal cells, and a trace with no
+    multipliers, are written byte for byte as repr(float(v)) writes each cell."""
+    edge = np.array([
+        [np.nan, np.inf, -np.inf, -0.0],
+        [5e-324, 0.0, 1.0 / 3.0, -1e300],
+        [0.1, -5e-324, 2.5, 1e-310],
+    ])
+    for mode in ("exact", "sample_mean"):
+        et = rp.ExpectationTrace(
+            mode=mode, ks=[0, 1, 7], Ex=edge[:, :2], Emu=edge[:, 2:2 + m], status="converged"
+        )
+        path = tmp_path / f"{mode}{m}.csv"
+        header = ["beta=1.0", "trials=2"]
+        et.to_csv(path, header_lines=header)
+        assert path.read_text() == _cell_by_cell_expectation(et, header)

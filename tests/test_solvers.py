@@ -595,7 +595,7 @@ def test_trace_rows_match_cell_by_cell_format():
         for trial in (None, 3):
             trace.trial = trial
             fh = io.StringIO()
-            trace.write_csv_rows(fh)
+            fh.write(trace.csv_rows())
             assert fh.getvalue() == _cell_by_cell_rows(trace)
 
 
