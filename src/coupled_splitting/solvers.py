@@ -20,8 +20,8 @@ bcpg              n blocks, no constraints, scalar curvatures r_i
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -207,22 +207,9 @@ def _fmt(v) -> str:
 
 
 def _write_artifact(path, text: str) -> None:
-    """Write an artifact whole, in place, and cut the file to its length.
-
-    The file is opened without O_TRUNC: rewriting the blocks a file already
-    holds is far cheaper on some filesystems than truncating it and
-    allocating new ones. As with truncate-and-write, a rewrite is not
-    atomic.
-    """
-    data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        done = 0
-        while done < len(data):
-            done += os.write(fd, data[done:])
-        os.ftruncate(fd, done)
-    finally:
-        os.close(fd)
+    """Write an artifact whole: truncate the file and write the text built in
+    memory. A rewrite is not atomic."""
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _block_model(inst: ProblemInstance, beta: float, i: int, constrained: bool) -> np.ndarray:

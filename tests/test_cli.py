@@ -2,6 +2,7 @@
 and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -475,7 +476,7 @@ def test_witness_found_and_absent(tmp_path, capsys):
     assert doc2["found"] is False
 
 
-# -- artifacts written in place ---------------------------------------------------
+# -- artifacts written whole ------------------------------------------------------
 
 
 def test_write_artifact_cuts_a_longer_file_to_the_new_text(tmp_path):
@@ -490,6 +491,13 @@ def test_write_artifact_creates_a_fresh_file(tmp_path):
     assert not path.exists()
     _write_artifact(path, "k,v\n")
     assert path.read_bytes() == b"k,v\n"
+
+
+def test_write_artifact_writes_through_a_symlink_to_dev_null(tmp_path):
+    path = tmp_path / "null.csv"
+    path.symlink_to(os.devnull)
+    _write_artifact(path, "k,v\n" * 100)
+    assert path.is_symlink()
 
 
 def _save(tmp_path, name, H, A, b):
@@ -526,7 +534,7 @@ def _artifacts(out) -> dict:
 
 @pytest.mark.parametrize("command", ["solve", "analyze", "compare-bcd", "rp-expect", "witness"])
 def test_rerun_over_longer_artifacts_matches_fresh_run(command, pair_file, cyclic3_file, tmp_path, capsys):
-    """Artifacts rewritten in place over a longer run's are byte-identical to
+    """Artifacts rewritten over a longer run's are byte-identical to
     the same run's artifacts in an empty directory: no stale tail is left."""
     longer, shorter = _rerun_cases(tmp_path, pair_file, cyclic3_file)[command]
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
