@@ -21,16 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (
-    CertificateError,
-    ConditionError,
-    CoupledSplittingError,
-    DomainError,
-    InfeasibleError,
-    StructuralError,
-    UnsupportedOracleError,
-    UsageError,
-)
+from .errors import CoupledSplittingError, UsageError
 from .model import load_instance
 from .rp import run_expected_iteration, run_rp_solver
 from .solvers import _fmt, _write_artifact, SolverConfig, VARIANTS, run_solver
@@ -40,16 +31,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_USAGE = 64
-
-_VALIDATION_ERRORS = (
-    StructuralError,
-    ConditionError,
-    InfeasibleError,
-    CertificateError,
-    DomainError,
-    UnsupportedOracleError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit with code 64."""
@@ -166,7 +147,7 @@ def _cmd_rp_expect(args) -> int:
             max_iter=args.max_iter,
             seed=seed,
         )
-        traces, mean_trace = run_rp_solver(inst, cfg, seed=seed, trials=args.trials)
+        traces, mean_trace = run_rp_solver(inst, cfg, trials=args.trials)
         mean_path = out / "expectation_sampled.csv"
         mean_trace.to_csv(mean_path, header_lines=header)
         trials_path = out / "trials.csv"
@@ -177,6 +158,10 @@ def _cmd_rp_expect(args) -> int:
         _write_artifact(trials_path, "".join(parts))
         print(f"wrote {mean_path}")
         print(f"wrote {trials_path}")
+    else:
+        # a run without trials leaves no sampled files of an earlier run
+        (out / "expectation_sampled.csv").unlink(missing_ok=True)
+        (out / "trials.csv").unlink(missing_ok=True)
     return EXIT_OK
 
 
@@ -259,14 +244,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        # a missing or unreadable instance file, or an --out path that is a file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CoupledSplittingError as exc:
+    except (CoupledSplittingError, OSError) as exc:
+        # invalid input; OSError is a missing or unreadable instance file, or
+        # an --out path that is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -140,13 +140,10 @@ class ProblemInstance:
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.H @ x + self.g
 
-    def objective(self, x: np.ndarray, Hx: np.ndarray | None = None) -> float:
-        """Full objective value; nan when some term cannot be evaluated.
-        Hx, when given, is the precomputed product H @ x."""
+    def objective(self, x: np.ndarray) -> float:
+        """Full objective value; nan when some term cannot be evaluated."""
         x = np.asarray(x, dtype=float)
-        if Hx is None:
-            Hx = self.H.dot(x)
-        total = 0.5 * float(x.dot(Hx)) + float(self.g.dot(x))
+        total = 0.5 * float(x.dot(self.H.dot(x))) + float(self.g.dot(x))
         for i, f in enumerate(self.theta):
             if f.kind != "zero":
                 total += fn_value(f, x[self.blocks.slice_of(i)])

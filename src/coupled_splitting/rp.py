@@ -10,7 +10,6 @@ iteration whose trajectory is followed exactly here.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +21,15 @@ from .model import ProblemInstance
 from .solvers import IterateState, SolverConfig, _drive, _Workspace, _write_artifact, check_stopping
 
 
-# Orders a sampler draws in its first call; each refill doubles the last, up
-# to MAX_KEYS, the keys drawn in one call. run_rp_solver draws the first
-# blocks of as many trials together as MAX_KEYS allows.
+# Orders of a trial drawn in its first block; each later block doubles the
+# last, up to MAX_KEYS, the keys drawn in one call. run_rp_solver draws the
+# first blocks of as many trials together as MAX_KEYS allows.
 FIRST_BLOCK = 256
 MAX_KEYS = 4096
 
 
 def permutation_at(seed: int, counter: int, n: int) -> tuple:
-    """The block order produced by a sampler with this seed at this counter.
+    """The block order drawn with this seed at this counter.
     Identical (seed, counter, n) always reproduce the identical order."""
     if n < 1:
         raise UsageError("need at least one block")
@@ -49,42 +48,15 @@ def _order_blocks(seeds, start: int, count: int, n: int) -> np.ndarray:
     return blocks
 
 
-@dataclass
-class PermutationSampler:
-    """Uniform sampler over block orders, reproducible from (seed, counter).
-
-    The draw at counter k is permutation_at(seed, k, n). Draws are served
-    from a buffer of consecutive counters for one n, computed many at a
-    time; a draw for another n or at a counter outside the buffer refills it
-    from the current counter, with twice the orders of the last fill.
-    """
-
-    seed: int
-    counter: int = 0
-
-    def __post_init__(self):
-        if int(self.seed) < 0:
-            raise UsageError("seed must be a nonnegative integer")
-        self.seed = int(self.seed)
-        self.counter = int(self.counter)
-        self._n = None
-        self._start = 0
-        self._orders = []
-        self._next_block = FIRST_BLOCK
-
-    def draw(self, n: int) -> tuple:
-        at = self.counter - self._start
-        if n != self._n or not 0 <= at < len(self._orders):
-            self._hold(n, self.counter, _order_blocks([self.seed], self.counter, self._next_block, n)[0])
-            at = 0
-        self.counter += 1
-        return self._orders[at]
-
-    def _hold(self, n: int, start: int, block: np.ndarray) -> None:
-        """Serve the orders of counters start, start + 1, ... from block."""
-        self._n, self._start = n, start
-        self._orders = [tuple(row) for row in block.tolist()]
-        self._next_block = min(2 * len(block), MAX_KEYS)
+def _trial_orders(seed: int, n: int, first: np.ndarray):
+    """permutation_at(seed, k, n) for k = 0, 1, ...: the rows of first, which
+    holds the orders of the first counters, then blocks of consecutive
+    counters drawn by _order_blocks, each twice the last, up to MAX_KEYS."""
+    block, start = first, 0
+    while True:
+        yield from map(tuple, block.tolist())
+        start += len(block)
+        block = _order_blocks([seed], start, min(2 * len(block), MAX_KEYS), n)[0]
 
 
 def run_rp_solver(
@@ -92,15 +64,16 @@ def run_rp_solver(
     cfg: SolverConfig,
     x0=None,
     mu0=None,
-    seed: int | None = None,
     trials: int = 1,
     keep_iterates: bool = False,
 ):
     """Run `trials` independent randomly permuted runs.
 
     Each trial runs variant admm_cyclic_n with unit dual stepsize and a fresh
-    block order per sweep. Trial t draws its orders from a sampler seeded
-    with seed XOR t, so any single trial can be reproduced in isolation.
+    block order per sweep: trial t sweeps in the orders
+    permutation_at(cfg.seed ^ t, k, n) for k = 0, 1, ..., so any single
+    trial can be reproduced in isolation as trial 0 of a run seeded
+    cfg.seed ^ t.
     Returns the per-trial traces and the sample-mean trajectory across trials
     at matching iteration counts (trials that stop early are held at their
     final iterate).
@@ -108,9 +81,7 @@ def run_rp_solver(
     cfg.validate(inst)
     if trials < 1:
         raise UsageError("trials must be at least 1")
-    base_seed = cfg.seed if seed is None else int(seed)
-    if base_seed < 0:
-        raise UsageError("seed must be a nonnegative integer")
+    seed = int(cfg.seed)
     ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0))
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     traces = []
@@ -120,13 +91,11 @@ def run_rp_solver(
     together = max(1, MAX_KEYS // first)
     for t in range(int(trials)):
         if t % together == 0:
-            seeds = [base_seed ^ u for u in range(t, min(t + together, int(trials)))]
+            seeds = [seed ^ u for u in range(t, min(t + together, int(trials)))]
             blocks = _order_blocks(seeds, 0, first, n)
-        sampler = PermutationSampler(base_seed ^ t)
-        sampler._hold(n, 0, blocks[t % together])
-        draw = functools.partial(sampler.draw, n)
+        orders = _trial_orders(seed ^ t, n, blocks[t % together])
         path = []
-        trace = _drive(ws, IterateState.start(inst, x0, mu0), draw, keep_iterates, path=path)
+        trace = _drive(ws, IterateState.start(inst, x0, mu0), orders.__next__, keep_iterates, path=path)
         trace.trial = t
         traces.append(trace)
         paths.append(np.asarray(path))
@@ -146,7 +115,7 @@ def run_rp_solver(
         Emu=mean[:, d:],
         status="sampled",
         trials=int(trials),
-        seed=base_seed,
+        seed=seed,
     )
     return traces, mean_trace
 

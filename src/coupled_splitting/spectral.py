@@ -37,15 +37,18 @@ from .errors import (
     StructuralError,
     UsageError,
 )
-from .model import (
-    KKTPoint,
-    ProblemInstance,
-    UNIQUENESS_TOL,
-    kkt_residual,
-    normalize_block_matrices,
-)
+from .model import ProblemInstance, UNIQUENESS_TOL, normalize_block_matrices
 from ._averaging import averaged_update, bordered_curvature, check_sweep_blocks, curvature_matrix
-from .solvers import GAMMA_SUP, IterateState, SolverConfig, Trace, _Workspace, _write_artifact, check_beta
+from .solvers import (
+    GAMMA_SUP,
+    IterateState,
+    SolverConfig,
+    Trace,
+    _record,
+    _Workspace,
+    _write_artifact,
+    check_beta,
+)
 
 # Eigenvalue classification bands. A value within EIG_ONE_TOL of 1+0i counts
 # as one; a modulus below 1 - EIG_ONE_TOL counts as strictly inside; anything
@@ -519,8 +522,8 @@ def oscillation_demo(
             f"perturbed trajectory fails the optimality recheck: defect {defect:.3e}"
         )
 
-    baseline = _trace_from_path(inst, xs, mus)
-    perturbed = _trace_from_path(inst, xs_p, mus_p)
+    baseline = _trace_from_path(ws, xs, mus)
+    perturbed = _trace_from_path(ws, xs_p, mus_p)
     gap = False
     if ynorm > 0:
         tail = range(max(1, len(xs_p) - max(2, len(xs_p) // 4)), len(xs_p))
@@ -560,18 +563,14 @@ def _recheck_steps(inst, R_mats, beta, gamma, xs, mus) -> float:
     return worst
 
 
-def _trace_from_path(inst, xs, mus) -> Trace:
-    trace = Trace(n_blocks=inst.blocks.n, exact_residuals=True)
-    for k in range(len(xs)):
-        res = kkt_residual(inst, KKTPoint(x=xs[k], mu=mus[k]))
-        trace.ks.append(k)
-        trace.r_dual.append(res.r_dual)
-        trace.r_feas.append(res.r_feas)
-        trace.surrogate_blocks.append(None)
-        trace.surrogate.append(math.nan)
-        trace.objective.append(inst.objective(xs[k]))
-        trace.lyapunov.append(None)
-    trace.status = "max_iter"
+def _trace_from_path(ws, xs, mus) -> Trace:
+    """The trace of a trajectory, each row recorded as _drive records a start
+    point: with no sweep order, so with no surrogate."""
+    inst = ws.inst
+    trace = Trace(n_blocks=ws.n, exact_residuals=ws.observe.exact)
+    for k, (x, mu) in enumerate(zip(xs, mus)):
+        state = IterateState(x=x, x_prev=x, mu=mu, k=k)
+        _record(trace, ws, state, None, inst.A.dot(x) - inst.b, None, None, None, None)
     trace.x = np.asarray(xs[-1]).copy()
     trace.mu = np.asarray(mus[-1]).copy()
     return trace

@@ -445,6 +445,19 @@ def test_rp_expect_rejects_negative_trials(cyclic3_file, tmp_path, capsys):
     assert not (out / "trials.csv").exists()
 
 
+def test_rp_expect_without_trials_leaves_no_earlier_trials(cyclic3_file, tmp_path, capsys):
+    """A run without --trials into a directory that holds a run with trials
+    leaves the files of the same run in an empty directory, byte for byte."""
+    run = ["rp-expect", str(cyclic3_file), "--max-iter", "200"]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main([*run, "--trials", "3", "--out", str(reused)]) == 0
+    assert main([*run, "--out", str(reused)]) == 0
+    assert main([*run, "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert _artifacts(reused) == _artifacts(fresh)
+    assert list(_artifacts(fresh)) == ["expectation.csv"]
+
+
 # -- witness ---------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Tests for the randomly permuted scheme: order sampling, per-trial
 reproducibility, sample means, and the exact expected iteration."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import stats
 
 import coupled_splitting as cs
 from coupled_splitting import _keystream, rp, solvers
-from coupled_splitting.rp import permutation_at, PermutationSampler
+from coupled_splitting.rp import permutation_at
 from coupled_splitting.solvers import _Workspace
 from gen import past_guard_instance, random_psd
 
@@ -66,11 +67,15 @@ def test_permutation_stream_is_pinned():
                 assert all(type(v) is int for v in got)
 
 
-def test_sampler_matches_keyed_stream():
-    sampler = PermutationSampler(seed=42)
-    seq = [sampler.draw(4) for _ in range(8)]
-    assert seq == [permutation_at(42, c, 4) for c in range(8)]
-    assert sampler.counter == 8
+def _stream(seed, n, count):
+    """The first count orders of a trial seeded with seed, its first block
+    drawn as run_rp_solver draws it."""
+    first = rp._order_blocks([seed], 0, rp.FIRST_BLOCK, n)[0]
+    return list(itertools.islice(rp._trial_orders(seed, n, first), count))
+
+
+def test_trial_orders_match_keyed_stream():
+    assert _stream(42, 4, 8) == [permutation_at(42, c, 4) for c in range(8)]
 
 
 def _keyed(seed, counter, n):
@@ -109,35 +114,26 @@ def test_batched_orders_fall_back_when_words_run_out(monkeypatch):
     assert [tuple(r) for r in blocks[0].tolist()] == [_keyed(5, 2**64 - 2 + c, 3) for c in range(4)]
 
 
-def test_sampler_refills_for_new_n_and_reassigned_counter(monkeypatch):
-    """Draws across refill boundaries, after n changes, and after the
-    counter is assigned backwards, forwards and past 2**32 are the keyed
-    generator's orders at the current counter."""
+def test_trial_orders_cross_refill_boundaries(monkeypatch):
+    """Orders drawn across many refills (blocks of 3, 6, 8, 8, ... orders)
+    are the keyed generator's orders, counter by counter, for n from 1 to
+    20."""
     monkeypatch.setattr(rp, "FIRST_BLOCK", 3)
     monkeypatch.setattr(rp, "MAX_KEYS", 8)
-    sampler = PermutationSampler(seed=2**31 + 1)
-    seen = []
-    for n in (4, 4, 4, 4, 4, 4, 4, 3, 3, 4, 14, 14, 1, 20):
-        seen.append((sampler.counter, n, sampler.draw(n)))
-    for counter in (2, 40, 0, 2**32 - 1, 2**32, 1):
-        sampler.counter = counter
-        for _ in range(9):
-            seen.append((sampler.counter, 5, sampler.draw(5)))
-    assert sampler.counter == 10
-    for counter, n, order in seen:
-        assert order == _keyed(2**31 + 1, counter, n)
-        assert all(type(v) is int for v in order)
+    seed = 2**31 + 1
+    for n in (1, 3, 4, 14, 20):
+        orders = _stream(seed, n, 42)
+        assert orders == [_keyed(seed, c, n) for c in range(42)]
+        assert all(type(v) is int for order in orders for v in order)
     with pytest.raises(cs.UsageError):
-        sampler.draw(0)
+        _stream(seed, 0, 1)
 
 
 def test_permutation_uniformity_chi_square():
     """All n! orders of 3 blocks occur with equal frequency."""
-    sampler = PermutationSampler(seed=2024)
     cells = {p: 0 for p in itertools.permutations(range(3))}
-    draws = 6000
-    for _ in range(draws):
-        cells[sampler.draw(3)] += 1
+    for order in _stream(2024, 3, 6000):
+        cells[order] += 1
     counts = list(cells.values())
     res = stats.chisquare(counts)
     assert res.pvalue > 1e-3
@@ -178,15 +174,15 @@ def test_order_changes_the_iterate():
 def test_rp_run_reproducible_and_trialwise_isolated(tmp_path):
     inst = three_by_three_instance()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0, tol=1e-9, max_iter=4000)
-    traces_a, mean_a = cs.run_rp_solver(inst, cfg, seed=5, trials=3)
-    traces_b, mean_b = cs.run_rp_solver(inst, cfg, seed=5, trials=3)
+    traces_a, mean_a = cs.run_rp_solver(inst, dataclasses.replace(cfg, seed=5), trials=3)
+    traces_b, mean_b = cs.run_rp_solver(inst, dataclasses.replace(cfg, seed=5), trials=3)
     for ta, tb in zip(traces_a, traces_b):
         assert ta.ks == tb.ks
         assert np.array_equal(ta.x, tb.x)
         assert np.array_equal(ta.mu, tb.mu)
     assert np.array_equal(mean_a.Ex, mean_b.Ex)
-    # trial 2 can be reproduced alone: its sampler seed is 5 XOR 2
-    solo, _ = cs.run_rp_solver(inst, cfg, seed=5 ^ 2, trials=1)
+    # trial 2 can be reproduced alone: its orders are seeded with 5 XOR 2
+    solo, _ = cs.run_rp_solver(inst, dataclasses.replace(cfg, seed=5 ^ 2), trials=1)
     assert np.array_equal(solo[0].x, traces_a[2].x)
     assert solo[0].ks == traces_a[2].ks
     # CSV determinism
@@ -199,20 +195,18 @@ def test_rp_run_reproducible_and_trialwise_isolated(tmp_path):
 
 
 def test_rp_trial_is_a_loop_of_steps_in_sampled_orders():
-    """Trial t is cs.step applied in the orders that a sampler seeded with
-    seed XOR t draws, iterate for iterate."""
+    """Trial t is cs.step applied in the orders permutation_at(seed XOR t, k,
+    n), k = 0, 1, ..., iterate for iterate."""
     inst = coupled_three_block()
-    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.5, gamma=1.0, tol=1e-9, max_iter=500)
-    seed = 6
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.5, gamma=1.0, tol=1e-9, max_iter=500, seed=6)
     x0 = np.linspace(-1.0, 1.0, 4)
-    traces, _ = cs.run_rp_solver(inst, cfg, x0=x0, seed=seed, trials=3, keep_iterates=True)
+    traces, _ = cs.run_rp_solver(inst, cfg, x0=x0, trials=3, keep_iterates=True)
     n = inst.blocks.n
     for t, trace in enumerate(traces):
-        sampler = PermutationSampler(seed ^ t)
         state = cs.IterateState.start(inst, x0=x0)
         assert np.array_equal(trace.iterates[0][0], state.x)
         for k in range(1, len(trace)):
-            state = cs.step(inst, cfg, state, order=sampler.draw(n))
+            state = cs.step(inst, cfg, state, order=permutation_at(6 ^ t, k - 1, n))
             assert np.array_equal(trace.iterates[k][0], state.x)
             assert np.array_equal(trace.iterates[k][1], state.mu)
         assert np.array_equal(trace.x, state.x)
@@ -223,11 +217,11 @@ def test_rp_trials_do_not_depend_on_how_orders_are_batched(monkeypatch):
     """Trials whose first blocks are drawn in several calls and refilled
     many times run bitwise as with the default batching."""
     inst = coupled_three_block()
-    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.5, gamma=1.0, tol=1e-9, max_iter=400)
-    want, want_mean = cs.run_rp_solver(inst, cfg, seed=12, trials=5, keep_iterates=True)
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.5, gamma=1.0, tol=1e-9, max_iter=400, seed=12)
+    want, want_mean = cs.run_rp_solver(inst, cfg, trials=5, keep_iterates=True)
     monkeypatch.setattr(rp, "FIRST_BLOCK", 4)
     monkeypatch.setattr(rp, "MAX_KEYS", 8)
-    got, got_mean = cs.run_rp_solver(inst, cfg, seed=12, trials=5, keep_iterates=True)
+    got, got_mean = cs.run_rp_solver(inst, cfg, trials=5, keep_iterates=True)
     for a, b in zip(want, got):
         assert a.ks == b.ks and len(a) > 20
         for (xa, ma), (xb, mb) in zip(a.iterates, b.iterates):
@@ -281,8 +275,8 @@ def test_surrogate_matrices_are_cached_per_order_within_budget(monkeypatch):
 
 def test_sample_mean_holds_stopped_trials_at_their_last_iterate():
     inst = three_by_three_instance()
-    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0, tol=1e-6, max_iter=5000)
-    traces, mean_trace = cs.run_rp_solver(inst, cfg, seed=1, trials=4, keep_iterates=True)
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0, tol=1e-6, max_iter=5000, seed=1)
+    traces, mean_trace = cs.run_rp_solver(inst, cfg, trials=4, keep_iterates=True)
     lengths = [len(t) for t in traces]
     assert len(set(lengths)) > 1  # the trials stop at different k
     k_len = max(lengths)
@@ -299,10 +293,16 @@ def test_sample_mean_holds_stopped_trials_at_their_last_iterate():
 def test_rp_run_nan_start_trips_divergence_guard():
     inst = three_by_three_instance()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0, tol=1e-9, max_iter=300)
-    traces, _ = cs.run_rp_solver(inst, cfg, mu0=_arr(np.nan, 0.0, 0.0), seed=0, trials=2)
+    traces, _ = cs.run_rp_solver(inst, cfg, mu0=_arr(np.nan, 0.0, 0.0), trials=2)
     for t in traces:
         assert t.status == "diverged"
         assert len(t) == 2
+
+
+def test_rp_run_rejects_negative_seed():
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", seed=-1)
+    with pytest.raises(cs.UsageError, match="seed"):
+        cs.run_rp_solver(three_by_three_instance(), cfg, trials=2)
 
 
 def test_rp_run_converges_where_cyclic_diverges():
@@ -310,7 +310,7 @@ def test_rp_run_converges_where_cyclic_diverges():
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0, tol=1e-9, max_iter=20_000)
     cyc = cs.run_solver(inst, cfg)
     assert cyc.status == "diverged"
-    traces, _ = cs.run_rp_solver(inst, cfg, seed=0, trials=5)
+    traces, _ = cs.run_rp_solver(inst, cfg, trials=5)
     assert all(t.status == "converged" for t in traces)
     for t in traces:
         res = cs.kkt_residual(inst, cs.KKTPoint(x=t.x, mu=t.mu))
@@ -328,8 +328,8 @@ def test_rp_run_accepts_nonsmooth_terms():
     beta = 2.0
     B = [inst.H_block(i, i) + beta * np.outer(inst.A_block(i), inst.A_block(i)) for i in range(2)]
     R = [float(np.linalg.eigvalsh(Bi)[-1]) * 1.3 * np.eye(1) - Bi for Bi in B]
-    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=beta, R=R, tol=1e-9, max_iter=50_000)
-    traces, mean_trace = cs.run_rp_solver(inst, cfg, seed=3, trials=2)
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=beta, R=R, tol=1e-9, max_iter=50_000, seed=3)
+    traces, mean_trace = cs.run_rp_solver(inst, cfg, trials=2)
     assert all(t.status == "converged" for t in traces)
     assert mean_trace.mode == "sample_mean"
 
@@ -405,9 +405,9 @@ def test_sample_mean_tracks_exact_expectation():
     expectation at small k, within a five-sigma band."""
     inst = three_by_three_instance()
     beta = 1.0
-    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=beta, gamma=1.0, tol=0.0, max_iter=10)
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=beta, gamma=1.0, tol=0.0, max_iter=10, seed=7)
     trials = 400
-    traces, mean_trace = cs.run_rp_solver(inst, cfg, seed=7, trials=trials, keep_iterates=True)
+    traces, mean_trace = cs.run_rp_solver(inst, cfg, trials=trials, keep_iterates=True)
     exact = cs.run_expected_iteration(inst, beta, k_max=10, tol=0.0)
     k = 6
     samples = np.array([np.concatenate(t.iterates[k]) for t in traces])
