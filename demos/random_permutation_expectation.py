@@ -39,7 +39,7 @@ def main():
         res = cs.kkt_residual(inst, cs.KKTPoint(x=t.x, mu=t.mu))
         print(f"  trial {t.trial}: status={t.status:<9s} sweeps={len(t.ks) - 1:>5d} "
               f"kkt={res.max_component:.2e}")
-    print(f"sample-mean trajectory mode: {mean_trace.mode} over {mean_trace.trials} trials")
+    print(f"sample-mean trajectory mode: {mean_trace.mode} over {len(traces)} trials")
 
     et = cs.run_expected_iteration(inst, beta, k_max=5_000, tol=1e-12)
     print(f"\nexact expected iteration: status={et.status} after {et.ks[-1]} steps")

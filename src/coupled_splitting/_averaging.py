@@ -180,6 +180,7 @@ def averaged_update(inst: ProblemInstance, beta: float) -> AveragedUpdate:
     averaged bordered inverse comes from the independent first-block
     recursion.
     """
+    inst.require_zero_terms("the order-averaged update")
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     work = 2**n * (d + m) ** 2 * d
     if n > MAX_UNGUARDED_BLOCKS and work > MAX_SUBSET_WORK:

@@ -137,6 +137,12 @@ class ProblemInstance:
     def sigma_full(self) -> np.ndarray:
         return block_diag([self.sigma_block(i) for i in range(self.blocks.n)])
 
+    def require_zero_terms(self, what: str) -> None:
+        """Reject an instance with a nonzero separable term from `what`, which
+        is defined only for the purely quadratic model."""
+        if any(f.kind != "zero" for f in self.theta):
+            raise UsageError(f"{what} is defined only when every separable term is zero")
+
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.H @ x + self.g
 
@@ -226,8 +232,8 @@ def check_uniqueness_condition(
         raise UsageError(f"unknown mode {mode!r}; expected one of {CONDITION_MODES}")
     if mode == "two_block_full" and inst.blocks.n != 2:
         raise UsageError("mode two_block_full needs exactly two blocks")
-    if mode == "nblock_qp" and any(f.kind != "zero" for f in inst.theta):
-        raise UsageError("mode nblock_qp applies only when every separable term is zero")
+    if mode == "nblock_qp":
+        inst.require_zero_terms("mode nblock_qp")
     return _uniqueness_condition(inst, normalize_block_matrices(inst, R), mode, tolerance)
 
 

@@ -1,10 +1,11 @@
 """Randomly permuted sweeps and their expected iteration.
 
-Each step draws a uniform block order and runs the `solvers.step` sweep of
-variant admm_cyclic_n in that order, moving the multiplier with unit dual
-stepsize. For instances whose separable terms are all zero the update is
-affine, and averaging it over the n! orders gives a deterministic linear
-iteration whose trajectory is followed exactly here.
+Each step draws a uniform block order, from one numpy Generator per trial,
+and runs the `solvers.step` sweep of variant admm_cyclic_n in that order,
+moving the multiplier with unit dual stepsize. For instances whose separable
+terms are all zero the update is affine, and averaging it over the n! orders
+gives a deterministic linear iteration whose trajectory is followed exactly
+here.
 """
 
 from __future__ import annotations
@@ -14,49 +15,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _keystream
 from ._averaging import averaged_update
 from .errors import UsageError
 from .model import ProblemInstance
 from .solvers import IterateState, SolverConfig, _drive, _Workspace, _write_artifact, check_stopping
 
 
-# Orders of a trial drawn in its first block; each later block doubles the
-# last, up to MAX_KEYS, the keys drawn in one call. run_rp_solver draws the
-# first blocks of as many trials together as MAX_KEYS allows.
-FIRST_BLOCK = 256
-MAX_KEYS = 4096
+# Orders a trial draws in one call to Generator.permuted
+ORDER_BLOCK = 256
+
+
+def _order_rng(seed: int, n: int) -> np.random.Generator:
+    """The generator of the order stream seeded `seed`, for n blocks."""
+    if n < 1:
+        raise UsageError("need at least one block")
+    return np.random.default_rng(int(seed))
 
 
 def permutation_at(seed: int, counter: int, n: int) -> tuple:
-    """The block order drawn with this seed at this counter.
-    Identical (seed, counter, n) always reproduce the identical order."""
-    if n < 1:
-        raise UsageError("need at least one block")
-    rng = np.random.default_rng((int(seed), int(counter)))
+    """Order number `counter` (from 0) of the stream seeded `seed`: the
+    counter-th of successive default_rng(seed).permutation(n) draws, as a
+    tuple of Python ints. It draws every earlier order one call at a time,
+    in O(counter), and is the reference for _trial_orders."""
+    rng = _order_rng(seed, n)
+    for _ in range(int(counter)):
+        rng.permutation(n)
     return tuple(rng.permutation(n).tolist())
 
 
-def _order_blocks(seeds, start: int, count: int, n: int) -> np.ndarray:
-    """(len(seeds), count, n): row [s, c] is permutation_at(seeds[s],
-    start + c, n), from the vectorized stream where it has words enough."""
-    if n < 1:
-        raise UsageError("need at least one block")
-    blocks, ok = _keystream.permutations(seeds, start, count, n)
-    for s, c in zip(*np.nonzero(~ok)):
-        blocks[s, c] = permutation_at(seeds[s], start + int(c), n)
-    return blocks
-
-
-def _trial_orders(seed: int, n: int, first: np.ndarray):
-    """permutation_at(seed, k, n) for k = 0, 1, ...: the rows of first, which
-    holds the orders of the first counters, then blocks of consecutive
-    counters drawn by _order_blocks, each twice the last, up to MAX_KEYS."""
-    block, start = first, 0
+def _trial_orders(seed: int, n: int):
+    """permutation_at(seed, k, n) for k = 0, 1, ..., drawn ORDER_BLOCK at a
+    time: each row of Generator.permuted on a stack of aranges is the next
+    rng.permutation(n), so the orders do not depend on the block size."""
+    rng = _order_rng(seed, n)
+    base = np.broadcast_to(np.arange(n), (ORDER_BLOCK, n))
     while True:
-        yield from map(tuple, block.tolist())
-        start += len(block)
-        block = _order_blocks([seed], start, min(2 * len(block), MAX_KEYS), n)[0]
+        yield from map(tuple, rng.permuted(base, axis=1).tolist())
 
 
 def run_rp_solver(
@@ -70,10 +64,10 @@ def run_rp_solver(
     """Run `trials` independent randomly permuted runs.
 
     Each trial runs variant admm_cyclic_n with unit dual stepsize and a fresh
-    block order per sweep: trial t sweeps in the orders
-    permutation_at(cfg.seed ^ t, k, n) for k = 0, 1, ..., so any single
-    trial can be reproduced in isolation as trial 0 of a run seeded
-    cfg.seed ^ t.
+    block order per sweep: trial t sweeps in the successive orders
+    default_rng(cfg.seed ^ t).permutation(n), that is permutation_at(cfg.seed
+    ^ t, k, n) for k = 0, 1, ..., so any single trial can be reproduced in
+    isolation as trial 0 of a run seeded cfg.seed ^ t.
     Returns the per-trial traces and the sample-mean trajectory across trials
     at matching iteration counts (trials that stop early are held at their
     final iterate).
@@ -86,14 +80,8 @@ def run_rp_solver(
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     traces = []
     paths = []
-    # a trial draws at most max_iter orders
-    first = min(int(cfg.max_iter), FIRST_BLOCK)
-    together = max(1, MAX_KEYS // first)
     for t in range(int(trials)):
-        if t % together == 0:
-            seeds = [seed ^ u for u in range(t, min(t + together, int(trials)))]
-            blocks = _order_blocks(seeds, 0, first, n)
-        orders = _trial_orders(seed ^ t, n, blocks[t % together])
+        orders = _trial_orders(seed ^ t, n)
         path = []
         trace = _drive(ws, IterateState.start(inst, x0, mu0), orders.__next__, keep_iterates, path=path)
         trace.trial = t
@@ -114,8 +102,6 @@ def run_rp_solver(
         Ex=mean[:, :d],
         Emu=mean[:, d:],
         status="sampled",
-        trials=int(trials),
-        seed=seed,
     )
     return traces, mean_trace
 
@@ -130,8 +116,6 @@ class ExpectationTrace:
     Ex: np.ndarray
     Emu: np.ndarray
     status: str
-    trials: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("exact", "sample_mean"):
@@ -156,8 +140,6 @@ class ExpectationTrace:
 def expected_update_operator(inst: ProblemInstance, beta: float):
     """The averaged affine update (M, c): expected iterates follow
     z -> M z + c. Defined for instances whose separable terms are all zero."""
-    if any(f.kind != "zero" for f in inst.theta):
-        raise UsageError("the expected iteration is defined only when every separable term is zero")
     update = averaged_update(inst, beta)
     return update.M, update.c
 

@@ -103,7 +103,7 @@ class SolverConfig:
                 raise StructuralError(f"r has {len(self.r)} entries, expected {inst.blocks.n}")
             if any(not float(v) > 0 for v in self.r):
                 raise UsageError("every linearization curvature r_i must be positive")
-        if self.seed is not None and int(self.seed) < 0:
+        if self.seed is None or int(self.seed) < 0:
             raise UsageError("seed must be a nonnegative integer")
 
 

@@ -492,8 +492,7 @@ def oscillation_demo(
     zero (the construction is for the purely quadratic case)."""
     if inst.blocks.n != 2:
         raise UsageError("the oscillation construction needs exactly two blocks")
-    if any(f.kind != "zero" for f in inst.theta):
-        raise UsageError("the oscillation construction needs all separable terms zero")
+    inst.require_zero_terms("the oscillation construction")
     cfg.validate(inst)
     if k_max < 2:
         raise UsageError("k_max must be at least 2")
@@ -579,8 +578,7 @@ def _trace_from_path(ws, xs, mus) -> Trace:
 def cyclic_update_matrix(inst: ProblemInstance, beta: float, gamma: float = 1.0):
     """One-step update matrix of the fixed-order sweep (identity order, no
     proximal weights) with dual stepsize gamma, and its spectral radius."""
-    if any(f.kind != "zero" for f in inst.theta):
-        raise UsageError("the update matrix is defined only when every separable term is zero")
+    inst.require_zero_terms("the update matrix")
     if not (0.0 < gamma < GAMMA_SUP):
         raise UsageError(f"gamma must lie in (0, {GAMMA_SUP}) exclusive")
     pm = build_perm_matrices(inst, beta, tuple(range(inst.blocks.n)))

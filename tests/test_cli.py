@@ -361,6 +361,23 @@ def test_analyze_report_round_trip(singular_pair_file, tmp_path, capsys):
     assert report.verdicts["prop_3_1"] is None
 
 
+def test_analyze_rejects_separable_terms(tmp_path, capsys):
+    """analyze on an instance with l1 and box terms is a usage error, like
+    rp-expect on it, and writes no report."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=1),
+        H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0]]), b=_arr(1.0),
+        theta=(cs.ProxFn.l1(1.0), cs.ProxFn.box(-1.0, 1.0)),
+    )
+    path = tmp_path / "terms.json"
+    cs.save_instance(inst, path)
+    for cmd in ("analyze", "rp-expect"):
+        out = tmp_path / cmd
+        assert main([cmd, str(path), "--out", str(out)]) == 64, cmd
+        assert "separable term" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir()), cmd
+
+
 # -- compare-bcd ---------------------------------------------------------------
 
 

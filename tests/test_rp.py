@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import coupled_splitting as cs
-from coupled_splitting import _keystream, rp, solvers
+from coupled_splitting import rp, solvers
 from coupled_splitting.rp import permutation_at
 from coupled_splitting.solvers import _Workspace
 from gen import past_guard_instance, random_psd
@@ -55,75 +55,53 @@ def test_permutation_streams_differ_by_seed_and_counter():
     assert len(draws) > 10  # distinct keys give varied orders
 
 
-def test_permutation_stream_is_pinned():
-    """The orders are those of numpy's keyed generator, entry by entry, as
-    Python ints, over seeds up to and past 2**31 and n up to 14."""
-    for seed in (0, 1, 9, 2**31 - 1, 2**31, 2**31 + 1, 2**32 + 5):
-        for counter in (0, 1, 2, 17, 12345):
-            for n in (1, 2, 3, 7, 14):
-                want = tuple(int(v) for v in np.random.default_rng((seed, counter)).permutation(n))
-                got = permutation_at(seed, counter, n)
-                assert got == want
-                assert all(type(v) is int for v in got)
+def _draws(seed, n, count):
+    """The first count orders of successive default_rng(seed).permutation(n)
+    draws, one call each."""
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.permutation(n).tolist()) for _ in range(count)]
 
 
 def _stream(seed, n, count):
-    """The first count orders of a trial seeded with seed, its first block
-    drawn as run_rp_solver draws it."""
-    first = rp._order_blocks([seed], 0, rp.FIRST_BLOCK, n)[0]
-    return list(itertools.islice(rp._trial_orders(seed, n, first), count))
+    """The first count orders of a trial seeded with seed."""
+    return list(itertools.islice(rp._trial_orders(seed, n), count))
 
 
-def test_trial_orders_match_keyed_stream():
-    assert _stream(42, 4, 8) == [permutation_at(42, c, 4) for c in range(8)]
+def test_permutation_stream_is_pinned():
+    """Order k of the stream seeded s, drawn one permutation call at a time,
+    is row k of the trial's blocked draws, entry by entry, as Python ints,
+    over seeds up to and past 2**31 and n up to 14; its first orders are
+    pinned to numpy's values."""
+    for seed in (0, 1, 9, 2**31 - 1, 2**31, 2**31 + 1, 2**32 + 5):
+        for n in (1, 2, 3, 7, 14):
+            want = _stream(seed, n, 12346)
+            for counter in (0, 1, 2, 17, 12345):
+                got = permutation_at(seed, counter, n)
+                assert got == want[counter], (seed, counter, n)
+                assert all(type(v) is int for v in got)
+    # numpy's first three orders of 5 blocks seeded 0 (numpy 2.4)
+    assert [permutation_at(0, k, 5) for k in range(3)] == [(2, 4, 3, 0, 1), (4, 1, 2, 0, 3), (0, 2, 3, 4, 1)]
 
 
-def _keyed(seed, counter, n):
-    return tuple(np.random.default_rng((seed, counter)).permutation(n).tolist())
-
-
-def test_batched_orders_match_keyed_generator():
-    """Every order drawn many keys at a time equals numpy's keyed generator:
-    seeds of one, two and three words, counters of one word from 0 and of
-    two words at and past 2**32 (also in one call), n from 1 to 20."""
-    keys = 0
+def test_trial_orders_match_successive_generator_draws():
+    """_trial_orders and permutation_at give the successive
+    default_rng(seed).permutation(n) draws, for seeds of one, two and three
+    words and n from 1 to 20."""
     for seed in (0, 2**31 - 1, 2**31 + 1, 2**32 + 5, 2**64 + 7):
-        seeds = [seed, seed ^ 1]
-        for n in (1, 2, 14, 20):
-            for start, count in ((0, 70), (2**32 - 3, 7)):
-                blocks = rp._order_blocks(seeds, start, count, n)
-                assert blocks.shape == (2, count, n)
-                for s, sd in enumerate(seeds):
-                    for c in range(count):
-                        assert tuple(blocks[s, c].tolist()) == _keyed(sd, start + c, n), (sd, start + c, n)
-                        keys += 1
-    assert keys >= 3000
-
-
-def test_batched_orders_fall_back_when_words_run_out(monkeypatch):
-    """Keys whose pre-generated words run out, and counters past 2**64,
-    take permutation_at's orders."""
-    monkeypatch.setattr(_keystream, "SPARE_OUTPUTS", -4)
-    _, ok = _keystream.permutations([3], 0, 200, 14)
-    assert 0 < (~ok).sum() < 200
-    blocks = rp._order_blocks([3, 2**40], 0, 200, 14)
-    for s, seed in enumerate((3, 2**40)):
-        assert [tuple(r) for r in blocks[s].tolist()] == [_keyed(seed, c, 14) for c in range(200)]
-    monkeypatch.undo()
-    blocks = rp._order_blocks([5], 2**64 - 2, 4, 3)
-    assert [tuple(r) for r in blocks[0].tolist()] == [_keyed(5, 2**64 - 2 + c, 3) for c in range(4)]
+        for n in range(1, 21):
+            want = _draws(seed, n, 70)
+            assert _stream(seed, n, 70) == want, (seed, n)
+            assert [permutation_at(seed, k, n) for k in (0, 1, 69)] == [want[0], want[1], want[69]]
 
 
 def test_trial_orders_cross_refill_boundaries(monkeypatch):
-    """Orders drawn across many refills (blocks of 3, 6, 8, 8, ... orders)
-    are the keyed generator's orders, counter by counter, for n from 1 to
-    20."""
-    monkeypatch.setattr(rp, "FIRST_BLOCK", 3)
-    monkeypatch.setattr(rp, "MAX_KEYS", 8)
+    """Orders drawn across many blocks of 3 orders are the successive
+    generator draws, order by order, for n from 1 to 20."""
+    monkeypatch.setattr(rp, "ORDER_BLOCK", 3)
     seed = 2**31 + 1
     for n in (1, 3, 4, 14, 20):
         orders = _stream(seed, n, 42)
-        assert orders == [_keyed(seed, c, n) for c in range(42)]
+        assert orders == _draws(seed, n, 42)
         assert all(type(v) is int for order in orders for v in order)
     with pytest.raises(cs.UsageError):
         _stream(seed, 0, 1)
@@ -214,13 +192,12 @@ def test_rp_trial_is_a_loop_of_steps_in_sampled_orders():
 
 
 def test_rp_trials_do_not_depend_on_how_orders_are_batched(monkeypatch):
-    """Trials whose first blocks are drawn in several calls and refilled
-    many times run bitwise as with the default batching."""
+    """Trials whose orders are drawn in many blocks of 4 run bitwise as
+    with the default block size."""
     inst = coupled_three_block()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.5, gamma=1.0, tol=1e-9, max_iter=400, seed=12)
     want, want_mean = cs.run_rp_solver(inst, cfg, trials=5, keep_iterates=True)
-    monkeypatch.setattr(rp, "FIRST_BLOCK", 4)
-    monkeypatch.setattr(rp, "MAX_KEYS", 8)
+    monkeypatch.setattr(rp, "ORDER_BLOCK", 4)
     got, got_mean = cs.run_rp_solver(inst, cfg, trials=5, keep_iterates=True)
     for a, b in zip(want, got):
         assert a.ks == b.ks and len(a) > 20
@@ -300,9 +277,11 @@ def test_rp_run_nan_start_trips_divergence_guard():
 
 
 def test_rp_run_rejects_negative_seed():
-    cfg = cs.SolverConfig(variant="admm_cyclic_n", seed=-1)
-    with pytest.raises(cs.UsageError, match="seed"):
-        cs.run_rp_solver(three_by_three_instance(), cfg, trials=2)
+    """A negative or missing seed is a usage error, not a TypeError."""
+    for seed in (-1, None):
+        cfg = cs.SolverConfig(variant="admm_cyclic_n", seed=seed)
+        with pytest.raises(cs.UsageError, match="seed"):
+            cs.run_rp_solver(three_by_three_instance(), cfg, trials=2)
 
 
 def test_rp_run_converges_where_cyclic_diverges():

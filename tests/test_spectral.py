@@ -143,6 +143,19 @@ def test_averaged_update_powers_stabilize_to_projector():
     assert np.max(np.abs(P @ P - P)) <= 1e-12
 
 
+def test_order_average_requires_zero_terms():
+    """The averaged update is defined only for the purely quadratic model, so
+    analyze rejects separable terms instead of certifying another problem."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=1),
+        H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0]]), b=np.array([1.0]),
+        theta=(cs.ProxFn.l1(1.0), cs.ProxFn.box(-1.0, 1.0)),
+    )
+    for fn in (build_Q_M, cs.analyze_instance):
+        with pytest.raises(cs.UsageError, match="separable term"):
+            fn(inst, 1.0)
+
+
 def test_enumeration_guard():
     inst = past_guard_instance()
     work = 2**14 * (14 + inst.blocks.m) ** 2 * 14
