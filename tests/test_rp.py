@@ -83,10 +83,14 @@ def test_permutation_stream_is_pinned():
     assert [permutation_at(0, k, 5) for k in range(3)] == [(2, 4, 3, 0, 1), (4, 1, 2, 0, 3), (0, 2, 3, 4, 1)]
 
 
-def test_trial_orders_match_successive_generator_draws():
-    """_trial_orders and permutation_at give the successive
-    default_rng(seed).permutation(n) draws, for seeds of one, two and three
-    words and n from 1 to 20."""
+def test_trial_orders_match_keyed_stream():
+    assert _stream(42, 4, 8) == [permutation_at(42, c, 4) for c in range(8)]
+
+
+def test_batched_orders_match_keyed_generator():
+    """Orders drawn ORDER_BLOCK at a time by _trial_orders, and one at a time
+    by permutation_at, are the successive default_rng(seed).permutation(n)
+    draws, for seeds of one, two and three words and n from 1 to 20."""
     for seed in (0, 2**31 - 1, 2**31 + 1, 2**32 + 5, 2**64 + 7):
         for n in range(1, 21):
             want = _draws(seed, n, 70)
