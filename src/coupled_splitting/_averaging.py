@@ -42,8 +42,7 @@ def curvature_matrix(inst: ProblemInstance, beta: float) -> np.ndarray:
 
 def check_sweep_blocks(inst: ProblemInstance, beta: float) -> None:
     for i in range(inst.blocks.n):
-        Ai = inst.A_block(i)
-        if singular_sym(inst.H_block(i, i) + beta * (Ai.T @ Ai))[0]:
+        if singular_sym(inst.block_curvature(i, beta))[0]:
             raise ConditionError(
                 f"block {i}: diagonal curvature is singular, so ordered sweeps are not "
                 "uniquely solvable (see check_uniqueness_condition mode 'nblock_qp')"

@@ -103,8 +103,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_compare_bcd(args) -> int:
     inst = load_instance(args.instance)
-    if inst.blocks.n != 2:
-        raise UsageError("compare-bcd needs a two-block instance")
+    inst.require_two_blocks("compare-bcd")
+    inst.require_zero_terms("compare-bcd")
     cmp = bcd_rate_matrices(inst.H, inst.blocks.dims[0])
     path = _out_dir(args) / "compare_bcd.csv"
     cells = [_fmt(cmp.rho1), _fmt(cmp.rho2), _fmt(cmp.rho3), _fmt(cmp.sigma1), _fmt(cmp.rho3_closed_form)]
@@ -123,7 +123,6 @@ def _cmd_rp_expect(args) -> int:
         raise UsageError("trials must be a nonnegative integer")
     inst = load_instance(args.instance)
     seed = _resolve_seed(args.seed)
-    out = _out_dir(args)
     header = [
         "command=rp-expect",
         f"instance={Path(args.instance).name}",
@@ -134,6 +133,7 @@ def _cmd_rp_expect(args) -> int:
         f"trials={args.trials}",
     ]
     expect = run_expected_iteration(inst, args.beta, k_max=args.max_iter, tol=args.tol)
+    out = _out_dir(args)
     path = out / "expectation.csv"
     expect.to_csv(path, header_lines=header)
     print(f"wrote {path}")

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    block_diag,
-    max_abs,
-    symmetry_defect,
-    unit_min_eigvec,
-)
+from ._linalg import block_diag, require_symmetric_psd, singular_direction, symmetry_defect
 from .errors import (
     InfeasibleError,
     StructuralError,
@@ -31,9 +26,6 @@ from .errors import (
 )
 from .prox import ProxFn, fn_value, prox_fn_from_dict, prox_fn_to_dict, subdiff_distance
 
-H_SYMMETRY_RTOL = 1e-12
-H_PSD_RTOL = 1e-10
-UNIQUENESS_TOL = 1e-10
 ORACLE_RESIDUAL_RTOL = 1e-10
 
 CONDITION_MODES = ("two_block_full", "nblock_qp")
@@ -137,6 +129,17 @@ class ProblemInstance:
     def sigma_full(self) -> np.ndarray:
         return block_diag([self.sigma_block(i) for i in range(self.blocks.n)])
 
+    def block_curvature(self, i: int, beta: float) -> np.ndarray:
+        """H_ii + beta A_i'A_i, the curvature of block i's sweep subproblem
+        at penalty beta (beta = 0 drops the constraints)."""
+        Ai = self.A_block(i)
+        return self.H_block(i, i) + beta * (Ai.T @ Ai)
+
+    def require_two_blocks(self, what: str) -> None:
+        """Reject an instance without exactly two blocks from `what`."""
+        if self.blocks.n != 2:
+            raise UsageError(f"{what} needs exactly two blocks")
+
     def require_zero_terms(self, what: str) -> None:
         """Reject an instance with a nonzero separable term from `what`, which
         is defined only for the purely quadratic model."""
@@ -182,22 +185,14 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     for name, label, product in products:
         if not np.all(np.isfinite(product)):
             raise StructuralError(f"{name}: entries too large, {label} overflows")
-    d = inst.blocks.d
-    defect = symmetry_defect(inst.H)
-    if defect > H_SYMMETRY_RTOL * max(1.0, max_abs(inst.H)):
-        raise StructuralError("H not symmetric")
-    w = np.linalg.eigvalsh(0.5 * (inst.H + inst.H.T)) if d else np.zeros(0)
-    min_eig = float(w[0]) if d else 0.0
-    h_norm = float(np.max(np.abs(w))) if d else 0.0
-    if min_eig < -H_PSD_RTOL * max(1.0, h_norm):
-        raise StructuralError("H not positive semidefinite")
+    min_eig = require_symmetric_psd(inst.H, "H")
     for i in range(inst.blocks.n):
         try:
             inst.theta[i].validate(inst.blocks.dims[i])
         except StructuralError as exc:
             raise StructuralError(f"theta[{i}]: {exc}") from exc
     return ValidationReport(
-        h_symmetry_defect=defect,
+        h_symmetry_defect=symmetry_defect(inst.H),
         h_min_eigenvalue=min_eig,
         partition_ok=True,
     )
@@ -215,7 +210,6 @@ def check_uniqueness_condition(
     inst: ProblemInstance,
     R=None,
     mode: str = "two_block_full",
-    tolerance: float = UNIQUENESS_TOL,
 ) -> ConditionReport:
     """Check the block-diagonal curvature matrix that makes every sweep
     subproblem uniquely solvable.
@@ -225,32 +219,32 @@ def check_uniqueness_condition(
     mode "nblock_qp": blockdiag of H_ii + A_i'A_i, all terms must be zero.
 
     Both conditions are invariant to the penalty weight, so none appears here.
-    When violated, the report carries a unit null witness embedded in the full
-    primal space.
+    A block's matrix fails when _linalg.singular_sym calls it singular. The
+    report gives the smallest eigenvalue of a failing block, or of all blocks
+    when none fails, and when violated carries that block's unit null witness
+    embedded in the full primal space.
     """
     if mode not in CONDITION_MODES:
         raise UsageError(f"unknown mode {mode!r}; expected one of {CONDITION_MODES}")
-    if mode == "two_block_full" and inst.blocks.n != 2:
-        raise UsageError("mode two_block_full needs exactly two blocks")
-    if mode == "nblock_qp":
+    if mode == "two_block_full":
+        inst.require_two_blocks("mode two_block_full")
+    else:
         inst.require_zero_terms("mode nblock_qp")
-    return _uniqueness_condition(inst, normalize_block_matrices(inst, R), mode, tolerance)
+    return _uniqueness_condition(inst, normalize_block_matrices(inst, R), mode)
 
 
-def _uniqueness_condition(inst: ProblemInstance, R_mats, mode: str, tolerance: float) -> ConditionReport:
+def _uniqueness_condition(inst: ProblemInstance, R_mats, mode: str) -> ConditionReport:
     """check_uniqueness_condition on per-block matrices R_mats taken as given,
     which may be indefinite."""
-    best = (np.inf, None, None)
+    blocks = []
     for i in range(inst.blocks.n):
-        Ai = inst.A_block(i)
-        T = inst.H_block(i, i) + Ai.T @ Ai
+        T = inst.block_curvature(i, 1.0)
         if mode == "two_block_full":
             T = T + inst.sigma_block(i) + R_mats[i]
-        lam, v = unit_min_eigvec(T)
-        if lam < best[0]:
-            best = (lam, i, v)
-    lam, i_min, v = best
-    satisfied = lam > tolerance
+        blocks.append((*singular_direction(T), i))
+    # failing blocks first, then by smallest eigenvalue
+    singular, lam, v, i_min = min(blocks, key=lambda t: (not t[0], t[1]))
+    satisfied = not singular
     witness = None
     if not satisfied:
         witness = np.zeros(inst.blocks.d)
@@ -266,8 +260,6 @@ def _uniqueness_condition(inst: ProblemInstance, R_mats, mode: str, tolerance: f
 def normalize_block_matrices(inst: ProblemInstance, R) -> list:
     """Per-block proximal weights: None -> zeros, scalar -> scaled identity,
     matrix checked for shape, symmetry, and positive semidefiniteness."""
-    from ._linalg import psd_check
-
     n = inst.blocks.n
     if R is None:
         return [np.zeros((d_i, d_i)) for d_i in inst.blocks.dims]
@@ -284,10 +276,7 @@ def normalize_block_matrices(inst: ProblemInstance, R) -> list:
             entry = float(entry) * np.eye(d_i)
         if entry.shape != (d_i, d_i):
             raise StructuralError(f"R[{i}] has shape {entry.shape}, expected ({d_i}, {d_i})")
-        if symmetry_defect(entry) > 1e-12 * max(1.0, max_abs(entry)):
-            raise StructuralError(f"R[{i}] is not symmetric")
-        if not psd_check(entry):
-            raise StructuralError(f"R[{i}] is not positive semidefinite")
+        require_symmetric_psd(entry, f"R[{i}]")
         out.append(entry)
     return out
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import min_eig_sym, psd_check, symmetry_defect, max_abs
+from ._linalg import block_diag, psd_sym, require_symmetric_psd
 from .errors import DomainError, StructuralError, UnsupportedOracleError, UsageError
 
 KINDS = ("zero", "l1", "box", "quadratic", "opaque")
@@ -77,10 +77,7 @@ class ProxFn:
             raise StructuralError("quadratic term needs square P matching q")
         _check_finite("quadratic P", P)
         _check_finite("quadratic q", q)
-        if symmetry_defect(P) > 1e-12 * max(1.0, max_abs(P)):
-            raise StructuralError("quadratic term matrix P is not symmetric")
-        if not psd_check(P):
-            raise StructuralError("quadratic term matrix P is not positive semidefinite")
+        require_symmetric_psd(P, "quadratic term matrix P")
         return cls("quadratic", {"P": P, "q": q}, sigma)
 
     @classmethod
@@ -99,15 +96,13 @@ class ProxFn:
         return np.asarray(self.sigma, dtype=float)
 
     def validate(self, dim: int) -> None:
-        """Check parameter shapes against the block dimension."""
+        """Check parameter shapes against the block dimension and the
+        declared modulus sigma against the term's curvature."""
         if self.sigma is not None:
             s = np.asarray(self.sigma)
             if s.shape != (dim, dim):
                 raise StructuralError(f"sigma has shape {s.shape}, block needs ({dim}, {dim})")
-            if symmetry_defect(s) > 1e-12 * max(1.0, max_abs(s)):
-                raise StructuralError("sigma is not symmetric")
-            if not psd_check(s):
-                raise StructuralError("sigma is not positive semidefinite")
+            require_symmetric_psd(s, "sigma")
         if self.kind == "box":
             for key in ("lo", "hi"):
                 v = self.params[key]
@@ -117,10 +112,13 @@ class ProxFn:
             P = self.params["P"]
             if P.shape != (dim, dim):
                 raise StructuralError(f"quadratic P has shape {P.shape}, block needs ({dim}, {dim})")
-            if self.sigma is not None:
-                # declared modulus may not exceed the true curvature
-                if min_eig_sym(P - np.asarray(self.sigma)) < -1e-10 * max(1.0, max_abs(P)):
-                    raise StructuralError("sigma exceeds the curvature of the quadratic term")
+        # sigma may not exceed the curvature, P or zero (opaque terms are not
+        # checked); P's semidefinite spectrum joins the test so that P - sigma
+        # is judged at the scale of P, where its roundoff lies
+        if self.sigma is not None and self.kind != "opaque":
+            P = self.params["P"] if self.kind == "quadratic" else np.zeros((dim, dim))
+            if not psd_sym(block_diag([P - self.sigma, P]))[0]:
+                raise StructuralError(f"sigma exceeds the curvature of the {self.kind} term")
 
 
 def _check_finite(name: str, value) -> None:

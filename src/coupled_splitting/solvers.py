@@ -36,7 +36,6 @@ from .model import (
     KKTPoint,
     ProblemInstance,
     BlockStructure,
-    UNIQUENESS_TOL,
     _uniqueness_condition,
     normalize_block_matrices,
 )
@@ -59,6 +58,21 @@ def check_beta(beta) -> None:
     """Reject a penalty weight that is not a positive finite number."""
     if not 0.0 < beta < math.inf:
         raise UsageError("beta must be positive and finite")
+
+
+def check_gamma(gamma) -> None:
+    """Reject a dual stepsize outside (0, GAMMA_SUP)."""
+    if not 0.0 < gamma < GAMMA_SUP:
+        raise UsageError(f"gamma must lie in (0, {GAMMA_SUP}) exclusive")
+
+
+def check_order(order, n: int) -> tuple:
+    """A block order as a tuple of ints; rejects one that is not a
+    permutation of 0..n-1."""
+    order = tuple(int(v) for v in order)
+    if sorted(order) != list(range(n)):
+        raise UsageError(f"block order {order} is not a permutation of 0..{n - 1}")
+    return order
 
 
 def check_stopping(tol, max_iter) -> None:
@@ -93,8 +107,7 @@ class SolverConfig:
         if self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         check_beta(self.beta)
-        if not (0.0 < self.gamma < GAMMA_SUP):
-            raise UsageError(f"gamma must lie in (0, {GAMMA_SUP}) exclusive")
+        check_gamma(self.gamma)
         check_stopping(self.tol, self.max_iter)
         if self.R is not None:
             normalize_block_matrices(inst, self.R)
@@ -212,15 +225,6 @@ def _write_artifact(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _block_model(inst: ProblemInstance, beta: float, i: int, constrained: bool) -> np.ndarray:
-    """Block i's quadratic model: H_ii + beta A_i'A_i, or H_ii alone."""
-    B = inst.H_block(i, i).copy()
-    if constrained:
-        Ai = inst.A_block(i)
-        B += beta * (Ai.T @ Ai)
-    return B
-
-
 def linearization_proximal(inst: ProblemInstance, beta: float, mode: str = "admm") -> list:
     """Per-block scalar curvature r_i and the equivalent proximal matrix
     R_i = r_i I - B_i, where B_i is the block's quadratic model:
@@ -233,9 +237,11 @@ def linearization_proximal(inst: ProblemInstance, beta: float, mode: str = "admm
         raise UsageError(f"unknown mode {mode!r}; expected 'admm' or 'bcd'")
     if mode == "admm":
         check_beta(beta)
+    else:
+        beta = 0.0
     out = []
     for i in range(inst.blocks.n):
-        B = _block_model(inst, beta, i, mode == "admm")
+        B = inst.block_curvature(i, beta)
         w = np.linalg.eigvalsh(0.5 * (B + B.T))
         r = float(w[-1])
         if not r > 0:
@@ -251,7 +257,8 @@ def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
     if cfg.variant not in _LINEARIZED:
         return None, normalize_block_matrices(inst, cfg.R), []
     constrained = cfg.variant in _CONSTRAINED
-    pairs = linearization_proximal(inst, cfg.beta, mode="admm" if constrained else "bcd")
+    beta = cfg.beta if constrained else 0.0
+    pairs = linearization_proximal(inst, beta, mode="admm" if constrained else "bcd")
     if cfg.r is None:
         return [p[0] for p in pairs], [p[1] for p in pairs], []
     r = [float(v) for v in cfg.r]
@@ -260,10 +267,7 @@ def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
         for i, (r_auto, _) in enumerate(pairs)
         if r[i] < r_auto * (1.0 - 1e-12)
     ]
-    R_eff = []
-    for i in range(inst.blocks.n):
-        B = _block_model(inst, cfg.beta, i, constrained)
-        R_eff.append(r[i] * np.eye(B.shape[0]) - B)
+    R_eff = [r[i] * np.eye(d_i) - inst.block_curvature(i, beta) for i, d_i in enumerate(inst.blocks.dims)]
     return r, R_eff, warnings
 
 
@@ -394,8 +398,8 @@ class _Workspace:
         cfg.validate(inst)
         variant = cfg.variant
         constrained = variant in _CONSTRAINED
-        if variant in ("admm2", "admm2_linearized") and inst.blocks.n != 2:
-            raise UsageError(f"variant {variant} needs exactly two blocks")
+        if variant in ("admm2", "admm2_linearized"):
+            inst.require_two_blocks(f"variant {variant}")
         if not constrained and inst.blocks.m:
             raise UsageError(
                 "unconstrained variants need an instance without constraint rows; "
@@ -443,7 +447,7 @@ class _Workspace:
             row[:, sl] -= r * np.eye(d_i)
             return -row / r, -lin / r, _block_prox(inst.theta[i], r, d_i)
         row[:, sl] = -self.R_eff[i]
-        G = inst.H_block(i, i) + self.R_eff[i] + self.beta * (Ai.T @ Ai)
+        G = inst.block_curvature(i, self.beta) + self.R_eff[i]
         f = inst.theta[i]
         if f.kind in ("zero", "quadratic"):
             K = G
@@ -536,10 +540,7 @@ def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=No
     """
     ws = _Workspace(inst, cfg)
     n = inst.blocks.n
-    order = range(n) if order is None else tuple(int(v) for v in order)
-    if sorted(order) != list(range(n)):
-        raise UsageError(f"order {order} is not a permutation of 0..{n - 1}")
-    return ws.advance(state, order)[0]
+    return ws.advance(state, range(n) if order is None else check_order(order, n))[0]
 
 
 # -- full runs -------------------------------------------------------------
@@ -574,14 +575,14 @@ def run_solver(
     ws = _Workspace(work, cfg)
     if cfg.variant in ("admm2", "admm2_linearized"):
         # measured on the effective R_i, which user curvatures r can make indefinite
-        cond = _uniqueness_condition(work, ws.R_eff, "two_block_full", UNIQUENESS_TOL)
+        cond = _uniqueness_condition(work, ws.R_eff, "two_block_full")
         if not cond.satisfied:
             raise ConditionError(
                 f"two-block uniqueness condition fails (min eigenvalue {cond.min_eigenvalue:.3e}); "
                 "see check_uniqueness_condition"
             )
-    if reference is not None and work.blocks.n != 2:
-        raise UsageError("merit recording needs a two-block instance")
+    if reference is not None:
+        work.require_two_blocks("merit recording")
     weights = None if reference is None else merit_weight_matrices(work, cfg.beta, ws.R_eff)
     cyclic = tuple(range(work.blocks.n))
     state = IterateState.start(work, x0, mu0)
@@ -651,20 +652,16 @@ def _record(trace, ws, state, z, resid, order, weights, reference, path):
 def merit_weight_matrices(inst: ProblemInstance, beta: float, R_mats) -> dict:
     """Weight matrices used by the two-block merit function and its
     guaranteed per-step decrease."""
-    if inst.blocks.n != 2:
-        raise UsageError("merit weights are defined for two-block instances")
-    sl2 = inst.blocks.slice_of(1)
-    A2 = inst.A_block(1)
+    inst.require_two_blocks("the merit function")
     sigma = inst.sigma_full()
     R_full = block_diag(R_mats)
-    H22 = inst.H_block(1, 1)
     sigma2 = inst.sigma_block(1)
     return {
         "level": inst.H + sigma + (4.0 / 7.0) * R_full,
-        "level_b2": H22 + sigma2 + beta * (A2.T @ A2),
+        "level_b2": inst.block_curvature(1, beta) + sigma2,
         "drop": inst.H + sigma + 8.0 * R_full,
-        "drop_b2": H22 + sigma2 + 3.0 * beta * (A2.T @ A2),
-        "slice2": sl2,
+        "drop_b2": inst.block_curvature(1, 3.0 * beta) + sigma2,
+        "slice2": inst.blocks.slice_of(1),
         "R2": R_mats[1],
     }
 
@@ -683,8 +680,6 @@ def _merit_from_weights(beta, weights, state, reference) -> float:
 
 
 def _merit_weights(inst: ProblemInstance, cfg: SolverConfig) -> dict:
-    if inst.blocks.n != 2:
-        raise UsageError("the merit function is defined for two-block instances")
     return merit_weight_matrices(inst, cfg.beta, _proximal_matrices(inst, cfg)[1])
 
 

@@ -20,27 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (
-    block_diag,
-    max_abs,
-    psd_sqrt,
-    rank_svd,
-    singular_sym,
-    spectral_radius,
-    sym_part,
-    symmetry_defect,
-    unit_min_eigvec,
-)
-from .errors import (
-    CertificateError,
-    ConditionError,
-    StructuralError,
-    UsageError,
-)
-from .model import ProblemInstance, UNIQUENESS_TOL, normalize_block_matrices
+from ._linalg import max_abs, psd_sqrt, rank_svd, singular_sym, spectral_radius, sym_part, symmetric
+from .errors import CertificateError, ConditionError, StructuralError, UsageError
+from .model import ProblemInstance, _uniqueness_condition, normalize_block_matrices
 from ._averaging import averaged_update, bordered_curvature, check_sweep_blocks, curvature_matrix
 from .solvers import (
-    GAMMA_SUP,
     IterateState,
     SolverConfig,
     Trace,
@@ -48,6 +32,8 @@ from .solvers import (
     _Workspace,
     _write_artifact,
     check_beta,
+    check_gamma,
+    check_order,
 )
 
 # Eigenvalue classification bands. A value within EIG_ONE_TOL of 1+0i counts
@@ -101,13 +87,11 @@ def build_perm_matrices(inst: ProblemInstance, beta: float, sigma) -> PermMatric
     """Assemble the block-triangular sweep matrix for the order sigma, its
     complement, and the full one-step update including the multiplier row."""
     check_beta(beta)
-    n, d = inst.blocks.n, inst.blocks.d
-    sigma = tuple(int(v) for v in sigma)
-    if sorted(sigma) != list(range(n)):
-        raise UsageError(f"sigma {sigma} is not a permutation of 0..{n - 1}")
+    sigma = check_order(sigma, inst.blocks.n)
     check_sweep_blocks(inst, beta)
     S = curvature_matrix(inst, beta)
     L, Lbar, Rbar, M = (a[0] for a in _order_stacks(inst, beta, S, np.array([sigma])))
+    d = inst.blocks.d
     return PermMatrices(sigma=sigma, L_sigma=L, R_sigma=Rbar[:d, :d], Lbar=Lbar, Rbar=Rbar, M_sigma=M)
 
 
@@ -337,15 +321,6 @@ class BcdRateComparison:
     sigma1: float | None = None
     rho3_closed_form: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "rho1": self.rho1,
-            "rho2": self.rho2,
-            "rho3": self.rho3,
-            "sigma1": self.sigma1,
-            "rho3_closed_form": self.rho3_closed_form,
-        }
-
 
 def bcd_rate_matrices(H, d1: int) -> BcdRateComparison:
     """Update matrices for unconstrained two-block coordinate descent on a
@@ -354,8 +329,8 @@ def bcd_rate_matrices(H, d1: int) -> BcdRateComparison:
     d = H.shape[0]
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise StructuralError("H must be square")
-    if symmetry_defect(H) > 1e-12 * max(1.0, max_abs(H)):
-        raise StructuralError("H not symmetric")
+    if not symmetric(H):
+        raise StructuralError("H is not symmetric")
     if not 0 < d1 < d:
         raise UsageError("the split must leave both blocks nonempty")
     H11, H12, H22 = H[:d1, :d1], H[:d1, d1:], H[d1:, d1:]
@@ -443,25 +418,24 @@ def _verified_witness(inst: ProblemInstance, R_mats, y: np.ndarray, failure: str
 
 
 def divergence_witness(inst: ProblemInstance, beta: float, R=None) -> WitnessCertificate | None:
-    """Null direction of the block-diagonal subproblem curvature, when one
-    exists, verified to be annihilated by every individual piece.
+    """The null direction of the two-block uniqueness condition
+    (check_uniqueness_condition, mode "two_block_full"), when it fails,
+    verified to be annihilated by every individual curvature piece. Every
+    separable term must be zero; the condition does not depend on beta.
 
-    Returns None when the curvature is positive definite. A found witness
-    whose verification fails raises CertificateError.
+    Returns None when the condition holds, so exactly when a two-block run
+    with the same R may proceed. A found witness whose verification fails
+    raises CertificateError.
     """
-    if inst.blocks.n != 2:
-        raise UsageError("the witness construction needs exactly two blocks")
+    inst.require_two_blocks("the witness construction")
+    inst.require_zero_terms("the witness construction")
     check_beta(beta)
     R_mats = normalize_block_matrices(inst, R)
-    Ts = []
-    for i in range(2):
-        Ai = inst.A_block(i)
-        Ts.append(inst.H_block(i, i) + beta * (Ai.T @ Ai) + R_mats[i])
-    lam, y = unit_min_eigvec(block_diag(Ts))
-    if lam > UNIQUENESS_TOL:
+    cond = _uniqueness_condition(inst, R_mats, "two_block_full")
+    if cond.satisfied:
         return None
-    checks = _verified_witness(inst, R_mats, y, "witness verification failed")
-    return WitnessCertificate(ybar=y, min_eigenvalue=lam, beta=float(beta), checks=checks)
+    checks = _verified_witness(inst, R_mats, cond.witness, "witness verification failed")
+    return WitnessCertificate(ybar=cond.witness, min_eigenvalue=cond.min_eigenvalue, beta=float(beta), checks=checks)
 
 
 @dataclass
@@ -490,8 +464,7 @@ def oscillation_demo(
     admm_cyclic_n with cfg's beta, gamma and R) whose blocks take the
     minimum-norm solution of their subproblem. Separable terms must all be
     zero (the construction is for the purely quadratic case)."""
-    if inst.blocks.n != 2:
-        raise UsageError("the oscillation construction needs exactly two blocks")
+    inst.require_two_blocks("the oscillation construction")
     inst.require_zero_terms("the oscillation construction")
     cfg.validate(inst)
     if k_max < 2:
@@ -579,8 +552,7 @@ def cyclic_update_matrix(inst: ProblemInstance, beta: float, gamma: float = 1.0)
     """One-step update matrix of the fixed-order sweep (identity order, no
     proximal weights) with dual stepsize gamma, and its spectral radius."""
     inst.require_zero_terms("the update matrix")
-    if not (0.0 < gamma < GAMMA_SUP):
-        raise UsageError(f"gamma must lie in (0, {GAMMA_SUP}) exclusive")
+    check_gamma(gamma)
     pm = build_perm_matrices(inst, beta, tuple(range(inst.blocks.n)))
     d, m = inst.blocks.d, inst.blocks.m
     Lbar = pm.Lbar.copy()

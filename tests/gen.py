@@ -84,8 +84,7 @@ def proximal_weights_for(inst, beta, rng=None, margin_range=(1.2, 2.0)):
     out = []
     for i in range(inst.blocks.n):
         dim = inst.blocks.dims[i]
-        Ai = inst.A_block(i)
-        B = inst.H_block(i, i) + beta * (Ai.T @ Ai)
+        B = inst.block_curvature(i, beta)
         margin = margin_range[0] if rng is None else float(rng.uniform(*margin_range))
         r = float(np.linalg.eigvalsh(B)[-1]) * margin
         out.append(r * np.eye(dim) - B)

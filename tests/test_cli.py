@@ -378,6 +378,52 @@ def test_analyze_rejects_separable_terms(tmp_path, capsys):
         assert not out.exists() or not any(out.iterdir()), cmd
 
 
+def test_separable_terms_are_a_usage_error_before_any_output(tmp_path, capsys):
+    """Every command defined only for zero terms exits 64 on an instance with
+    l1 and box terms and creates no output directory; witness exits 64 on a
+    quadratic term too."""
+    blocks = cs.BlockStructure(dims=(1, 1), m=1)
+    nonsmooth = cs.ProblemInstance(
+        blocks=blocks, H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0]]), b=_arr(1.0),
+        theta=(cs.ProxFn.l1(1.0), cs.ProxFn.box(-1.0, 1.0)),
+    )
+    quadratic = cs.ProblemInstance(
+        blocks=blocks, H=np.zeros((2, 2)), g=np.zeros(2), A=np.array([[0.0, 1.0]]), b=_arr(1.0),
+        theta=(cs.ProxFn.quadratic([[1.0]], [0.0]), cs.ProxFn.zero()),
+    )
+    runs = [(nonsmooth, cmd) for cmd in ("analyze", "rp-expect", "witness", "compare-bcd")]
+    runs.append((quadratic, "witness"))
+    for k, (inst, cmd) in enumerate(runs):
+        path = tmp_path / f"terms{k}.json"
+        cs.save_instance(inst, path)
+        out = tmp_path / f"out{k}"
+        assert main([cmd, str(path), "--out", str(out)]) == 64, cmd
+        assert "separable term" in capsys.readouterr().err, cmd
+        assert not out.exists(), cmd
+
+
+def test_near_singular_block_gets_one_verdict_from_every_command(tmp_path, capsys):
+    """With H = diag(h, 1) and A = [[0, 1]], block 1's curvature is h. At
+    h = 5e-11 it is not singular relative to max(1, h), so analyze certifies,
+    both two-block sweeps run and no witness exists; at h = 0 analyze and
+    both sweeps refuse with exit 2, and the witness exists."""
+    for h, singular in ((5e-11, False), (0.0, True)):
+        inst = cs.ProblemInstance(
+            blocks=cs.BlockStructure(dims=(1, 1), m=1),
+            H=np.diag([h, 1.0]), g=np.zeros(2), A=np.array([[0.0, 1.0]]), b=_arr(0.0),
+        )
+        path = tmp_path / f"near{h!r}.json"
+        cs.save_instance(inst, path)
+        out = tmp_path / f"out{h!r}"
+        refused = 2 if singular else 0
+        assert main(["analyze", str(path), "--out", str(out)]) == refused
+        for variant in ("admm2", "admm_cyclic_n"):
+            assert main(["solve", str(path), "--variant", variant, "--out", str(out)]) == refused, variant
+        assert main(["witness", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "witness.json").read_text())["found"] is singular
+
+
 # -- compare-bcd ---------------------------------------------------------------
 
 

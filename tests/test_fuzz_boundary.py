@@ -22,7 +22,8 @@ EXIT_CODES = {0, 2, 3, 64}
 _ZERO = {"kind": "zero", "params": {}, "sigma": None}
 
 # small valid documents: a coupled pair, a nonsmooth pair with a
-# strong-convexity certificate, and a constrained three-block instance
+# strong-convexity certificate, a constrained three-block instance, and a
+# pair whose first block's curvature, 5e-11, is near singular
 BASES = (
     {
         "blocks": [1, 1], "H": [[2.0, 1.0], [1.0, 2.0]], "g": [0.5, -0.5], "A": [[1.0, 1.0]], "b": [1.0],
@@ -44,6 +45,10 @@ BASES = (
             {"kind": "quadratic", "params": {"P": [[1.0]], "q": [0.5]}, "sigma": None},
             _ZERO,
         ],
+    },
+    {
+        "blocks": [1, 1], "H": [[5e-11, 0.0], [0.0, 1.0]], "g": [0.0, 0.0], "A": [[0.0, 1.0]], "b": [0.0],
+        "theta": [_ZERO, _ZERO],
     },
 )
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import coupled_splitting as cs
+from coupled_splitting._linalg import psd_sym, singular_sym, symmetric
 from coupled_splitting.errors import InfeasibleError, StructuralError, UnsupportedOracleError
-from coupled_splitting.model import validate_instance
+from coupled_splitting.model import normalize_block_matrices, validate_instance
 from coupled_splitting.solvers import merit_weight_matrices
 
 from gen import random_psd, two_block_instance
@@ -82,6 +83,46 @@ def test_validate_reports_defects():
     assert rep.partition_ok
 
 
+def test_one_rule_per_matrix_property():
+    """Symmetry, semidefiniteness and singularity are each decided by one
+    rule, relative to the matrix's own scale floored at one."""
+    assert symmetric(np.array([[1.0, 1e-13], [0.0, 1.0]]))
+    assert not symmetric(np.array([[1.0, 2e-12], [0.0, 1.0]]))
+    assert symmetric(np.array([[1e6, 1e-7], [0.0, 1.0]]))
+    assert psd_sym(np.diag(_arr(-1e-11, 1.0))) == (True, -1e-11)
+    assert not psd_sym(np.diag(_arr(-1e-9, 1.0)))[0]
+    assert psd_sym(np.diag(_arr(-1e-3, 1e8)))[0]
+    assert singular_sym(np.diag(_arr(1e-13, 1.0))) == (True, 1e-13)
+    assert singular_sym(np.diag(_arr(5e-11, 1.0))) == (False, 5e-11)
+    assert singular_sym(np.diag(_arr(1e-3, 1e10)))[0]
+
+
+def test_guards_name_the_matrix_they_reject():
+    asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+    indef = np.array([[1.0, 2.0], [2.0, 1.0]])
+    inst = _simple(np.eye(2), np.zeros(2), np.zeros((1, 2)), [0.0], (1, 1))
+    for H, message in ((asym, "H is not symmetric"), (indef, "H is not positive semidefinite")):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            validate_instance(_simple(H, np.zeros(2), np.zeros((1, 2)), [0.0], (1, 1)))
+    with pytest.raises(StructuralError, match=r"^R\[1\] is not symmetric$"):
+        normalize_block_matrices(_simple(np.eye(3), np.zeros(3), np.zeros((1, 3)), [0.0], (1, 2)), [None, asym])
+    with pytest.raises(StructuralError, match=r"^R\[0\] is not positive semidefinite$"):
+        normalize_block_matrices(inst, [-1.0, None])
+    with pytest.raises(StructuralError, match="^quadratic term matrix P is not positive semidefinite$"):
+        cs.ProxFn.quadratic(indef, np.zeros(2))
+    with pytest.raises(StructuralError, match="^sigma is not symmetric$"):
+        cs.ProxFn.zero(sigma=asym).validate(2)
+
+
+def test_block_curvature():
+    rng = np.random.default_rng(29)
+    inst = two_block_instance(rng, kinds=("zero",))
+    for i in range(2):
+        Ai = inst.A_block(i)
+        assert np.array_equal(inst.block_curvature(i, 2.5), inst.H_block(i, i) + 2.5 * (Ai.T @ Ai))
+        assert np.array_equal(inst.block_curvature(i, 0.0), inst.H_block(i, i))
+
+
 def test_instance_arrays_read_only():
     inst = _simple(np.eye(2), np.zeros(2), np.ones((1, 2)), [1.0], (1, 1))
     with pytest.raises(ValueError):
@@ -116,6 +157,28 @@ def test_condition_two_block_full_satisfied():
     assert rep.witness is None
 
 
+def test_condition_uses_the_singularity_rule():
+    """A block curvature of 5e-11 is small but not singular relative to
+    max(1, its largest eigenvalue); 1e-13 is singular."""
+    for h00, satisfied in ((5e-11, True), (1e-13, False)):
+        inst = _simple(np.diag(_arr(h00, 1.0)), np.zeros(2), _arr(0.0, 1.0), [0.0], (1, 1))
+        for mode in ("two_block_full", "nblock_qp"):
+            rep = cs.check_uniqueness_condition(inst, mode=mode)
+            assert rep.satisfied is satisfied
+            assert rep.min_eigenvalue == h00
+            assert (rep.witness is None) is satisfied
+
+
+def test_condition_reports_the_failing_block():
+    """The failing block is the one judged singular against its own scale,
+    though another block has a smaller eigenvalue."""
+    inst = _simple(np.diag(_arr(1e-4, 1e10, 1e-3)), np.zeros(3), np.zeros((1, 3)), [0.0], (1, 2))
+    rep = cs.check_uniqueness_condition(inst)
+    assert not rep.satisfied
+    assert rep.min_eigenvalue == 1e-3
+    assert np.array_equal(rep.witness, _arr(0.0, 0.0, 1.0))
+
+
 def test_condition_r_can_repair():
     inst = _simple(np.diag(_arr(0.0, 1.0)), np.zeros(2), _arr(0.0, 1.0), [1.0], (1, 1))
     rep = cs.check_uniqueness_condition(inst, R=[np.eye(1), None], mode="two_block_full")
@@ -147,6 +210,13 @@ def test_condition_nblock_needs_zero_terms():
     inst = _simple(np.eye(2), np.zeros(2), _arr(1.0, 1.0), [1.0], (1, 1), (cs.ProxFn.l1(1.0), cs.ProxFn.zero()))
     with pytest.raises(cs.UsageError):
         cs.check_uniqueness_condition(inst, mode="nblock_qp")
+
+
+def test_condition_two_block_full_needs_two_blocks():
+    inst = _simple(np.eye(3), np.zeros(3), _arr(1.0, 1.0, 1.0), [1.0], (1, 1, 1))
+    with pytest.raises(cs.UsageError, match="^mode two_block_full needs exactly two blocks$"):
+        cs.check_uniqueness_condition(inst)
+    assert cs.check_uniqueness_condition(inst, mode="nblock_qp").satisfied
 
 
 # -- KKT oracle and residual -------------------------------------------------

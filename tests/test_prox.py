@@ -195,6 +195,24 @@ def test_quadratic_sigma_must_be_dominated():
         f.validate(2)
 
 
+def test_sigma_may_not_exceed_zero_curvature():
+    """The zero, l1 and box terms have no curvature, so a positive declared
+    modulus is rejected; a zero one is accepted."""
+    for make in (cs.ProxFn.zero, lambda sigma: cs.ProxFn.l1(0.5, sigma), lambda sigma: cs.ProxFn.box(-1.0, 1.0, sigma)):
+        make(np.zeros((1, 1))).validate(1)
+        with pytest.raises(StructuralError, match="sigma exceeds the curvature"):
+            make(np.ones((1, 1))).validate(1)
+
+
+def test_modulus_is_judged_at_the_scale_of_p():
+    """A declared modulus one rounding unit above lambda_min(P) = 1e7 is
+    accepted, since at the scale of P that is roundoff; one 10 above is not."""
+    P = np.diag(_arr(1e7, 1e7 + 5e-4, 1e7 + 1e-3))
+    cs.ProxFn.quadratic(P, np.zeros(3), sigma=np.nextafter(1e7, np.inf) * np.eye(3)).validate(3)
+    with pytest.raises(StructuralError, match="sigma exceeds the curvature"):
+        cs.ProxFn.quadratic(P, np.zeros(3), sigma=(1e7 + 10.0) * np.eye(3)).validate(3)
+
+
 def test_l1_needs_nonnegative_weight():
     with pytest.raises(cs.UsageError):
         cs.ProxFn.l1(-0.5)

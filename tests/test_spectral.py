@@ -592,6 +592,45 @@ def test_witness_guards():
         cs.divergence_witness(witness_instance(), beta=0.0)
 
 
+def test_witness_needs_zero_terms():
+    """A quadratic term P = [[1]] makes block 1's subproblem strictly convex,
+    which the witness does not model, so it refuses the instance."""
+    base = witness_instance()
+    inst = cs.ProblemInstance(
+        blocks=base.blocks, H=np.zeros((2, 2)), g=base.g, A=base.A, b=base.b,
+        theta=(cs.ProxFn.quadratic([[1.0]], [0.0]), cs.ProxFn.zero()),
+    )
+    with pytest.raises(cs.UsageError, match="separable term"):
+        cs.divergence_witness(inst, beta=1.0)
+
+
+def _refuses(inst, variant) -> bool:
+    try:
+        cs.run_solver(inst, cs.SolverConfig(variant=variant, max_iter=3))
+    except cs.ConditionError:
+        return True
+    return False
+
+
+def test_witness_exists_exactly_when_the_condition_fails():
+    """The witness, the two-block uniqueness condition and both two-block
+    sweeps decide singularity by one rule, so they agree on every instance,
+    the near-singular H = diag(5e-11, 1) included."""
+    rng = np.random.default_rng(23)
+    cases = [witness_instance(), pair_instance(np.diag([5e-11, 1.0]), A=((0.0, 1.0),))]
+    cases += [two_block_instance(rng, kinds=("zero",)) for _ in range(10)]
+    cases += [violating_instance(rng)[0] for _ in range(10)]
+    found = []
+    for inst in cases:
+        absent = cs.divergence_witness(inst, beta=1.0) is None
+        assert absent == cs.check_uniqueness_condition(inst).satisfied
+        assert absent == (not _refuses(inst, "admm2")) == (not _refuses(inst, "admm_cyclic_n"))
+        found.append(not absent)
+    assert found[:2] == [True, False]
+    assert found[2:12] == [False] * 10
+    assert found[12:] == [True] * 10
+
+
 def test_oscillation_two_legitimate_trajectories():
     inst = witness_instance()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0)
