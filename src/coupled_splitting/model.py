@@ -131,7 +131,7 @@ class ProblemInstance:
 
     def block_curvature(self, i: int, beta: float) -> np.ndarray:
         """H_ii + beta A_i'A_i, the curvature of block i's sweep subproblem
-        at penalty beta (beta = 0 drops the constraints)."""
+        at penalty beta."""
         Ai = self.A_block(i)
         return self.H_block(i, i) + beta * (Ai.T @ Ai)
 
@@ -215,7 +215,9 @@ def check_uniqueness_condition(
     subproblem uniquely solvable.
 
     mode "two_block_full": blockdiag over i of
-        H_ii + Sigma_i + A_i'A_i + R_i, two blocks required.
+        H_ii + Sigma_i + A_i'A_i + R_i, two blocks required. Sigma_i is P
+        for a quadratic term, whose block solve adds it, and the declared
+        sigma (zero when absent) for the others.
     mode "nblock_qp": blockdiag of H_ii + A_i'A_i, all terms must be zero.
 
     Both conditions are invariant to the penalty weight, so none appears here.
@@ -240,7 +242,8 @@ def _uniqueness_condition(inst: ProblemInstance, R_mats, mode: str) -> Condition
     for i in range(inst.blocks.n):
         T = inst.block_curvature(i, 1.0)
         if mode == "two_block_full":
-            T = T + inst.sigma_block(i) + R_mats[i]
+            f = inst.theta[i]
+            T = T + (f.params["P"] if f.kind == "quadratic" else inst.sigma_block(i)) + R_mats[i]
         blocks.append((*singular_direction(T), i))
     # failing blocks first, then by smallest eigenvalue
     singular, lam, v, i_min = min(blocks, key=lambda t: (not t[0], t[1]))

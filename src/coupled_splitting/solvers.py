@@ -3,8 +3,10 @@
 One family of sweeps covers every variant: each block in turn minimizes the
 augmented Lagrangian in its own coordinates, optionally damped by a proximal
 weight matrix, and the multiplier moves against the residual after the sweep.
-Variants differ in block order, in whether constraints exist, and in whether
-the quadratic model is replaced by a single-curvature linearization.
+Variants differ in block order and in whether the quadratic model is
+replaced by a single-curvature linearization. Without constraint rows the
+penalty and the multiplier step vanish, and the sweeps are the paper's
+cyclic proximal BCD methods.
 
 Variants
 --------
@@ -13,8 +15,9 @@ admm2_linearized  two blocks, scalar curvatures r_i, prox after a gradient
                   half-step (equivalent to admm2 with R_i = r_i I - H_ii -
                   beta A_i'A_i)
 admm_cyclic_n     n blocks, cyclic order, proximal matrices R_i
-bcd               n blocks, no constraints, proximal matrices R_i
-bcpg              n blocks, no constraints, scalar curvatures r_i
+bcd               admm_cyclic_n on an instance without constraint rows
+bcpg              the linearized sweep, n blocks, on an instance without
+                  constraint rows
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import (
 from .model import (
     KKTPoint,
     ProblemInstance,
-    BlockStructure,
     _uniqueness_condition,
     normalize_block_matrices,
 )
@@ -50,7 +52,6 @@ DIVERGENCE_LIMIT = 1e12
 # bytes of surrogate matrices U a run keeps, one per block order swept
 SURROGATE_CACHE_BYTES = 1 << 20
 
-_CONSTRAINED = ("admm2", "admm2_linearized", "admm_cyclic_n")
 _LINEARIZED = ("admm2_linearized", "bcpg")
 
 
@@ -225,20 +226,15 @@ def _write_artifact(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def linearization_proximal(inst: ProblemInstance, beta: float, mode: str = "admm") -> list:
+def linearization_proximal(inst: ProblemInstance, beta: float) -> list:
     """Per-block scalar curvature r_i and the equivalent proximal matrix
-    R_i = r_i I - B_i, where B_i is the block's quadratic model:
-    H_ii + beta A_i'A_i in constrained mode, H_ii alone in mode "bcd".
+    R_i = r_i I - B_i, where B_i = H_ii + beta A_i'A_i is the block's
+    quadratic model (H_ii alone on an instance without constraint rows).
 
     Returns a list of (r_i, R_i) pairs. A block with no curvature at all
     cannot be linearized and raises ConditionError.
     """
-    if mode not in ("admm", "bcd"):
-        raise UsageError(f"unknown mode {mode!r}; expected 'admm' or 'bcd'")
-    if mode == "admm":
-        check_beta(beta)
-    else:
-        beta = 0.0
+    check_beta(beta)
     out = []
     for i in range(inst.blocks.n):
         B = inst.block_curvature(i, beta)
@@ -256,9 +252,7 @@ def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
     and warnings about user curvatures below a block's top eigenvalue."""
     if cfg.variant not in _LINEARIZED:
         return None, normalize_block_matrices(inst, cfg.R), []
-    constrained = cfg.variant in _CONSTRAINED
-    beta = cfg.beta if constrained else 0.0
-    pairs = linearization_proximal(inst, beta, mode="admm" if constrained else "bcd")
+    pairs = linearization_proximal(inst, cfg.beta)
     if cfg.r is None:
         return [p[0] for p in pairs], [p[1] for p in pairs], []
     r = [float(v) for v in cfg.r]
@@ -267,7 +261,7 @@ def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
         for i, (r_auto, _) in enumerate(pairs)
         if r[i] < r_auto * (1.0 - 1e-12)
     ]
-    R_eff = [r[i] * np.eye(d_i) - inst.block_curvature(i, beta) for i, d_i in enumerate(inst.blocks.dims)]
+    R_eff = [r[i] * np.eye(d_i) - inst.block_curvature(i, cfg.beta) for i, d_i in enumerate(inst.blocks.dims)]
     return r, R_eff, warnings
 
 
@@ -388,6 +382,9 @@ class _Workspace:
     for prox blocks (prox[i], None for direct blocks and zero terms). The
     maps, the proxes and the row observer are built here once per run.
 
+    bcd and bcpg need an instance without constraint rows; the two-block
+    variants need two blocks and the two-block uniqueness condition.
+
     With min_norm set, a direct block whose subproblem matrix is singular
     takes the minimum-norm solution instead of raising ConditionError; the
     subproblem must then be bounded below for every z, which is checked once
@@ -397,20 +394,16 @@ class _Workspace:
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, min_norm: bool = False):
         cfg.validate(inst)
         variant = cfg.variant
-        constrained = variant in _CONSTRAINED
-        if variant in ("admm2", "admm2_linearized"):
+        two_block = variant in ("admm2", "admm2_linearized")
+        if two_block:
             inst.require_two_blocks(f"variant {variant}")
-        if not constrained and inst.blocks.m:
-            raise UsageError(
-                "unconstrained variants need an instance without constraint rows; "
-                "pass ignore_constraints=True to run_solver to drop them"
-            )
+        if variant in ("bcd", "bcpg") and inst.blocks.m:
+            raise UsageError(f"variant {variant} needs an instance without constraint rows")
         self.inst = inst
         self.cfg = cfg
         self.min_norm = min_norm
-        self.constrained = constrained
         self.linearized = variant in _LINEARIZED
-        self.beta = cfg.beta if constrained else 0.0
+        self.beta = cfg.beta
         self.gamma = cfg.gamma
         n = inst.blocks.n
         self.n = n
@@ -421,6 +414,14 @@ class _Workspace:
         self.r, self.R_eff, self.warnings = _proximal_matrices(inst, cfg)
         S = inst.H + self.beta * (inst.A.T @ inst.A)
         self.W, self.c, self.prox = zip(*(self._block_update(S, i) for i in range(n)))
+        if two_block:
+            # measured on the effective R_i, which user curvatures r can make indefinite
+            cond = _uniqueness_condition(inst, self.R_eff, "two_block_full")
+            if not cond.satisfied:
+                raise ConditionError(
+                    f"two-block uniqueness condition fails (min eigenvalue {cond.min_eigenvalue:.3e}); "
+                    "see check_uniqueness_condition"
+                )
         self.observe = _Observer(inst)
         # S with each diagonal block replaced by -R_i; the surrogate's matrix U
         # for a block order keeps the blocks of it at or after the row block
@@ -522,16 +523,9 @@ class _Workspace:
         return np.sqrt(np.add.reduceat(v * v, self.offsets))
 
 
-def _strip_constraints(inst: ProblemInstance) -> ProblemInstance:
-    blocks = BlockStructure(dims=inst.blocks.dims, m=0)
-    return ProblemInstance(
-        blocks=blocks, H=inst.H, g=inst.g, A=np.zeros((0, inst.blocks.d)), b=np.zeros(0), theta=inst.theta
-    )
-
-
 def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=None) -> IterateState:
-    """One sweep of cfg.variant followed, for the constrained variants, by
-    the multiplier update with stepsize gamma * beta.
+    """One sweep of cfg.variant followed by the multiplier update with
+    stepsize gamma * beta (nothing to update without constraint rows).
 
     The blocks are updated in `order`, a permutation of 0..n-1; None means
     the cyclic order 0, 1, ..., n-1. The randomly permuted scheme is this
@@ -552,7 +546,6 @@ def run_solver(
     x0=None,
     mu0=None,
     reference: KKTPoint | None = None,
-    ignore_constraints: bool = False,
     keep_iterates: bool = False,
 ) -> Trace:
     """Iterate the configured variant in cyclic block order until the largest
@@ -564,28 +557,10 @@ def run_solver(
     surrogate optimality bound from the sweep, the objective value, and the
     merit value against `reference` when one is given (two-block runs only).
     """
-    work = inst
-    if cfg.variant in ("bcd", "bcpg") and inst.blocks.m:
-        if not ignore_constraints:
-            raise UsageError(
-                "instance has constraint rows; unconstrained variants need "
-                "ignore_constraints=True (constraints are then dropped)"
-            )
-        work = _strip_constraints(inst)
-    ws = _Workspace(work, cfg)
-    if cfg.variant in ("admm2", "admm2_linearized"):
-        # measured on the effective R_i, which user curvatures r can make indefinite
-        cond = _uniqueness_condition(work, ws.R_eff, "two_block_full")
-        if not cond.satisfied:
-            raise ConditionError(
-                f"two-block uniqueness condition fails (min eigenvalue {cond.min_eigenvalue:.3e}); "
-                "see check_uniqueness_condition"
-            )
-    if reference is not None:
-        work.require_two_blocks("merit recording")
-    weights = None if reference is None else merit_weight_matrices(work, cfg.beta, ws.R_eff)
-    cyclic = tuple(range(work.blocks.n))
-    state = IterateState.start(work, x0, mu0)
+    ws = _Workspace(inst, cfg)
+    weights = None if reference is None else merit_weight_matrices(inst, cfg.beta, ws.R_eff)
+    cyclic = tuple(range(inst.blocks.n))
+    state = IterateState.start(inst, x0, mu0)
     return _drive(ws, state, lambda: cyclic, keep_iterates, weights=weights, reference=reference)
 
 

@@ -74,6 +74,15 @@ def two_block_instance(
     return cs.ProblemInstance(blocks=blocks, H=H, g=g, A=A, b=b, theta=theta)
 
 
+def drop_rows(inst):
+    """The instance without its constraint rows: the objective alone, which
+    is the problem bcd and bcpg solve."""
+    return cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=inst.blocks.dims, m=0),
+        H=inst.H, g=inst.g, A=np.zeros((0, inst.blocks.d)), b=np.zeros(0), theta=inst.theta,
+    )
+
+
 def proximal_weights_for(inst, beta, rng=None, margin_range=(1.2, 2.0)):
     """Per-block proximal weights for the constrained two-block solver:
     every block gets the scaled-identity-inducing choice r_i I - B_i with

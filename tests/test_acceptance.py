@@ -16,6 +16,7 @@ import coupled_splitting as cs
 from coupled_splitting.cli import main as cli_main
 from coupled_splitting.spectral import build_Q_M
 from gen import (
+    drop_rows,
     proximal_weights_for,
     quadratic_two_block_instance,
     spectral_instance,
@@ -392,12 +393,12 @@ def test_criterion_10_variant_equivalences():
         r_u = [float(rng.uniform(1.1, 1.8)) * float(np.linalg.eigvalsh(inst.H_block(b, b))[-1])
                for b in range(2)]
         R_u = [r_u[b] * np.eye(inst.blocks.dims[b]) - inst.H_block(b, b) for b in range(2)]
-        bcpg = cs.run_solver(inst, cs.SolverConfig(
+        bcpg = cs.run_solver(drop_rows(inst), cs.SolverConfig(
             variant="bcpg", beta=beta, r=r_u, tol=0.0, max_iter=EQUIV_ITERS),
-            ignore_constraints=True, keep_iterates=True)
-        bcd = cs.run_solver(inst, cs.SolverConfig(
+            keep_iterates=True)
+        bcd = cs.run_solver(drop_rows(inst), cs.SolverConfig(
             variant="bcd", beta=beta, R=R_u, tol=0.0, max_iter=EQUIV_ITERS),
-            ignore_constraints=True, keep_iterates=True)
+            keep_iterates=True)
         gap_u, scale_u = _max_iterate_gap(bcpg, bcd)
         if gap_u > EQUIV_TOL * scale_u:
             failures.append((i, "bcpg vs proximal bcd", gap_u))

@@ -50,6 +50,11 @@ BASES = (
         "blocks": [1, 1], "H": [[5e-11, 0.0], [0.0, 1.0]], "g": [0.0, 0.0], "A": [[0.0, 1.0]], "b": [0.0],
         "theta": [_ZERO, _ZERO],
     },
+    # no constraint rows: the only base on which bcd and bcpg run
+    {
+        "blocks": [1, 1], "H": [[2.0, 1.0], [1.0, 2.0]], "g": [0.5, -0.5], "A": [], "b": [],
+        "theta": [_ZERO, _ZERO],
+    },
 )
 
 NUMBERS = st.sampled_from([0.0, -1.0, 1e300, -1e300, math.nan, math.inf, -math.inf])

@@ -16,6 +16,7 @@ from coupled_splitting.rp import permutation_at
 from coupled_splitting.solvers import linearization_proximal, lyapunov_value
 
 from gen import (
+    drop_rows,
     proximal_weights_for,
     quadratic_two_block_instance,
     random_prox,
@@ -134,7 +135,7 @@ def test_linearization_identity_block():
         blocks=cs.BlockStructure(dims=(2,), m=0),
         H=np.eye(2), g=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0),
     )
-    pairs = linearization_proximal(inst, 1.0, mode="admm")
+    pairs = linearization_proximal(inst, 1.0)
     assert pairs[0][0] == pytest.approx(1.0)
     assert np.allclose(pairs[0][1], np.zeros((2, 2)), atol=1e-12)
 
@@ -144,7 +145,7 @@ def test_linearization_eigensolve():
         blocks=cs.BlockStructure(dims=(2,), m=0),
         H=np.array([[2.0, 1.0], [1.0, 2.0]]), g=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0),
     )
-    pairs = linearization_proximal(inst, 1.0, mode="admm")
+    pairs = linearization_proximal(inst, 1.0)
     assert pairs[0][0] == pytest.approx(3.0)
     assert np.allclose(pairs[0][1], np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
 
@@ -154,7 +155,7 @@ def test_linearization_bcd_diagonal():
         blocks=cs.BlockStructure(dims=(2,), m=0),
         H=np.diag(_arr(4.0, 1.0)), g=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0),
     )
-    pairs = linearization_proximal(inst, 1.0, mode="bcd")
+    pairs = linearization_proximal(inst, 1.0)
     assert pairs[0][0] == pytest.approx(4.0)
     assert np.allclose(pairs[0][1], np.diag(_arr(0.0, 3.0)), atol=1e-12)
 
@@ -169,7 +170,7 @@ def test_linearized_equals_proximal_admm():
     for trial in range(5):
         inst = two_block_instance(rng, kinds=("zero", "l1", "box"))
         beta = float(rng.uniform(0.5, 4.0))
-        pairs = linearization_proximal(inst, beta, mode="admm")
+        pairs = linearization_proximal(inst, beta)
         cfg_lin = cs.SolverConfig(variant="admm2_linearized", beta=beta, tol=0.0, max_iter=1)
         cfg_prox = cs.SolverConfig(
             variant="admm2", beta=beta, tol=0.0, max_iter=1, R=[p[1] for p in pairs]
@@ -191,12 +192,8 @@ def test_bcpg_equals_proximal_bcd():
     for trial in range(5):
         inst = two_block_instance(rng, kinds=("zero", "l1", "box"), min_m=1)
         # unconstrained comparison: drop the constraint rows
-        inst = cs.ProblemInstance(
-            blocks=cs.BlockStructure(dims=inst.blocks.dims, m=0),
-            H=inst.H, g=inst.g, A=np.zeros((0, inst.blocks.d)), b=np.zeros(0),
-            theta=inst.theta,
-        )
-        pairs = linearization_proximal(inst, 1.0, mode="bcd")
+        inst = drop_rows(inst)
+        pairs = linearization_proximal(inst, 1.0)
         cfg_lin = cs.SolverConfig(variant="bcpg", tol=0.0, max_iter=1)
         cfg_prox = cs.SolverConfig(variant="bcd", tol=0.0, max_iter=1, R=[p[1] for p in pairs])
         st_lin = cs.IterateState.start(inst, x0=rng.standard_normal(inst.blocks.d))
@@ -326,7 +323,8 @@ def test_two_block_condition_on_indefinite_linearized_weights():
     """Curvatures r_i below the block model make R_i = r_i I - H_ii -
     beta A_i'A_i indefinite. Every block update is still defined (the
     linearized variant divides by r_i), so only the two-block condition on
-    H_ii + A_i'A_i + R_i = 1 + 1 - 4.5 catches it."""
+    H_ii + A_i'A_i + R_i = 1 + 1 - 4.5 catches it, in a run and in a single
+    step alike."""
     inst = cs.ProblemInstance(
         blocks=cs.BlockStructure(dims=(1, 1), m=1),
         H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0]]), b=_arr(1.0),
@@ -334,6 +332,24 @@ def test_two_block_condition_on_indefinite_linearized_weights():
     cfg = cs.SolverConfig(variant="admm2_linearized", beta=4.0, r=[0.5, 0.5])
     with pytest.raises(ConditionError, match=r"two-block uniqueness condition fails \(min eigenvalue -2\.500e\+00\)"):
         cs.run_solver(inst, cfg)
+    with pytest.raises(ConditionError, match=r"two-block uniqueness condition fails \(min eigenvalue -2\.500e\+00\)"):
+        cs.step(inst, cfg, cs.IterateState.start(inst))
+
+
+def test_two_block_condition_counts_quadratic_curvature():
+    """A quadratic term's P enters block 0's solve, so it counts in the
+    two-block condition: with H = diag(0, 1) and A = [[0, 1]] the term alone
+    makes the subproblem unique, and admm2 agrees with admm_cyclic_n."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=1),
+        H=np.diag(_arr(0.0, 1.0)), g=np.zeros(2), A=np.array([[0.0, 1.0]]), b=_arr(1.0),
+        theta=(cs.ProxFn.quadratic(np.eye(1), _arr(0.5)), cs.ProxFn.zero()),
+    )
+    assert cs.check_uniqueness_condition(inst).satisfied
+    for variant in ("admm2", "admm_cyclic_n"):
+        tr = cs.run_solver(inst, cs.SolverConfig(variant=variant, tol=1e-10, max_iter=1000))
+        assert tr.status == "converged", variant
+        assert np.allclose(tr.x, _arr(-0.5, 1.0), atol=1e-8), variant
 
 
 def test_singular_block_subproblem_is_rejected():
@@ -361,13 +377,18 @@ def test_prox_block_needs_scaled_identity():
 
 
 def test_bcd_requires_explicit_constraint_dropping():
+    """bcd and bcpg are the sweeps on an instance without constraint rows:
+    given rows, the engine refuses them; the caller drops the rows."""
     inst = scalar_pair_instance()
-    cfg = cs.SolverConfig(variant="bcd", tol=1e-10)
-    with pytest.raises(cs.UsageError):
-        cs.run_solver(inst, cfg)
-    tr = cs.run_solver(inst, cfg, ignore_constraints=True)
-    assert tr.status == "converged"
-    assert np.allclose(tr.x, np.zeros(2), atol=1e-8)  # unconstrained minimum
+    for variant in ("bcd", "bcpg"):
+        cfg = cs.SolverConfig(variant=variant, tol=1e-10)
+        with pytest.raises(cs.UsageError, match=f"variant {variant} needs an instance without constraint rows"):
+            cs.step(inst, cfg, cs.IterateState.start(inst))
+        with pytest.raises(cs.UsageError, match=f"variant {variant} needs an instance without constraint rows"):
+            cs.run_solver(inst, cfg)
+        tr = cs.run_solver(drop_rows(inst), cfg)
+        assert tr.status == "converged", variant
+        assert np.allclose(tr.x, np.zeros(2), atol=1e-8), variant  # unconstrained minimum
 
 
 def test_bcd_converges_on_coupled_quadratic():
@@ -785,6 +806,28 @@ def test_step_matches_per_block_formulas():
             _assert_close(new.mu, mu, scale)
             assert np.array_equal(new.x_prev, state.x)
             state = new
+
+
+def test_bcd_and_bcpg_are_the_row_free_admm_sweeps():
+    """Without constraint rows beta A'A, beta A_i'b and the multiplier step
+    are zero, so bcd is admm_cyclic_n and bcpg the linearized sweep, bit for
+    bit, at any beta and gamma."""
+    rng = np.random.default_rng(46)
+    for _ in range(10):
+        kinds = tuple(rng.choice(["l1", "box"], size=3))
+        inst = _mixed_instance(rng, tuple(int(v) for v in rng.integers(1, 4, size=3)), 0, kinds)
+        beta, gamma = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 1.6))
+        common = dict(beta=beta, gamma=gamma, tol=1e-9, max_iter=300)
+        R = _scaled_identity_R(inst, beta, margin=float(rng.uniform(1.1, 2.0)))
+        bcd = cs.run_solver(inst, cs.SolverConfig(variant="bcd", R=R, **common))
+        admm = cs.run_solver(inst, cs.SolverConfig(variant="admm_cyclic_n", R=R, **common))
+        assert len(bcd) >= 2 and bcd.status == admm.status
+        assert bcd.csv_rows() == admm.csv_rows()
+        pair = _mixed_instance(rng, tuple(int(v) for v in rng.integers(1, 4, size=2)), 0, kinds[:2])
+        bcpg = cs.run_solver(pair, cs.SolverConfig(variant="bcpg", **common))
+        lin = cs.run_solver(pair, cs.SolverConfig(variant="admm2_linearized", **common))
+        assert len(bcpg) >= 2 and bcpg.status == lin.status
+        assert bcpg.csv_rows() == lin.csv_rows()
 
 
 def _oracle_surrogate(inst, beta, gamma, R, x_old, x_new, order):
