@@ -67,7 +67,9 @@ def run_rp_solver(
     block order per sweep: trial t sweeps in the successive orders
     default_rng(cfg.seed ^ t).permutation(n), that is permutation_at(cfg.seed
     ^ t, k, n) for k = 0, 1, ..., so any single trial can be reproduced in
-    isolation as trial 0 of a run seeded cfg.seed ^ t.
+    isolation as trial 0 of a run seeded cfg.seed ^ t. A trial may draw
+    orders past its stop, for sweeps it then drops (see solvers._drive); it
+    draws them from its own generator, so no other trial's orders move.
     Returns the per-trial traces and the sample-mean trajectory across trials
     at matching iteration counts (trials that stop early are held at their
     final iterate).
@@ -81,12 +83,14 @@ def run_rp_solver(
     traces = []
     paths = []
     for t in range(int(trials)):
+        # sweeps past the stop draw orders from this trial's generator only
         orders = _trial_orders(seed ^ t, n)
-        path = []
-        trace = _drive(ws, IterateState.start(inst, x0, mu0), orders.__next__, keep_iterates, path=path)
+        trace = _drive(ws, IterateState.start(inst, x0, mu0), orders.__next__, True)
         trace.trial = t
         traces.append(trace)
-        paths.append(np.asarray(path))
+        paths.append(trace.path)
+        if not keep_iterates:
+            trace.drop_iterates()
 
     k_len = max(p.shape[0] for p in paths)
     mean = np.zeros((k_len, d + m))

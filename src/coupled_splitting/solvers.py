@@ -23,7 +23,7 @@ bcpg              the linearized sweep, n blocks, on an instance without
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +41,11 @@ from .model import (
     _uniqueness_condition,
     normalize_block_matrices,
 )
+from ._observe import _dots, _gemv, _Observer, _quad_rows
 # subdiff_distance is the per-block reference for _Observer's formulas; it
 # stays in this namespace, where the solver layer's callers and tracers
 # look it up
-from .prox import ProxFn, _box_bounds, _box_edge, fn_value, prox_eval, subdiff_distance  # noqa: F401
+from .prox import ProxFn, _box_bounds, prox_eval, subdiff_distance  # noqa: F401
 
 VARIANTS = ("admm2", "admm2_linearized", "admm_cyclic_n", "bcd", "bcpg")
 GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
@@ -140,51 +141,111 @@ class IterateState:
         return cls(x=x, x_prev=x.copy(), mu=mu, k=0)
 
 
-@dataclass
 class Trace:
-    """Per-iteration records of a run plus its terminal state."""
+    """Per-iteration records of a run, one float column per field, plus its
+    terminal state. Row k holds the iterate after k sweeps.
 
-    n_blocks: int
-    ks: list = field(default_factory=list)
-    r_dual: list = field(default_factory=list)
-    r_feas: list = field(default_factory=list)
-    surrogate_blocks: list = field(default_factory=list)
-    surrogate: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-    lyapunov: list = field(default_factory=list)
-    status: str = "max_iter"
-    exact_residuals: bool = True
-    warnings: list = field(default_factory=list)
-    x: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    trial: int | None = None
-    iterates: list | None = None
+    Columns: r_dual (one per block), r_feas, surrogate, objective, lyapunov
+    and surrogate_blocks (one per block). A missing value is NaN: r_dual when
+    some term is opaque, lyapunov without a merit reference, and the
+    surrogate of a point no sweep produced, whose surrogate_blocks read inf.
+    A trace built with the primal dimension d keeps its iterates: each row's
+    z = (x, mu) in `path`, listed as (x, mu) pairs by `iterates`.
+    """
+
+    def __init__(self, n_blocks: int, exact_residuals: bool = True, d: int | None = None):
+        self.n_blocks = n_blocks
+        self.exact_residuals = exact_residuals
+        self.status = "max_iter"
+        self.warnings = []
+        self.x = None
+        self.mu = None
+        self.trial = None
+        self._len = 0
+        # the columns side by side; the CSV writes the first n_blocks + 4
+        self._table = np.empty((0, 2 * n_blocks + 4))
+        self._d = d
+        self._path = None if d is None else np.empty((0, 0))
+        self._iterates = None
 
     def __len__(self) -> int:
-        return len(self.ks)
+        return self._len
 
-    def max_residual(self, row: int) -> float:
-        """Largest violation component at a row, from exact residuals when
-        available and from the surrogate bound otherwise."""
-        if self.exact_residuals:
-            dual = self.r_dual[row]
-            worst = float(dual.max()) if dual is not None and dual.size else 0.0
-        else:
-            blocks = self.surrogate_blocks[row]
-            if blocks is None:
-                return math.inf
-            worst = float(blocks.max()) if blocks.size else 0.0
-        return max(worst, self.r_feas[row])
+    @property
+    def ks(self) -> list:
+        return list(range(self._len))
 
-    def total_sq(self, row: int) -> float:
-        """Summed squared residual components at a row."""
-        if self.exact_residuals:
-            dual = self.r_dual[row]
-        else:
-            dual = self.surrogate_blocks[row]
-        if dual is None:
-            return math.inf
-        return float(np.sum(np.asarray(dual) ** 2) + self.r_feas[row] ** 2)
+    def _column(self, lo: int, hi: int | None = None) -> np.ndarray:
+        return self._table[: self._len, lo if hi is None else slice(lo, hi)]
+
+    r_dual = property(lambda self: self._column(0, self.n_blocks))
+    r_feas = property(lambda self: self._column(self.n_blocks))
+    surrogate = property(lambda self: self._column(self.n_blocks + 1))
+    objective = property(lambda self: self._column(self.n_blocks + 2))
+    lyapunov = property(lambda self: self._column(self.n_blocks + 3))
+    surrogate_blocks = property(lambda self: self._column(self.n_blocks + 4, 2 * self.n_blocks + 4))
+    path = property(lambda self: None if self._path is None else self._path[: self._len])
+
+    @property
+    def iterates(self) -> list | None:
+        """The kept iterates as (x, mu) pairs, views of `path`."""
+        if self._path is None:
+            return None
+        if self._iterates is None or len(self._iterates) != self._len:
+            d = self._d
+            self._iterates = [(z[:d], z[d:]) for z in self.path]
+        return self._iterates
+
+    def extend(self, r_dual, r_feas, surrogate, objective, lyapunov, surrogate_blocks, path=None) -> None:
+        """Append rows: each argument holds one value per row, or one value
+        for them all; `path` holds the rows' z = (x, mu) when the trace keeps
+        its iterates. The columns double in length when full."""
+        n, lo = self.n_blocks, self._len
+        hi = lo + np.shape(r_feas)[0]
+        if hi > self._table.shape[0]:
+            size = max(2 * self._table.shape[0], hi, 16)
+            # np.resize copies the rows kept into a new, larger array
+            self._table = np.resize(self._table, (size, 2 * n + 4))
+            if self._path is not None:
+                self._path = np.resize(self._path, (size, np.shape(path)[1]))
+        rows = self._table[lo:hi]
+        rows[:, :n] = r_dual
+        rows[:, n] = r_feas
+        rows[:, n + 1] = surrogate
+        rows[:, n + 2] = objective
+        rows[:, n + 3] = lyapunov
+        rows[:, n + 4 :] = surrogate_blocks
+        if self._path is not None:
+            self._path[lo:hi] = path
+        self._len = hi
+
+    def truncate(self, rows: int) -> None:
+        """Keep the first `rows` rows."""
+        self._len = min(self._len, rows)
+
+    def drop_iterates(self) -> None:
+        """Stop keeping the iterates."""
+        self._path = None
+        self._iterates = None
+
+    def _dual(self) -> np.ndarray:
+        return self.r_dual if self.exact_residuals else self.surrogate_blocks
+
+    def max_residual(self, rows=slice(None)):
+        """Largest violation component, from exact residuals when available
+        and from the surrogate bound otherwise: a column over a slice of rows
+        (every row by default), or a float at one row index."""
+        one = not isinstance(rows, slice)
+        # one row as a slice of one, counted from the end when negative
+        sel = slice(rows, rows + 1 or None) if one else rows
+        col = _largest(self._dual()[sel], self.r_feas[sel])
+        return float(col[0]) if one else col
+
+    def total_sq(self, row: int | None = None):
+        """Summed squared residual components: a column over every row, or a
+        float at one row index."""
+        col = np.sum(self._dual() ** 2, axis=1) + self.r_feas**2
+        return col if row is None else float(col[row])
 
     def to_csv(self, path, header_lines=()) -> None:
         head = "".join(f"# {line}\n" for line in header_lines)
@@ -200,15 +261,17 @@ class Trace:
     def csv_rows(self) -> str:
         """One CSV line per recorded row, led by the trial number when set."""
         lead = "" if self.trial is None else f"{self.trial},"
-        opaque = [math.nan] * self.n_blocks
-        dual = [opaque if v is None else v for v in self.r_dual]
-        # float64 columns, None read as NaN; .tolist() gives Python floats,
-        # whose repr is _fmt's, and a NaN cell ("nan") is written empty
-        rows = np.column_stack([
-            np.array(dual, dtype=float),
-            np.array([self.r_feas, self.surrogate, self.objective, self.lyapunov], dtype=float).T,
-        ]).tolist()
-        return "".join(f"{lead}{k},{','.join(map(repr, row)).replace('nan', '')}\n" for k, row in zip(self.ks, rows))
+        # .tolist() gives Python floats, whose repr is _fmt's, and a NaN cell
+        # ("nan") is written empty
+        rows = self._table[: self._len, : self.n_blocks + 4].tolist()
+        return "".join(f"{lead}{k},{','.join(map(repr, row)).replace('nan', '')}\n" for k, row in enumerate(rows))
+
+
+def _largest(dual: np.ndarray, feas: np.ndarray) -> np.ndarray:
+    """max(max(dual row), feas) for each row, as Python's max takes it: a
+    NaN feas is passed over."""
+    worst = dual.max(axis=1)
+    return np.where(feas > worst, feas, worst)
 
 
 def _fmt(v) -> str:
@@ -282,97 +345,6 @@ def _block_prox(f: ProxFn, r: float, dim: int):
     return lambda v: prox_eval(f, r, v)
 
 
-class _Observer:
-    """Exact per-block stationarity violations and the objective at a point,
-    from whole-vector formulas laid out once per run.
-
-    Quadratic terms are folded into the smooth part, H' = H + blkdiag(P_i)
-    and g' = g + q; l1 weights and box bounds are spread over the full
-    vector, with a mask for each kind. The formulas are those of
-    prox.subdiff_distance and prox.fn_value, which stay the per-block
-    references; only opaque terms are evaluated block by block.
-    """
-
-    def __init__(self, inst: ProblemInstance):
-        blocks, d = inst.blocks, inst.blocks.d
-        self.H = inst.H.copy()
-        self.g = inst.g.copy()
-        self.At = np.ascontiguousarray(inst.A.T) if blocks.m else None
-        self.offsets = np.asarray(blocks.offsets)
-        self.lam = np.zeros(d)
-        self.l1 = np.zeros(d, dtype=bool)
-        lo, hi = np.full(d, -math.inf), np.full(d, math.inf)
-        self.box = np.zeros(d, dtype=bool)
-        self.opaque = []
-        for i, f in enumerate(inst.theta):
-            sl = blocks.slice_of(i)
-            if f.kind == "quadratic":
-                self.H[sl, sl] += f.params["P"]
-                self.g[sl] += f.params["q"]
-            elif f.kind == "l1":
-                self.lam[sl] = f.params["lam"]
-                self.l1[sl] = True
-            elif f.kind == "box":
-                lo[sl], hi[sl] = _box_bounds(f, blocks.dims[i])
-                self.box[sl] = True
-            elif f.kind == "opaque":
-                self.opaque.append((f, sl))
-        self.exact = not self.opaque
-        self.l1_at = np.flatnonzero(self.l1)
-        self.lam_at = self.lam[self.l1_at]
-        self.has_box = bool(self.box.any())
-        # off the boxes lo = -inf and hi = inf, so no coordinate there lies
-        # outside; within edge of a bound x sits on that face
-        edge = _box_edge(lo, hi)
-        self.out_lo, self.out_hi = lo - edge, hi + edge
-        self.face_lo, self.face_hi = lo + edge, hi - edge
-
-    def __call__(self, x: np.ndarray, mu: np.ndarray) -> tuple:
-        """(r_dual, objective) at (x, mu). r_dual is None when some term is
-        opaque; a block with a coordinate outside its box reads inf, and so
-        does the objective."""
-        Hx = self.H.dot(x)
-        objective = 0.5 * float(x.dot(Hx)) + float(self.g.dot(x))
-        if self.l1_at.size:
-            objective += float(self.lam_at.dot(np.abs(x[self.l1_at])))
-        outside = None
-        if self.has_box:
-            outside = (x < self.out_lo) | (x > self.out_hi)
-            if outside.any():
-                objective = math.inf
-            else:
-                outside = None
-        for f, sl in self.opaque:
-            objective += fn_value(f, x[sl])
-        if not self.exact:
-            return None, objective
-        s = Hx + self.g
-        if self.At is not None:
-            s -= self.At.dot(mu)
-        # distance from -s to the subdifferential, coordinate by coordinate
-        dist = np.abs(s)
-        if self.l1_at.size:
-            lam = self.lam
-            l1 = np.where(x == 0.0, np.maximum(dist - lam, 0.0), np.abs(s + lam * np.sign(x)))
-            dist = np.where(self.l1, l1, dist)
-        if self.has_box:
-            at_lo = x <= self.face_lo
-            at_hi = x >= self.face_hi
-            # normal cone: {0} inside, a ray on a face, R on a pinned coordinate
-            box = np.where(
-                at_lo,
-                np.where(at_hi, 0.0, np.maximum(-s, 0.0)),
-                np.where(at_hi, np.maximum(s, 0.0), dist),
-            )
-            dist = np.where(self.box, box, dist)
-        r_dual = np.sqrt(np.add.reduceat(dist * dist, self.offsets))
-        if outside is not None:
-            # outside dom theta_i the subdifferential is empty (possible only
-            # at the start point, before the first sweep projects the block)
-            r_dual[np.logical_or.reduceat(outside, self.offsets)] = math.inf
-        return r_dual, objective
-
-
 class _Workspace:
     """Validated configuration plus the per-run data every sweep shares.
 
@@ -422,7 +394,7 @@ class _Workspace:
                     f"two-block uniqueness condition fails (min eigenvalue {cond.min_eigenvalue:.3e}); "
                     "see check_uniqueness_condition"
                 )
-        self.observe = _Observer(inst)
+        self.observer = _Observer(inst)
         # S with each diagonal block replaced by -R_i; the surrogate's matrix U
         # for a block order keeps the blocks of it at or after the row block
         self.surrogate_base = S.copy()
@@ -475,20 +447,28 @@ class _Workspace:
         if not ridge > 0 or off > 1e-10 * max(1.0, abs(ridge)):
             raise SubproblemStructureError(
                 f"block {i} (kind {f.kind!r}): effective quadratic is not a scaled "
-                "identity, so no closed-form subproblem exists; use variant "
-                "admm2_linearized (or bcpg for unconstrained runs)"
+                f"identity, so no closed-form subproblem exists; {self._structure_advice(i)}"
             )
         return -row / ridge, -lin / ridge, _block_prox(f, ridge, d_i)
 
+    def _structure_advice(self, i: int) -> str:
+        """The remedy for block i's subproblem that applies to this instance:
+        a linearized variant where one exists, else a scalar proximal term."""
+        blocks = self.inst.blocks
+        variants = (("admm2_linearized", blocks.n == 2), ("bcpg", blocks.m == 0))
+        return " or ".join(f"use variant {v}" for v, fits in variants if fits) or (
+            f"set R[{i}] = r I - B_{i}, with B_{i} = H_{i}{i} + beta A_{i}'A_{i} and r at least its top "
+            "eigenvalue, as linearization_proximal gives"
+        )
+
     # -- sweeps --------------------------------------------------------
 
-    def advance(self, state: IterateState, order) -> tuple:
-        """One sweep in `order`, each block against the latest values, then
-        the multiplier step. Returns the new state, its concatenated vector
-        z = (x, mu), of which the state's x and mu are views, and Ax - b."""
+    def advance(self, z: np.ndarray, order) -> np.ndarray:
+        """One sweep of z = (x, mu) in place, in `order`, each block against
+        the latest values, then the multiplier step. Returns Ax - b at the new
+        x."""
         d = self.d
         W, c, prox, slices = self.W, self.c, self.prox, self.slices
-        z = np.concatenate([state.x, state.mu])
         x = z[:d]
         # ndarray.dot rather than @: on vectors this short the matmul
         # ufunc's per-call overhead outweighs the arithmetic
@@ -498,16 +478,14 @@ class _Workspace:
             x[slices[i]] = v if p is None else p(v)
         resid = self.inst.A.dot(x) - self.inst.b
         z[d:] -= self.gamma * self.beta * resid
-        return IterateState(x=x, x_prev=state.x.copy(), mu=z[d:], k=state.k + 1), z, resid
+        return resid
 
-    # -- residual pieces -------------------------------------------------
+    # -- rows ------------------------------------------------------------
 
-    def surrogate_parts(self, dx: np.ndarray, resid: np.ndarray, order) -> np.ndarray:
-        """Per-block norms of the exact optimality shift from one sweep that
-        moved x by dx: block i is stationary for the new point up to
-        -R_i dx_i + sum over later blocks of (H_ij + beta A_i'A_j) dx_j,
-        plus a multiplier-stepsize correction when gamma differs from one.
-        """
+    def surrogate_matrix(self, order) -> np.ndarray:
+        """The surrogate's matrix U for a block order: the blocks of
+        surrogate_base at or after the row block in the order. Kept per
+        order, up to SURROGATE_CACHE_BYTES in all."""
         U = self.U.get(order)
         if U is None:
             pos = [0] * self.n
@@ -517,10 +495,48 @@ class _Workspace:
             U = self.surrogate_base * (pe >= pe[:, None])
             if (len(self.U) + 1) * U.nbytes <= SURROGATE_CACHE_BYTES:
                 self.U[order] = U
-        v = U.dot(dx)
+        return U
+
+    def surrogate_parts(self, DX: np.ndarray, RES: np.ndarray, orders) -> np.ndarray:
+        """Per-block norms of the exact optimality shift from each sweep, one
+        row per sweep: a sweep in orders[j] that moved x by DX[j] leaves block
+        i stationary up to -R_i dx_i + sum over later blocks of
+        (H_ij + beta A_i'A_j) dx_j, plus a multiplier-stepsize correction in
+        RES[j] = Ax - b when gamma differs from one.
+        """
+        rows = {}
+        for j, order in enumerate(orders):
+            rows.setdefault(order, []).append(j)
+        if len(rows) == 1:
+            V = _gemv(self.surrogate_matrix(orders[0]), DX)
+        else:
+            V = np.empty_like(DX)
+            for order, at in rows.items():
+                V[at] = _gemv(self.surrogate_matrix(order), DX[at])
         if self.gamma != 1.0:
-            v -= self.beta * (1.0 - self.gamma) * self.At.dot(resid)
-        return np.sqrt(np.add.reduceat(v * v, self.offsets))
+            V -= self.beta * (1.0 - self.gamma) * _gemv(self.At, RES)
+        return np.sqrt(np.add.reduceat(V * V, self.offsets, axis=1))
+
+    def observe(self, Z: np.ndarray, RES: np.ndarray, X_prev: np.ndarray, orders=None, merit=None) -> tuple:
+        """Trace.extend's columns for the points z = (x, mu) in the rows of Z,
+        with RES holding each row's Ax - b: row j came from x = X_prev[j] by
+        one sweep in orders[j]. Without orders the points came from no sweep
+        and have no surrogate. merit, a (weights, reference) pair, fills the
+        lyapunov column."""
+        d = self.d
+        X, MU = Z[:, :d], Z[:, d:]
+        r_dual, objective = self.observer.rows(X, MU)
+        r_feas = np.sqrt(_dots(RES, RES))
+        if orders is None:
+            surrogate, parts = math.nan, math.inf
+        else:
+            parts = self.surrogate_parts(X - X_prev, RES, orders)
+            # r_feas squared by Python's float pow, which rounds otherwise than
+            # r * r (array ** 2) on a few values; the per-row recording in
+            # tests/oracles.py pins it
+            surrogate = np.sqrt(_dots(parts, parts) + [r**2 for r in r_feas.tolist()])
+        lyapunov = math.nan if merit is None else _merit_rows(self.beta, *merit, X, X_prev, MU)
+        return r_dual, r_feas, surrogate, objective, lyapunov, parts
 
 
 def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=None) -> IterateState:
@@ -533,11 +549,17 @@ def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=No
     sweep.
     """
     ws = _Workspace(inst, cfg)
-    n = inst.blocks.n
-    return ws.advance(state, range(n) if order is None else check_order(order, n))[0]
+    n, d = inst.blocks.n, inst.blocks.d
+    z = np.concatenate([state.x, state.mu])
+    ws.advance(z, range(n) if order is None else check_order(order, n))
+    return IterateState(x=z[:d], x_prev=state.x.copy(), mu=z[d:], k=state.k + 1)
 
 
 # -- full runs -------------------------------------------------------------
+
+# sweeps a run makes before it observes them; private, as the rows it keeps
+# do not depend on it
+SWEEP_BLOCK = 64
 
 
 def run_solver(
@@ -558,70 +580,76 @@ def run_solver(
     merit value against `reference` when one is given (two-block runs only).
     """
     ws = _Workspace(inst, cfg)
-    weights = None if reference is None else merit_weight_matrices(inst, cfg.beta, ws.R_eff)
     cyclic = tuple(range(inst.blocks.n))
     state = IterateState.start(inst, x0, mu0)
-    return _drive(ws, state, lambda: cyclic, keep_iterates, weights=weights, reference=reference)
+    return _drive(ws, state, lambda: cyclic, keep_iterates, reference=reference)
 
 
-def _drive(ws, state, next_order, keep_iterates, weights=None, reference=None, path=None) -> Trace:
-    """The run loop of every variant: record the start point, then sweep in
+def _drive(ws, state, next_order, keep_iterates, reference=None) -> Trace:
+    """The run loop of every variant: observe the start point, then sweep in
     the orders that next_order() returns until the largest residual component
     falls to the tolerance, the divergence guard trips, or max_iter sweeps
-    have run. `path`, when given, collects every iterate as one concatenated
-    (x, mu) vector."""
-    trace = Trace(n_blocks=ws.n, exact_residuals=ws.observe.exact)
+    have run.
+
+    The divergence guard is checked after every sweep, so no sweep runs past
+    a diverging row. The sweeps since the last observation, up to
+    SWEEP_BLOCK of them, are observed together; the rows past the first
+    converged row were swept speculatively and are dropped, with the orders
+    they drew from next_order(). A run with an opaque term, whose sweeps and
+    objective call user code, stops on the surrogate bound, which calls
+    none: it takes that test after every sweep instead, so it never sweeps
+    past its stop and observes each of its rows once.
+    """
+    inst, d = ws.inst, ws.d
+    exact = ws.observer.exact
+    merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
+    trace = Trace(ws.n, exact_residuals=exact, d=d if keep_iterates else None)
     trace.warnings.extend(ws.warnings)
-    if keep_iterates:
-        trace.iterates = []
-    z = np.concatenate([state.x, state.mu])
-    _record(trace, ws, state, z, ws.inst.A.dot(state.x) - ws.inst.b, None, weights, reference, path)
+    # row 0 holds the last point observed, rows 1.. the sweeps since
+    Z = np.empty((SWEEP_BLOCK + 1, d + inst.blocks.m))
+    RES = np.empty((SWEEP_BLOCK + 1, inst.blocks.m))
+    Z[0, :d], Z[0, d:] = state.x, state.mu
+    RES[0] = inst.A.dot(state.x) - inst.b
+    trace.extend(*ws.observe(Z[:1], RES[:1], Z[:1, :d], merit=merit), path=Z[:1])
     tol = ws.cfg.tol
-    if trace.exact_residuals and trace.max_residual(0) <= tol:
+    left = int(ws.cfg.max_iter)
+    if exact and trace.max_residual(0) <= tol:
         trace.status = "converged"
-    else:
-        for _ in range(int(ws.cfg.max_iter)):
-            order = next_order()
-            state, z, resid = ws.advance(state, order)
-            _record(trace, ws, state, z, resid, order, weights, reference, path)
+        left = 0
+    b = 0
+    while left:
+        Z[0] = Z[b]
+        orders = []
+        diverged = False
+        for b in range(1, min(SWEEP_BLOCK, left) + 1):
+            orders.append(next_order())
+            Z[b] = Z[b - 1]
+            RES[b] = ws.advance(Z[b], orders[-1])
             # written so that NaN iterates count as diverged
-            if not max_abs(z) <= DIVERGENCE_LIMIT:
-                trace.status = "diverged"
+            if not max_abs(Z[b]) <= DIVERGENCE_LIMIT:
+                diverged = True
                 break
-            if trace.max_residual(len(trace) - 1) <= tol:
-                trace.status = "converged"
-                break
-    trace.x = state.x.copy()
-    trace.mu = state.mu.copy()
+            if not exact:
+                res = RES[b : b + 1]
+                parts = ws.surrogate_parts(Z[b : b + 1, :d] - Z[b - 1 : b, :d], res, orders[-1:])
+                if _largest(parts, np.sqrt(_dots(res, res)))[0] <= tol:
+                    break
+        lo = len(trace)
+        trace.extend(*ws.observe(Z[1 : b + 1], RES[1 : b + 1], Z[:b, :d], orders, merit), path=Z[1 : b + 1])
+        # the guard row stops the run as diverged whatever its residual
+        done = np.flatnonzero(trace.max_residual(slice(lo, lo + b - diverged)) <= tol)
+        left -= b
+        if done.size:
+            trace.status = "converged"
+            trace.truncate(lo + int(done[0]) + 1)
+            b = int(done[0]) + 1
+            break
+        if diverged:
+            trace.status = "diverged"
+            break
+    trace.x = Z[b, :d].copy()
+    trace.mu = Z[b, d:].copy()
     return trace
-
-
-def _record(trace, ws, state, z, resid, order, weights, reference, path):
-    """Append one row for the state whose concatenated vector is z and whose
-    constraint residual is resid; order is None for the start point, which
-    has no sweep."""
-    x = state.x
-    r_dual, objective = ws.observe(x, state.mu)
-    trace.ks.append(state.k)
-    trace.r_dual.append(r_dual)
-    r_feas = math.sqrt(float(resid.dot(resid)))
-    trace.r_feas.append(r_feas)
-    if order is None:
-        trace.surrogate_blocks.append(None)
-        trace.surrogate.append(math.nan)
-    else:
-        parts = ws.surrogate_parts(x - state.x_prev, resid, order)
-        trace.surrogate_blocks.append(parts)
-        trace.surrogate.append(math.sqrt(float(parts.dot(parts)) + r_feas**2))
-    trace.objective.append(objective)
-    if reference is None:
-        trace.lyapunov.append(None)
-    else:
-        trace.lyapunov.append(_merit_from_weights(ws.cfg.beta, weights, state, reference))
-    if trace.iterates is not None:
-        trace.iterates.append((x.copy(), state.mu.copy()))
-    if path is not None:
-        path.append(z)
 
 
 def merit_weight_matrices(inst: ProblemInstance, beta: float, R_mats) -> dict:
@@ -641,17 +669,23 @@ def merit_weight_matrices(inst: ProblemInstance, beta: float, R_mats) -> dict:
     }
 
 
-def _merit_from_weights(beta, weights, state, reference) -> float:
-    dx = state.x - np.asarray(reference.x, dtype=float)
+def _merit_rows(beta, weights, reference, X, X_prev, MU) -> np.ndarray:
+    """The merit value at each row pair (x, mu) of X and MU, reached from
+    x = X_prev[j]; each row equals the one-row formula bit for bit."""
+    DX = X - np.asarray(reference.x, dtype=float)
     sl2 = weights["slice2"]
-    dmu = state.mu - np.asarray(reference.mu, dtype=float)
-    back = state.x[sl2] - state.x_prev[sl2]
+    DMU = MU - np.asarray(reference.mu, dtype=float)
+    BACK = X[:, sl2] - X_prev[:, sl2]
     return (
-        0.875 * quad_form(dx, weights["level"])
-        + 0.5 * quad_form(dx[sl2], weights["level_b2"])
-        + (0.5 / beta) * float(dmu @ dmu)
-        + 0.5 * quad_form(back, weights["R2"])
+        0.875 * _quad_rows(DX, weights["level"])
+        + 0.5 * _quad_rows(DX[:, sl2], weights["level_b2"])
+        + (0.5 / beta) * _dots(DMU, DMU)
+        + 0.5 * _quad_rows(BACK, weights["R2"])
     )
+
+
+def _merit_from_weights(beta, weights, state, reference) -> float:
+    return float(_merit_rows(beta, weights, reference, state.x[None], state.x_prev[None], state.mu[None])[0])
 
 
 def _merit_weights(inst: ProblemInstance, cfg: SolverConfig) -> dict:
@@ -686,16 +720,10 @@ def min_kkt_sq_curve(trace: Trace) -> np.ndarray:
     """Series of (k, k * running minimum of the summed squared residual),
     over the generated iterates (k >= 1). The residual triple is exact when
     the trace has exact residuals and the surrogate bound otherwise."""
-    rows = [row for row in range(len(trace)) if trace.ks[row] >= 1]
-    if not rows:
+    if len(trace) < 2:
         raise UsageError("trace has no generated iterates")
-    dual = trace.r_dual if trace.exact_residuals else trace.surrogate_blocks
-    missing = np.full(trace.n_blocks, math.inf)
-    parts = np.array([missing if dual[row] is None else dual[row] for row in rows], dtype=float)
-    feas = np.array([trace.r_feas[row] for row in rows], dtype=float)
-    # the summed squares of Trace.total_sq, row by row; a NaN row never
-    # lowers the running minimum
-    total = np.sum(parts**2, axis=1) + feas**2
+    # Trace.total_sq's column; a NaN row never lowers the running minimum
+    total = trace.total_sq()[1:]
     best = np.minimum.accumulate(np.where(np.isnan(total), math.inf, total))
-    k = np.array([trace.ks[row] for row in rows], dtype=float)
+    k = np.arange(1.0, len(trace))
     return np.column_stack([k, k * best])

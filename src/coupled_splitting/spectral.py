@@ -28,7 +28,6 @@ from .solvers import (
     IterateState,
     SolverConfig,
     Trace,
-    _record,
     _Workspace,
     _write_artifact,
     check_beta,
@@ -476,16 +475,20 @@ def oscillation_demo(
         _verified_witness(inst, R_mats, y / ynorm, "ybar is not a valid witness")
 
     ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n"), min_norm=True)
-    state = IterateState.start(inst, x0, mu0)
-    xs, mus = [state.x], [state.mu]
-    for _ in range(int(k_max)):
-        state = ws.advance(state, (0, 1))[0]
-        xs.append(state.x)
-        mus.append(state.mu)
+    d = inst.blocks.d
+    start = IterateState.start(inst, x0, mu0)
+    Z = np.empty((int(k_max) + 1, d + inst.blocks.m))
+    Z[0, :d], Z[0, d:] = start.x, start.mu
+    for k in range(1, int(k_max) + 1):
+        Z[k] = Z[k - 1]
+        ws.advance(Z[k], (0, 1))
 
     # the perturbed trajectory adds the witness at every even generated step
-    xs_p = [xk + (y if (k % 2 == 0 and k >= 2) else 0.0) for k, xk in enumerate(xs)]
-    mus_p = mus
+    # (and 0.0 elsewhere, which turns a -0.0 into 0.0)
+    k = np.arange(len(Z))[:, None]
+    Z_p = Z.copy()
+    Z_p[:, :d] += np.where((k % 2 == 0) & (k >= 2), y, 0.0)
+    xs_p, mus_p = Z_p[:, :d], Z_p[:, d:]
 
     defect = _recheck_steps(inst, R_mats, cfg.beta, cfg.gamma, xs_p, mus_p)
     scale = 1.0 + max(float(np.max(np.abs(np.asarray(xs_p)))), float(np.max(np.abs(np.asarray(mus_p)))) if inst.blocks.m else 0.0)
@@ -494,8 +497,8 @@ def oscillation_demo(
             f"perturbed trajectory fails the optimality recheck: defect {defect:.3e}"
         )
 
-    baseline = _trace_from_path(ws, xs, mus)
-    perturbed = _trace_from_path(ws, xs_p, mus_p)
+    baseline = _trace_from_path(ws, Z)
+    perturbed = _trace_from_path(ws, Z_p)
     gap = False
     if ynorm > 0:
         tail = range(max(1, len(xs_p) - max(2, len(xs_p) // 4)), len(xs_p))
@@ -535,16 +538,16 @@ def _recheck_steps(inst, R_mats, beta, gamma, xs, mus) -> float:
     return worst
 
 
-def _trace_from_path(ws, xs, mus) -> Trace:
-    """The trace of a trajectory, each row recorded as _drive records a start
-    point: with no sweep order, so with no surrogate."""
-    inst = ws.inst
-    trace = Trace(n_blocks=ws.n, exact_residuals=ws.observe.exact)
-    for k, (x, mu) in enumerate(zip(xs, mus)):
-        state = IterateState(x=x, x_prev=x, mu=mu, k=k)
-        _record(trace, ws, state, None, inst.A.dot(x) - inst.b, None, None, None, None)
-    trace.x = np.asarray(xs[-1]).copy()
-    trace.mu = np.asarray(mus[-1]).copy()
+def _trace_from_path(ws, Z) -> Trace:
+    """The trace of a trajectory of points z = (x, mu), the rows of Z, each
+    row observed as _drive observes a start point: with no sweep, so with no
+    surrogate."""
+    inst, d = ws.inst, ws.d
+    trace = Trace(n_blocks=ws.n, exact_residuals=ws.observer.exact)
+    RES = np.array([inst.A.dot(x) - inst.b for x in Z[:, :d]])
+    trace.extend(*ws.observe(Z, RES, Z[:, :d]))
+    trace.x = Z[-1, :d].copy()
+    trace.mu = Z[-1, d:].copy()
     return trace
 
 

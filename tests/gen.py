@@ -43,6 +43,48 @@ def random_prox(rng, dim, kinds=("zero", "l1", "box", "quadratic"), center=None)
     raise ValueError(kind)
 
 
+def soft_threshold_opaque(lam):
+    """An l1 term of weight lam exposed as a black box (kind opaque)."""
+    return cs.ProxFn.opaque(
+        lambda r, v: np.sign(v) * np.maximum(np.abs(v) - lam / r, 0.0),
+        value=lambda x: lam * float(np.sum(np.abs(x))),
+    )
+
+
+def mixed_instance(rng, dims, m, kinds):
+    """Strongly convex instance with one term per block, of the given kinds
+    ("opaque" is a black-box soft threshold); boxes contain a feasible point."""
+    d = sum(dims)
+    W = rng.standard_normal((d, d))
+    H = W @ W.T / d + 0.5 * np.eye(d)
+    H = 0.5 * (H + H.T)
+    A = rng.standard_normal((m, d))
+    x_feas = rng.standard_normal(d)
+    blocks = cs.BlockStructure(dims=dims, m=m)
+    theta = tuple(
+        soft_threshold_opaque(0.4) if kind == "opaque"
+        else random_prox(rng, dims[i], kinds=(kind,), center=x_feas[blocks.slice_of(i)])
+        for i, kind in enumerate(kinds)
+    )
+    return cs.ProblemInstance(blocks=blocks, H=H, g=rng.standard_normal(d), A=A, b=A @ x_feas, theta=theta)
+
+
+def block_curvatures(inst, beta):
+    """B_i = H_ii + beta A_i'A_i for every block."""
+    return [
+        inst.H_block(i, i) + beta * (inst.A_block(i).T @ inst.A_block(i)) for i in range(inst.blocks.n)
+    ]
+
+
+def scaled_identity_R(inst, beta, margin=1.5):
+    """R_i = r_i I - B_i with r_i above the top eigenvalue of B_i, so every
+    block's subproblem is a scaled identity and prox blocks are solvable."""
+    return [
+        margin * float(np.linalg.eigvalsh(B)[-1]) * np.eye(B.shape[0]) - B
+        for B in block_curvatures(inst, beta)
+    ]
+
+
 def two_block_instance(
     rng,
     kinds=("zero", "l1", "box", "quadratic"),

@@ -1,6 +1,8 @@
 """Independent references for the order-averaged update, by enumerating all
 n! block orders: one in floats, in stacked solves (the algorithm build_Q_M
-used before its subset algorithms), and one in exact rationals."""
+used before its subset algorithms), and one in exact rationals. Also the
+per-row recording of a solver trace, which the batched observation of
+solvers._drive must equal bit for bit."""
 
 import itertools
 import math
@@ -8,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from coupled_splitting.prox import fn_value
 from coupled_splitting.spectral import _order_stacks
 
 # block orders per stacked solve: memory stays bounded at any n
@@ -74,3 +77,65 @@ def exact_averaged_inverse(S, dims):
                 row[c] += inv_row[c]
     count = math.factorial(n)
     return [[v / count for v in row] for row in total]
+
+
+def observed_row(observer, x, mu):
+    """(r_dual, objective) at one point (x, mu), one whole-vector formula at a
+    time on the observer's laid-out terms: the per-row recipe that the
+    batched solvers._Observer.rows must equal bit for bit. r_dual is None
+    when some term is opaque."""
+    x, mu = np.array(x), np.array(mu)
+    Hx = observer.H.dot(x)
+    objective = 0.5 * float(x.dot(Hx)) + float(observer.g.dot(x))
+    if observer.l1_at.size:
+        objective += float(observer.lam_at.dot(np.abs(x[observer.l1_at])))
+    outside = None
+    if observer.has_box:
+        outside = (x < observer.out_lo) | (x > observer.out_hi)
+        if outside.any():
+            objective = math.inf
+        else:
+            outside = None
+    for f, sl in observer.opaque:
+        objective += fn_value(f, x[sl])
+    if not observer.exact:
+        return None, objective
+    s = Hx + observer.g
+    if observer.At is not None:
+        s -= observer.At.dot(mu)
+    dist = np.abs(s)
+    if observer.l1_at.size:
+        lam = observer.lam
+        l1 = np.where(x == 0.0, np.maximum(dist - lam, 0.0), np.abs(s + lam * np.sign(x)))
+        dist = np.where(observer.l1, l1, dist)
+    if observer.has_box:
+        at_lo = x <= observer.face_lo
+        at_hi = x >= observer.face_hi
+        box = np.where(
+            at_lo,
+            np.where(at_hi, 0.0, np.maximum(-s, 0.0)),
+            np.where(at_hi, np.maximum(s, 0.0), dist),
+        )
+        dist = np.where(observer.box, box, dist)
+    r_dual = np.sqrt(np.add.reduceat(dist * dist, observer.offsets))
+    if outside is not None:
+        r_dual[np.logical_or.reduceat(outside, observer.offsets)] = math.inf
+    return r_dual, objective
+
+
+def recorded_row(ws, x, x_prev, mu, order):
+    """One trace row of a solvers._Workspace run, recorded alone: (r_dual,
+    r_feas, surrogate, objective, surrogate_blocks) at (x, mu), reached from
+    x_prev by a sweep in `order` (None for a point no sweep produced, which
+    has no surrogate)."""
+    x = np.array(x)
+    r_dual, objective = observed_row(ws.observer, x, mu)
+    resid = ws.inst.A.dot(x) - ws.inst.b
+    r_feas = math.sqrt(float(resid.dot(resid)))
+    if order is None:
+        return r_dual, r_feas, math.nan, objective, None
+    v = ws.surrogate_matrix(order).dot(x - x_prev)
+    if ws.gamma != 1.0:
+        v -= ws.beta * (1.0 - ws.gamma) * ws.At.dot(resid)
+    parts = np.sqrt(np.add.reduceat(v * v, ws.offsets))
+    return r_dual, r_feas, math.sqrt(float(parts.dot(parts)) + r_feas**2), objective, parts

@@ -237,7 +237,7 @@ def test_surrogate_matrices_are_cached_per_order_within_budget(monkeypatch):
     ws = _Workspace(inst, cfg)
     parts = {}
     for order in orders + orders:
-        got = ws.surrogate_parts(dx, resid, order)
+        got = ws.surrogate_parts(dx[None], resid[None], [order])[0]
         assert np.array_equal(parts.setdefault(order, got), got)
     assert len(ws.U) == 24
     for order in orders:
@@ -250,7 +250,7 @@ def test_surrogate_matrices_are_cached_per_order_within_budget(monkeypatch):
     monkeypatch.setattr(solvers, "SURROGATE_CACHE_BYTES", 5 * d * d * 8)
     ws = _Workspace(inst, cfg)
     for order in orders + orders:
-        assert np.array_equal(ws.surrogate_parts(dx, resid, order), parts[order])
+        assert np.array_equal(ws.surrogate_parts(dx[None], resid[None], [order])[0], parts[order])
     assert list(ws.U) == orders[:5]
 
 

@@ -19,10 +19,12 @@ from gen import (
     drop_rows,
     proximal_weights_for,
     quadratic_two_block_instance,
-    random_prox,
     random_psd,
     two_block_instance,
 )
+from gen import block_curvatures as _block_curvatures
+from gen import mixed_instance as _mixed_instance
+from gen import scaled_identity_R as _scaled_identity_R
 
 
 def _arr(*vals):
@@ -376,6 +378,35 @@ def test_prox_block_needs_scaled_identity():
         cs.run_solver(inst, cfg)
 
 
+def test_structure_error_advice_applies_and_works():
+    """The remedy named for a prox block without a closed form is one that
+    applies: on 3 blocks with a constraint row neither linearized variant
+    does, and the named scalar proximal term R_0 = r I - B_0 runs to
+    convergence; admm2_linearized is named on 2 blocks and bcpg without
+    rows."""
+    rng = np.random.default_rng(48)
+    inst = _mixed_instance(rng, (2, 1, 1), 1, ("l1", "zero", "zero"))
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, tol=1e-9, max_iter=20_000)
+    with pytest.raises(SubproblemStructureError) as err:
+        cs.run_solver(inst, cfg)
+    advice = str(err.value)
+    assert "R[0] = r I - B_0" in advice and "admm2_linearized" not in advice and "bcpg" not in advice
+    r, R0 = linearization_proximal(inst, cfg.beta)[0]
+    trace = cs.run_solver(inst, dataclasses.replace(cfg, R=[R0, None, None]))
+    assert trace.status == "converged"
+    for dims, m, variant, names in (
+        ((2, 2), 1, "admm2", ("admm2_linearized",)),
+        ((2, 1, 1), 0, "bcd", ("bcpg",)),
+        ((2, 2), 0, "admm2", ("admm2_linearized", "bcpg")),
+    ):
+        inst = _mixed_instance(rng, dims, m, ("l1",) + ("zero",) * (len(dims) - 1))
+        with pytest.raises(SubproblemStructureError) as err:
+            cs.run_solver(inst, dataclasses.replace(cfg, variant=variant))
+        advice = str(err.value)
+        assert all(name in advice for name in names) and "R[0]" not in advice
+        assert ("bcpg" in advice) == (m == 0) and ("admm2_linearized" in advice) == (len(dims) == 2)
+
+
 def test_bcd_requires_explicit_constraint_dropping():
     """bcd and bcpg are the sweeps on an instance without constraint rows:
     given rows, the engine refuses them; the caller drops the rows."""
@@ -533,7 +564,7 @@ def test_opaque_terms_use_surrogate_stopping():
     cfg = cs.SolverConfig(variant="admm2", beta=beta, R=R, tol=1e-10, max_iter=50_000)
     tr = cs.run_solver(inst, cfg)
     assert not tr.exact_residuals
-    assert tr.r_dual[1] is None
+    assert np.all(np.isnan(tr.r_dual[1]))
     assert tr.status == "converged"
     # the same instance with the transparent l1 pair must agree
     inst_l1 = cs.ProblemInstance(
@@ -604,14 +635,14 @@ def test_trace_rows_match_cell_by_cell_format():
     opaque_run = cs.run_solver(
         opaque, cs.SolverConfig(variant="admm_cyclic_n", R=_scaled_identity_R(opaque, 1.0), tol=0.0, max_iter=30)
     )
-    edge = solvers.Trace(
-        n_blocks=3, ks=[0, 1, 2],
-        r_dual=[None, np.array([np.inf, np.nan, -0.0]), np.array([1e-300, 2.5, 1.0 / 3.0])],
+    edge = solvers.Trace(n_blocks=3)
+    edge.extend(
+        r_dual=[[np.nan] * 3, [np.inf, np.nan, -0.0], [1e-300, 2.5, 1.0 / 3.0]],
         r_feas=[0.0, np.inf, 5e-324], surrogate=[np.nan, 1e300, np.float64(0.1)],
-        objective=[np.inf, -np.inf, -7.0], lyapunov=[None, np.nan, 2.0],
+        objective=[np.inf, -np.inf, -7.0], lyapunov=[np.nan, np.nan, 2.0], surrogate_blocks=np.inf,
     )
-    assert any(v is not None for v in merit.lyapunov)
-    assert all(v is None for v in opaque_run.r_dual)
+    assert not np.all(np.isnan(merit.lyapunov))
+    assert np.all(np.isnan(opaque_run.r_dual))
     for trace in (merit, opaque_run, edge):
         for trial in (None, 3):
             trace.trial = trial
@@ -658,47 +689,6 @@ def test_start_state_back_difference_is_zero():
 
 _CONSTRAINED = ("admm2", "admm2_linearized", "admm_cyclic_n")
 _LINEARIZED = ("admm2_linearized", "bcpg")
-
-
-def _soft_threshold_opaque(lam):
-    return cs.ProxFn.opaque(
-        lambda r, v: np.sign(v) * np.maximum(np.abs(v) - lam / r, 0.0),
-        value=lambda x: lam * float(np.sum(np.abs(x))),
-    )
-
-
-def _mixed_instance(rng, dims, m, kinds):
-    """Strongly convex instance with one term per block, of the given kinds
-    ("opaque" is a black-box soft threshold); boxes contain a feasible point."""
-    d = sum(dims)
-    W = rng.standard_normal((d, d))
-    H = W @ W.T / d + 0.5 * np.eye(d)
-    H = 0.5 * (H + H.T)
-    A = rng.standard_normal((m, d))
-    x_feas = rng.standard_normal(d)
-    blocks = cs.BlockStructure(dims=dims, m=m)
-    theta = tuple(
-        _soft_threshold_opaque(0.4) if kind == "opaque"
-        else random_prox(rng, dims[i], kinds=(kind,), center=x_feas[blocks.slice_of(i)])
-        for i, kind in enumerate(kinds)
-    )
-    return cs.ProblemInstance(blocks=blocks, H=H, g=rng.standard_normal(d), A=A, b=A @ x_feas, theta=theta)
-
-
-def _block_curvatures(inst, beta):
-    """B_i = H_ii + beta A_i'A_i for every block."""
-    return [
-        inst.H_block(i, i) + beta * (inst.A_block(i).T @ inst.A_block(i)) for i in range(inst.blocks.n)
-    ]
-
-
-def _scaled_identity_R(inst, beta, margin=1.5):
-    """R_i = r_i I - B_i with r_i above the top eigenvalue of B_i, so every
-    block's subproblem is a scaled identity and prox blocks are solvable."""
-    return [
-        margin * float(np.linalg.eigvalsh(B)[-1]) * np.eye(B.shape[0]) - B
-        for B in _block_curvatures(inst, beta)
-    ]
 
 
 def _oracle_weights(inst, cfg):
@@ -890,7 +880,7 @@ def _check_observed(inst, x, mu, exact, r_dual, objective):
     if exact:
         _assert_close(r_dual, _oracle_r_dual(inst, x, mu), scale)
     else:
-        assert r_dual is None
+        assert np.all(np.isnan(r_dual))
     want = inst.objective(x)
     if np.isnan(want):
         assert np.isnan(objective)
@@ -910,7 +900,7 @@ def _check_rows(inst, cfg, trace, orders):
         _assert_close(trace.r_feas[row], np.linalg.norm(resid), scale)
         _check_observed(inst, x, mu, trace.exact_residuals, trace.r_dual[row], trace.objective[row])
         if row == 0:
-            assert trace.surrogate_blocks[0] is None and np.isnan(trace.surrogate[0])
+            assert np.all(np.isinf(trace.surrogate_blocks[0])) and np.isnan(trace.surrogate[0])
             continue
         parts, mag = _oracle_surrogate(inst, beta, cfg.gamma, R, trace.iterates[row - 1][0], x, orders[row - 1])
         _assert_close(trace.surrogate_blocks[row], parts, 1.0 + mag)
@@ -995,7 +985,7 @@ def test_observer_near_box_faces():
     exactly 0 or not."""
     rng = np.random.default_rng(47)
     inst = _edge_instance(rng, 3)
-    observe = solvers._Workspace(inst, cs.SolverConfig(variant="admm_cyclic_n", R=_scaled_identity_R(inst, 1.0))).observe
+    observer = solvers._Workspace(inst, cs.SolverConfig(variant="admm_cyclic_n", R=_scaled_identity_R(inst, 1.0))).observer
     faces = [(0, (-0.5, 0.5)), (1, (-0.5, 0.5)), (2, (-0.5, 0.5)), (4, (1.0,)), (5, (-1.0,))]
     for _ in range(300):
         x = rng.standard_normal(inst.blocks.d)
@@ -1004,8 +994,8 @@ def test_observer_near_box_faces():
             x[j] = rng.choice(bounds) + rng.choice([-1e-11, -1e-13, 0.0, 1e-13, 1e-11])
         x[3], x[6] = 0.2, 0.0
         x[7:9] *= rng.random(2) < 0.5
-        r_dual, objective = observe(x, mu)
-        _check_observed(inst, x, mu, True, r_dual, objective)
+        r_dual, objective = observer.rows(x[None], mu[None])
+        _check_observed(inst, x, mu, True, r_dual[0], objective[0])
 
 
 def test_block_prox_matches_prox_eval_bitwise():
