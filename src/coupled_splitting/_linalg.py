@@ -103,10 +103,6 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
-def quad_form(v: np.ndarray, W: np.ndarray) -> float:
-    return float(v @ (W @ v))
-
-
 def spectral_radius(M: np.ndarray) -> float:
     if M.shape[0] == 0:
         return 0.0

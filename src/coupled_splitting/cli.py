@@ -162,7 +162,7 @@ def _cmd_rp_expect(args) -> int:
         # a run without trials leaves no sampled files of an earlier run
         (out / "expectation_sampled.csv").unlink(missing_ok=True)
         (out / "trials.csv").unlink(missing_ok=True)
-    return EXIT_OK
+    return EXIT_DIVERGENCE if expect.status == "diverged" else EXIT_OK
 
 
 def _cmd_witness(args) -> int:

@@ -11,6 +11,7 @@ here.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from ._averaging import averaged_update
 from .errors import UsageError
 from .model import ProblemInstance
-from .solvers import IterateState, SolverConfig, _drive, _Workspace, _write_artifact, check_stopping
+from .solvers import DIVERGENCE_LIMIT, IterateState, SolverConfig, _drive, _Workspace, _write_artifact, check_stopping
 
 
 # Orders a trial draws in one call to Generator.permuted
@@ -78,8 +79,8 @@ def run_rp_solver(
     if trials < 1:
         raise UsageError("trials must be at least 1")
     seed = int(cfg.seed)
-    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0))
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
+    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0), n_orders=math.factorial(n))
     traces = []
     paths = []
     for t in range(int(trials)):
@@ -156,22 +157,53 @@ def run_expected_iteration(
     tol: float = 1e-10,
 ) -> ExpectationTrace:
     """Follow the exact expected trajectory until successive expected iterates
-    differ by at most tol, or k_max steps have run."""
+    differ by at most tol, or k_max steps have run. A row that is NaN or
+    above DIVERGENCE_LIMIT in absolute value ends the trajectory there, with
+    status diverged. z0 must be finite."""
     check_stopping(tol, k_max)
-    M, c = expected_update_operator(inst, beta)
     d, m = inst.blocks.d, inst.blocks.m
     z = np.zeros(d + m) if z0 is None else np.array(z0, dtype=float).reshape(d + m)
-    ks = [0]
-    zs = [z.copy()]
-    status = "max_iter"
-    for k in range(1, int(k_max) + 1):
-        z_new = M @ z + c
-        ks.append(k)
-        zs.append(z_new.copy())
-        if float(np.linalg.norm(z_new - z)) <= tol:
-            status = "converged"
+    if not np.all(np.isfinite(z)):
+        raise UsageError("z0 must be finite")
+    M, c = expected_update_operator(inst, beta)
+    # rows in an array grown by doubling; the limit is checked on the rows
+    # stored since the last check, each time the array fills and at the end,
+    # so a step between checks may overflow: the guard reports it
+    Z = np.empty((256, d + m))
+    Z[0] = z
+    k, checked, status = 0, 1, "max_iter"
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < k_max:
+            z_new = M @ z + c
+            k += 1
+            if k == len(Z):
+                bad = _first_past_limit(Z, checked, k)
+                if bad is not None:
+                    k, status = bad, "diverged"
+                    break
+                checked = k
+                Z = np.resize(Z, (2 * k, d + m))
+            Z[k] = z_new
+            dz = z_new - z
+            # np.linalg.norm's formula for a 1-D float vector; NaN or inf
+            # when the step is not finite
+            step = math.sqrt(dz.dot(dz))
+            if step <= tol:
+                status = "converged"
+                break
+            if not step < math.inf:
+                status = "diverged"
+                break
             z = z_new
-            break
-        z = z_new
-    Z = np.asarray(zs)
-    return ExpectationTrace(mode="exact", ks=ks, Ex=Z[:, :d], Emu=Z[:, d:], status=status)
+    bad = _first_past_limit(Z, checked, k + 1)
+    if bad is not None:
+        k, status = bad, "diverged"
+    Z = Z[: k + 1]
+    return ExpectationTrace(mode="exact", ks=list(range(k + 1)), Ex=Z[:, :d], Emu=Z[:, d:], status=status)
+
+
+def _first_past_limit(Z: np.ndarray, lo: int, hi: int):
+    """The first row of Z[lo:hi] that is NaN or above DIVERGENCE_LIMIT in
+    absolute value, or None."""
+    bad = np.flatnonzero(~(np.abs(Z[lo:hi]).max(axis=1) <= DIVERGENCE_LIMIT))
+    return lo + int(bad[0]) if bad.size else None

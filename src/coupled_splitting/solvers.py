@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import block_diag, max_abs, quad_form, singular_sym
+from ._linalg import block_diag, max_abs, singular_sym
 from .errors import (
     ConditionError,
     StructuralError,
@@ -52,6 +52,9 @@ GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
 DIVERGENCE_LIMIT = 1e12
 # bytes of surrogate matrices U a run keeps, one per block order swept
 SURROGATE_CACHE_BYTES = 1 << 20
+# bytes of composed sweep maps a run keeps, one per block order; see
+# _Workspace for the rule that decides whether a run composes
+SWEEP_MAP_BYTES = 1 << 20
 
 _LINEARIZED = ("admm2_linearized", "bcpg")
 
@@ -361,9 +364,16 @@ class _Workspace:
     takes the minimum-norm solution instead of raising ConditionError; the
     subproblem must then be bounded below for every z, which is checked once
     here.
+
+    When every block is direct, a whole sweep is one affine map of z (see
+    sweep_map). It is composed when the maps of all n_orders block orders the
+    run can draw (1 for a cyclic run, n! for a randomly permuted one) fit in
+    SWEEP_MAP_BYTES, a rule of the instance, the variant and the kind of run
+    alone; otherwise, and with any prox block, the blocks are swept one at a
+    time.
     """
 
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, min_norm: bool = False):
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, min_norm: bool = False, n_orders: int = 1):
         cfg.validate(inst)
         variant = cfg.variant
         two_block = variant in ("admm2", "admm2_linearized")
@@ -404,6 +414,11 @@ class _Workspace:
         # each block order's U, built on its first sweep, up to
         # SURROGATE_CACHE_BYTES in all
         self.U = {}
+        # each block order's composed sweep; None when the blocks are swept
+        # one at a time
+        size = self.d + inst.blocks.m
+        composed = all(p is None for p in self.prox) and n_orders * 8 * size * (size + 1) <= SWEEP_MAP_BYTES
+        self.maps = {} if composed else None
 
     def _block_update(self, S: np.ndarray, i: int) -> tuple:
         """W_i, c_i and the prox of block i (None for a direct block)."""
@@ -463,22 +478,46 @@ class _Workspace:
 
     # -- sweeps --------------------------------------------------------
 
-    def advance(self, z: np.ndarray, order) -> np.ndarray:
+    def advance(self, z: np.ndarray, order) -> None:
         """One sweep of z = (x, mu) in place, in `order`, each block against
-        the latest values, then the multiplier step. Returns Ax - b at the new
-        x."""
+        the latest values, then the multiplier step: the composed map of the
+        order when the run composes, else block by block."""
+        # ndarray.dot rather than @: on vectors this short the matmul
+        # ufunc's per-call overhead outweighs the arithmetic
+        if self.maps is not None:
+            T, t = self.sweep_map(order)
+            np.add(T.dot(z), t, out=z)
+            return
         d = self.d
         W, c, prox, slices = self.W, self.c, self.prox, self.slices
         x = z[:d]
-        # ndarray.dot rather than @: on vectors this short the matmul
-        # ufunc's per-call overhead outweighs the arithmetic
         for i in order:
             v = W[i].dot(z) + c[i]
             p = prox[i]
             x[slices[i]] = v if p is None else p(v)
-        resid = self.inst.A.dot(x) - self.inst.b
-        z[d:] -= self.gamma * self.beta * resid
-        return resid
+        z[d:] -= self.gamma * self.beta * (self.inst.A.dot(x) - self.inst.b)
+
+    def sweep_map(self, order) -> tuple:
+        """(T, t) with one all-direct sweep in `order` equal to z -> T z + t:
+        each block's rows become W_i times the map so far, plus c_i, and the
+        multiplier rows take the step. Kept per order, up to SWEEP_MAP_BYTES
+        in all; an order past the budget is composed again, to the same
+        bits."""
+        Tt = self.maps.get(order)
+        if Tt is None:
+            d, A = self.d, self.inst.A
+            T, t = np.eye(d + A.shape[0]), np.zeros(d + A.shape[0])
+            for i in order:
+                sl = self.slices[i]
+                T[sl] = self.W[i] @ T
+                t[sl] = self.W[i] @ t + self.c[i]
+            step = self.gamma * self.beta
+            T[d:] -= step * (A @ T[:d])
+            t[d:] -= step * (A @ t[:d] - self.inst.b)
+            Tt = (T, t)
+            if (len(self.maps) + 1) * (T.nbytes + t.nbytes) <= SWEEP_MAP_BYTES:
+                self.maps[order] = Tt
+        return Tt
 
     # -- rows ------------------------------------------------------------
 
@@ -546,12 +585,13 @@ def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=No
     The blocks are updated in `order`, a permutation of 0..n-1; None means
     the cyclic order 0, 1, ..., n-1. The randomly permuted scheme is this
     step with variant admm_cyclic_n, gamma 1 and a fresh uniform order per
-    sweep.
+    sweep. A step in a given order composes as a randomly permuted run
+    does, and one in the cyclic order as run_solver does.
     """
-    ws = _Workspace(inst, cfg)
     n, d = inst.blocks.n, inst.blocks.d
+    ws = _Workspace(inst, cfg, n_orders=1 if order is None else math.factorial(n))
     z = np.concatenate([state.x, state.mu])
-    ws.advance(z, range(n) if order is None else check_order(order, n))
+    ws.advance(z, tuple(range(n)) if order is None else check_order(order, n))
     return IterateState(x=z[:d], x_prev=state.x.copy(), mu=z[d:], k=state.k + 1)
 
 
@@ -593,7 +633,8 @@ def _drive(ws, state, next_order, keep_iterates, reference=None) -> Trace:
 
     The divergence guard is checked after every sweep, so no sweep runs past
     a diverging row. The sweeps since the last observation, up to
-    SWEEP_BLOCK of them, are observed together; the rows past the first
+    SWEEP_BLOCK of them, are observed together, their Ax - b in one stacked
+    product whose rows equal A.dot(x) - b bit for bit; the rows past the first
     converged row were swept speculatively and are dropped, with the orders
     they drew from next_order(). A run with an opaque term, whose sweeps and
     objective call user code, stops on the surrogate bound, which calls
@@ -601,6 +642,7 @@ def _drive(ws, state, next_order, keep_iterates, reference=None) -> Trace:
     past its stop and observes each of its rows once.
     """
     inst, d = ws.inst, ws.d
+    A, rhs = inst.A, inst.b
     exact = ws.observer.exact
     merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
     trace = Trace(ws.n, exact_residuals=exact, d=d if keep_iterates else None)
@@ -609,7 +651,7 @@ def _drive(ws, state, next_order, keep_iterates, reference=None) -> Trace:
     Z = np.empty((SWEEP_BLOCK + 1, d + inst.blocks.m))
     RES = np.empty((SWEEP_BLOCK + 1, inst.blocks.m))
     Z[0, :d], Z[0, d:] = state.x, state.mu
-    RES[0] = inst.A.dot(state.x) - inst.b
+    RES[0] = A.dot(state.x) - rhs
     trace.extend(*ws.observe(Z[:1], RES[:1], Z[:1, :d], merit=merit), path=Z[:1])
     tol = ws.cfg.tol
     left = int(ws.cfg.max_iter)
@@ -624,16 +666,17 @@ def _drive(ws, state, next_order, keep_iterates, reference=None) -> Trace:
         for b in range(1, min(SWEEP_BLOCK, left) + 1):
             orders.append(next_order())
             Z[b] = Z[b - 1]
-            RES[b] = ws.advance(Z[b], orders[-1])
+            ws.advance(Z[b], orders[-1])
             # written so that NaN iterates count as diverged
             if not max_abs(Z[b]) <= DIVERGENCE_LIMIT:
                 diverged = True
                 break
             if not exact:
-                res = RES[b : b + 1]
+                res = (A.dot(Z[b, :d]) - rhs)[None]
                 parts = ws.surrogate_parts(Z[b : b + 1, :d] - Z[b - 1 : b, :d], res, orders[-1:])
                 if _largest(parts, np.sqrt(_dots(res, res)))[0] <= tol:
                     break
+        RES[1 : b + 1] = _gemv(A, Z[1 : b + 1, :d]) - rhs
         lo = len(trace)
         trace.extend(*ws.observe(Z[1 : b + 1], RES[1 : b + 1], Z[:b, :d], orders, merit), path=Z[1 : b + 1])
         # the guard row stops the run as diverged whatever its residual
@@ -684,8 +727,16 @@ def _merit_rows(beta, weights, reference, X, X_prev, MU) -> np.ndarray:
     )
 
 
-def _merit_from_weights(beta, weights, state, reference) -> float:
-    return float(_merit_rows(beta, weights, reference, state.x[None], state.x_prev[None], state.mu[None])[0])
+def _drop_floor_rows(beta, weights, DX, DMU) -> np.ndarray:
+    """The guaranteed merit drop of each step that moved x by a row of DX
+    and mu by the same row of DMU; each row equals the one-row formula bit
+    for bit."""
+    sl2 = weights["slice2"]
+    return (
+        _quad_rows(DX, weights["drop"]) / 16.0
+        + _quad_rows(DX[:, sl2], weights["drop_b2"]) / 6.0
+        + (0.5 / beta) * _dots(DMU, DMU)
+    )
 
 
 def _merit_weights(inst: ProblemInstance, cfg: SolverConfig) -> dict:
@@ -696,7 +747,8 @@ def lyapunov_value(inst: ProblemInstance, cfg: SolverConfig, state: IterateState
     """Merit value of a two-block iterate against a stationary reference:
     a weighted squared distance to the reference plus a back-difference term,
     nonincreasing along constrained two-block runs with unit dual stepsize."""
-    return _merit_from_weights(cfg.beta, _merit_weights(inst, cfg), state, reference)
+    weights = _merit_weights(inst, cfg)
+    return float(_merit_rows(cfg.beta, weights, reference, state.x[None], state.x_prev[None], state.mu[None])[0])
 
 
 def lyapunov_decrease_floor(
@@ -704,16 +756,8 @@ def lyapunov_decrease_floor(
 ) -> float:
     """Guaranteed minimum drop of the merit value across one step, evaluated
     from the two consecutive iterates."""
-    beta = cfg.beta
-    weights = _merit_weights(inst, cfg)
-    dx = nxt.x - prev.x
-    sl2 = weights["slice2"]
-    dmu = nxt.mu - prev.mu
-    return (
-        quad_form(dx, weights["drop"]) / 16.0
-        + quad_form(dx[sl2], weights["drop_b2"]) / 6.0
-        + (0.5 / beta) * float(dmu @ dmu)
-    )
+    dx, dmu = nxt.x - prev.x, nxt.mu - prev.mu
+    return float(_drop_floor_rows(cfg.beta, _merit_weights(inst, cfg), dx[None], dmu[None])[0])
 
 
 def min_kkt_sq_curve(trace: Trace) -> np.ndarray:

@@ -2,7 +2,9 @@
 n! block orders: one in floats, in stacked solves (the algorithm build_Q_M
 used before its subset algorithms), and one in exact rationals. Also the
 per-row recording of a solver trace, which the batched observation of
-solvers._drive must equal bit for bit."""
+solvers._drive must equal bit for bit; the block-by-block sweep, which
+composed sweeps must equal to rounding; and the expected iteration as a
+loop of copied rows."""
 
 import itertools
 import math
@@ -139,3 +141,36 @@ def recorded_row(ws, x, x_prev, mu, order):
         v -= ws.beta * (1.0 - ws.gamma) * ws.At.dot(resid)
     parts = np.sqrt(np.add.reduceat(v * v, ws.offsets))
     return r_dual, r_feas, math.sqrt(float(parts.dot(parts)) + r_feas**2), objective, parts
+
+
+def per_block_sweep(ws, z, order):
+    """One sweep of z = (x, mu) in place, block by block: each block's map
+    W_i z + c_i against the latest values, then its prox for prox blocks, then
+    the multiplier step. solvers._Workspace.advance equals it bit for bit
+    when it sweeps block by block, and to rounding when it applies an order's
+    composed map."""
+    d = ws.d
+    x = z[:d]
+    for i in order:
+        v = ws.W[i].dot(z) + ws.c[i]
+        p = ws.prox[i]
+        x[ws.slices[i]] = v if p is None else p(v)
+    z[d:] -= ws.gamma * ws.beta * (ws.inst.A.dot(x) - ws.inst.b)
+
+
+def expected_iteration_rows(M, c, z0, k_max, tol):
+    """The expected iteration z -> M z + c as a loop that keeps a copy of
+    each row and stops once a step's np.linalg.norm is at most tol: the rows
+    and the status that rp.run_expected_iteration must give bit for bit on
+    a trajectory that stays finite and within the divergence limit."""
+    z = np.array(z0, dtype=float)
+    zs = [z.copy()]
+    status = "max_iter"
+    for _ in range(int(k_max)):
+        z_new = M @ z + c
+        zs.append(z_new.copy())
+        if float(np.linalg.norm(z_new - z)) <= tol:
+            status = "converged"
+            break
+        z = z_new
+    return np.asarray(zs), status

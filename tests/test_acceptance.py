@@ -14,6 +14,7 @@ import pytest
 
 import coupled_splitting as cs
 from coupled_splitting.cli import main as cli_main
+from coupled_splitting.solvers import _drop_floor_rows, _merit_weights
 from coupled_splitting.spectral import build_Q_M
 from gen import (
     drop_rows,
@@ -140,13 +141,14 @@ def test_criterion_2_merit_contraction(two_block_batch):
             continue
         V = e.trace.lyapunov
         # the inequality holds from the first generated iterate on; the
-        # start point was not produced by a sweep
+        # start point was not produced by a sweep. floors[k - 1] is the
+        # guaranteed drop from iterate k to k + 1, each row bit for bit what
+        # lyapunov_decrease_floor gives for that step
+        d = e.inst.blocks.d
+        dZ = np.diff(e.trace.path[1:], axis=0)
+        floors = _drop_floor_rows(e.cfg.beta, _merit_weights(e.inst, e.cfg), dZ[:, :d], dZ[:, d:]).tolist()
         for k in range(1, len(e.trace) - 1):
-            xp, mup = e.trace.iterates[k]
-            xn, mun = e.trace.iterates[k + 1]
-            prev = cs.IterateState(x=xp, x_prev=xp, mu=mup, k=k)
-            nxt = cs.IterateState(x=xn, x_prev=xp, mu=mun, k=k + 1)
-            floor = cs.lyapunov_decrease_floor(e.inst, e.cfg, prev, nxt)
+            floor = floors[k - 1]
             drop = V[k] - V[k + 1]
             slack = MERIT_SLACK * (1.0 + V[k])
             if floor < 0:

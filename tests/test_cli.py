@@ -484,6 +484,21 @@ def test_rp_expect_with_trials(cyclic3_file, tmp_path, capsys):
     assert trial_ids == {"0", "1", "2"}
 
 
+def test_rp_expect_exits_3_when_the_expected_iteration_diverges(tmp_path, capsys):
+    """Constraint rows with no solution make the expected multiplier drift
+    past the divergence limit: the trajectory is written up to that row."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=2),
+        H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0], [1.0, 1.0]]), b=_arr(0.0, 1e11),
+    )
+    path = tmp_path / "drift.json"
+    cs.save_instance(inst, path)
+    out = tmp_path / "rp"
+    assert main(["rp-expect", str(path), "--out", str(out)]) == 3
+    assert "expected_status=diverged steps=20" in capsys.readouterr().out
+    assert (out / "expectation.csv").read_text().splitlines()[-1] == "# status=diverged"
+
+
 def test_rp_expect_rejects_nan_tol_before_writing(cyclic3_file, tmp_path, capsys):
     for extra in ([], ["--trials", "2"]):
         out = tmp_path / f"nan{len(extra)}"

@@ -13,6 +13,7 @@ from coupled_splitting import rp, solvers
 from coupled_splitting.rp import permutation_at
 from coupled_splitting.solvers import _Workspace
 from gen import past_guard_instance, random_psd
+from oracles import expected_iteration_rows
 
 
 def _arr(*vals):
@@ -381,6 +382,51 @@ def test_expected_iteration_handles_non_unique_solutions():
     z = et.z(len(et.ks) - 1)
     assert abs(z[0] + z[1] - 1.0) <= 1e-10
     assert np.linalg.norm(inst.A.T @ z[2:]) <= 1e-10
+
+
+def test_expected_iteration_rows_equal_the_per_step_loop():
+    """Rows and status equal, bit for bit, the loop that keeps a copy of
+    each row and stops on np.linalg.norm: at a converged stop and at max_iter
+    stops on both sides of the row array's doublings."""
+    for inst, k_max, tol in (
+        (three_by_three_instance(), 100_000, 1e-12),
+        (coupled_three_block(), 100_000, 1e-13),
+        (coupled_three_block(), 256, 0.0),
+        (three_by_three_instance(), 600, 0.0),
+    ):
+        et = cs.run_expected_iteration(inst, 1.5, k_max=k_max, tol=tol)
+        M, c = cs.expected_update_operator(inst, 1.5)
+        Z, status = expected_iteration_rows(M, c, np.zeros(len(c)), k_max, tol)
+        assert et.status == status and et.ks == list(range(len(Z)))
+        assert np.array_equal(np.hstack([et.Ex, et.Emu]), Z)
+
+
+def _inconsistent_pair(b2):
+    """Two scalar blocks whose two constraint rows A x = (0, b2) have no
+    solution: the expected multiplier drifts by about b2 / 2 per step."""
+    return cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=2),
+        H=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 1.0], [1.0, 1.0]]), b=_arr(0.0, b2),
+    )
+
+
+def test_expected_iteration_rejects_a_non_finite_start():
+    inst = _inconsistent_pair(1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(cs.UsageError, match="z0"):
+            cs.run_expected_iteration(inst, 1.0, z0=[bad, 0.0, 0.0, 0.0], k_max=20_000)
+
+
+def test_expected_iteration_stops_at_the_first_row_past_the_limit():
+    """A drifting trajectory ends at its first row above DIVERGENCE_LIMIT,
+    as diverged, and not after k_max steps; so does one whose first step
+    already leaves the limit, long before it would overflow to inf and NaN."""
+    et = cs.run_expected_iteration(_inconsistent_pair(1e11), 1.0, k_max=20_000)
+    rows = np.abs(np.hstack([et.Ex, et.Emu])).max(axis=1)
+    assert et.status == "diverged" and len(et.ks) == 21
+    assert np.all(rows[:-1] <= solvers.DIVERGENCE_LIMIT) and rows[-1] > solvers.DIVERGENCE_LIMIT
+    et = cs.run_expected_iteration(_inconsistent_pair(1e306), 1.0, k_max=10_000_000)
+    assert et.status == "diverged" and et.ks == [0, 1]
 
 
 def test_sample_mean_tracks_exact_expectation():

@@ -13,7 +13,7 @@ from coupled_splitting.errors import ConditionError, SubproblemStructureError
 from coupled_splitting.model import normalize_block_matrices
 from coupled_splitting.prox import prox_eval, subdiff_distance
 from coupled_splitting.rp import permutation_at
-from coupled_splitting.solvers import linearization_proximal, lyapunov_value
+from coupled_splitting.solvers import _drop_floor_rows, _merit_weights, linearization_proximal, lyapunov_value
 
 from gen import (
     drop_rows,
@@ -493,6 +493,11 @@ def test_merit_monotone_with_guaranteed_floor():
     # the guaranteed drop starts from the first generated iterate: the
     # inequality at step k uses the optimality condition of the sweep that
     # produced x^k, and the start point was not produced by a sweep
+    weights = _merit_weights(inst, cfg)
+    sl2 = weights["slice2"]
+    d = inst.blocks.d
+    dZ = np.diff(tr.path[1:], axis=0)
+    floors = _drop_floor_rows(beta, weights, dZ[:, :d], dZ[:, d:])
     for row in range(2, len(tr)):
         x_prev, mu_prev = tr.iterates[row - 1]
         x_new, mu_new = tr.iterates[row]
@@ -501,6 +506,14 @@ def test_merit_monotone_with_guaranteed_floor():
             cs.IterateState(x=x_prev, x_prev=x_prev, mu=mu_prev, k=row - 1),
             cs.IterateState(x=x_new, x_prev=x_prev, mu=mu_new, k=row),
         )
+        # the one-step formula, which the batched floor column equals bit for bit
+        dx, dmu = x_new - x_prev, mu_new - mu_prev
+        want = (
+            float(dx @ (weights["drop"] @ dx)) / 16.0
+            + float(dx[sl2] @ (weights["drop_b2"] @ dx[sl2])) / 6.0
+            + (0.5 / beta) * float(dmu @ dmu)
+        )
+        assert floor == floors[row - 2] == want
         drop = vals[row - 1] - vals[row]
         assert drop >= floor - 1e-9 * (1.0 + vals[row - 1])
         assert floor >= 0.0

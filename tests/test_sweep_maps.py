@@ -1,0 +1,172 @@
+"""Composed sweeps: when every block is direct (swept without a prox), one
+sweep in a block order is one affine map z -> T z + t, which the engine
+composes per order under a byte budget. Composed sweeps agree with the
+block-by-block loop of tests/oracles.py to rounding; the rule that picks them
+depends on the instance, the variant and the kind of run only; an order composed
+again past the budget gives the same bits; and every run the rule does not
+compose equals the block-by-block loop bit for bit."""
+
+import dataclasses
+import math
+
+import numpy as np
+
+import coupled_splitting as cs
+from coupled_splitting import solvers
+from coupled_splitting.rp import _trial_orders, permutation_at
+
+from gen import mixed_instance, random_psd, scaled_identity_R, violating_instance
+from oracles import per_block_sweep
+
+# composed and block-by-block sweeps from the same point, relative to
+# 1 + the largest magnitude of the block-by-block result
+COMPOSED_TOL = 1e-14
+
+
+def _direct_cases():
+    """(instance, cfg, min_norm) triples whose blocks are all direct:
+    admm_cyclic_n with user R and gamma != 1, bcd without rows, admm2 and
+    its linearization with quadratic and zero terms, and the minimum-norm
+    maps of a singular two-block instance."""
+    rng = np.random.default_rng(61)
+    cases = []
+    inst = mixed_instance(rng, (2, 3, 1, 2), 3, ("zero", "quadratic", "zero", "quadratic"))
+    R = [0.5, None, random_psd(rng, 1), 0.2 * np.eye(2)]
+    cases.append((inst, cs.SolverConfig(variant="admm_cyclic_n", beta=1.3, gamma=1.4, R=R), False))
+    cases.append((inst, cs.SolverConfig(variant="admm_cyclic_n", beta=0.7, gamma=0.6), False))
+    free = mixed_instance(rng, (1, 3, 2), 0, ("quadratic", "zero", "zero"))
+    cases.append((free, cs.SolverConfig(variant="bcd", beta=2.0, gamma=1.2, R=[None, 0.3, None]), False))
+    pair = mixed_instance(rng, (3, 2), 2, ("quadratic", "quadratic"))
+    cases.append((pair, cs.SolverConfig(variant="admm2", beta=1.7, gamma=1.3, R=scaled_identity_R(pair, 1.7)), False))
+    cases.append((pair, cs.SolverConfig(variant="admm2", beta=0.9), False))
+    zero_pair = mixed_instance(rng, (2, 2), 1, ("zero", "zero"))
+    cases.append((zero_pair, cs.SolverConfig(variant="admm2_linearized", beta=1.1, gamma=0.8), False))
+    singular, _ = violating_instance(rng)
+    cases.append((singular, cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.2), True))
+    return rng, cases
+
+
+def test_composed_sweeps_match_the_per_block_loop():
+    """Every order's composed sweep against the block-by-block loop, one
+    sweep at a time along the loop's own trajectory, for the cyclic and for
+    random orders."""
+    rng, cases = _direct_cases()
+    for inst, cfg, min_norm in cases:
+        n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
+        ws = solvers._Workspace(inst, cfg, min_norm=min_norm, n_orders=math.factorial(n))
+        assert ws.maps == {}
+        orders = [tuple(range(n))] + [tuple(int(v) for v in rng.permutation(n)) for _ in range(20)]
+        z = np.concatenate([3.0 * rng.standard_normal(d), rng.standard_normal(m)])
+        for order in orders:
+            want, got = z.copy(), z.copy()
+            per_block_sweep(ws, want, order)
+            ws.advance(got, order)
+            scale = 1.0 + np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= COMPOSED_TOL * scale, (cfg.variant, order)
+            z = want
+        assert set(ws.maps) == set(orders)
+
+
+def test_step_and_runs_compose_the_same_maps():
+    """A composed run's rows come from the same maps as cs.step: a cyclic
+    run is a loop of cyclic steps, bit for bit."""
+    rng, cases = _direct_cases()
+    inst, cfg, _ = cases[0]
+    run_cfg = dataclasses.replace(cfg, tol=0.0, max_iter=70)
+    x0 = rng.standard_normal(inst.blocks.d)
+    trace = cs.run_solver(inst, run_cfg, x0=x0, keep_iterates=True)
+    state = cs.IterateState.start(inst, x0=x0)
+    for x, mu in trace.iterates[1:]:
+        state = cs.step(inst, cfg, state)
+        assert np.array_equal(x, state.x) and np.array_equal(mu, state.mu)
+
+
+def _assert_same_trace(a, b):
+    assert a.csv_rows() == b.csv_rows() and a.status == b.status
+    assert np.array_equal(a.path, b.path)
+
+
+def test_maps_past_the_budget_give_the_cached_bits(monkeypatch):
+    """With the budget forced to 0 after the rule has chosen to compose, no
+    map is kept and every sweep composes its order again: a cyclic run, a
+    randomly permuted trial and a minimum-norm run equal the cached ones bit
+    for bit."""
+    rng, cases = _direct_cases()
+    inst, cfg, _ = cases[0]
+    singular, singular_cfg, _ = cases[-1]
+    runs = (
+        (inst, cfg, False, False),
+        (inst, dataclasses.replace(cfg, gamma=1.0), False, True),
+        (singular, singular_cfg, True, False),
+    )
+    for run_inst, run_cfg, min_norm, random in runs:
+        run_cfg = dataclasses.replace(run_cfg, tol=1e-11, max_iter=400)
+        n = run_inst.blocks.n
+        cyclic = tuple(range(n))
+        x0 = rng.standard_normal(run_inst.blocks.d)
+        out = []
+        for budget in (solvers.SWEEP_MAP_BYTES, 0):
+            ws = solvers._Workspace(run_inst, run_cfg, min_norm=min_norm, n_orders=math.factorial(n) if random else 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "SWEEP_MAP_BYTES", budget)
+                orders = _trial_orders(9, n).__next__ if random else lambda: cyclic
+                out.append((solvers._drive(ws, cs.IterateState.start(run_inst, x0=x0), orders, True), ws.maps))
+        (cached, kept), (uncached, none_kept) = out
+        assert kept and none_kept == {}
+        _assert_same_trace(cached, uncached)
+
+
+def test_composition_rule_is_per_instance_variant_and_kind_of_run():
+    """Composed when every block is direct and the maps of all orders the
+    run can draw fit SWEEP_MAP_BYTES: one order for a cyclic run or a
+    cyclic step, n! for a randomly permuted run or a step in a given order."""
+    rng = np.random.default_rng(62)
+    five = mixed_instance(rng, (2,) * 5, 3, ("zero",) * 5)
+    seven = mixed_instance(rng, (2,) * 7, 4, ("zero",) * 7)
+    prox = mixed_instance(rng, (2, 2, 2), 2, ("zero", "l1", "zero"))
+    cfg = cs.SolverConfig(variant="admm_cyclic_n")
+    for inst, n_orders, composed in (
+        (five, 1, True), (five, math.factorial(5), True),
+        (seven, 1, True), (seven, math.factorial(7), False),
+        (prox, 1, False),
+    ):
+        ws = solvers._Workspace(inst, dataclasses.replace(cfg, R=scaled_identity_R(inst, 1.0)), n_orders=n_orders)
+        assert (ws.maps is not None) == composed, (inst.blocks.dims, n_orders)
+    bcpg = mixed_instance(rng, (2, 2), 0, ("l1", "zero"))
+    assert solvers._Workspace(bcpg, cs.SolverConfig(variant="bcpg")).maps is None
+
+
+def _assert_rows_are_per_block_sweeps(ws, trace, orders):
+    z = np.concatenate(trace.iterates[0])
+    for k, (x, mu) in enumerate(trace.iterates[1:]):
+        per_block_sweep(ws, z, orders[k])
+        assert np.array_equal(np.concatenate([x, mu]), z), k
+
+
+def test_runs_not_composed_equal_the_per_block_loop_bitwise():
+    """A run with a prox block, and a randomly permuted run whose n! maps do
+    not fit the budget, sweep block by block: every row equals the
+    block-by-block loop bit for bit, and so does a step in a given order."""
+    rng = np.random.default_rng(63)
+    prox = mixed_instance(rng, (2, 3, 2), 2, ("box", "zero", "l1"))
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.2, gamma=0.9, R=scaled_identity_R(prox, 1.2),
+                          tol=0.0, max_iter=150)
+    trace = cs.run_solver(prox, cfg, x0=rng.standard_normal(7), keep_iterates=True)
+    ws = solvers._Workspace(prox, cfg)
+    assert ws.maps is None
+    _assert_rows_are_per_block_sweeps(ws, trace, [(0, 1, 2)] * 150)
+
+    seven = mixed_instance(rng, (1,) * 7, 2, ("zero",) * 7)
+    rp_cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, tol=0.0, max_iter=150, seed=3)
+    traces, _ = cs.run_rp_solver(seven, rp_cfg, trials=2, keep_iterates=True)
+    ws = solvers._Workspace(seven, rp_cfg, n_orders=math.factorial(7))
+    assert ws.maps is None
+    for t, trial in enumerate(traces):
+        _assert_rows_are_per_block_sweeps(ws, trial, [permutation_at(3 ^ t, k, 7) for k in range(150)])
+    state = cs.IterateState.start(seven, x0=rng.standard_normal(7))
+    order = (6, 0, 5, 1, 4, 2, 3)
+    z = np.concatenate([state.x, state.mu])
+    per_block_sweep(ws, z, order)
+    nxt = cs.step(seven, rp_cfg, state, order=order)
+    assert np.array_equal(np.concatenate([nxt.x, nxt.mu]), z)
+
