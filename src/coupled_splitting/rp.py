@@ -11,6 +11,7 @@ here.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,8 +51,7 @@ def _trial_orders(seed: int, n: int):
     rng.permutation(n), so the orders do not depend on the block size."""
     rng = _order_rng(seed, n)
     base = np.broadcast_to(np.arange(n), (ORDER_BLOCK, n))
-    while True:
-        yield from map(tuple, rng.permuted(base, axis=1).tolist())
+    return itertools.chain.from_iterable(map(tuple, rng.permuted(base, axis=1).tolist()) for _ in itertools.count())
 
 
 def run_rp_solver(
@@ -68,12 +68,12 @@ def run_rp_solver(
     block order per sweep: trial t sweeps in the successive orders
     default_rng(cfg.seed ^ t).permutation(n), that is permutation_at(cfg.seed
     ^ t, k, n) for k = 0, 1, ..., so any single trial can be reproduced in
-    isolation as trial 0 of a run seeded cfg.seed ^ t. A trial may draw
-    orders past its stop, for sweeps it then drops (see solvers._drive); it
-    draws them from its own generator, so no other trial's orders move.
-    Returns the per-trial traces and the sample-mean trajectory across trials
-    at matching iteration counts (trials that stop early are held at their
-    final iterate).
+    isolation as trial 0 of a run seeded cfg.seed ^ t, bit for bit. The
+    trials sweep in lockstep (see solvers._drive). A trial may draw orders
+    past its stop, for sweeps it then drops; it draws them from its own
+    generator, so no other trial's orders move. Returns the per-trial traces
+    and the sample-mean trajectory across trials at matching iteration
+    counts (trials that stop early are held at their final iterate).
     """
     cfg.validate(inst)
     if trials < 1:
@@ -81,26 +81,21 @@ def run_rp_solver(
     seed = int(cfg.seed)
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0), n_orders=math.factorial(n))
-    traces = []
-    paths = []
-    for t in range(int(trials)):
-        # sweeps past the stop draw orders from this trial's generator only
-        orders = _trial_orders(seed ^ t, n)
-        trace = _drive(ws, IterateState.start(inst, x0, mu0), orders.__next__, True)
+    start = IterateState.start(inst, x0, mu0)
+    trials = int(trials)
+    # sweeps past a stop draw orders from that trial's generator only
+    traces = _drive(ws, [start] * trials, [_trial_orders(seed ^ t, n) for t in range(trials)], True)
+    k_len = max(len(trace) for trace in traces)
+    mean = np.zeros((k_len, d + m))
+    for t, trace in enumerate(traces):
         trace.trial = t
-        traces.append(trace)
-        paths.append(trace.path)
+        # a trial that stopped early is held at its final iterate
+        path = trace.path
+        mean[: len(path)] += path
+        mean[len(path) :] += path[-1]
         if not keep_iterates:
             trace.drop_iterates()
-
-    k_len = max(p.shape[0] for p in paths)
-    mean = np.zeros((k_len, d + m))
-    for p in paths:
-        if p.shape[0] < k_len:
-            pad = np.repeat(p[-1:, :], k_len - p.shape[0], axis=0)
-            p = np.vstack([p, pad])
-        mean += p
-    mean /= len(paths)
+    mean /= trials
     mean_trace = ExpectationTrace(
         mode="sample_mean",
         ks=list(range(k_len)),

@@ -22,6 +22,7 @@ bcpg              the linearized sweep, n blocks, on an instance without
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -268,6 +269,13 @@ class Trace:
         # ("nan") is written empty
         rows = self._table[: self._len, : self.n_blocks + 4].tolist()
         return "".join(f"{lead}{k},{','.join(map(repr, row)).replace('nan', '')}\n" for k, row in enumerate(rows))
+
+
+def _distinct(build, orders) -> tuple:
+    """build(order) for each distinct order, in the order of first
+    appearance, and for each order the index of its result."""
+    index = {o: i for i, o in enumerate(dict.fromkeys(orders))}
+    return [build(o) for o in index], list(map(index.__getitem__, orders))
 
 
 def _largest(dual: np.ndarray, feas: np.ndarray) -> np.ndarray:
@@ -519,6 +527,20 @@ class _Workspace:
                 self.maps[order] = Tt
         return Tt
 
+    def block_maps(self, orders) -> tuple:
+        """(T, t, at) for a block of composed sweeps of a stack of runs, run
+        j sweeping in the orders listed in orders[j]: sweep k + 1 of run j
+        applies the sweep_map (T[at[k, j]], t[k, j]). The map of each
+        distinct order is looked up once; a block swept in one order has at
+        None, T its map and t its shift broadcast."""
+        nb, runs = len(orders[0]), len(orders)
+        maps, at = _distinct(self.sweep_map, [run[k] for k in range(nb) for run in orders])
+        if len(maps) == 1:
+            T, t = maps[0]
+            return T, np.broadcast_to(t, (nb, 1, len(t))), None
+        at = np.reshape(at, (nb, runs))
+        return np.stack([T for T, _ in maps]), np.stack([t for _, t in maps])[at], at
+
     # -- rows ------------------------------------------------------------
 
     def surrogate_matrix(self, order) -> np.ndarray:
@@ -542,16 +564,20 @@ class _Workspace:
         i stationary up to -R_i dx_i + sum over later blocks of
         (H_ij + beta A_i'A_j) dx_j, plus a multiplier-stepsize correction in
         RES[j] = Ax - b when gamma differs from one.
+
+        Each row's product is one gemv with its order's U, as U.dot(dx): the
+        U of each distinct order is looked up once, then gathered per row in
+        chunks of at most SURROGATE_CACHE_BYTES.
         """
-        rows = {}
-        for j, order in enumerate(orders):
-            rows.setdefault(order, []).append(j)
-        if len(rows) == 1:
-            V = _gemv(self.surrogate_matrix(orders[0]), DX)
+        Us, at = _distinct(self.surrogate_matrix, orders)
+        if len(Us) == 1:
+            V = _gemv(Us[0], DX)
         else:
+            U, at = np.stack(Us), np.array(at)
             V = np.empty_like(DX)
-            for order, at in rows.items():
-                V[at] = _gemv(self.surrogate_matrix(order), DX[at])
+            step = max(1, SURROGATE_CACHE_BYTES // U[0].nbytes)
+            for lo in range(0, len(at), step):
+                V[lo : lo + step] = np.matmul(U[at[lo : lo + step]], DX[lo : lo + step, :, None])[:, :, 0]
         if self.gamma != 1.0:
             V -= self.beta * (1.0 - self.gamma) * _gemv(self.At, RES)
         return np.sqrt(np.add.reduceat(V * V, self.offsets, axis=1))
@@ -622,77 +648,157 @@ def run_solver(
     ws = _Workspace(inst, cfg)
     cyclic = tuple(range(inst.blocks.n))
     state = IterateState.start(inst, x0, mu0)
-    return _drive(ws, state, lambda: cyclic, keep_iterates, reference=reference)
+    return _drive(ws, [state], [itertools.repeat(cyclic)], keep_iterates, reference=reference)[0]
 
 
-def _drive(ws, state, next_order, keep_iterates, reference=None) -> Trace:
-    """The run loop of every variant: observe the start point, then sweep in
-    the orders that next_order() returns until the largest residual component
-    falls to the tolerance, the divergence guard trips, or max_iter sweeps
-    have run.
+# the square of DIVERGENCE_LIMIT, rounded
+_LIMIT_SQ = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
 
-    The divergence guard is checked after every sweep, so no sweep runs past
-    a diverging row. The sweeps since the last observation, up to
-    SWEEP_BLOCK of them, are observed together, their Ax - b in one stacked
-    product whose rows equal A.dot(x) - b bit for bit; the rows past the first
-    converged row were swept speculatively and are dropped, with the orders
-    they drew from next_order(). A run with an opaque term, whose sweeps and
-    objective call user code, stops on the surrogate bound, which calls
-    none: it takes that test after every sweep instead, so it never sweeps
-    past its stop and observes each of its rows once.
+
+def _past_limit(Z: np.ndarray):
+    """Which rows of Z are NaN or exceed DIVERGENCE_LIMIT in absolute value,
+    row by row as `not max_abs(z) <= DIVERGENCE_LIMIT` decides, or None when
+    none is.
+
+    One sum of squares of all of Z decides first: it is at least the rounded
+    square of each entry, which is at most _LIMIT_SQ only for entries within
+    the limit, and a NaN makes it NaN. Only when it exceeds _LIMIT_SQ are the
+    rows' largest magnitudes taken. np.vdot, unlike ndarray.dot, warns on no
+    overflow, so a row far past the limit raises no new warning.
+    """
+    if np.vdot(Z, Z) <= _LIMIT_SQ:
+        return None
+    return ~(np.abs(Z).max(axis=1) <= DIVERGENCE_LIMIT)
+
+
+def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
+    """The run loop of every variant, for a stack of independent runs that
+    share the workspace: run j starts at the IterateState starts[j] and
+    sweeps in the orders that the iterator streams[j] yields. Each run
+    observes its start point, then sweeps until its largest residual
+    component falls to the tolerance, the divergence guard trips, or
+    max_iter sweeps have run. Returns one Trace per run, each bit for bit
+    the trace of that run driven alone.
+
+    The runs sweep in lockstep, up to SWEEP_BLOCK sweeps at a time. When the
+    workspace composes, one sweep of every run in the stack is one stacked
+    product with the maps of the runs' orders (block_maps looks each
+    distinct order up once per block); otherwise each run sweeps block by
+    block (advance). The divergence guard is checked after every sweep, on
+    the whole stack at once (_past_limit), and a run whose row trips it
+    leaves the stack at that row, so no run sweeps past a diverging row. A
+    run with an opaque term, whose sweeps and objective call user code,
+    stops on the surrogate bound, which calls none: it takes that test after
+    every sweep and leaves the stack at its stop, so no user code runs past
+    any run's stop. The user code of different runs is called interleaved.
+
+    Each block's rows of all runs, those of the runs that left in it
+    included, are observed in one call, with stacked products whose rows
+    equal the one-row products bit for bit (Ax - b among them). A run keeps
+    its rows up to the first that converged and leaves the stack there; the
+    sweeps past it were speculative and are dropped, with the orders they
+    drew from the run's own stream.
     """
     inst, d = ws.inst, ws.d
     A, rhs = inst.A, inst.b
     exact = ws.observer.exact
-    merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
-    trace = Trace(ws.n, exact_residuals=exact, d=d if keep_iterates else None)
-    trace.warnings.extend(ws.warnings)
-    # row 0 holds the last point observed, rows 1.. the sweeps since
-    Z = np.empty((SWEEP_BLOCK + 1, d + inst.blocks.m))
-    RES = np.empty((SWEEP_BLOCK + 1, inst.blocks.m))
-    Z[0, :d], Z[0, d:] = state.x, state.mu
-    RES[0] = A.dot(state.x) - rhs
-    trace.extend(*ws.observe(Z[:1], RES[:1], Z[:1, :d], merit=merit), path=Z[:1])
     tol = ws.cfg.tol
-    left = int(ws.cfg.max_iter)
-    if exact and trace.max_residual(0) <= tol:
-        trace.status = "converged"
-        left = 0
-    b = 0
-    while left:
-        Z[0] = Z[b]
-        orders = []
-        diverged = False
-        for b in range(1, min(SWEEP_BLOCK, left) + 1):
-            orders.append(next_order())
-            Z[b] = Z[b - 1]
-            ws.advance(Z[b], orders[-1])
-            # written so that NaN iterates count as diverged
-            if not max_abs(Z[b]) <= DIVERGENCE_LIMIT:
-                diverged = True
-                break
-            if not exact:
-                res = (A.dot(Z[b, :d]) - rhs)[None]
-                parts = ws.surrogate_parts(Z[b : b + 1, :d] - Z[b - 1 : b, :d], res, orders[-1:])
-                if _largest(parts, np.sqrt(_dots(res, res)))[0] <= tol:
-                    break
-        RES[1 : b + 1] = _gemv(A, Z[1 : b + 1, :d]) - rhs
-        lo = len(trace)
-        trace.extend(*ws.observe(Z[1 : b + 1], RES[1 : b + 1], Z[:b, :d], orders, merit), path=Z[1 : b + 1])
-        # the guard row stops the run as diverged whatever its residual
-        done = np.flatnonzero(trace.max_residual(slice(lo, lo + b - diverged)) <= tol)
-        left -= b
-        if done.size:
+    merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
+    traces = [Trace(ws.n, exact_residuals=exact, d=d if keep_iterates else None) for _ in starts]
+    last = np.array([np.concatenate([state.x, state.mu]) for state in starts])
+    cols = ws.observe(last, _gemv(A, last[:, :d]) - rhs, last[:, :d], merit=merit)
+    live = []
+    for j, trace in enumerate(traces):
+        trace.warnings.extend(ws.warnings)
+        trace.extend(*_rows(cols, slice(j, j + 1)), path=last[j : j + 1])
+        if exact and trace.max_residual(0) <= tol:
             trace.status = "converged"
-            trace.truncate(lo + int(done[0]) + 1)
-            b = int(done[0]) + 1
-            break
-        if diverged:
-            trace.status = "diverged"
-            break
-    trace.x = Z[b, :d].copy()
-    trace.mu = Z[b, d:].copy()
-    return trace
+            _end(trace, last[j], d)
+        else:
+            live.append(j)
+    last = last[live]
+    size = last.shape[1]
+    left = int(ws.cfg.max_iter)
+    while live:
+        nb = min(SWEEP_BLOCK, left)
+        left -= nb
+        orders = [list(itertools.islice(streams[j], nb)) for j in live]
+        maps = None if ws.maps is None else ws.block_maps(orders)
+        # row 0 holds each run's last point observed, rows 1.. its sweeps since
+        Z = np.empty((nb + 1, len(live), size))
+        Z[0] = last
+        # the runs that leave the stack within the block, as (run, its rows
+        # 0..b, its orders, whether row b tripped the guard)
+        gone = []
+        for b in range(1, nb + 1):
+            if maps is not None:
+                T, t, at = maps
+                np.matmul(T if at is None else T[at[b - 1]], Z[b - 1, :, :, None], out=Z[b, :, :, None])
+                Z[b] += t[b - 1]
+            else:
+                Z[b] = Z[b - 1]
+                for z, run in zip(Z[b], orders):
+                    ws.advance(z, run[b - 1])
+            diverged = leave = _past_limit(Z[b])
+            if not exact:
+                leave = np.zeros(len(live), dtype=bool) if diverged is None else diverged.copy()
+                on = np.flatnonzero(~leave)
+                if on.size:
+                    X = Z[b, on, :d]
+                    res = _gemv(A, X) - rhs
+                    parts = ws.surrogate_parts(X - Z[b - 1, on, :d], res, [orders[i][b - 1] for i in on])
+                    leave[on] = _largest(parts, np.sqrt(_dots(res, res))) <= tol
+            if leave is None or not leave.any():
+                continue
+            for i in np.flatnonzero(leave):
+                guard = diverged is not None and bool(diverged[i])
+                gone.append((live[i], Z[: b + 1, i].copy(), orders[i][:b], guard))
+            keep = np.flatnonzero(~leave)
+            live, orders, Z = [live[i] for i in keep], [orders[i] for i in keep], Z[:, keep]
+            if not live:
+                break
+            if maps is not None:
+                maps = ws.block_maps(orders)
+        block = gone + [(j, Z[:, i], run, False) for i, (j, run) in enumerate(zip(live, orders))]
+        # one observation of the block's rows, run by run
+        X = np.concatenate([rows[1:] for _, rows, _, _ in block])
+        X_prev = np.concatenate([rows[:-1, :d] for _, rows, _, _ in block])
+        flat = [order for _, _, run, _ in block for order in run]
+        cols = ws.observe(X, _gemv(A, X[:, :d]) - rhs, X_prev, flat, merit)
+        hit = _largest(cols[0] if exact else cols[5], cols[1]) <= tol
+        live, last, lo = [], [], 0
+        for k, (j, rows, run, guard) in enumerate(block):
+            trace, sel = traces[j], slice(lo, lo + len(run))
+            lo += len(run)
+            row = len(trace)
+            trace.extend(*_rows(cols, sel), path=rows[1:])
+            # the guard row stops the run as diverged whatever its residual
+            done = np.flatnonzero(hit[sel][: len(run) - guard])
+            end = rows[-1]
+            if done.size:
+                trace.status = "converged"
+                trace.truncate(row + int(done[0]) + 1)
+                end = rows[int(done[0]) + 1]
+            elif guard:
+                trace.status = "diverged"
+            elif k >= len(gone) and left:
+                live.append(j)
+                last.append(end)
+                continue
+            _end(trace, end, d)
+    return traces
+
+
+def _rows(cols, sel) -> list:
+    """The rows `sel` of observed columns; a column given as one value for
+    every row stays that value."""
+    return [c[sel] if np.ndim(c) else c for c in cols]
+
+
+def _end(trace: Trace, z: np.ndarray, d: int) -> None:
+    """Set a stopped run's final point z = (x, mu)."""
+    trace.x = z[:d].copy()
+    trace.mu = z[d:].copy()
 
 
 def merit_weight_matrices(inst: ProblemInstance, beta: float, R_mats) -> dict:

@@ -7,6 +7,7 @@ again past the budget gives the same bits; and every run the rule does not
 compose equals the block-by-block loop bit for bit."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -109,8 +110,8 @@ def test_maps_past_the_budget_give_the_cached_bits(monkeypatch):
             ws = solvers._Workspace(run_inst, run_cfg, min_norm=min_norm, n_orders=math.factorial(n) if random else 1)
             with monkeypatch.context() as patch:
                 patch.setattr(solvers, "SWEEP_MAP_BYTES", budget)
-                orders = _trial_orders(9, n).__next__ if random else lambda: cyclic
-                out.append((solvers._drive(ws, cs.IterateState.start(run_inst, x0=x0), orders, True), ws.maps))
+                orders = _trial_orders(9, n) if random else itertools.repeat(cyclic)
+                out.append((solvers._drive(ws, [cs.IterateState.start(run_inst, x0=x0)], [orders], True)[0], ws.maps))
         (cached, kept), (uncached, none_kept) = out
         assert kept and none_kept == {}
         _assert_same_trace(cached, uncached)
