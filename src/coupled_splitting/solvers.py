@@ -235,15 +235,12 @@ class Trace:
     def _dual(self) -> np.ndarray:
         return self.r_dual if self.exact_residuals else self.surrogate_blocks
 
-    def max_residual(self, rows=slice(None)):
-        """Largest violation component, from exact residuals when available
-        and from the surrogate bound otherwise: a column over a slice of rows
-        (every row by default), or a float at one row index."""
-        one = not isinstance(rows, slice)
-        # one row as a slice of one, counted from the end when negative
-        sel = slice(rows, rows + 1 or None) if one else rows
-        col = _largest(self._dual()[sel], self.r_feas[sel])
-        return float(col[0]) if one else col
+    def max_residual(self, row: int) -> float:
+        """Largest violation component at one row index (counted from the end
+        when negative), from exact residuals when available and from the
+        surrogate bound otherwise."""
+        sel = slice(row, row + 1 or None)
+        return float(_largest(self._dual()[sel], self.r_feas[sel])[0])
 
     def total_sq(self, row: int | None = None):
         """Summed squared residual components: a column over every row, or a
