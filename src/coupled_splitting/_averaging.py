@@ -36,10 +36,6 @@ MAX_UNGUARDED_BLOCKS = 8
 MAX_SUBSET_WORK = 2**26
 
 
-def curvature_matrix(inst: ProblemInstance, beta: float) -> np.ndarray:
-    return inst.H + beta * (inst.A.T @ inst.A)
-
-
 def check_sweep_blocks(inst: ProblemInstance, beta: float) -> None:
     for i in range(inst.blocks.n):
         if singular_sym(inst.block_curvature(i, beta))[0]:
@@ -190,7 +186,7 @@ def averaged_update(inst: ProblemInstance, beta: float) -> AveragedUpdate:
         )
     check_beta(beta)
     check_sweep_blocks(inst, beta)
-    S = curvature_matrix(inst, beta)
+    S = inst.curvature(beta)
     Sbar = bordered_curvature(S, inst.A, beta)
     blk = np.repeat(np.arange(n), inst.blocks.dims)
     # the block-diagonal inverse: elimination never mixes the blocks

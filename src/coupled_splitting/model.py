@@ -129,6 +129,11 @@ class ProblemInstance:
     def sigma_full(self) -> np.ndarray:
         return block_diag([self.sigma_block(i) for i in range(self.blocks.n)])
 
+    def curvature(self, beta: float) -> np.ndarray:
+        """S = H + beta A'A, the curvature of the augmented Lagrangian at
+        penalty beta."""
+        return self.H + beta * (self.A.T @ self.A)
+
     def block_curvature(self, i: int, beta: float) -> np.ndarray:
         """H_ii + beta A_i'A_i, the curvature of block i's sweep subproblem
         at penalty beta."""

@@ -20,7 +20,7 @@ import numpy as np
 from ._averaging import averaged_update
 from .errors import UsageError
 from .model import ProblemInstance
-from .solvers import DIVERGENCE_LIMIT, IterateState, SolverConfig, _drive, _Workspace, _write_artifact, check_stopping
+from .solvers import IterateState, SolverConfig, _drive, _past_limit, _Workspace, _write_artifact, check_stopping
 
 
 # Orders a trial draws in one call to Generator.permuted
@@ -198,7 +198,7 @@ def run_expected_iteration(
 
 
 def _first_past_limit(Z: np.ndarray, lo: int, hi: int):
-    """The first row of Z[lo:hi] that is NaN or above DIVERGENCE_LIMIT in
-    absolute value, or None."""
-    bad = np.flatnonzero(~(np.abs(Z[lo:hi]).max(axis=1) <= DIVERGENCE_LIMIT))
-    return lo + int(bad[0]) if bad.size else None
+    """The first row of Z[lo:hi] that the divergence guard (_past_limit)
+    trips on, or None."""
+    bad = _past_limit(Z[lo:hi])
+    return None if bad is None or not bad.any() else lo + int(bad.argmax())

@@ -399,7 +399,7 @@ class _Workspace:
         self.offsets = np.asarray(inst.blocks.offsets)
         self.At = np.ascontiguousarray(inst.A.T)
         self.r, self.R_eff, self.warnings = _proximal_matrices(inst, cfg)
-        S = inst.H + self.beta * (inst.A.T @ inst.A)
+        S = inst.curvature(self.beta)
         self.W, self.c, self.prox = zip(*(self._block_update(S, i) for i in range(n)))
         if two_block:
             # measured on the effective R_i, which user curvatures r can make indefinite
@@ -505,10 +505,9 @@ class _Workspace:
     def sweep_map(self, order) -> tuple:
         """(T, t) with one all-direct sweep in `order` equal to z -> T z + t:
         each block's rows become W_i times the map so far, plus c_i, and the
-        multiplier rows take the step. Kept per order, up to SWEEP_MAP_BYTES
-        in all; an order past the budget is composed again, to the same
-        bits."""
-        Tt = self.maps.get(order)
+        multiplier rows take the step. Kept per order when the run composes,
+        whose rule keeps every order it can draw within SWEEP_MAP_BYTES."""
+        Tt = None if self.maps is None else self.maps.get(order)
         if Tt is None:
             d, A = self.d, self.inst.A
             T, t = np.eye(d + A.shape[0]), np.zeros(d + A.shape[0])
@@ -520,7 +519,7 @@ class _Workspace:
             T[d:] -= step * (A @ T[:d])
             t[d:] -= step * (A @ t[:d] - self.inst.b)
             Tt = (T, t)
-            if (len(self.maps) + 1) * (T.nbytes + t.nbytes) <= SWEEP_MAP_BYTES:
+            if self.maps is not None:
                 self.maps[order] = Tt
         return Tt
 

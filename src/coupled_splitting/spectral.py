@@ -16,14 +16,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import max_abs, psd_sqrt, rank_svd, singular_sym, spectral_radius, sym_part, symmetric
+from ._linalg import max_abs, psd_sqrt, rank_svd, spectral_radius, sym_part, symmetric
 from .errors import CertificateError, ConditionError, StructuralError, UsageError
-from .model import ProblemInstance, _uniqueness_condition, normalize_block_matrices
-from ._averaging import averaged_update, bordered_curvature, check_sweep_blocks, curvature_matrix
+from .model import BlockStructure, ProblemInstance, _uniqueness_condition, normalize_block_matrices
+from ._averaging import averaged_update, bordered_curvature, check_sweep_blocks
 from .solvers import (
     IterateState,
     SolverConfig,
@@ -31,7 +32,6 @@ from .solvers import (
     _Workspace,
     _write_artifact,
     check_beta,
-    check_gamma,
     check_order,
 )
 
@@ -88,7 +88,7 @@ def build_perm_matrices(inst: ProblemInstance, beta: float, sigma) -> PermMatric
     check_beta(beta)
     sigma = check_order(sigma, inst.blocks.n)
     check_sweep_blocks(inst, beta)
-    S = curvature_matrix(inst, beta)
+    S = inst.curvature(beta)
     L, Lbar, Rbar, M = (a[0] for a in _order_stacks(inst, beta, S, np.array([sigma])))
     d = inst.blocks.d
     return PermMatrices(sigma=sigma, L_sigma=L, R_sigma=Rbar[:d, :d], Lbar=Lbar, Rbar=Rbar, M_sigma=M)
@@ -272,7 +272,7 @@ def rank_identity_check(inst: ProblemInstance, beta: float) -> bool:
     reads the same verdict off the ranks build_Q_M counted; this builds and
     ranks the three matrices itself."""
     check_beta(beta)
-    S = curvature_matrix(inst, beta)
+    S = inst.curvature(beta)
     A = inst.A
     return rank_svd(bordered_curvature(S, A, beta)) == rank_svd(S) + rank_svd(beta * (A.T @ A))
 
@@ -323,34 +323,27 @@ class BcdRateComparison:
 
 def bcd_rate_matrices(H, d1: int) -> BcdRateComparison:
     """Update matrices for unconstrained two-block coordinate descent on a
-    coupled quadratic: one per sweep order plus their average."""
+    coupled quadratic: one per sweep order plus their average. The two are
+    the sweep maps of the solver engine (variant bcd on the instance without
+    constraint rows), so a singular diagonal block raises its
+    ConditionError."""
     H = np.asarray(H, dtype=float)
-    d = H.shape[0]
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise StructuralError("H must be square")
     if not symmetric(H):
         raise StructuralError("H is not symmetric")
+    try:
+        d1 = operator.index(d1)
+    except TypeError:
+        raise UsageError(f"the split d1 must be an integer, not {d1!r}") from None
+    d = H.shape[0]
     if not 0 < d1 < d:
         raise UsageError("the split must leave both blocks nonempty")
-    H11, H12, H22 = H[:d1, :d1], H[:d1, d1:], H[d1:, d1:]
-    for name, blockmat in (("leading", H11), ("trailing", H22)):
-        if singular_sym(blockmat)[0]:
-            raise ConditionError(f"{name} diagonal block of H is not positive definite")
     d2 = d - d1
-    lower = np.zeros((d, d))
-    lower[:d1, :d1] = H11
-    lower[d1:, :d1] = H12.T
-    lower[d1:, d1:] = H22
-    upper = np.zeros((d, d))
-    upper[:d1, :d1] = H11
-    upper[:d1, d1:] = H12
-    upper[d1:, d1:] = H22
-    rhs1 = np.zeros((d, d))
-    rhs1[:d1, d1:] = -H12
-    rhs2 = np.zeros((d, d))
-    rhs2[d1:, :d1] = -H12.T
-    M1 = np.linalg.solve(lower, rhs1)
-    M2 = np.linalg.solve(upper, rhs2)
+    inst = ProblemInstance(blocks=BlockStructure(dims=(d1, d2), m=0), H=H, g=np.zeros(d), A=None, b=None)
+    ws = _Workspace(inst, SolverConfig(variant="bcd"), n_orders=2)
+    M1, M2 = ws.sweep_map((0, 1))[0], ws.sweep_map((1, 0))[0]
+    H11, H12, H22 = H[:d1, :d1], H[:d1, d1:], H[d1:, d1:]
     M3 = 0.5 * (M1 + M2)
     sigma1 = None
     rho3_closed = None
@@ -553,12 +546,9 @@ def _trace_from_path(ws, Z) -> Trace:
 
 def cyclic_update_matrix(inst: ProblemInstance, beta: float, gamma: float = 1.0):
     """One-step update matrix of the fixed-order sweep (identity order, no
-    proximal weights) with dual stepsize gamma, and its spectral radius."""
+    proximal weights) with dual stepsize gamma, and its spectral radius: the
+    solver engine's sweep map of variant admm_cyclic_n."""
     inst.require_zero_terms("the update matrix")
-    check_gamma(gamma)
-    pm = build_perm_matrices(inst, beta, tuple(range(inst.blocks.n)))
-    d, m = inst.blocks.d, inst.blocks.m
-    Lbar = pm.Lbar.copy()
-    Lbar[d:, :d] = gamma * beta * inst.A
-    M = np.linalg.solve(Lbar, pm.Rbar)
+    cfg = SolverConfig(variant="admm_cyclic_n", beta=beta, gamma=gamma)
+    M = _Workspace(inst, cfg).sweep_map(tuple(range(inst.blocks.n)))[0]
     return M, spectral_radius(M)

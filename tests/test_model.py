@@ -121,6 +121,7 @@ def test_block_curvature():
         Ai = inst.A_block(i)
         assert np.array_equal(inst.block_curvature(i, 2.5), inst.H_block(i, i) + 2.5 * (Ai.T @ Ai))
         assert np.array_equal(inst.block_curvature(i, 0.0), inst.H_block(i, i))
+    assert np.array_equal(inst.curvature(2.5), inst.H + 2.5 * (inst.A.T @ inst.A))
 
 
 def test_instance_arrays_read_only():

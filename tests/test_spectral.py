@@ -486,6 +486,34 @@ def test_contrast_cyclic_diverges_averaged_contracts():
     assert et.status == "converged"
 
 
+# the engine's sweep maps against the LU solve (plus one refinement) of
+# build_perm_matrices, relative to 1 + the largest magnitude of the map
+SWEEP_MAP_TOL = 1e-14
+
+
+def _assert_same_map(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= SWEEP_MAP_TOL * (1.0 + np.max(np.abs(want)))
+
+
+def test_cyclic_update_matrix_is_the_bordered_solve():
+    """At gamma = 1 the update is build_perm_matrices' M_sigma of the
+    identity order; at other gamma, the bordered solve whose multiplier rows
+    hold gamma beta A."""
+    rng = np.random.default_rng(64)
+    for _ in range(20):
+        inst = spectral_instance(rng)
+        beta = float(rng.uniform(0.2, 3.0))
+        pm = build_perm_matrices(inst, beta, tuple(range(inst.blocks.n)))
+        _assert_same_map(cs.cyclic_update_matrix(inst, beta)[0], pm.M_sigma)
+        gamma = float(rng.uniform(0.1, 1.6))
+        Lbar = pm.Lbar.copy()
+        Lbar[inst.blocks.d :, : inst.blocks.d] = gamma * beta * inst.A
+        want = np.linalg.solve(Lbar, pm.Rbar)
+        want += np.linalg.solve(Lbar, pm.Rbar - Lbar @ want)
+        _assert_same_map(cs.cyclic_update_matrix(inst, beta, gamma)[0], want)
+
+
 def test_cyclic_update_matrix_guards():
     inst = three_by_three_instance()
     with pytest.raises(cs.UsageError):
@@ -520,6 +548,10 @@ def test_bcd_rates_normalized_hand_values():
 
 
 def test_bcd_rates_random_psd_property():
+    """On random positive definite H the fixed orders share one radius and
+    the average is never faster; M1 and M2 are the sweeps in the orders
+    (0, 1) and (1, 0) of the instance without constraint rows, as
+    build_perm_matrices solves them."""
     rng = np.random.default_rng(17)
     for _ in range(10):
         d1 = int(rng.integers(1, 4))
@@ -532,6 +564,9 @@ def test_bcd_rates_random_psd_property():
         assert cmp.rho3 >= cmp.rho1 - 1e-10
         assert cmp.sigma1 is None
         assert cmp.rho3_closed_form is None
+        inst = cs.ProblemInstance(blocks=cs.BlockStructure(dims=(d1, d2), m=0), H=H, g=np.zeros(d), A=None, b=None)
+        _assert_same_map(cmp.M1, build_perm_matrices(inst, 1.0, (0, 1)).M_sigma)
+        _assert_same_map(cmp.M2, build_perm_matrices(inst, 1.0, (1, 0)).M_sigma)
 
 
 def test_bcd_rates_input_errors():
@@ -541,8 +576,12 @@ def test_bcd_rates_input_errors():
         cs.bcd_rate_matrices(np.array([[1.0, 0.2], [0.3, 1.0]]), 1)
     with pytest.raises(cs.UsageError):
         cs.bcd_rate_matrices(np.eye(2), 0)
-    with pytest.raises(cs.ConditionError, match="leading"):
+    with pytest.raises(cs.ConditionError, match="block 0"):
         cs.bcd_rate_matrices(np.diag([0.0, 1.0]), 1)
+    with pytest.raises(cs.StructuralError):
+        cs.bcd_rate_matrices(np.array(1.0), 1)
+    with pytest.raises(cs.UsageError, match="integer"):
+        cs.bcd_rate_matrices(np.eye(3), 1.5)
 
 
 # -- witnesses and oscillation ------------------------------------------------

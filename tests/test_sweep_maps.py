@@ -2,19 +2,19 @@
 sweep in a block order is one affine map z -> T z + t, which the engine
 composes per order under a byte budget. Composed sweeps agree with the
 block-by-block loop of tests/oracles.py to rounding; the rule that picks them
-depends on the instance, the variant and the kind of run only; an order composed
-again past the budget gives the same bits; and every run the rule does not
-compose equals the block-by-block loop bit for bit."""
+depends on the instance, the variant and the kind of run only; a map composed
+on a workspace past the budget, which keeps none, has the bits of a kept one;
+and every run the rule does not compose equals the block-by-block loop bit for
+bit."""
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
 
 import coupled_splitting as cs
 from coupled_splitting import solvers
-from coupled_splitting.rp import _trial_orders, permutation_at
+from coupled_splitting.rp import permutation_at
 
 from gen import mixed_instance, random_psd, scaled_identity_R, violating_instance
 from oracles import per_block_sweep
@@ -82,39 +82,26 @@ def test_step_and_runs_compose_the_same_maps():
         assert np.array_equal(x, state.x) and np.array_equal(mu, state.mu)
 
 
-def _assert_same_trace(a, b):
-    assert a.csv_rows() == b.csv_rows() and a.status == b.status
-    assert np.array_equal(a.path, b.path)
-
-
-def test_maps_past_the_budget_give_the_cached_bits(monkeypatch):
-    """With the budget forced to 0 after the rule has chosen to compose, no
-    map is kept and every sweep composes its order again: a cyclic run, a
-    randomly permuted trial and a minimum-norm run equal the cached ones bit
-    for bit."""
+def test_maps_past_the_budget_give_the_cached_bits():
+    """A workspace whose n_orders maps do not fit the budget keeps none
+    (maps is None), yet sweep_map still composes any order, to the bits of
+    a workspace that keeps its maps: for a 7-block randomly permuted run
+    against a cyclic one, and for a minimum-norm workspace."""
     rng, cases = _direct_cases()
-    inst, cfg, _ = cases[0]
+    seven = mixed_instance(rng, (2,) * 7, 4, ("zero", "quadratic") * 3 + ("zero",))
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.3, gamma=0.7, R=scaled_identity_R(seven, 1.3))
     singular, singular_cfg, _ = cases[-1]
-    runs = (
-        (inst, cfg, False, False),
-        (inst, dataclasses.replace(cfg, gamma=1.0), False, True),
-        (singular, singular_cfg, True, False),
-    )
-    for run_inst, run_cfg, min_norm, random in runs:
-        run_cfg = dataclasses.replace(run_cfg, tol=1e-11, max_iter=400)
-        n = run_inst.blocks.n
-        cyclic = tuple(range(n))
-        x0 = rng.standard_normal(run_inst.blocks.d)
-        out = []
-        for budget in (solvers.SWEEP_MAP_BYTES, 0):
-            ws = solvers._Workspace(run_inst, run_cfg, min_norm=min_norm, n_orders=math.factorial(n) if random else 1)
-            with monkeypatch.context() as patch:
-                patch.setattr(solvers, "SWEEP_MAP_BYTES", budget)
-                orders = _trial_orders(9, n) if random else itertools.repeat(cyclic)
-                out.append((solvers._drive(ws, [cs.IterateState.start(run_inst, x0=x0)], [orders], True)[0], ws.maps))
-        (cached, kept), (uncached, none_kept) = out
-        assert kept and none_kept == {}
-        _assert_same_trace(cached, uncached)
+    runs = ((seven, cfg, False, math.factorial(7)), (singular, singular_cfg, True, 10**6))
+    for inst, run_cfg, min_norm, n_orders in runs:
+        n = inst.blocks.n
+        unkept = solvers._Workspace(inst, run_cfg, min_norm=min_norm, n_orders=n_orders)
+        kept = solvers._Workspace(inst, run_cfg, min_norm=min_norm)
+        assert unkept.maps is None and kept.maps == {}
+        orders = [tuple(range(n))] + [tuple(int(v) for v in rng.permutation(n)) for _ in range(10)]
+        for order in orders:
+            for got, want in zip(unkept.sweep_map(order), kept.sweep_map(order)):
+                assert np.array_equal(got, want), order
+        assert unkept.maps is None and set(kept.maps) == set(orders)
 
 
 def test_composition_rule_is_per_instance_variant_and_kind_of_run():
