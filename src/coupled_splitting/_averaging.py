@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs, singular_sym
-from .errors import CertificateError, ConditionError, EnumerationLimitError
+from ._linalg import max_abs
+from .errors import CertificateError, EnumerationLimitError
 from .model import ProblemInstance
-from .solvers import check_beta
+from .solvers import check_beta, check_block_solvable
 
 # Cost guard of the two subset algorithms, which do about
 # 2^n (d+m)^2 d multiply-adds in batched matmuls and hold one layer of
@@ -38,11 +38,7 @@ MAX_SUBSET_WORK = 2**26
 
 def check_sweep_blocks(inst: ProblemInstance, beta: float) -> None:
     for i in range(inst.blocks.n):
-        if singular_sym(inst.block_curvature(i, beta))[0]:
-            raise ConditionError(
-                f"block {i}: diagonal curvature is singular, so ordered sweeps are not "
-                "uniquely solvable (see check_uniqueness_condition mode 'nblock_qp')"
-            )
+        check_block_solvable(inst.block_curvature(i, beta), i)
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from pathlib import Path
 from .errors import CoupledSplittingError, UsageError
 from .model import load_instance
 from .rp import run_expected_iteration, run_rp_solver
-from .solvers import _fmt, _write_artifact, SolverConfig, VARIANTS, run_solver
+from .solvers import _fmt, _write_artifact, SolverConfig, VARIANTS, check_integer, run_solver
 from .spectral import analyze_instance, bcd_rate_matrices, divergence_witness, save_report
 
 EXIT_OK = 0
@@ -47,10 +47,7 @@ def _resolve_seed(value) -> int:
             value = int(raw)
         except ValueError:
             raise UsageError(f"COUPLED_SPLITTING_SEED={raw!r} is not an integer")
-    seed = int(value)
-    if seed < 0:
-        raise UsageError("seed must be a nonnegative integer")
-    return seed
+    return check_integer(value, "seed", 0)
 
 
 def _out_dir(args) -> Path:
@@ -119,8 +116,7 @@ def _cmd_compare_bcd(args) -> int:
 
 
 def _cmd_rp_expect(args) -> int:
-    if args.trials < 0:
-        raise UsageError("trials must be a nonnegative integer")
+    check_integer(args.trials, "trials", 0)
     inst = load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     header = [

@@ -20,7 +20,7 @@ import numpy as np
 from ._averaging import averaged_update
 from .errors import UsageError
 from .model import ProblemInstance
-from .solvers import IterateState, SolverConfig, _drive, _past_limit, _Workspace, _write_artifact, check_stopping
+from .solvers import IterateState, SolverConfig, _drive, _past_limit, _Workspace, _write_artifact, check_integer, check_stopping
 
 
 # Orders a trial draws in one call to Generator.permuted
@@ -76,13 +76,11 @@ def run_rp_solver(
     counts (trials that stop early are held at their final iterate).
     """
     cfg.validate(inst)
-    if trials < 1:
-        raise UsageError("trials must be at least 1")
+    trials = check_integer(trials, "trials", 1)
     seed = int(cfg.seed)
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0), n_orders=math.factorial(n))
     start = IterateState.start(inst, x0, mu0)
-    trials = int(trials)
     # sweeps past a stop draw orders from that trial's generator only
     traces = _drive(ws, [start] * trials, [_trial_orders(seed ^ t, n) for t in range(trials)], True)
     k_len = max(len(trace) for trace in traces)

@@ -22,8 +22,11 @@ bcpg              the linearized sweep, n blocks, on an instance without
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,8 +54,9 @@ from .prox import ProxFn, _box_bounds, prox_eval, subdiff_distance  # noqa: F401
 VARIANTS = ("admm2", "admm2_linearized", "admm_cyclic_n", "bcd", "bcpg")
 GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
 DIVERGENCE_LIMIT = 1e12
-# bytes of surrogate matrices U a run keeps, one per block order swept
-SURROGATE_CACHE_BYTES = 1 << 20
+# bytes of surrogate matrices U that surrogate_parts builds at a time, one
+# per row of a chunk
+SURROGATE_CHUNK_BYTES = 1 << 20
 # bytes of composed sweep maps a run keeps, one per block order; see
 # _Workspace for the rule that decides whether a run composes
 SWEEP_MAP_BYTES = 1 << 20
@@ -72,22 +76,29 @@ def check_gamma(gamma) -> None:
         raise UsageError(f"gamma must lie in (0, {GAMMA_SUP}) exclusive")
 
 
+def check_integer(value, name: str, least: int) -> int:
+    """value as an int when it is a Python or numpy integer of at least
+    `least`; a float, integral or not, is rejected rather than truncated."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise UsageError(f"{name} must be an integer of at least {least}, not {value!r}")
+    return operator.index(value)
+
+
 def check_order(order, n: int) -> tuple:
     """A block order as a tuple of ints; rejects one that is not a
-    permutation of 0..n-1."""
-    order = tuple(int(v) for v in order)
-    if sorted(order) != list(range(n)):
+    permutation of 0..n-1, such as one with a float entry."""
+    order = tuple(order)
+    if not all(isinstance(v, numbers.Integral) for v in order) or sorted(order) != list(range(n)):
         raise UsageError(f"block order {order} is not a permutation of 0..{n - 1}")
-    return order
+    return tuple(map(operator.index, order))
 
 
 def check_stopping(tol, max_iter) -> None:
     """Reject a tolerance that is not a nonnegative number (NaN included) and
-    an iteration cap below one."""
+    an iteration cap that is not an integer of at least one."""
     if not tol >= 0:
         raise UsageError("tol must be a nonnegative number")
-    if int(max_iter) < 1:
-        raise UsageError("max_iter must be at least 1")
+    check_integer(max_iter, "max_iter", 1)
 
 
 @dataclass
@@ -122,8 +133,7 @@ class SolverConfig:
                 raise StructuralError(f"r has {len(self.r)} entries, expected {inst.blocks.n}")
             if any(not float(v) > 0 for v in self.r):
                 raise UsageError("every linearization curvature r_i must be positive")
-        if self.seed is None or int(self.seed) < 0:
-            raise UsageError("seed must be a nonnegative integer")
+        check_integer(self.seed, "seed", 0)
 
 
 @dataclass
@@ -353,6 +363,17 @@ def _block_prox(f: ProxFn, r: float, dim: int):
     return lambda v: prox_eval(f, r, v)
 
 
+def check_block_solvable(K: np.ndarray, i: int) -> None:
+    """Reject block i's direct subproblem matrix K when it is singular: the
+    block's update in an ordered sweep is then not unique."""
+    singular, w_min = singular_sym(K)
+    if singular:
+        raise ConditionError(
+            f"block {i}: subproblem matrix is singular (min eigenvalue {w_min:.3e}), "
+            "so ordered sweeps are not uniquely solvable"
+        )
+
+
 class _Workspace:
     """Validated configuration plus the per-run data every sweep shares.
 
@@ -360,7 +381,7 @@ class _Workspace:
     still equals its proximal anchor, so the new value is one affine map of
     the current z, v = W_i z + c_i, followed by the prox of the block's term
     for prox blocks (prox[i], None for direct blocks and zero terms). The
-    maps, the proxes and the row observer are built here once per run.
+    maps and the proxes are built here, the row observer on first use.
 
     bcd and bcpg need an instance without constraint rows; the two-block
     variants need two blocks and the two-block uniqueness condition.
@@ -409,16 +430,6 @@ class _Workspace:
                     f"two-block uniqueness condition fails (min eigenvalue {cond.min_eigenvalue:.3e}); "
                     "see check_uniqueness_condition"
                 )
-        self.observer = _Observer(inst)
-        # S with each diagonal block replaced by -R_i; the surrogate's matrix U
-        # for a block order keeps the blocks of it at or after the row block
-        self.surrogate_base = S.copy()
-        for sl, R in zip(self.slices, self.R_eff):
-            self.surrogate_base[sl, sl] = -R
-        self.block_of = np.repeat(np.arange(n), inst.blocks.dims)
-        # each block order's U, built on its first sweep, up to
-        # SURROGATE_CACHE_BYTES in all
-        self.U = {}
         # each block order's composed sweep; None when the blocks are swept
         # one at a time
         size = self.d + inst.blocks.m
@@ -455,12 +466,7 @@ class _Workspace:
                 if np.any(np.abs(K @ sol + rhs).max(axis=0) > 1e-8 * (1.0 + np.abs(rhs).max(axis=0))):
                     raise UsageError(f"block {i} subproblem is unbounded below")
                 return sol[:, :-1], sol[:, -1], None
-            singular, w_min = singular_sym(K)
-            if singular:
-                raise ConditionError(
-                    f"block {i}: subproblem matrix is singular "
-                    f"(min eigenvalue {w_min:.3e}); the uniqueness condition fails"
-                )
+            check_block_solvable(K, i)
             return -np.linalg.solve(K, row), -np.linalg.solve(K, lin), None
         ridge = float(np.trace(G)) / d_i
         off = max_abs(G - ridge * np.eye(d_i))
@@ -539,20 +545,17 @@ class _Workspace:
 
     # -- rows ------------------------------------------------------------
 
-    def surrogate_matrix(self, order) -> np.ndarray:
-        """The surrogate's matrix U for a block order: the blocks of
-        surrogate_base at or after the row block in the order. Kept per
-        order, up to SURROGATE_CACHE_BYTES in all."""
-        U = self.U.get(order)
-        if U is None:
-            pos = [0] * self.n
-            for p, i in enumerate(order):
-                pos[i] = p
-            pe = np.array(pos)[self.block_of]
-            U = self.surrogate_base * (pe >= pe[:, None])
-            if (len(self.U) + 1) * U.nbytes <= SURROGATE_CACHE_BYTES:
-                self.U[order] = U
-        return U
+    @functools.cached_property
+    def observer(self) -> _Observer:
+        return _Observer(self.inst)
+
+    @functools.cached_property
+    def surrogate_base(self) -> np.ndarray:
+        """S with each diagonal block replaced by -R_i."""
+        base = self.inst.curvature(self.beta)
+        for sl, R in zip(self.slices, self.R_eff):
+            base[sl, sl] = -R
+        return base
 
     def surrogate_parts(self, DX: np.ndarray, RES: np.ndarray, orders) -> np.ndarray:
         """Per-block norms of the exact optimality shift from each sweep, one
@@ -562,18 +565,28 @@ class _Workspace:
         RES[j] = Ax - b when gamma differs from one.
 
         Each row's product is one gemv with its order's U, as U.dot(dx): the
-        U of each distinct order is looked up once, then gathered per row in
-        chunks of at most SURROGATE_CACHE_BYTES.
+        blocks of surrogate_base at or after the row block in the order. When
+        all rows share an order its U is built once, by zeroing blocks; else
+        each row's U is masked by the blocks' positions pe in its order, in
+        chunks of rows whose matrices take at most SURROGATE_CHUNK_BYTES.
         """
-        Us, at = _distinct(self.surrogate_matrix, orders)
-        if len(Us) == 1:
-            V = _gemv(Us[0], DX)
+        distinct, at = _distinct(tuple, orders)
+        base = self.surrogate_base
+        if len(distinct) == 1:
+            U, order = base.copy(), distinct[0]
+            for p, i in enumerate(order):
+                for j in order[:p]:
+                    U[self.slices[i], self.slices[j]] = 0.0
+            V = _gemv(U, DX)
         else:
-            U, at = np.stack(Us), np.array(at)
+            # ndarray methods: np.argsort on a list takes a slow fallback
+            pe = np.array(distinct).argsort(axis=1).repeat(self.inst.blocks.dims, axis=1)[at]
             V = np.empty_like(DX)
-            step = max(1, SURROGATE_CACHE_BYTES // U[0].nbytes)
-            for lo in range(0, len(at), step):
-                V[lo : lo + step] = np.matmul(U[at[lo : lo + step]], DX[lo : lo + step, :, None])[:, :, 0]
+            step = max(1, SURROGATE_CHUNK_BYTES // base.nbytes)
+            for lo in range(0, len(pe), step):
+                rows = slice(lo, lo + step)
+                U = base * (pe[rows, None, :] >= pe[rows, :, None])
+                V[rows] = np.matmul(U, DX[rows, :, None])[:, :, 0]
         if self.gamma != 1.0:
             V -= self.beta * (1.0 - self.gamma) * _gemv(self.At, RES)
         return np.sqrt(np.add.reduceat(V * V, self.offsets, axis=1))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,7 @@ from .solvers import (
     _Workspace,
     _write_artifact,
     check_beta,
+    check_integer,
     check_order,
 )
 
@@ -332,12 +332,9 @@ def bcd_rate_matrices(H, d1: int) -> BcdRateComparison:
         raise StructuralError("H must be square")
     if not symmetric(H):
         raise StructuralError("H is not symmetric")
-    try:
-        d1 = operator.index(d1)
-    except TypeError:
-        raise UsageError(f"the split d1 must be an integer, not {d1!r}") from None
+    d1 = check_integer(d1, "the split d1", 1)
     d = H.shape[0]
-    if not 0 < d1 < d:
+    if not d1 < d:
         raise UsageError("the split must leave both blocks nonempty")
     d2 = d - d1
     inst = ProblemInstance(blocks=BlockStructure(dims=(d1, d2), m=0), H=H, g=np.zeros(d), A=None, b=None)
@@ -459,8 +456,7 @@ def oscillation_demo(
     inst.require_two_blocks("the oscillation construction")
     inst.require_zero_terms("the oscillation construction")
     cfg.validate(inst)
-    if k_max < 2:
-        raise UsageError("k_max must be at least 2")
+    k_max = check_integer(k_max, "k_max", 2)
     R_mats = normalize_block_matrices(inst, cfg.R)
     y = np.asarray(ybar, dtype=float).reshape(inst.blocks.d)
     ynorm = float(np.linalg.norm(y))
@@ -470,9 +466,9 @@ def oscillation_demo(
     ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n"), min_norm=True)
     d = inst.blocks.d
     start = IterateState.start(inst, x0, mu0)
-    Z = np.empty((int(k_max) + 1, d + inst.blocks.m))
+    Z = np.empty((k_max + 1, d + inst.blocks.m))
     Z[0, :d], Z[0, d:] = start.x, start.mu
-    for k in range(1, int(k_max) + 1):
+    for k in range(1, k_max + 1):
         Z[k] = Z[k - 1]
         ws.advance(Z[k], (0, 1))
 

@@ -125,6 +125,19 @@ def observed_row(observer, x, mu):
     return r_dual, objective
 
 
+def uncached_U(ws, order):
+    """The surrogate matrix of a block order built entry by entry: block
+    (i, j) of surrogate_base where block j comes at or after block i in the
+    order, zero elsewhere."""
+    pos = {blk: p for p, blk in enumerate(order)}
+    U = np.zeros_like(ws.surrogate_base)
+    for i, si in enumerate(ws.slices):
+        for j, sj in enumerate(ws.slices):
+            if pos[j] >= pos[i]:
+                U[si, sj] = ws.surrogate_base[si, sj]
+    return U
+
+
 def recorded_row(ws, x, x_prev, mu, order):
     """One trace row of a solvers._Workspace run, recorded alone: (r_dual,
     r_feas, surrogate, objective, surrogate_blocks) at (x, mu), reached from
@@ -136,7 +149,7 @@ def recorded_row(ws, x, x_prev, mu, order):
     r_feas = math.sqrt(float(resid.dot(resid)))
     if order is None:
         return r_dual, r_feas, math.nan, objective, None
-    v = ws.surrogate_matrix(order).dot(x - x_prev)
+    v = uncached_U(ws, order).dot(x - x_prev)
     if ws.gamma != 1.0:
         v -= ws.beta * (1.0 - ws.gamma) * ws.At.dot(resid)
     parts = np.sqrt(np.add.reduceat(v * v, ws.offsets))

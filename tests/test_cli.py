@@ -424,6 +424,26 @@ def test_near_singular_block_gets_one_verdict_from_every_command(tmp_path, capsy
         assert json.loads((out / "witness.json").read_text())["found"] is singular
 
 
+def test_singular_sweep_block_reads_the_same_from_every_command(tmp_path, capsys):
+    """analyze and rp-expect (through the order-averaged update) and solve
+    (through the sweep engine) refuse the same singular block with exit 2
+    and one error line."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1, 1), m=1),
+        H=np.diag([1.0, 0.0, 2.0]), g=np.zeros(3), A=np.array([[1.0, 0.0, 1.0]]), b=_arr(1.0),
+    )
+    path = tmp_path / "sing.json"
+    cs.save_instance(inst, path)
+    lines = []
+    for argv in (["analyze"], ["rp-expect"], ["solve", "--variant", "admm_cyclic_n"]):
+        assert main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "out")]) == 2, argv
+        lines.append(capsys.readouterr().err)
+    assert lines == [
+        "error: block 1: subproblem matrix is singular (min eigenvalue 0.000e+00), "
+        "so ordered sweeps are not uniquely solvable\n"
+    ] * 3
+
+
 # -- compare-bcd ---------------------------------------------------------------
 
 

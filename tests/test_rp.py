@@ -3,6 +3,8 @@ reproducibility, sample means, and the exact expected iteration."""
 
 import dataclasses
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from coupled_splitting import rp, solvers
 from coupled_splitting.rp import permutation_at
 from coupled_splitting.solvers import _Workspace
 from gen import past_guard_instance, random_psd
-from oracles import expected_iteration_rows
+from oracles import expected_iteration_rows, uncached_U
 
 
 def _arr(*vals):
@@ -142,6 +144,31 @@ def test_rp_sweep_rejects_bad_sigma():
         cs.step(inst, cfg, cs.IterateState.start(inst), order=(0, 0, 2))
 
 
+def test_integer_arguments_reject_floats():
+    """A block order, max_iter, the trial count and the seed must be
+    integers: a float is a UsageError rather than truncated; numpy integers
+    pass."""
+    inst = coupled_three_block()
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, max_iter=5)
+    st0 = cs.IterateState.start(inst, x0=np.ones(4))
+    for order in ((2.9, 0.2, 1.5), (2.0, 0.0, 1.0)):
+        with pytest.raises(cs.UsageError, match="not a permutation"):
+            cs.step(inst, cfg, st0, order=order)
+    with pytest.raises(cs.UsageError, match="max_iter must be an integer"):
+        cs.run_solver(inst, dataclasses.replace(cfg, max_iter=2.5))
+    with pytest.raises(cs.UsageError, match="trials must be an integer"):
+        cs.run_rp_solver(inst, cfg, trials=1.5)
+    for seed in (1.5, None):
+        with pytest.raises(cs.UsageError, match="seed must be an integer"):
+            cs.run_rp_solver(inst, dataclasses.replace(cfg, seed=seed))
+    want = cs.step(inst, cfg, st0, order=(2, 0, 1))
+    got = cs.step(inst, cfg, st0, order=np.array([2, 0, 1]))
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.mu, want.mu)
+    want = cs.run_rp_solver(inst, cfg, trials=2)[0]
+    got = cs.run_rp_solver(inst, dataclasses.replace(cfg, max_iter=np.int64(5)), trials=np.int32(2))[0]
+    assert [a.csv_rows() for a in got] == [a.csv_rows() for a in want]
+
+
 def test_order_changes_the_iterate():
     inst = coupled_three_block()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0)
@@ -211,19 +238,7 @@ def test_rp_trials_do_not_depend_on_how_orders_are_batched(monkeypatch):
     assert np.array_equal(want_mean.Ex, got_mean.Ex)
 
 
-def _uncached_U(ws, order):
-    """The surrogate matrix built entry by entry: block (i, j) of
-    surrogate_base where block j comes at or after block i in the order."""
-    pos = {blk: p for p, blk in enumerate(order)}
-    U = np.zeros_like(ws.surrogate_base)
-    for i, si in enumerate(ws.slices):
-        for j, sj in enumerate(ws.slices):
-            if pos[j] >= pos[i]:
-                U[si, sj] = ws.surrogate_base[si, sj]
-    return U
-
-
-def test_surrogate_matrices_are_cached_per_order_within_budget(monkeypatch):
+def _four_block_surrogate_case():
     rng = np.random.default_rng(8)
     dims = (1, 2, 1, 2)
     d = sum(dims)
@@ -233,26 +248,57 @@ def test_surrogate_matrices_are_cached_per_order_within_budget(monkeypatch):
         g=rng.standard_normal(d), A=A, b=A @ rng.standard_normal(d),
     )
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.3, R=[0.5, None, 0.2, None])
+    return inst, cfg, rng
+
+
+def test_surrogate_parts_build_each_orders_matrix_within_the_chunk_bound(monkeypatch):
+    """Every order's parts equal those of its matrix built entry by entry,
+    whether the orders come in one call, one at a time, or in chunks of five
+    matrices."""
+    inst, cfg, rng = _four_block_surrogate_case()
+    d = inst.blocks.d
     orders = list(itertools.permutations(range(4)))
-    dx, resid = rng.standard_normal(d), rng.standard_normal(2)
+    DX = rng.standard_normal((len(orders), d))
+    RES = rng.standard_normal((len(orders), 2))
     ws = _Workspace(inst, cfg)
-    parts = {}
-    for order in orders + orders:
-        got = ws.surrogate_parts(dx[None], resid[None], [order])[0]
-        assert np.array_equal(parts.setdefault(order, got), got)
-    assert len(ws.U) == 24
-    for order in orders:
-        U = _uncached_U(ws, order)
-        assert np.array_equal(ws.U[order], U)
-        v = U.dot(dx)
-        assert np.array_equal(parts[order], np.sqrt(np.add.reduceat(v * v, ws.offsets)))
-    # a budget of five matrices keeps the first five orders; the others are
-    # built on each call, to the same values
-    monkeypatch.setattr(solvers, "SURROGATE_CACHE_BYTES", 5 * d * d * 8)
-    ws = _Workspace(inst, cfg)
-    for order in orders + orders:
-        assert np.array_equal(ws.surrogate_parts(dx[None], resid[None], [order])[0], parts[order])
-    assert list(ws.U) == orders[:5]
+    want = np.array([
+        np.sqrt(np.add.reduceat(v * v, ws.offsets)) for v in (uncached_U(ws, o).dot(dx) for o, dx in zip(orders, DX))
+    ])
+    assert np.array_equal(ws.surrogate_parts(DX, RES, orders), want)
+    for j, order in enumerate(orders):
+        assert np.array_equal(ws.surrogate_parts(DX[j : j + 1], RES[j : j + 1], [order]), want[j : j + 1])
+    monkeypatch.setattr(solvers, "SURROGATE_CHUNK_BYTES", 5 * d * d * 8)
+    assert np.array_equal(ws.surrogate_parts(DX, RES, orders), want)
+    assert not hasattr(ws, "U")
+
+
+def test_one_observation_of_many_orders_stays_within_the_chunk_bound():
+    """640 rows in distinct orders of 7 blocks of 10 (d = 70): the matrices
+    built at a time stay within SURROGATE_CHUNK_BYTES (1 MiB), so the traced
+    peak of one observation stays below 4 MiB (3.2 MiB when written), where
+    one kept and one stacked matrix per distinct order took 49.7 MiB."""
+    rng = np.random.default_rng(19)
+    dims = (10,) * 7
+    d = sum(dims)
+    A = rng.standard_normal((3, d))
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=dims, m=3), H=random_psd(rng, d) + 0.5 * np.eye(d),
+        g=rng.standard_normal(d), A=A, b=A @ rng.standard_normal(d),
+    )
+    ws = _Workspace(inst, cs.SolverConfig(variant="admm_cyclic_n"), n_orders=math.factorial(7))
+    orders = list(dict.fromkeys(tuple(rng.permutation(7).tolist()) for _ in range(700)))[:640]
+    assert len(orders) == 640
+    Z = rng.standard_normal((640, d + 3))
+    X_prev = rng.standard_normal((640, d))
+    RES = Z[:, :d] @ A.T - inst.b
+    ws.observe(Z[:1], RES[:1], X_prev[:1], orders[:1])  # build the observer
+    tracemalloc.start()
+    try:
+        ws.observe(Z, RES, X_prev, orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_sample_mean_holds_stopped_trials_at_their_last_iterate():

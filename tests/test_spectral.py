@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import coupled_splitting as cs
+from coupled_splitting import solvers
 from coupled_splitting._averaging import averaged_bordered_inverse, subset_layers
 from coupled_splitting.cli import main as cli_main
 from coupled_splitting.solvers import GAMMA_SUP
@@ -512,6 +513,26 @@ def test_cyclic_update_matrix_is_the_bordered_solve():
         want = np.linalg.solve(Lbar, pm.Rbar)
         want += np.linalg.solve(Lbar, pm.Rbar - Lbar @ want)
         _assert_same_map(cs.cyclic_update_matrix(inst, beta, gamma)[0], want)
+
+
+def test_sweep_map_certificates_build_no_row_observer(monkeypatch):
+    """bcd_rate_matrices and cyclic_update_matrix read sweep maps only: with
+    the row observer made to raise they return the same matrices."""
+    rng = np.random.default_rng(19)
+    H = random_psd(rng, 5) + 0.5 * np.eye(5)
+    inst = spectral_instance(rng)
+    want_bcd = cs.bcd_rate_matrices(H, 2)
+    want_cyc = cs.cyclic_update_matrix(inst, 1.3, 0.8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("row observer built")
+
+    monkeypatch.setattr(solvers, "_Observer", refuse)
+    got_bcd = cs.bcd_rate_matrices(H, 2)
+    for name in ("M1", "M2", "M3"):
+        assert np.array_equal(getattr(got_bcd, name), getattr(want_bcd, name)), name
+    got_cyc = cs.cyclic_update_matrix(inst, 1.3, 0.8)
+    assert np.array_equal(got_cyc[0], want_cyc[0]) and got_cyc[1] == want_cyc[1]
 
 
 def test_cyclic_update_matrix_guards():
