@@ -38,9 +38,12 @@ def permutation_at(seed: int, counter: int, n: int) -> tuple:
     """Order number `counter` (from 0) of the stream seeded `seed`: the
     counter-th of successive default_rng(seed).permutation(n) draws, as a
     tuple of Python ints. It draws every earlier order one call at a time,
-    in O(counter), and is the reference for _trial_orders."""
+    in O(counter), and is the reference for _trial_orders. A seed or counter
+    that is not an integer of at least 0 is a UsageError."""
+    seed = check_integer(seed, "seed", 0)
+    counter = check_integer(counter, "counter", 0)
     rng = _order_rng(seed, n)
-    for _ in range(int(counter)):
+    for _ in range(counter):
         rng.permutation(n)
     return tuple(rng.permutation(n).tolist())
 

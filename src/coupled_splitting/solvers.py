@@ -346,21 +346,33 @@ def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
     return r, R_eff, warnings
 
 
-def _block_prox(f: ProxFn, r: float, dim: int):
-    """v -> prox_eval(f, r, v) with the term's parameters laid out once:
-    None for the identity (a zero term), a soft threshold at lam / r, a clip
-    to the broadcast box; other kinds call prox_eval."""
-    if f.kind == "zero":
-        return None
+def _prox_step(f: ProxFn, r: float, dim: int):
+    """(v, out) -> None that writes prox_eval(f, r, v) into out, bit for bit,
+    with the term's parameters and temporaries laid out once; v is scratch,
+    which the step may overwrite. l1 and box terms take in-place ufuncs;
+    other kinds call prox_eval on a copy of v, which user code may keep."""
     if f.kind == "l1":
-        cut = f.params["lam"] / r
-        return lambda v: np.sign(v) * np.maximum(np.abs(v) - cut, 0.0)
+        # prox_eval's sign(v) * max(|v| - lam / r, 0); ufuncs take 0-d array
+        # operands faster than Python floats
+        cut, zero, t = np.array(f.params["lam"] / r), np.zeros(()), np.empty(dim)
+
+        def soft_threshold(v, out):
+            np.abs(v, out=t)
+            np.subtract(t, cut, out=t)
+            np.maximum(t, zero, out=t)
+            np.multiply(np.sign(v, out=v), t, out=out)
+
+        return soft_threshold
     if f.kind == "box":
         # the broadcast views prox_eval clips against: another memory layout
         # can take another clip loop, which may differ in the sign of a zero
         lo, hi = _box_bounds(f, dim)
-        return lambda v: np.clip(v, lo, hi)
-    return lambda v: prox_eval(f, r, v)
+        return lambda v, out: v.clip(lo, hi, out=out)
+
+    def call(v, out):
+        out[...] = prox_eval(f, r, v.copy())
+
+    return call
 
 
 def check_block_solvable(K: np.ndarray, i: int) -> None:
@@ -379,9 +391,10 @@ class _Workspace:
 
     Write z = (x, mu) and S = H + beta A'A. When block i is updated its value
     still equals its proximal anchor, so the new value is one affine map of
-    the current z, v = W_i z + c_i, followed by the prox of the block's term
-    for prox blocks (prox[i], None for direct blocks and zero terms). The
-    maps and the proxes are built here, the row observer on first use.
+    the current z, v = W_i z + c_i, followed for prox blocks by the prox of
+    the block's term with weight prox_weight[i] (None for direct blocks and
+    zero terms). The maps are built here; the block-by-block sweep steps
+    and the row observer on first use.
 
     bcd and bcpg need an instance without constraint rows; the two-block
     variants need two blocks and the two-block uniqueness condition.
@@ -421,7 +434,7 @@ class _Workspace:
         self.At = np.ascontiguousarray(inst.A.T)
         self.r, self.R_eff, self.warnings = _proximal_matrices(inst, cfg)
         S = inst.curvature(self.beta)
-        self.W, self.c, self.prox = zip(*(self._block_update(S, i) for i in range(n)))
+        self.W, self.c, self.prox_weight = zip(*(self._block_update(S, i) for i in range(n)))
         if two_block:
             # measured on the effective R_i, which user curvatures r can make indefinite
             cond = _uniqueness_condition(inst, self.R_eff, "two_block_full")
@@ -433,11 +446,12 @@ class _Workspace:
         # each block order's composed sweep; None when the blocks are swept
         # one at a time
         size = self.d + inst.blocks.m
-        composed = all(p is None for p in self.prox) and n_orders * 8 * size * (size + 1) <= SWEEP_MAP_BYTES
+        composed = all(r is None for r in self.prox_weight) and n_orders * 8 * size * (size + 1) <= SWEEP_MAP_BYTES
         self.maps = {} if composed else None
 
     def _block_update(self, S: np.ndarray, i: int) -> tuple:
-        """W_i, c_i and the prox of block i (None for a direct block)."""
+        """W_i, c_i and the weight of block i's prox (None for a direct
+        block)."""
         inst = self.inst
         sl = self.slices[i]
         d_i = inst.blocks.dims[i]
@@ -449,7 +463,7 @@ class _Workspace:
         if self.linearized:
             r = self.r[i]
             row[:, sl] -= r * np.eye(d_i)
-            return -row / r, -lin / r, _block_prox(inst.theta[i], r, d_i)
+            return -row / r, -lin / r, None if inst.theta[i].kind == "zero" else r
         row[:, sl] = -self.R_eff[i]
         G = inst.block_curvature(i, self.beta) + self.R_eff[i]
         f = inst.theta[i]
@@ -475,7 +489,7 @@ class _Workspace:
                 f"block {i} (kind {f.kind!r}): effective quadratic is not a scaled "
                 f"identity, so no closed-form subproblem exists; {self._structure_advice(i)}"
             )
-        return -row / ridge, -lin / ridge, _block_prox(f, ridge, d_i)
+        return -row / ridge, -lin / ridge, ridge
 
     def _structure_advice(self, i: int) -> str:
         """The remedy for block i's subproblem that applies to this instance:
@@ -489,6 +503,18 @@ class _Workspace:
 
     # -- sweeps --------------------------------------------------------
 
+    @functools.cached_property
+    def sweep_steps(self) -> tuple:
+        """advance's block-by-block sweep, laid out on first use: per block
+        (W_i, c_i, its slice, a buffer for v, its prox step or None), then
+        a buffer for the multiplier step and its rate gamma * beta."""
+        blocks = zip(self.W, self.c, self.slices, self.inst.blocks.dims, self.prox_weight, self.inst.theta)
+        steps = tuple(
+            (W, c, sl, np.empty(dim), None if r is None else _prox_step(f, r, dim))
+            for W, c, sl, dim, r, f in blocks
+        )
+        return steps, np.empty(self.inst.blocks.m), np.array(self.gamma * self.beta)
+
     def advance(self, z: np.ndarray, order) -> None:
         """One sweep of z = (x, mu) in place, in `order`, each block against
         the latest values, then the multiplier step: the composed map of the
@@ -499,14 +525,22 @@ class _Workspace:
             T, t = self.sweep_map(order)
             np.add(T.dot(z), t, out=z)
             return
-        d = self.d
-        W, c, prox, slices = self.W, self.c, self.prox, self.slices
-        x = z[:d]
+        steps, res, rate = self.sweep_steps
+        x = z[: self.d]
         for i in order:
-            v = W[i].dot(z) + c[i]
-            p = prox[i]
-            x[slices[i]] = v if p is None else p(v)
-        z[d:] -= self.gamma * self.beta * (self.inst.A.dot(x) - self.inst.b)
+            W, c, sl, v, prox = steps[i]
+            W.dot(z, out=v)
+            np.add(v, c, out=v)
+            if prox is None:
+                x[sl] = v
+            else:
+                prox(v, x[sl])
+        if res.size:
+            mu = z[self.d :]
+            self.inst.A.dot(x, out=res)
+            np.subtract(res, self.inst.b, out=res)
+            np.multiply(rate, res, out=res)
+            np.subtract(mu, res, out=mu)
 
     def sweep_map(self, order) -> tuple:
         """(T, t) with one all-direct sweep in `order` equal to z -> T z + t:
@@ -557,28 +591,36 @@ class _Workspace:
             base[sl, sl] = -R
         return base
 
-    def surrogate_parts(self, DX: np.ndarray, RES: np.ndarray, orders) -> np.ndarray:
+    def surrogate_matrix(self, order) -> np.ndarray:
+        """The surrogate matrix U of a block order: surrogate_base with the
+        blocks that come earlier in the order than the row block zeroed."""
+        U = self.surrogate_base.copy()
+        for p, i in enumerate(order):
+            for j in order[:p]:
+                U[self.slices[i], self.slices[j]] = 0.0
+        return U
+
+    def surrogate_parts(self, DX: np.ndarray, RES: np.ndarray, orders, U=None) -> np.ndarray:
         """Per-block norms of the exact optimality shift from each sweep, one
         row per sweep: a sweep in orders[j] that moved x by DX[j] leaves block
         i stationary up to -R_i dx_i + sum over later blocks of
         (H_ij + beta A_i'A_j) dx_j, plus a multiplier-stepsize correction in
         RES[j] = Ax - b when gamma differs from one.
 
-        Each row's product is one gemv with its order's U, as U.dot(dx): the
-        blocks of surrogate_base at or after the row block in the order. When
-        all rows share an order its U is built once, by zeroing blocks; else
+        Each row's product is one gemv with its order's U, as U.dot(dx). U,
+        when given, is the surrogate_matrix of the one order of every row.
+        Otherwise, when all rows share an order its U is built once; else
         each row's U is masked by the blocks' positions pe in its order, in
         chunks of rows whose matrices take at most SURROGATE_CHUNK_BYTES.
         """
-        distinct, at = _distinct(tuple, orders)
-        base = self.surrogate_base
-        if len(distinct) == 1:
-            U, order = base.copy(), distinct[0]
-            for p, i in enumerate(order):
-                for j in order[:p]:
-                    U[self.slices[i], self.slices[j]] = 0.0
+        if U is None:
+            distinct, at = _distinct(tuple, orders)
+            if len(distinct) == 1:
+                U = self.surrogate_matrix(distinct[0])
+        if U is not None:
             V = _gemv(U, DX)
         else:
+            base = self.surrogate_base
             # ndarray methods: np.argsort on a list takes a slow fallback
             pe = np.array(distinct).argsort(axis=1).repeat(self.inst.blocks.dims, axis=1)[at]
             V = np.empty_like(DX)
@@ -591,12 +633,13 @@ class _Workspace:
             V -= self.beta * (1.0 - self.gamma) * _gemv(self.At, RES)
         return np.sqrt(np.add.reduceat(V * V, self.offsets, axis=1))
 
-    def observe(self, Z: np.ndarray, RES: np.ndarray, X_prev: np.ndarray, orders=None, merit=None) -> tuple:
+    def observe(self, Z: np.ndarray, RES: np.ndarray, X_prev: np.ndarray, orders=None, merit=None, U=None) -> tuple:
         """Trace.extend's columns for the points z = (x, mu) in the rows of Z,
         with RES holding each row's Ax - b: row j came from x = X_prev[j] by
-        one sweep in orders[j]. Without orders the points came from no sweep
-        and have no surrogate. merit, a (weights, reference) pair, fills the
-        lyapunov column."""
+        one sweep in orders[j], whose surrogate matrix U may be given when
+        every row has the same order. Without orders the points came from no
+        sweep and have no surrogate. merit, a (weights, reference) pair,
+        fills the lyapunov column."""
         d = self.d
         X, MU = Z[:, :d], Z[:, d:]
         r_dual, objective = self.observer.rows(X, MU)
@@ -604,7 +647,7 @@ class _Workspace:
         if orders is None:
             surrogate, parts = math.nan, math.inf
         else:
-            parts = self.surrogate_parts(X - X_prev, RES, orders)
+            parts = self.surrogate_parts(X - X_prev, RES, orders, U)
             # r_feas squared by Python's float pow, which rounds otherwise than
             # r * r (array ** 2) on a few values; the per-row recording in
             # tests/oracles.py pins it
@@ -655,9 +698,8 @@ def run_solver(
     merit value against `reference` when one is given (two-block runs only).
     """
     ws = _Workspace(inst, cfg)
-    cyclic = tuple(range(inst.blocks.n))
     state = IterateState.start(inst, x0, mu0)
-    return _drive(ws, [state], [itertools.repeat(cyclic)], keep_iterates, reference=reference)[0]
+    return _drive(ws, [state], None, keep_iterates, reference=reference)[0]
 
 
 # the square of DIVERGENCE_LIMIT, rounded
@@ -683,7 +725,9 @@ def _past_limit(Z: np.ndarray):
 def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     """The run loop of every variant, for a stack of independent runs that
     share the workspace: run j starts at the IterateState starts[j] and
-    sweeps in the orders that the iterator streams[j] yields. Each run
+    sweeps in the orders that the iterator streams[j] yields, or in the
+    cyclic order when streams is None, whose surrogate matrix the call then
+    builds once. Each run
     observes its start point, then sweeps until its largest residual
     component falls to the tolerance, the divergence guard trips, or
     max_iter sweeps have run. Returns one Trace per run, each bit for bit
@@ -710,6 +754,10 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     """
     inst, d = ws.inst, ws.d
     A, rhs = inst.A, inst.b
+    U = None
+    if streams is None:
+        cyclic = tuple(range(ws.n))
+        streams, U = [itertools.repeat(cyclic)] * len(starts), ws.surrogate_matrix(cyclic)
     exact = ws.observer.exact
     tol = ws.cfg.tol
     merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
@@ -755,7 +803,7 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
                 if on.size:
                     X = Z[b, on, :d]
                     res = _gemv(A, X) - rhs
-                    parts = ws.surrogate_parts(X - Z[b - 1, on, :d], res, [orders[i][b - 1] for i in on])
+                    parts = ws.surrogate_parts(X - Z[b - 1, on, :d], res, [orders[i][b - 1] for i in on], U)
                     leave[on] = _largest(parts, np.sqrt(_dots(res, res))) <= tol
             if leave is None or not leave.any():
                 continue
@@ -773,7 +821,7 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
         X = np.concatenate([rows[1:] for _, rows, _, _ in block])
         X_prev = np.concatenate([rows[:-1, :d] for _, rows, _, _ in block])
         flat = [order for _, _, run, _ in block for order in run]
-        cols = ws.observe(X, _gemv(A, X[:, :d]) - rhs, X_prev, flat, merit)
+        cols = ws.observe(X, _gemv(A, X[:, :d]) - rhs, X_prev, flat, merit, U)
         hit = _largest(cols[0] if exact else cols[5], cols[1]) <= tol
         live, last, lo = [], [], 0
         for k, (j, rows, run, guard) in enumerate(block):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from coupled_splitting.prox import fn_value
+from coupled_splitting.prox import fn_value, prox_eval
 from coupled_splitting.spectral import _order_stacks
 
 # block orders per stacked solve: memory stays bounded at any n
@@ -158,16 +158,17 @@ def recorded_row(ws, x, x_prev, mu, order):
 
 def per_block_sweep(ws, z, order):
     """One sweep of z = (x, mu) in place, block by block: each block's map
-    W_i z + c_i against the latest values, then its prox for prox blocks, then
-    the multiplier step. solvers._Workspace.advance equals it bit for bit
+    W_i z + c_i against the latest values, then prox_eval of its term for
+    prox blocks, then the multiplier step, each a whole-vector expression
+    into a fresh array. solvers._Workspace.advance equals it bit for bit
     when it sweeps block by block, and to rounding when it applies an order's
     composed map."""
     d = ws.d
     x = z[:d]
     for i in order:
         v = ws.W[i].dot(z) + ws.c[i]
-        p = ws.prox[i]
-        x[ws.slices[i]] = v if p is None else p(v)
+        r = ws.prox_weight[i]
+        x[ws.slices[i]] = v if r is None else prox_eval(ws.inst.theta[i], r, v)
     z[d:] -= ws.gamma * ws.beta * (ws.inst.A.dot(x) - ws.inst.b)
 
 

@@ -53,6 +53,16 @@ def test_permutation_at_is_deterministic():
         assert sorted(a) == list(range(n))
 
 
+def test_permutation_at_rejects_a_non_integer_seed_or_counter():
+    """A float seed or counter, integral or not, and a negative one are
+    UsageErrors rather than truncated; integer calls, numpy integers among
+    them, stay pinned."""
+    for seed, counter in ((0, 2.5), (1.7, 0), (0, 2.0), (1.0, 0), (-1, 0), (0, -1)):
+        with pytest.raises(cs.UsageError):
+            permutation_at(seed, counter, 3)
+    assert permutation_at(np.int64(0), np.uint8(2), 5) == permutation_at(0, 2, 5) == (0, 2, 3, 4, 1)
+
+
 def test_permutation_streams_differ_by_seed_and_counter():
     draws = {permutation_at(s, c, 6) for s in range(6) for c in range(6)}
     assert len(draws) > 10  # distinct keys give varied orders

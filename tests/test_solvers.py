@@ -1012,7 +1012,9 @@ def test_observer_near_box_faces():
 
 
 def test_block_prox_matches_prox_eval_bitwise():
-    """The per-run l1 and box proxes equal prox_eval bit for bit."""
+    """The prox steps of the block-by-block sweep, l1 and box with their
+    temporaries laid out once, write prox_eval's bits into their output,
+    call after call, and leave them there for the next block."""
     rng = np.random.default_rng(44)
     terms = [
         cs.ProxFn.l1(0.0),
@@ -1025,12 +1027,17 @@ def test_block_prox_matches_prox_eval_bitwise():
     for f in terms:
         dim = f.params["lo"].size if f.kind == "box" and f.params["lo"].size > 1 else 5
         for r in (1e-3, 0.7, 1.0, 3.3, 1e4):
-            prox = solvers._block_prox(f, r, dim)
-            for _ in range(20):
+            prox = solvers._prox_step(f, r, dim)
+            outs = [np.empty(dim) for _ in range(20)]
+            wants = []
+            for out in outs:
                 v = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
                 v[rng.random(dim) < 0.2] = 0.0
                 v[rng.random(dim) < 0.1] = -0.0
-                assert prox(v).tobytes() == prox_eval(f, r, v).tobytes(), (f.kind, r, v)
+                wants.append(prox_eval(f, r, v))
+                prox(v.copy(), out)
+                assert out.tobytes() == wants[-1].tobytes(), (f.kind, r, v)
+            assert all(out.tobytes() == want.tobytes() for out, want in zip(outs, wants))
 
 
 def test_rows_need_no_per_block_oracle(monkeypatch):
