@@ -20,7 +20,20 @@ import numpy as np
 from ._averaging import averaged_update
 from .errors import UsageError
 from .model import ProblemInstance
-from .solvers import IterateState, SolverConfig, _drive, _past_limit, _Workspace, _write_artifact, check_integer, check_stopping
+from ._observe import _dots
+from .solvers import (
+    SWEEP_BLOCK,
+    IterateState,
+    SolverConfig,
+    _affine_rows,
+    _drive,
+    _guard_rows,
+    _start_vector,
+    _Workspace,
+    _write_artifact,
+    check_integer,
+    check_stopping,
+)
 
 
 # Orders a trial draws in one call to Generator.permuted
@@ -155,51 +168,41 @@ def run_expected_iteration(
     """Follow the exact expected trajectory until successive expected iterates
     differ by at most tol, or k_max steps have run. A row that is NaN or
     above DIVERGENCE_LIMIT in absolute value ends the trajectory there, with
-    status diverged. z0 must be finite."""
+    status diverged. z0 must be finite, with d + m entries.
+
+    The rows are stepped SWEEP_BLOCK at a time by solvers._affine_rows into
+    an array grown by doubling, and each block's steps and guard are checked
+    after it, so up to SWEEP_BLOCK - 1 rows past the stop are computed and
+    dropped. Every step runs under np.errstate with overflow and invalid
+    operations ignored: neither a kept guard row nor a dropped row warns."""
     check_stopping(tol, k_max)
     d, m = inst.blocks.d, inst.blocks.m
-    z = np.zeros(d + m) if z0 is None else np.array(z0, dtype=float).reshape(d + m)
+    z = _start_vector(z0, d + m, "z0")
     if not np.all(np.isfinite(z)):
         raise UsageError("z0 must be finite")
     M, c = expected_update_operator(inst, beta)
-    # rows in an array grown by doubling; the limit is checked on the rows
-    # stored since the last check, each time the array fills and at the end,
-    # so a step between checks may overflow: the guard reports it
     Z = np.empty((256, d + m))
     Z[0] = z
-    k, checked, status = 0, 1, "max_iter"
+    k, status = 0, "max_iter"
     with np.errstate(over="ignore", invalid="ignore"):
         while k < k_max:
-            z_new = M @ z + c
-            k += 1
-            if k == len(Z):
-                bad = _first_past_limit(Z, checked, k)
-                if bad is not None:
-                    k, status = bad, "diverged"
-                    break
-                checked = k
-                Z = np.resize(Z, (2 * k, d + m))
-            Z[k] = z_new
-            dz = z_new - z
-            # np.linalg.norm's formula for a 1-D float vector; NaN or inf
-            # when the step is not finite
-            step = math.sqrt(dz.dot(dz))
-            if step <= tol:
-                status = "converged"
+            nb = min(SWEEP_BLOCK, k_max - k)
+            if k + nb >= len(Z):
+                Z = np.resize(Z, (2 * len(Z), d + m))
+            rows = Z[k : k + nb + 1]
+            _affine_rows(M, c, rows)
+            # each step's np.linalg.norm, sqrt(dz.dot(dz)), one ddot per row
+            dz = rows[1:] - rows[:-1]
+            settled = np.flatnonzero(np.sqrt(_dots(dz, dz)) <= tol)
+            past = int(_guard_rows(rows[1:, None])[0])
+            # a row past the limit ends the run as diverged, also when its
+            # step is within tol
+            if past < nb and not (settled.size and settled[0] < past):
+                k, status = k + past + 1, "diverged"
                 break
-            if not step < math.inf:
-                status = "diverged"
+            if settled.size:
+                k, status = k + int(settled[0]) + 1, "converged"
                 break
-            z = z_new
-    bad = _first_past_limit(Z, checked, k + 1)
-    if bad is not None:
-        k, status = bad, "diverged"
+            k += nb
     Z = Z[: k + 1]
     return ExpectationTrace(mode="exact", ks=list(range(k + 1)), Ex=Z[:, :d], Emu=Z[:, d:], status=status)
-
-
-def _first_past_limit(Z: np.ndarray, lo: int, hi: int):
-    """The first row of Z[lo:hi] that the divergence guard (_past_limit)
-    trips on, or None."""
-    bad = _past_limit(Z[lo:hi])
-    return None if bad is None or not bad.any() else lo + int(bad.argmax())

@@ -148,11 +148,22 @@ class IterateState:
 
     @classmethod
     def start(cls, inst: ProblemInstance, x0=None, mu0=None) -> "IterateState":
-        d, m = inst.blocks.d, inst.blocks.m
-        x = np.zeros(d) if x0 is None else np.array(x0, dtype=float).reshape(d)
-        mu = np.zeros(m) if mu0 is None else np.array(mu0, dtype=float).reshape(m)
+        x = _start_vector(x0, inst.blocks.d, "x0")
+        mu = _start_vector(mu0, inst.blocks.m, "mu0")
         # the back-difference term is zero before any step has been taken
         return cls(x=x, x_prev=x.copy(), mu=mu, k=0)
+
+
+def _start_vector(value, size: int, name: str) -> np.ndarray:
+    """A start point as a new float vector of `size` entries, zeros when
+    value is None; one with another number of entries is a StructuralError
+    naming the argument."""
+    if value is None:
+        return np.zeros(size)
+    v = np.array(value, dtype=float)
+    if v.size != size:
+        raise StructuralError(f"{name} has {v.size} entries, expected {size}")
+    return v.reshape(size)
 
 
 class Trace:
@@ -726,105 +737,92 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     """The run loop of every variant, for a stack of independent runs that
     share the workspace: run j starts at the IterateState starts[j] and
     sweeps in the orders that the iterator streams[j] yields, or in the
-    cyclic order when streams is None, whose surrogate matrix the call then
-    builds once. Each run
+    cyclic order when streams is None, whose surrogate matrix (and, when the
+    workspace composes, sweep map) the call then builds once. Each run
     observes its start point, then sweeps until its largest residual
     component falls to the tolerance, the divergence guard trips, or
     max_iter sweeps have run. Returns one Trace per run, each bit for bit
     the trace of that run driven alone.
 
-    The runs sweep in lockstep, up to SWEEP_BLOCK sweeps at a time. When the
-    workspace composes, one sweep of every run in the stack is one stacked
-    product with the maps of the runs' orders (block_maps looks each
-    distinct order up once per block); otherwise each run sweeps block by
-    block (advance). The divergence guard is checked after every sweep, on
-    the whole stack at once (_past_limit), and a run whose row trips it
-    leaves the stack at that row, so no run sweeps past a diverging row. A
-    run with an opaque term, whose sweeps and objective call user code,
-    stops on the surrogate bound, which calls none: it takes that test after
-    every sweep and leaves the stack at its stop, so no user code runs past
-    any run's stop. The user code of different runs is called interleaved.
+    The runs sweep in lockstep, a block of sweeps at a time (_sweep_block).
+    The first block is SWEEP_BLOCK sweeps and each later one is sized from
+    the runs' own rows (_block_length), never from timing, so no row
+    depends on it.
 
-    Each block's rows of all runs, those of the runs that left in it
-    included, are observed in one call, with stacked products whose rows
-    equal the one-row products bit for bit (Ax - b among them). A run keeps
-    its rows up to the first that converged and leaves the stack there; the
-    sweeps past it were speculative and are dropped, with the orders they
-    drew from the run's own stream.
+    A run whose sweeps call no user code sweeps its whole block with no test
+    inside it, then checks the divergence guard once on all the block's rows
+    and keeps its rows up to its first row past the limit. Those sweeps and
+    that check run with overflow and invalid operations ignored
+    (np.errstate), so neither a kept guard row nor the dropped rows past it
+    warn while swept; kept rows warn as usual when observed. A run with an
+    opaque term, whose sweeps and objective call user code, checks the guard
+    after every sweep and stops on the surrogate bound, which calls none
+    (_sweep_to_stops), so no user code runs past any run's stop.
+
+    Each block's kept rows of all runs are observed in one call, with
+    stacked products whose rows equal the one-row products bit for bit
+    (Ax - b among them). A run keeps its rows up to the first that converged
+    or tripped the guard and leaves the stack there; the sweeps past it were
+    speculative and are dropped, with the orders they drew from the run's
+    own stream.
     """
     inst, d = ws.inst, ws.d
     A, rhs = inst.A, inst.b
-    U = None
+    U = affine = None
     if streams is None:
         cyclic = tuple(range(ws.n))
         streams, U = [itertools.repeat(cyclic)] * len(starts), ws.surrogate_matrix(cyclic)
+        if ws.maps is not None:
+            affine = ws.sweep_map(cyclic)
     exact = ws.observer.exact
     tol = ws.cfg.tol
     merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
     traces = [Trace(ws.n, exact_residuals=exact, d=d if keep_iterates else None) for _ in starts]
     last = np.array([np.concatenate([state.x, state.mu]) for state in starts])
     cols = ws.observe(last, _gemv(A, last[:, :d]) - rhs, last[:, :d], merit=merit)
+    # the stop statistic, each row's largest residual component; a start
+    # point has no surrogate bound to stop on
+    stat = _largest(cols[0], cols[1]) if exact else np.full(len(starts), math.nan)
     live = []
     for j, trace in enumerate(traces):
         trace.warnings.extend(ws.warnings)
         trace.extend(*_rows(cols, slice(j, j + 1)), path=last[j : j + 1])
-        if exact and trace.max_residual(0) <= tol:
+        if stat[j] <= tol:
             trace.status = "converged"
             _end(trace, last[j], d)
         else:
             live.append(j)
-    last = last[live]
+    last, r_last = last[live], stat[live].tolist()
     size = last.shape[1]
     left = int(ws.cfg.max_iter)
+    nb = SWEEP_BLOCK
     while live:
-        nb = min(SWEEP_BLOCK, left)
+        nb = min(nb, left)
         left -= nb
         orders = [list(itertools.islice(streams[j], nb)) for j in live]
-        maps = None if ws.maps is None else ws.block_maps(orders)
         # row 0 holds each run's last point observed, rows 1.. its sweeps since
         Z = np.empty((nb + 1, len(live), size))
         Z[0] = last
-        # the runs that leave the stack within the block, as (run, its rows
-        # 0..b, its orders, whether row b tripped the guard)
-        gone = []
-        for b in range(1, nb + 1):
-            if maps is not None:
-                T, t, at = maps
-                np.matmul(T if at is None else T[at[b - 1]], Z[b - 1, :, :, None], out=Z[b, :, :, None])
-                Z[b] += t[b - 1]
-            else:
-                Z[b] = Z[b - 1]
-                for z, run in zip(Z[b], orders):
-                    ws.advance(z, run[b - 1])
-            diverged = leave = _past_limit(Z[b])
-            if not exact:
-                leave = np.zeros(len(live), dtype=bool) if diverged is None else diverged.copy()
-                on = np.flatnonzero(~leave)
-                if on.size:
-                    X = Z[b, on, :d]
-                    res = _gemv(A, X) - rhs
-                    parts = ws.surrogate_parts(X - Z[b - 1, on, :d], res, [orders[i][b - 1] for i in on], U)
-                    leave[on] = _largest(parts, np.sqrt(_dots(res, res))) <= tol
-            if leave is None or not leave.any():
-                continue
-            for i in np.flatnonzero(leave):
-                guard = diverged is not None and bool(diverged[i])
-                gone.append((live[i], Z[: b + 1, i].copy(), orders[i][:b], guard))
-            keep = np.flatnonzero(~leave)
-            live, orders, Z = [live[i] for i in keep], [orders[i] for i in keep], Z[:, keep]
-            if not live:
-                break
-            if maps is not None:
-                maps = ws.block_maps(orders)
-        block = gone + [(j, Z[:, i], run, False) for i, (j, run) in enumerate(zip(live, orders))]
+        if exact:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _sweep_block(ws, Z, orders, affine)
+                ends = _guard_rows(Z[1:]) + 1
+            guards = ends <= nb
+            ends = np.minimum(ends, nb).tolist()
+        else:
+            ends, guards = _sweep_to_stops(ws, Z, orders, U)
+        # the runs' kept rows, as (run, its rows 0..end, its orders, whether
+        # its last row tripped the guard)
+        block = [(j, Z[: e + 1, i], orders[i][:e], g) for i, (j, e, g) in enumerate(zip(live, ends, guards))]
         # one observation of the block's rows, run by run
         X = np.concatenate([rows[1:] for _, rows, _, _ in block])
         X_prev = np.concatenate([rows[:-1, :d] for _, rows, _, _ in block])
         flat = [order for _, _, run, _ in block for order in run]
         cols = ws.observe(X, _gemv(A, X[:, :d]) - rhs, X_prev, flat, merit, U)
-        hit = _largest(cols[0] if exact else cols[5], cols[1]) <= tol
-        live, last, lo = [], [], 0
-        for k, (j, rows, run, guard) in enumerate(block):
+        stat = _largest(cols[0] if exact else cols[5], cols[1])
+        hit = stat <= tol
+        live, last, decays, lo = [], [], [], 0
+        for (j, rows, run, guard), r_prev in zip(block, r_last):
             trace, sel = traces[j], slice(lo, lo + len(run))
             lo += len(run)
             row = len(trace)
@@ -838,12 +836,101 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
                 end = rows[int(done[0]) + 1]
             elif guard:
                 trace.status = "diverged"
-            elif k >= len(gone) and left:
+            elif len(run) == nb and left:
                 live.append(j)
                 last.append(end)
+                decays.append((r_prev, float(stat[lo - 1])))
                 continue
             _end(trace, end, d)
+        r_last = [r for _, r in decays]
+        if exact and decays:
+            # a stack takes the longest block any live run needs
+            nb = max(_block_length(r_prev, r, nb, tol) for r_prev, r in decays)
     return traces
+
+
+def _sweep_block(ws, Z: np.ndarray, orders, affine) -> None:
+    """Rows 1.. of Z[:, i] from row 0 by the sweeps of run i in orders[i]:
+    row by row by the cyclic sweep map `affine` when given (_affine_rows);
+    by one stacked product per sweep over the stack when the workspace
+    composes, with the maps block_maps looks up once per distinct order;
+    else block by block (advance), one run's block at a time."""
+    if affine is not None:
+        for i in range(Z.shape[1]):
+            _affine_rows(*affine, Z[:, i])
+    elif ws.maps is not None:
+        T, t, at = ws.block_maps(orders)
+        for b in range(1, len(Z)):
+            np.matmul(T if at is None else T[at[b - 1]], Z[b - 1, :, :, None], out=Z[b, :, :, None])
+            Z[b] += t[b - 1]
+    else:
+        for i, run in enumerate(orders):
+            rows = Z[:, i]
+            for prev, z, order in zip(rows[:-1], rows[1:], run):
+                z[...] = prev
+                ws.advance(z, order)
+
+
+def _affine_rows(T: np.ndarray, t: np.ndarray, rows: np.ndarray) -> None:
+    """rows[k] = T rows[k - 1] + t for k = 1, 2, ..., each as one gemv into
+    the row and one add: the row kernel of every fixed affine map, a cyclic
+    run's composed sweep and the expected iteration. Each row equals
+    np.add(T.dot(z), t) and T @ z + c bit for bit."""
+    for prev, row in zip(rows[:-1], rows[1:]):
+        T.dot(prev, out=row)
+        np.add(row, t, out=row)
+
+
+def _guard_rows(Z: np.ndarray) -> np.ndarray:
+    """For each run j of a block of rows Z[:, j], the index of its first row
+    past the divergence guard (_past_limit), or len(Z) when none is."""
+    past = _past_limit(Z.reshape(-1, Z.shape[-1]))
+    if past is None:
+        return np.full(Z.shape[1], len(Z))
+    past = past.reshape(Z.shape[:2])
+    return np.where(past.any(axis=0), past.argmax(axis=0), len(Z))
+
+
+def _sweep_to_stops(ws, Z: np.ndarray, orders, U) -> tuple:
+    """Sweep each run of a block, one run's block at a time (so the user
+    code of different runs is not interleaved), until its row trips the
+    guard or its surrogate bound falls to the tolerance, testing after every
+    sweep; returns each run's last row swept and whether it tripped the
+    guard. Rows past a run's stop are left unset."""
+    A, rhs, d, tol = ws.inst.A, ws.inst.b, ws.d, ws.cfg.tol
+    ends, guards = [], []
+    for i, run in enumerate(orders):
+        rows = Z[:, i]
+        end, guard = len(run), False
+        for b, order in enumerate(run, 1):
+            rows[b] = rows[b - 1]
+            ws.advance(rows[b], order)
+            past = _past_limit(rows[b : b + 1])
+            if past is not None and past[0]:
+                end, guard = b, True
+                break
+            X = rows[b : b + 1, :d]
+            res = _gemv(A, X) - rhs
+            parts = ws.surrogate_parts(X - rows[b - 1 : b, :d], res, [order], U)
+            if _largest(parts, np.sqrt(_dots(res, res)))[0] <= tol:
+                end = b
+                break
+        ends.append(end)
+        guards.append(guard)
+    return ends, guards
+
+
+def _block_length(r_prev: float, r_last: float, swept: int, tol: float) -> int:
+    """Sweeps the next block of a run takes, from its stop statistic r_last
+    at its last row and r_prev `swept` sweeps earlier: enough for the decay
+    per sweep seen over those sweeps to reach tol, with a quarter and two
+    sweeps to spare, and at most SWEEP_BLOCK; SWEEP_BLOCK when the statistic
+    did not fall or tol is zero."""
+    ratio = r_last / r_prev
+    if not (0.0 < ratio < 1.0 and tol > 0.0):
+        return SWEEP_BLOCK
+    need = swept * (math.log(tol) - math.log(r_last)) / math.log(ratio)
+    return min(SWEEP_BLOCK, math.ceil(1.25 * need) + 2)
 
 
 def _rows(cols, sel) -> list:

@@ -101,8 +101,8 @@ def _chyy3():
 def test_trials_that_trip_the_guard_mid_block_leave_the_stack():
     """From a start near the divergence limit, some trials trip the guard a
     few sweeps in, at different rows inside the first block, while the others
-    sweep on and converge in later blocks. Each equals the trial alone, no
-    trial sweeps past its guard row, and nothing overflows."""
+    sweep on and converge in later blocks. Each equals the trial alone,
+    keeps no row past its guard row, and nothing warns."""
     inst = _chyy3()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, tol=1e-9, max_iter=3000, seed=3)
     with warnings.catch_warnings():

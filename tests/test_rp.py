@@ -14,8 +14,9 @@ import coupled_splitting as cs
 from coupled_splitting import rp, solvers
 from coupled_splitting.rp import permutation_at
 from coupled_splitting.solvers import _Workspace
-from gen import past_guard_instance, random_psd
+from gen import past_guard_instance, random_psd, spectral_instance
 from oracles import expected_iteration_rows, uncached_U
+from test_acceptance import EXPECT_RUN_TOL, EXPECT_SEGMENT, SPECTRAL_SEED
 
 
 def _arr(*vals):
@@ -337,6 +338,15 @@ def test_rp_run_nan_start_trips_divergence_guard():
         assert len(t) == 2
 
 
+def test_rp_run_rejects_a_start_of_the_wrong_length():
+    inst = three_by_three_instance()
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", tol=1e-9, max_iter=300)
+    with pytest.raises(cs.StructuralError, match="x0 has 2 entries, expected 3"):
+        cs.run_rp_solver(inst, cfg, x0=[1.0, 2.0], trials=2)
+    with pytest.raises(cs.StructuralError, match="mu0 has 4 entries, expected 3"):
+        cs.run_rp_solver(inst, cfg, mu0=[0.0] * 4, trials=2)
+
+
 def test_rp_run_rejects_negative_seed():
     """A negative or missing seed is a usage error, not a TypeError."""
     for seed in (-1, None):
@@ -440,21 +450,49 @@ def test_expected_iteration_handles_non_unique_solutions():
     assert np.linalg.norm(inst.A.T @ z[2:]) <= 1e-10
 
 
+def _criterion_7_instance(index):
+    """Instance `index` of the acceptance suite's spectral batch (criteria
+    5-7) and its penalty."""
+    rng = np.random.default_rng(SPECTRAL_SEED)
+    for _ in range(index + 1):
+        inst = spectral_instance(rng)
+    return inst, (0.1, 1.0, 10.0)[index % 3]
+
+
 def test_expected_iteration_rows_equal_the_per_step_loop():
     """Rows and status equal, bit for bit, the loop that keeps a copy of
-    each row and stops on np.linalg.norm: at a converged stop and at max_iter
-    stops on both sides of the row array's doublings."""
-    for inst, k_max, tol in (
-        (three_by_three_instance(), 100_000, 1e-12),
-        (coupled_three_block(), 100_000, 1e-13),
-        (coupled_three_block(), 256, 0.0),
-        (three_by_three_instance(), 600, 0.0),
+    each row and stops on np.linalg.norm: at a converged stop, at max_iter
+    stops on both sides of the row array's doublings and of the first
+    64-step block, from a start at a fixed point (which stops at row 1),
+    and on criterion 7's instance 142, whose stop is decided by a step
+    within a factor 1.6 of tol."""
+    fixed = _inconsistent_pair(0.0)
+    inst_142, beta_142 = _criterion_7_instance(142)
+    for inst, beta, k_max, tol in (
+        (three_by_three_instance(), 1.5, 100_000, 1e-12),
+        (coupled_three_block(), 1.5, 100_000, 1e-13),
+        (coupled_three_block(), 1.5, 256, 0.0),
+        (three_by_three_instance(), 1.5, 600, 0.0),
+        *((coupled_three_block(), 1.5, k_max, 0.0) for k_max in (1, 63, 64, 65)),
+        (fixed, 1.5, 100_000, 0.0),
+        (inst_142, beta_142, EXPECT_SEGMENT, EXPECT_RUN_TOL),
     ):
-        et = cs.run_expected_iteration(inst, 1.5, k_max=k_max, tol=tol)
-        M, c = cs.expected_update_operator(inst, 1.5)
+        et = cs.run_expected_iteration(inst, beta, k_max=k_max, tol=tol)
+        M, c = cs.expected_update_operator(inst, beta)
         Z, status = expected_iteration_rows(M, c, np.zeros(len(c)), k_max, tol)
         assert et.status == status and et.ks == list(range(len(Z)))
         assert np.array_equal(np.hstack([et.Ex, et.Emu]), Z)
+        if inst is fixed:
+            assert status == "converged" and len(Z) == 2
+        elif k_max < 100:
+            assert status == "max_iter" and len(Z) == k_max + 1
+
+
+def test_expected_iteration_rejects_a_start_of_the_wrong_length():
+    inst = _inconsistent_pair(1.0)
+    for z0 in ([0.0, 0.0, 0.0], [0.0] * 5):
+        with pytest.raises(cs.StructuralError, match=f"z0 has {len(z0)} entries, expected 4"):
+            cs.run_expected_iteration(inst, 1.0, z0=z0)
 
 
 def _inconsistent_pair(b2):

@@ -232,6 +232,24 @@ def test_run_terminates_at_start_when_already_solved():
     assert tr.max_residual(0) == 0.0
 
 
+def test_run_rejects_a_start_of_the_wrong_length():
+    """x0 and mu0 with too few or too many entries raise StructuralError
+    naming the argument and its length; another shape of the same size is
+    taken, as reshape takes it."""
+    inst = scalar_pair_instance()
+    cfg = cs.SolverConfig(variant="admm2", beta=1.0, tol=1e-10)
+    for x0, mu0, match in (
+        ([1.0], None, "x0 has 1 entries, expected 2"),
+        ([1.0, 1.0, 1.0], None, "x0 has 3 entries, expected 2"),
+        (None, [1.0, 1.0], "mu0 has 2 entries, expected 1"),
+        (None, [], "mu0 has 0 entries, expected 1"),
+    ):
+        with pytest.raises(cs.StructuralError, match=match):
+            cs.run_solver(inst, cfg, x0=x0, mu0=mu0)
+    tr = cs.run_solver(inst, cfg, x0=[[1.0], [1.0]], mu0=1.0)
+    assert tr.status == "converged" and list(tr.ks) == [0]
+
+
 def test_run_coupled_lasso_against_grid_oracle():
     """Both blocks l1: the solver's answer must beat a desk-scale grid on the
     augmented objective and pass the subgradient check."""

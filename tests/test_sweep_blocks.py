@@ -215,3 +215,94 @@ def test_surrogate_squares_r_feas_as_the_per_row_recording():
     for j in rows:
         got = _row(r_dual[j], r_feas[j], surrogate[j], objective[j], parts[j])
         assert np.array_equal(got, _row(*recorded_row(ws, X[j], X_prev[j], MU[j], (0, 1)))), j
+
+
+def _counted_sweeps(monkeypatch) -> list:
+    """Count every block-by-block sweep (_Workspace.advance call) in calls[0]."""
+    calls = [0]
+    advance = solvers._Workspace.advance
+
+    def counted(self, z, order):
+        calls[0] += 1
+        advance(self, z, order)
+
+    monkeypatch.setattr(solvers._Workspace, "advance", counted)
+    return calls
+
+
+def _fixed_block_waste(traces) -> int:
+    """The sweeps past each converged run's stop that blocks of a fixed
+    SWEEP_BLOCK sweeps would make: the rest of the block holding the stop."""
+    assert {t.status for t in traces} == {"converged"}
+    return sum(-(len(t) - 1) % solvers.SWEEP_BLOCK for t in traces)
+
+
+def test_blocks_sized_from_the_decay_make_fewer_speculative_sweeps(monkeypatch):
+    """Blocks after the first are sized from the run's observed decay, so a
+    converging prox run, and a lockstep stack of prox trials (which takes
+    its longest need), make fewer sweeps past their stops than fixed blocks
+    of SWEEP_BLOCK sweeps would."""
+    calls = _counted_sweeps(monkeypatch)
+    rng = np.random.default_rng(53)
+    inst = mixed_instance(rng, (2, 3, 2), 2, ("l1", "zero", "box"))
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, R=scaled_identity_R(inst, 1.0), tol=1e-9, max_iter=5000)
+    trace = cs.run_solver(inst, cfg)
+    assert len(trace) - 1 > solvers.SWEEP_BLOCK
+    assert 0 <= calls[0] - (len(trace) - 1) < _fixed_block_waste([trace])
+    lasso = mixed_instance(rng, (2, 3, 1), 2, ("l1", "zero", "l1"))
+    calls[0] = 0
+    traces, _ = cs.run_rp_solver(lasso, dataclasses.replace(cfg, R=scaled_identity_R(lasso, 1.0), seed=5), trials=5)
+    assert min(len(t) for t in traces) - 1 > solvers.SWEEP_BLOCK
+    assert 0 <= calls[0] - sum(len(t) - 1 for t in traces) < _fixed_block_waste(traces)
+
+
+def _fast_diverging(theta):
+    """The fast-divergence pair with the given terms: curvatures a millionth
+    of the blocks' make it grow about a millionfold per sweep."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1), m=1),
+        H=np.eye(2), g=np.ones(2), A=np.array([[1.0, 1.0]]), b=np.array([2.0]), theta=theta,
+    )
+    return inst, cs.SolverConfig(variant="admm2_linearized", r=[1e-6, 1e-6], tol=1e-9, max_iter=1000)
+
+
+def test_guard_checked_once_per_block_keeps_the_guard_row(monkeypatch):
+    """A block-by-block run whose rows past its guard row overflow to inf
+    and NaN within the same block warns about none of them: it keeps its
+    guard row, reads diverged, and equals the run observed after every
+    sweep. A run with an opaque term, diverging the same way, checks the
+    guard after every sweep and calls its prox for no sweep past its guard
+    row, and its iterates equal the l1 run's."""
+    inst, cfg = _fast_diverging((cs.ProxFn.l1(0.1), cs.ProxFn.zero()))
+    ws = solvers._Workspace(inst, cfg)
+    assert ws.maps is None
+    z = np.zeros(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(solvers.SWEEP_BLOCK - 1):
+            ws.advance(z, (0, 1))
+    assert not np.all(np.isfinite(z))
+    runs = []
+    for size in (64, 1):
+        monkeypatch.setattr(solvers, "SWEEP_BLOCK", size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs.append(cs.run_solver(inst, cfg, keep_iterates=True))
+    blocked, per_sweep = runs
+    _assert_same_run(blocked, per_sweep)
+    peaks = np.abs(blocked.path).max(axis=1)
+    assert blocked.status == "diverged" and len(blocked) < 10
+    assert np.all(peaks[:-1] <= solvers.DIVERGENCE_LIMIT) and solvers.DIVERGENCE_LIMIT < peaks[-1] < np.inf
+    monkeypatch.undo()
+
+    calls = [0]
+
+    def prox(r, v):
+        calls[0] += 1
+        return np.sign(v) * np.maximum(np.abs(v) - 0.1 / r, 0.0)
+
+    inst, cfg = _fast_diverging((cs.ProxFn.opaque(prox), cs.ProxFn.zero()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = cs.run_solver(inst, cfg, keep_iterates=True)
+    assert trace.status == "diverged" and calls[0] == len(trace) - 1
+    assert np.array_equal(trace.path, blocked.path)
