@@ -28,9 +28,15 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+
+try:  # the ufunc ndarray.clip calls with both bounds, without its wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 from ._linalg import block_diag, max_abs, singular_sym
 from .errors import (
@@ -357,33 +363,26 @@ def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
     return r, R_eff, warnings
 
 
-def _prox_step(f: ProxFn, r: float, dim: int):
-    """(v, out) -> None that writes prox_eval(f, r, v) into out, bit for bit,
-    with the term's parameters and temporaries laid out once; v is scratch,
-    which the step may overwrite. l1 and box terms take in-place ufuncs;
-    other kinds call prox_eval on a copy of v, which user code may keep."""
+def _prox_calls(f: ProxFn, r: float, v: np.ndarray, out: np.ndarray) -> tuple:
+    """Calls, bound to v, out and temporaries laid out once, that write
+    prox_eval(f, r, v) into out bit for bit; v is scratch, which they may
+    overwrite. l1 and box terms take in-place ufuncs; other kinds call
+    prox_eval on a copy of v, which user code may keep."""
     if f.kind == "l1":
-        # prox_eval's sign(v) * max(|v| - lam / r, 0); ufuncs take 0-d array
-        # operands faster than Python floats
-        cut, zero, t = np.array(f.params["lam"] / r), np.zeros(()), np.empty(dim)
-
-        def soft_threshold(v, out):
-            np.abs(v, out=t)
-            np.subtract(t, cut, out=t)
-            np.maximum(t, zero, out=t)
-            np.multiply(np.sign(v, out=v), t, out=out)
-
-        return soft_threshold
+        # prox_eval's sign(v) * max(|v| - lam / r, 0); 0-d arrays and positional
+        # outs are faster than floats and out=, which np.maximum still needs
+        cut, zero, t = np.array(f.params["lam"] / r), np.zeros(()), np.empty(len(v))
+        return (partial(np.abs, v, t), partial(np.subtract, t, cut, t), partial(np.maximum, t, zero, out=t),
+                partial(np.sign, v, v), partial(np.multiply, v, t, out))
     if f.kind == "box":
         # the broadcast views prox_eval clips against: another memory layout
         # can take another clip loop, which may differ in the sign of a zero
-        lo, hi = _box_bounds(f, dim)
-        return lambda v, out: v.clip(lo, hi, out=out)
+        return (partial(_clip, v, *_box_bounds(f, len(v)), out),)
+    return (partial(_prox_into, f, r, v, out),)
 
-    def call(v, out):
-        out[...] = prox_eval(f, r, v.copy())
 
-    return call
+def _prox_into(f: ProxFn, r: float, v: np.ndarray, out: np.ndarray) -> None:
+    out[...] = prox_eval(f, r, v.copy())
 
 
 def check_block_solvable(K: np.ndarray, i: int) -> None:
@@ -404,8 +403,8 @@ class _Workspace:
     still equals its proximal anchor, so the new value is one affine map of
     the current z, v = W_i z + c_i, followed for prox blocks by the prox of
     the block's term with weight prox_weight[i] (None for direct blocks and
-    zero terms). The maps are built here; the block-by-block sweep steps
-    and the row observer on first use.
+    zero terms). The maps are built here; the row observer and the
+    block-by-block sweep, calls bound to one iterate buffer, on first use.
 
     bcd and bcpg need an instance without constraint rows; the two-block
     variants need two blocks and the two-block uniqueness condition.
@@ -516,42 +515,49 @@ class _Workspace:
 
     @functools.cached_property
     def sweep_steps(self) -> tuple:
-        """advance's block-by-block sweep, laid out on first use: per block
-        (W_i, c_i, its slice, a buffer for v, its prox step or None), then
-        a buffer for the multiplier step and its rate gamma * beta."""
-        blocks = zip(self.W, self.c, self.slices, self.inst.blocks.dims, self.prox_weight, self.inst.theta)
-        steps = tuple(
-            (W, c, sl, np.empty(dim), None if r is None else _prox_step(f, r, dim))
-            for W, c, sl, dim, r, f in blocks
-        )
-        return steps, np.empty(self.inst.blocks.m), np.array(self.gamma * self.beta)
+        """(z, each block's calls, the multiplier step's calls): the sweep as
+        calls bound to one iterate buffer z = (x, mu), its block views x_i,
+        temporaries and 0-d constants; block i's write W_i z + c_i into v_i,
+        then v_i or its prox into x_i."""
+        d, m = self.d, self.inst.blocks.m
+        z, blocks = np.empty(d + m), []
+        x, mu = z[:d], z[d:]
+        for W, c, sl, r, f in zip(self.W, self.c, self.slices, self.prox_weight, self.inst.theta):
+            x_i, v = x[sl], np.empty(sl.stop - sl.start)
+            # ndarray.dot rather than @: on vectors this short the matmul
+            # ufunc's per-call overhead outweighs the arithmetic
+            update = (partial(W.dot, z, v), partial(np.add, v, c, v))
+            blocks.append(update + ((partial(np.copyto, x_i, v),) if r is None else _prox_calls(f, r, v, x_i)))
+        res, rate = np.empty(m), np.array(self.gamma * self.beta)
+        multiplier = (partial(self.inst.A.dot, x, res), partial(np.subtract, res, self.inst.b, res),
+                      partial(np.multiply, rate, res, res), partial(np.subtract, mu, res, mu))
+        return z, blocks, multiplier if m else ()
+
+    def sweep_calls(self, order) -> list:
+        """The calls of one block-by-block sweep in `order`, as one list."""
+        _, blocks, multiplier = self.sweep_steps
+        return [*itertools.chain(*map(blocks.__getitem__, order)), *multiplier]
+
+    def sweep_rows(self, rows, orders, calls=None) -> None:
+        """rows[k] from rows[k - 1] by one block-by-block sweep in orders[k - 1]
+        for k = 1, 2, ...: rows[0] is loaded into the buffer once, and each
+        sweep runs its calls (`calls`, one order's sweep_calls, when given)
+        and is stored into its row. rows[0] may be the last row too."""
+        z = self.sweep_steps[0]
+        np.copyto(z, rows[0])
+        for row, order in zip(rows[1:], orders):
+            for f in calls or self.sweep_calls(order):
+                f()
+            np.copyto(row, z)
 
     def advance(self, z: np.ndarray, order) -> None:
         """One sweep of z = (x, mu) in place, in `order`, each block against
         the latest values, then the multiplier step: the composed map of the
-        order when the run composes, else block by block."""
-        # ndarray.dot rather than @: on vectors this short the matmul
-        # ufunc's per-call overhead outweighs the arithmetic
-        if self.maps is not None:
-            T, t = self.sweep_map(order)
-            np.add(T.dot(z), t, out=z)
-            return
-        steps, res, rate = self.sweep_steps
-        x = z[: self.d]
-        for i in order:
-            W, c, sl, v, prox = steps[i]
-            W.dot(z, out=v)
-            np.add(v, c, out=v)
-            if prox is None:
-                x[sl] = v
-            else:
-                prox(v, x[sl])
-        if res.size:
-            mu = z[self.d :]
-            self.inst.A.dot(x, out=res)
-            np.subtract(res, self.inst.b, out=res)
-            np.multiply(rate, res, out=res)
-            np.subtract(mu, res, out=mu)
+        order when the run composes, else block by block (sweep_rows)."""
+        if self.maps is None:
+            return self.sweep_rows((z, z), (order,))
+        T, t = self.sweep_map(order)
+        np.add(T.dot(z), t, out=z)
 
     def sweep_map(self, order) -> tuple:
         """(T, t) with one all-direct sweep in `order` equal to z -> T z + t:
@@ -768,12 +774,11 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     """
     inst, d = ws.inst, ws.d
     A, rhs = inst.A, inst.b
-    U = affine = None
+    U = sweep = None
     if streams is None:
         cyclic = tuple(range(ws.n))
         streams, U = [itertools.repeat(cyclic)] * len(starts), ws.surrogate_matrix(cyclic)
-        if ws.maps is not None:
-            affine = ws.sweep_map(cyclic)
+        sweep = ws.sweep_calls(cyclic) if ws.maps is None else ws.sweep_map(cyclic)
     exact = ws.observer.exact
     tol = ws.cfg.tol
     merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
@@ -805,12 +810,12 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
         Z[0] = last
         if exact:
             with np.errstate(over="ignore", invalid="ignore"):
-                _sweep_block(ws, Z, orders, affine)
+                _sweep_block(ws, Z, orders, sweep)
                 ends = _guard_rows(Z[1:]) + 1
             guards = ends <= nb
             ends = np.minimum(ends, nb).tolist()
         else:
-            ends, guards = _sweep_to_stops(ws, Z, orders, U)
+            ends, guards = _sweep_to_stops(ws, Z, orders, U, sweep)
         # the runs' kept rows, as (run, its rows 0..end, its orders, whether
         # its last row tripped the guard)
         block = [(j, Z[: e + 1, i], orders[i][:e], g) for i, (j, e, g) in enumerate(zip(live, ends, guards))]
@@ -849,26 +854,22 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     return traces
 
 
-def _sweep_block(ws, Z: np.ndarray, orders, affine) -> None:
+def _sweep_block(ws, Z: np.ndarray, orders, sweep) -> None:
     """Rows 1.. of Z[:, i] from row 0 by the sweeps of run i in orders[i]:
-    row by row by the cyclic sweep map `affine` when given (_affine_rows);
-    by one stacked product per sweep over the stack when the workspace
-    composes, with the maps block_maps looks up once per distinct order;
-    else block by block (advance), one run's block at a time."""
-    if affine is not None:
+    block by block (sweep_rows), one run at a time, when the workspace does
+    not compose; else row by row by the cyclic map (_affine_rows) or by one
+    stacked product per sweep. `sweep`: the cyclic order's calls, map or None."""
+    if ws.maps is None:
+        for i, run in enumerate(orders):
+            ws.sweep_rows(Z[:, i], run, sweep)
+    elif sweep is not None:
         for i in range(Z.shape[1]):
-            _affine_rows(*affine, Z[:, i])
-    elif ws.maps is not None:
+            _affine_rows(*sweep, Z[:, i])
+    else:
         T, t, at = ws.block_maps(orders)
         for b in range(1, len(Z)):
             np.matmul(T if at is None else T[at[b - 1]], Z[b - 1, :, :, None], out=Z[b, :, :, None])
             Z[b] += t[b - 1]
-    else:
-        for i, run in enumerate(orders):
-            rows = Z[:, i]
-            for prev, z, order in zip(rows[:-1], rows[1:], run):
-                z[...] = prev
-                ws.advance(z, order)
 
 
 def _affine_rows(T: np.ndarray, t: np.ndarray, rows: np.ndarray) -> None:
@@ -891,20 +892,19 @@ def _guard_rows(Z: np.ndarray) -> np.ndarray:
     return np.where(past.any(axis=0), past.argmax(axis=0), len(Z))
 
 
-def _sweep_to_stops(ws, Z: np.ndarray, orders, U) -> tuple:
-    """Sweep each run of a block, one run's block at a time (so the user
-    code of different runs is not interleaved), until its row trips the
-    guard or its surrogate bound falls to the tolerance, testing after every
-    sweep; returns each run's last row swept and whether it tripped the
-    guard. Rows past a run's stop are left unset."""
+def _sweep_to_stops(ws, Z: np.ndarray, orders, U, calls) -> tuple:
+    """Sweep each run of a block by sweep_rows, one run's block at a time
+    (so the user code of different runs is not interleaved), until its row
+    trips the guard or its surrogate bound falls to the tolerance, testing
+    after every sweep; returns each run's last row swept and whether it
+    tripped the guard. Rows past a run's stop are left unset."""
     A, rhs, d, tol = ws.inst.A, ws.inst.b, ws.d, ws.cfg.tol
     ends, guards = [], []
     for i, run in enumerate(orders):
         rows = Z[:, i]
         end, guard = len(run), False
         for b, order in enumerate(run, 1):
-            rows[b] = rows[b - 1]
-            ws.advance(rows[b], order)
+            ws.sweep_rows(rows[b - 1 : b + 1], (order,), calls)
             past = _past_limit(rows[b : b + 1])
             if past is not None and past[0]:
                 end, guard = b, True

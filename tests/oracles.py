@@ -160,9 +160,11 @@ def per_block_sweep(ws, z, order):
     """One sweep of z = (x, mu) in place, block by block: each block's map
     W_i z + c_i against the latest values, then prox_eval of its term for
     prox blocks, then the multiplier step, each a whole-vector expression
-    into a fresh array. solvers._Workspace.advance equals it bit for bit
-    when it sweeps block by block, and to rounding when it applies an order's
-    composed map."""
+    into a fresh array. The engine's block-by-block sweep, a list of numpy
+    calls bound to the workspace's own iterate buffer and preallocated
+    temporaries (solvers._Workspace.sweep_steps, run by advance and
+    sweep_rows), equals it bit for bit; advance equals it to rounding when
+    it applies an order's composed map."""
     d = ws.d
     x = z[:d]
     for i in order:

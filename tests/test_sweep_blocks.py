@@ -218,15 +218,16 @@ def test_surrogate_squares_r_feas_as_the_per_row_recording():
 
 
 def _counted_sweeps(monkeypatch) -> list:
-    """Count every block-by-block sweep (_Workspace.advance call) in calls[0]."""
+    """Count every block-by-block sweep in calls[0]: each _Workspace.sweep_rows
+    call makes one per row after its first."""
     calls = [0]
-    advance = solvers._Workspace.advance
+    sweep_rows = solvers._Workspace.sweep_rows
 
-    def counted(self, z, order):
-        calls[0] += 1
-        advance(self, z, order)
+    def counted(self, rows, *args):
+        calls[0] += len(rows) - 1
+        sweep_rows(self, rows, *args)
 
-    monkeypatch.setattr(solvers._Workspace, "advance", counted)
+    monkeypatch.setattr(solvers._Workspace, "sweep_rows", counted)
     return calls
 
 

@@ -1,8 +1,9 @@
-"""Block-by-block sweeps through the per-block steps that a workspace lays
-out on first use: every sweep equals the whole-vector loop of
-tests/oracles.py byte for byte, the sign of every zero included; user code
-keeps the inputs it was given; and the paths that never sweep block by
-block never lay the steps out."""
+"""Block-by-block sweeps as the list of bound numpy calls that a workspace
+lays out on first use, on one iterate buffer it keeps: every sweep equals
+the whole-vector loop of tests/oracles.py byte for byte, the sign of every
+zero included, whatever iterates and workspaces take turns on the buffers;
+user code keeps the inputs it was given; and the paths that never sweep
+block by block never lay the calls out."""
 
 import dataclasses
 import math
@@ -104,6 +105,41 @@ def _assert_rows_are_whole_vector_sweeps(ws, trace, orders):
     for k, (x, mu) in enumerate(trace.iterates[1:]):
         per_block_sweep(ws, z, orders[k])
         assert np.concatenate([x, mu]).tobytes() == z.tobytes(), k
+
+
+def test_the_shared_buffer_carries_nothing_between_iterates():
+    """One workspace that advances two iterates in turn, and two workspaces
+    of one instance that advance theirs interleaved, leave the whole-vector
+    loop's bytes after every sweep."""
+    rng, cases = _prox_cases()
+    for inst, cfg in cases:
+        n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
+        shared = solvers._Workspace(inst, cfg)
+        pair = (solvers._Workspace(inst, cfg), solvers._Workspace(inst, cfg))
+        ws = shared, shared, *pair
+        got = [np.concatenate([5.0 * rng.standard_normal(d), rng.standard_normal(m)]) for _ in ws]
+        want = [z.copy() for z in got]
+        for k in range(60):
+            order = tuple(int(v) for v in rng.permutation(n))
+            for j, w in enumerate(ws):
+                w.advance(got[j], order)
+                per_block_sweep(w, want[j], order)
+                assert got[j].tobytes() == want[j].tobytes(), (cfg.variant, k, j)
+
+
+def test_cyclic_runs_equal_the_whole_vector_loop_bytewise():
+    """Every row of a cyclic run, swept block by block with its order's
+    calls laid out once, is the whole-vector loop's, byte for byte, up to
+    its stop: 150 sweeps, or an earlier converged row (the run with an
+    opaque term stops on its surrogate bound)."""
+    rng, cases = _prox_cases()
+    for inst, cfg in cases:
+        n = inst.blocks.n
+        run_cfg = dataclasses.replace(cfg, tol=0.0, max_iter=150)
+        trace = cs.run_solver(inst, run_cfg, x0=3.0 * rng.standard_normal(inst.blocks.d), keep_iterates=True)
+        assert len(trace) == 151 or trace.status == "converged" and len(trace) > 100, cfg.variant
+        ws = solvers._Workspace(inst, run_cfg)
+        _assert_rows_are_whole_vector_sweeps(ws, trace, [tuple(range(n))] * (len(trace) - 1))
 
 
 def test_lockstep_trials_equal_the_whole_vector_loop_bytewise():
