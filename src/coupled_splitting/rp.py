@@ -62,12 +62,13 @@ def permutation_at(seed: int, counter: int, n: int) -> tuple:
 
 
 def _trial_orders(seed: int, n: int):
-    """permutation_at(seed, k, n) for k = 0, 1, ..., drawn ORDER_BLOCK at a
-    time: each row of Generator.permuted on a stack of aranges is the next
-    rng.permutation(n), so the orders do not depend on the block size."""
+    """permutation_at(seed, k, n) for k = 0, 1, ..., as the rows of the
+    (ORDER_BLOCK, n) int arrays Generator.permuted draws on a stack of
+    aranges: each row is the next rng.permutation(n), so the orders do not
+    depend on the block size."""
     rng = _order_rng(seed, n)
     base = np.broadcast_to(np.arange(n), (ORDER_BLOCK, n))
-    return itertools.chain.from_iterable(map(tuple, rng.permuted(base, axis=1).tolist()) for _ in itertools.count())
+    return (rng.permuted(base, axis=1) for _ in itertools.count())
 
 
 def run_rp_solver(

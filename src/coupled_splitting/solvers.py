@@ -295,11 +295,12 @@ class Trace:
         return "".join(f"{lead}{k},{','.join(map(repr, row)).replace('nan', '')}\n" for k, row in enumerate(rows))
 
 
-def _distinct(build, orders) -> tuple:
-    """build(order) for each distinct order, in the order of first
-    appearance, and for each order the index of its result."""
-    index = {o: i for i, o in enumerate(dict.fromkeys(orders))}
-    return [build(o) for o in index], list(map(index.__getitem__, orders))
+def _ranks(orders: np.ndarray) -> np.ndarray:
+    """The rank of each order along the last axis of an int array, its index
+    in itertools.permutations(range(n)): its Lehmer code (how many later
+    entries are smaller, position by position) read in factorial base."""
+    later = np.triu(orders[..., :, None] > orders[..., None, :], 1).sum(axis=-1)
+    return later @ [math.factorial(k) for k in reversed(range(orders.shape[-1]))]
 
 
 def _largest(dual: np.ndarray, feas: np.ndarray) -> np.ndarray:
@@ -419,7 +420,8 @@ class _Workspace:
     run can draw (1 for a cyclic run, n! for a randomly permuted one) fit in
     SWEEP_MAP_BYTES, a rule of the instance, the variant and the kind of run
     alone; otherwise, and with any prox block, the blocks are swept one at a
-    time.
+    time. A randomly permuted run that composes keeps every order's map in
+    one table, sweep_table; nothing else keeps a composed map.
     """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, min_norm: bool = False, n_orders: int = 1):
@@ -453,11 +455,9 @@ class _Workspace:
                     f"two-block uniqueness condition fails (min eigenvalue {cond.min_eigenvalue:.3e}); "
                     "see check_uniqueness_condition"
                 )
-        # each block order's composed sweep; None when the blocks are swept
-        # one at a time
+        # whether sweeps are composed maps rather than swept block by block
         size = self.d + inst.blocks.m
-        composed = all(r is None for r in self.prox_weight) and n_orders * 8 * size * (size + 1) <= SWEEP_MAP_BYTES
-        self.maps = {} if composed else None
+        self.composed = all(r is None for r in self.prox_weight) and n_orders * 8 * size * (size + 1) <= SWEEP_MAP_BYTES
 
     def _block_update(self, S: np.ndarray, i: int) -> tuple:
         """W_i, c_i and the weight of block i's prox (None for a direct
@@ -554,7 +554,7 @@ class _Workspace:
         """One sweep of z = (x, mu) in place, in `order`, each block against
         the latest values, then the multiplier step: the composed map of the
         order when the run composes, else block by block (sweep_rows)."""
-        if self.maps is None:
+        if not self.composed:
             return self.sweep_rows((z, z), (order,))
         T, t = self.sweep_map(order)
         np.add(T.dot(z), t, out=z)
@@ -562,37 +562,41 @@ class _Workspace:
     def sweep_map(self, order) -> tuple:
         """(T, t) with one all-direct sweep in `order` equal to z -> T z + t:
         each block's rows become W_i times the map so far, plus c_i, and the
-        multiplier rows take the step. Kept per order when the run composes,
-        whose rule keeps every order it can draw within SWEEP_MAP_BYTES."""
-        Tt = None if self.maps is None else self.maps.get(order)
-        if Tt is None:
-            d, A = self.d, self.inst.A
-            T, t = np.eye(d + A.shape[0]), np.zeros(d + A.shape[0])
-            for i in order:
-                sl = self.slices[i]
-                T[sl] = self.W[i] @ T
-                t[sl] = self.W[i] @ t + self.c[i]
-            step = self.gamma * self.beta
-            T[d:] -= step * (A @ T[:d])
-            t[d:] -= step * (A @ t[:d] - self.inst.b)
-            Tt = (T, t)
-            if self.maps is not None:
-                self.maps[order] = Tt
-        return Tt
+        multiplier rows take the step. The order's row of sweep_table once
+        that is built, else composed for this order alone and not kept."""
+        if "sweep_table" in self.__dict__:
+            rank = _ranks(np.array(order))
+            return self.sweep_table[0][rank], self.sweep_table[1][rank]
+        d, A = self.d, self.inst.A
+        T, t = np.eye(d + A.shape[0]), np.zeros(d + A.shape[0])
+        for i in order:
+            sl = self.slices[i]
+            T[sl] = self.W[i] @ T
+            t[sl] = self.W[i] @ t + self.c[i]
+        step = self.gamma * self.beta
+        T[d:] -= step * (A @ T[:d])
+        t[d:] -= step * (A @ t[:d] - self.inst.b)
+        return T, t
 
-    def block_maps(self, orders) -> tuple:
-        """(T, t, at) for a block of composed sweeps of a stack of runs, run
-        j sweeping in the orders listed in orders[j]: sweep k + 1 of run j
-        applies the sweep_map (T[at[k, j]], t[k, j]). The map of each
-        distinct order is looked up once; a block swept in one order has at
-        None, T its map and t its shift broadcast."""
-        nb, runs = len(orders[0]), len(orders)
-        maps, at = _distinct(self.sweep_map, [run[k] for k in range(nb) for run in orders])
-        if len(maps) == 1:
-            T, t = maps[0]
-            return T, np.broadcast_to(t, (nb, 1, len(t))), None
-        at = np.reshape(at, (nb, runs))
-        return np.stack([T for T, _ in maps]), np.stack([t for _, t in maps])[at], at
+    @functools.cached_property
+    def sweep_table(self) -> tuple:
+        """(T, t) of shape (n!, d+m, d+m) and (n!, d+m): row r is the
+        sweep_map of the order of rank r (_ranks), bit for bit. All orders
+        are composed at once, position by position: at each position, block
+        i's rows of the orders that put i there take one stacked product
+        with W_i; then the multiplier rows of all orders take one."""
+        orders = np.array(list(itertools.permutations(range(self.n))))
+        d, A = self.d, self.inst.A
+        T = np.tile(np.eye(d + A.shape[0]), (len(orders), 1, 1))
+        t = np.zeros(T.shape[:2])
+        for column in orders.T:  # the block each order sweeps at one position
+            for W, c, sl, here in zip(self.W, self.c, self.slices, column == np.arange(self.n)[:, None]):
+                T[here, sl] = np.matmul(W, T[here])
+                t[here, sl] = _gemv(W, t[here]) + c
+        step = self.gamma * self.beta
+        T[:, d:] -= step * np.matmul(A, T[:, :d])
+        t[:, d:] -= step * (_gemv(A, t[:, :d]) - self.inst.b)
+        return T, t
 
     # -- rows ------------------------------------------------------------
 
@@ -626,20 +630,16 @@ class _Workspace:
 
         Each row's product is one gemv with its order's U, as U.dot(dx). U,
         when given, is the surrogate_matrix of the one order of every row.
-        Otherwise, when all rows share an order its U is built once; else
-        each row's U is masked by the blocks' positions pe in its order, in
-        chunks of rows whose matrices take at most SURROGATE_CHUNK_BYTES.
+        Otherwise each row's U is masked by the blocks' positions pe in its
+        order (an int array or list, one order a row), in chunks of rows
+        whose matrices take at most SURROGATE_CHUNK_BYTES.
         """
-        if U is None:
-            distinct, at = _distinct(tuple, orders)
-            if len(distinct) == 1:
-                U = self.surrogate_matrix(distinct[0])
         if U is not None:
             V = _gemv(U, DX)
         else:
             base = self.surrogate_base
             # ndarray methods: np.argsort on a list takes a slow fallback
-            pe = np.array(distinct).argsort(axis=1).repeat(self.inst.blocks.dims, axis=1)[at]
+            pe = np.asarray(orders).argsort(axis=1).repeat(self.inst.blocks.dims, axis=1)
             V = np.empty_like(DX)
             step = max(1, SURROGATE_CHUNK_BYTES // base.nbytes)
             for lo in range(0, len(pe), step):
@@ -742,13 +742,13 @@ def _past_limit(Z: np.ndarray):
 def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     """The run loop of every variant, for a stack of independent runs that
     share the workspace: run j starts at the IterateState starts[j] and
-    sweeps in the orders that the iterator streams[j] yields, or in the
-    cyclic order when streams is None, whose surrogate matrix (and, when the
-    workspace composes, sweep map) the call then builds once. Each run
-    observes its start point, then sweeps until its largest residual
-    component falls to the tolerance, the divergence guard trips, or
-    max_iter sweeps have run. Returns one Trace per run, each bit for bit
-    the trace of that run driven alone.
+    sweeps in the orders that the iterator streams[j] yields, as int arrays
+    of any number of rows, one order a row, or in the cyclic order when
+    streams is None, whose surrogate matrix (and, when the workspace
+    composes, sweep map) the call then builds once. Each run observes its
+    start point, then sweeps until its largest residual component falls to
+    the tolerance, the divergence guard trips, or max_iter sweeps have run.
+    Returns one Trace per run, each bit for bit the trace of that run alone.
 
     The runs sweep in lockstep, a block of sweeps at a time (_sweep_block).
     The first block is SWEEP_BLOCK sweeps and each later one is sized from
@@ -777,8 +777,8 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     U = sweep = None
     if streams is None:
         cyclic = tuple(range(ws.n))
-        streams, U = [itertools.repeat(cyclic)] * len(starts), ws.surrogate_matrix(cyclic)
-        sweep = ws.sweep_calls(cyclic) if ws.maps is None else ws.sweep_map(cyclic)
+        streams, U = [itertools.repeat(np.tile(cyclic, (SWEEP_BLOCK, 1)))] * len(starts), ws.surrogate_matrix(cyclic)
+        sweep = ws.sweep_map(cyclic) if ws.composed else ws.sweep_calls(cyclic)
     exact = ws.observer.exact
     tol = ws.cfg.tol
     merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
@@ -798,13 +798,17 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
         else:
             live.append(j)
     last, r_last = last[live], stat[live].tolist()
+    rest = [np.empty((0, ws.n), int)] * len(starts)  # orders drawn, not yet swept
     size = last.shape[1]
     left = int(ws.cfg.max_iter)
     nb = SWEEP_BLOCK
     while live:
         nb = min(nb, left)
         left -= nb
-        orders = [list(itertools.islice(streams[j], nb)) for j in live]
+        for j in live:
+            while len(rest[j]) < nb:
+                rest[j] = np.concatenate([rest[j], next(streams[j])])
+        orders, rest = [rest[j][:nb] for j in live], [r[nb:] for r in rest]
         # row 0 holds each run's last point observed, rows 1.. its sweeps since
         Z = np.empty((nb + 1, len(live), size))
         Z[0] = last
@@ -822,7 +826,7 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
         # one observation of the block's rows, run by run
         X = np.concatenate([rows[1:] for _, rows, _, _ in block])
         X_prev = np.concatenate([rows[:-1, :d] for _, rows, _, _ in block])
-        flat = [order for _, _, run, _ in block for order in run]
+        flat = np.concatenate([run for _, _, run, _ in block])
         cols = ws.observe(X, _gemv(A, X[:, :d]) - rhs, X_prev, flat, merit, U)
         stat = _largest(cols[0] if exact else cols[5], cols[1])
         hit = stat <= tol
@@ -855,20 +859,24 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
 
 
 def _sweep_block(ws, Z: np.ndarray, orders, sweep) -> None:
-    """Rows 1.. of Z[:, i] from row 0 by the sweeps of run i in orders[i]:
-    block by block (sweep_rows), one run at a time, when the workspace does
-    not compose; else row by row by the cyclic map (_affine_rows) or by one
-    stacked product per sweep. `sweep`: the cyclic order's calls, map or None."""
-    if ws.maps is None:
+    """Rows 1.. of Z[:, i] from row 0 by the sweeps of run i in the (nb, n)
+    int array orders[i]: block by block (sweep_rows, on its rows as lists),
+    one run at a time, when the workspace does not compose; else row by row
+    by the cyclic map (_affine_rows) or by one stacked product per sweep of
+    the maps gathered from sweep_table by rank. `sweep`: the cyclic order's
+    calls, map or None."""
+    if not ws.composed:
         for i, run in enumerate(orders):
-            ws.sweep_rows(Z[:, i], run, sweep)
+            ws.sweep_rows(Z[:, i], run.tolist(), sweep)
     elif sweep is not None:
         for i in range(Z.shape[1]):
             _affine_rows(*sweep, Z[:, i])
     else:
-        T, t, at = ws.block_maps(orders)
+        T, t = ws.sweep_table
+        at = _ranks(np.stack(orders, axis=1))
+        t = t[at]
         for b in range(1, len(Z)):
-            np.matmul(T if at is None else T[at[b - 1]], Z[b - 1, :, :, None], out=Z[b, :, :, None])
+            np.matmul(T[at[b - 1]], Z[b - 1, :, :, None], out=Z[b, :, :, None])
             Z[b] += t[b - 1]
 
 
@@ -903,7 +911,7 @@ def _sweep_to_stops(ws, Z: np.ndarray, orders, U, calls) -> tuple:
     for i, run in enumerate(orders):
         rows = Z[:, i]
         end, guard = len(run), False
-        for b, order in enumerate(run, 1):
+        for b, order in enumerate(run.tolist(), 1):
             ws.sweep_rows(rows[b - 1 : b + 1], (order,), calls)
             past = _past_limit(rows[b : b + 1])
             if past is not None and past[0]:
@@ -911,7 +919,8 @@ def _sweep_to_stops(ws, Z: np.ndarray, orders, U, calls) -> tuple:
                 break
             X = rows[b : b + 1, :d]
             res = _gemv(A, X) - rhs
-            parts = ws.surrogate_parts(X - rows[b - 1 : b, :d], res, [order], U)
+            U_b = ws.surrogate_matrix(order) if U is None else U  # for one row, cheaper than masking
+            parts = ws.surrogate_parts(X - rows[b - 1 : b, :d], res, [order], U_b)
             if _largest(parts, np.sqrt(_dots(res, res)))[0] <= tol:
                 end = b
                 break

@@ -13,6 +13,7 @@ import pytest
 import coupled_splitting as cs
 from coupled_splitting import solvers
 from coupled_splitting._linalg import max_abs
+from coupled_splitting.rp import permutation_at
 
 from gen import mixed_instance, scaled_identity_R
 
@@ -42,7 +43,7 @@ def _assert_trials_run_alone(inst, cfg, trials, x0=None):
 
 def _composes(inst, cfg):
     ws = solvers._Workspace(inst, cfg, n_orders=math.factorial(inst.blocks.n))
-    return ws.maps is not None
+    return ws.composed
 
 
 def test_trials_in_lockstep_equal_each_trial_alone():
@@ -116,6 +117,26 @@ def test_trials_that_trip_the_guard_mid_block_leave_the_stack():
     for t in diverged:
         peaks = np.abs(t.path).max(axis=1)
         assert np.all(peaks[:-1] <= LIMIT) and not peaks[-1] <= LIMIT
+
+
+def test_composed_trials_sweep_each_row_by_its_own_orders_map():
+    """Each row of a composed stack of trials is the row before it under the
+    map of the order the trial drew there (permutation_at), composed alone
+    on a cyclic workspace, z -> T z + t, bit for bit: a row of the table
+    gathered at another order's rank fails it."""
+    rng = np.random.default_rng(73)
+    inst = mixed_instance(rng, (1, 2, 1, 1), 2, ("zero", "quadratic", "zero", "zero"))
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.2, R=scaled_identity_R(inst, 1.2), tol=0.0, max_iter=150,
+                          seed=9)
+    assert _composes(inst, cfg)
+    traces, _ = cs.run_rp_solver(inst, cfg, x0=rng.standard_normal(5), trials=3, keep_iterates=True)
+    alone = solvers._Workspace(inst, cfg)
+    for t, trace in enumerate(traces):
+        path = trace.path
+        assert len(path) == 151
+        for k in range(150):
+            T, c = alone.sweep_map(permutation_at(9 ^ t, k, 4))
+            assert np.array_equal(path[k + 1], np.add(T.dot(path[k]), c)), (t, k)
 
 
 def _parent_guard(Z):

@@ -77,8 +77,10 @@ def _draws(seed, n, count):
 
 
 def _stream(seed, n, count):
-    """The first count orders of a trial seeded with seed."""
-    return list(itertools.islice(rp._trial_orders(seed, n), count))
+    """The first count orders of a trial seeded with seed, as tuples of
+    Python ints: the rows of the first blocks _trial_orders draws."""
+    blocks = itertools.islice(rp._trial_orders(seed, n), -(-count // rp.ORDER_BLOCK))
+    return list(map(tuple, np.concatenate(list(blocks))[:count].tolist()))
 
 
 def test_permutation_stream_is_pinned():

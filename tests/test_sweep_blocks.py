@@ -276,7 +276,7 @@ def test_guard_checked_once_per_block_keeps_the_guard_row(monkeypatch):
     row, and its iterates equal the l1 run's."""
     inst, cfg = _fast_diverging((cs.ProxFn.l1(0.1), cs.ProxFn.zero()))
     ws = solvers._Workspace(inst, cfg)
-    assert ws.maps is None
+    assert not ws.composed
     z = np.zeros(3)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(solvers.SWEEP_BLOCK - 1):

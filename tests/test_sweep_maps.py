@@ -1,16 +1,21 @@
 """Composed sweeps: when every block is direct (swept without a prox), one
 sweep in a block order is one affine map z -> T z + t, which the engine
-composes per order under a byte budget. Composed sweeps agree with the
-block-by-block loop of tests/oracles.py to rounding; the rule that picks them
-depends on the instance, the variant and the kind of run only; a map composed
-on a workspace past the budget, which keeps none, has the bits of a kept one;
-and every run the rule does not compose equals the block-by-block loop bit for
-bit."""
+composes under a byte budget, a randomly permuted run all n! orders at once
+into one table. Composed sweeps agree with the block-by-block loop of
+tests/oracles.py to rounding; the rule that picks them depends on the
+instance, the variant and the kind of run only; each table row is its order's
+map composed alone, bit for bit, at the order's lexicographic rank; a map
+composed on a workspace past the budget, which keeps none, has the bits of a
+kept one; and every run the rule does not compose equals the block-by-block
+loop bit for bit."""
 
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
 import coupled_splitting as cs
 from coupled_splitting import solvers
@@ -50,12 +55,13 @@ def _direct_cases():
 def test_composed_sweeps_match_the_per_block_loop():
     """Every order's composed sweep against the block-by-block loop, one
     sweep at a time along the loop's own trajectory, for the cyclic and for
-    random orders."""
+    random orders; each composed alone, then kept in the workspace's table
+    with every other order's map."""
     rng, cases = _direct_cases()
     for inst, cfg, min_norm in cases:
         n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
         ws = solvers._Workspace(inst, cfg, min_norm=min_norm, n_orders=math.factorial(n))
-        assert ws.maps == {}
+        assert ws.composed and "sweep_table" not in ws.__dict__
         orders = [tuple(range(n))] + [tuple(int(v) for v in rng.permutation(n)) for _ in range(20)]
         z = np.concatenate([3.0 * rng.standard_normal(d), rng.standard_normal(m)])
         for order in orders:
@@ -65,7 +71,13 @@ def test_composed_sweeps_match_the_per_block_loop():
             scale = 1.0 + np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= COMPOSED_TOL * scale, (cfg.variant, order)
             z = want
-        assert set(ws.maps) == set(orders)
+        assert "sweep_table" not in ws.__dict__
+        T, t = ws.sweep_table
+        assert len(T) == len(t) == math.factorial(n)
+        alone = solvers._Workspace(inst, cfg, min_norm=min_norm)
+        for order in orders:
+            for got, want in zip(ws.sweep_map(order), alone.sweep_map(order)):
+                assert np.array_equal(got, want), (cfg.variant, order)
 
 
 def test_step_and_runs_compose_the_same_maps():
@@ -84,9 +96,10 @@ def test_step_and_runs_compose_the_same_maps():
 
 def test_maps_past_the_budget_give_the_cached_bits():
     """A workspace whose n_orders maps do not fit the budget keeps none
-    (maps is None), yet sweep_map still composes any order, to the bits of
-    a workspace that keeps its maps: for a 7-block randomly permuted run
-    against a cyclic one, and for a minimum-norm workspace."""
+    (it does not compose), yet sweep_map still composes any order, to the
+    bits of the table of every order's map that a composing workspace
+    keeps: for a 7-block randomly permuted run against a cyclic one, and
+    for a minimum-norm workspace."""
     rng, cases = _direct_cases()
     seven = mixed_instance(rng, (2,) * 7, 4, ("zero", "quadratic") * 3 + ("zero",))
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.3, gamma=0.7, R=scaled_identity_R(seven, 1.3))
@@ -96,12 +109,14 @@ def test_maps_past_the_budget_give_the_cached_bits():
         n = inst.blocks.n
         unkept = solvers._Workspace(inst, run_cfg, min_norm=min_norm, n_orders=n_orders)
         kept = solvers._Workspace(inst, run_cfg, min_norm=min_norm)
-        assert unkept.maps is None and kept.maps == {}
+        assert not unkept.composed and kept.composed
+        T, t = kept.sweep_table
+        ranks = {order: r for r, order in enumerate(itertools.permutations(range(n)))}
         orders = [tuple(range(n))] + [tuple(int(v) for v in rng.permutation(n)) for _ in range(10)]
         for order in orders:
-            for got, want in zip(unkept.sweep_map(order), kept.sweep_map(order)):
+            for got, want in zip(unkept.sweep_map(order), (T[ranks[order]], t[ranks[order]])):
                 assert np.array_equal(got, want), order
-        assert unkept.maps is None and set(kept.maps) == set(orders)
+        assert "sweep_table" not in unkept.__dict__
 
 
 def test_composition_rule_is_per_instance_variant_and_kind_of_run():
@@ -119,9 +134,9 @@ def test_composition_rule_is_per_instance_variant_and_kind_of_run():
         (prox, 1, False),
     ):
         ws = solvers._Workspace(inst, dataclasses.replace(cfg, R=scaled_identity_R(inst, 1.0)), n_orders=n_orders)
-        assert (ws.maps is not None) == composed, (inst.blocks.dims, n_orders)
+        assert ws.composed == composed, (inst.blocks.dims, n_orders)
     bcpg = mixed_instance(rng, (2, 2), 0, ("l1", "zero"))
-    assert solvers._Workspace(bcpg, cs.SolverConfig(variant="bcpg")).maps is None
+    assert not solvers._Workspace(bcpg, cs.SolverConfig(variant="bcpg")).composed
 
 
 def _assert_rows_are_per_block_sweeps(ws, trace, orders):
@@ -141,14 +156,14 @@ def test_runs_not_composed_equal_the_per_block_loop_bitwise():
                           tol=0.0, max_iter=150)
     trace = cs.run_solver(prox, cfg, x0=rng.standard_normal(7), keep_iterates=True)
     ws = solvers._Workspace(prox, cfg)
-    assert ws.maps is None
+    assert not ws.composed
     _assert_rows_are_per_block_sweeps(ws, trace, [(0, 1, 2)] * 150)
 
     seven = mixed_instance(rng, (1,) * 7, 2, ("zero",) * 7)
     rp_cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, tol=0.0, max_iter=150, seed=3)
     traces, _ = cs.run_rp_solver(seven, rp_cfg, trials=2, keep_iterates=True)
     ws = solvers._Workspace(seven, rp_cfg, n_orders=math.factorial(7))
-    assert ws.maps is None
+    assert not ws.composed
     for t, trial in enumerate(traces):
         _assert_rows_are_per_block_sweeps(ws, trial, [permutation_at(3 ^ t, k, 7) for k in range(150)])
     state = cs.IterateState.start(seven, x0=rng.standard_normal(7))
@@ -158,3 +173,88 @@ def test_runs_not_composed_equal_the_per_block_loop_bitwise():
     nxt = cs.step(seven, rp_cfg, state, order=order)
     assert np.array_equal(np.concatenate([nxt.x, nxt.mu]), z)
 
+
+
+def _table_cases():
+    """(instance, cfg, min_norm) triples of every block count 1..5 under
+    admm_cyclic_n with gamma != 1 and a user R of scalars, None and a
+    matrix, and under bcd without rows; then the minimum-norm maps of a
+    singular two-block instance."""
+    rng = np.random.default_rng(64)
+    for n in range(1, 6):
+        dims = tuple(int(v) for v in rng.integers(1, 3, n))
+        kinds = tuple(("quadratic", "zero")[i % 2] for i in range(n))
+        R = [(0.3, None, random_psd(rng, k))[i % 3] for i, k in enumerate(dims)]
+        cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.3, gamma=0.7 + 0.15 * n, R=R)
+        yield mixed_instance(rng, dims, 2, kinds), cfg, False
+        free = mixed_instance(rng, dims, 0, kinds)
+        yield free, cs.SolverConfig(variant="bcd", beta=0.8, gamma=1.2, R=[0.2] * n), False
+    singular, _ = violating_instance(rng)
+    yield singular, cs.SolverConfig(variant="admm_cyclic_n", gamma=1.2), True
+
+
+def test_table_rows_are_each_orders_map_composed_alone():
+    """Row r of a composing randomly permuted workspace's table is, bit for
+    bit and sign of zero for sign of zero, the sweep_map of order r of
+    itertools.permutations composed alone; _ranks gives each order its
+    index there, one order at a time and as a stack of runs' blocks."""
+    for inst, cfg, min_norm in _table_cases():
+        n, size = inst.blocks.n, inst.blocks.d + inst.blocks.m
+        ws = solvers._Workspace(inst, cfg, min_norm=min_norm, n_orders=math.factorial(n))
+        alone = solvers._Workspace(inst, cfg, min_norm=min_norm, n_orders=math.factorial(n))
+        assert ws.composed
+        T, t = ws.sweep_table
+        orders = list(itertools.permutations(range(n)))
+        assert T.shape == (len(orders), size, size) and t.shape == (len(orders), size)
+        for r, order in enumerate(orders):
+            assert solvers._ranks(np.array(order)) == r
+            for got, want in zip((T[r], t[r]), alone.sweep_map(order)):
+                assert np.array_equal(got, want), (cfg.variant, n, order)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (cfg.variant, n, order)
+        assert "sweep_table" not in alone.__dict__
+        # a block of 3 sweeps of 2 runs, as _sweep_block stacks them
+        at = np.random.default_rng(n).integers(len(orders), size=(3, 2))
+        assert np.array_equal(solvers._ranks(np.array(orders)[at]), at)
+
+
+def test_table_build_stays_within_three_map_budgets():
+    """Five blocks of 6 with 2 rows (d + m = 32): the 120 maps take 0.97
+    MiB, just inside SWEEP_MAP_BYTES (d + m = 33 would not fit), and
+    building the table peaks below 3 x SWEEP_MAP_BYTES under tracemalloc."""
+    rng = np.random.default_rng(65)
+    inst = mixed_instance(rng, (6,) * 5, 2, ("zero", "quadratic", "zero", "quadratic", "zero"))
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", R=scaled_identity_R(inst, 1.0))
+    ws = solvers._Workspace(inst, cfg, n_orders=120)
+    assert ws.composed and 120 * 8 * 33 * 34 > solvers.SWEEP_MAP_BYTES
+    tracemalloc.start()
+    try:
+        T, t = ws.sweep_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.95 * solvers.SWEEP_MAP_BYTES < T.nbytes + t.nbytes <= solvers.SWEEP_MAP_BYTES
+    assert peak < 3 * solvers.SWEEP_MAP_BYTES
+
+
+def test_step_in_a_given_order_composes_only_its_own_order(monkeypatch):
+    """A 5-block step in a given order composes, under the rule for n!
+    orders, but only its own order: a sweep_table that raises is never
+    read, nor on a cyclic step or run, and the step equals that order's
+    map. A randomly permuted run of the instance does read the table."""
+    rng = np.random.default_rng(66)
+    five = mixed_instance(rng, (2,) * 5, 3, ("zero",) * 5)
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", R=scaled_identity_R(five, 1.0), tol=1e-8, max_iter=200)
+
+    def refuse(ws):
+        raise AssertionError("built the table")
+
+    monkeypatch.setattr(solvers._Workspace, "sweep_table", property(refuse))
+    state = cs.IterateState.start(five, x0=rng.standard_normal(10))
+    order = (4, 0, 3, 1, 2)
+    nxt = cs.step(five, cfg, state, order=order)
+    T, t = solvers._Workspace(five, cfg).sweep_map(order)
+    assert np.array_equal(np.concatenate([nxt.x, nxt.mu]), T.dot(np.concatenate([state.x, state.mu])) + t)
+    cs.step(five, cfg, state)
+    cs.run_solver(five, cfg)
+    with pytest.raises(AssertionError, match="built the table"):
+        cs.run_rp_solver(five, cfg, trials=2)

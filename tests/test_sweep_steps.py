@@ -87,7 +87,7 @@ def test_block_steps_equal_the_whole_vector_loop_bytewise():
     for inst, cfg in cases:
         n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
         ws = solvers._Workspace(inst, cfg)
-        assert ws.maps is None
+        assert not ws.composed
         got = np.concatenate([5.0 * rng.standard_normal(d), rng.standard_normal(m)])
         want = got.copy()
         zeros = 0
@@ -155,7 +155,7 @@ def test_lockstep_trials_equal_the_whole_vector_loop_bytewise():
         traces, _ = cs.run_rp_solver(inst, cfg, x0=3.0 * rng.standard_normal(inst.blocks.d), trials=3,
                                      keep_iterates=True)
         ws = solvers._Workspace(inst, cfg, n_orders=math.factorial(n))
-        assert ws.maps is None
+        assert not ws.composed
         for t, trial in enumerate(traces):
             assert len(trial) == 151
             _assert_rows_are_whole_vector_sweeps(ws, trial, [permutation_at(seed ^ t, k, n) for k in range(150)])
@@ -214,7 +214,7 @@ def test_steps_are_laid_out_only_for_block_by_block_sweeps(monkeypatch):
     for order in ((0, 1, 2), (1, 2, 0)):
         ws.advance(z, order)
     assert len(built) == 4
-    assert all(w.maps is not None and "sweep_steps" not in w.__dict__ for w in built)
+    assert all(w.composed and "sweep_steps" not in w.__dict__ for w in built)
 
     built = _recording(monkeypatch, spectral)
     H = random_psd(rng, 5) + np.eye(5)
