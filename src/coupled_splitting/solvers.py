@@ -562,11 +562,8 @@ class _Workspace:
     def sweep_map(self, order) -> tuple:
         """(T, t) with one all-direct sweep in `order` equal to z -> T z + t:
         each block's rows become W_i times the map so far, plus c_i, and the
-        multiplier rows take the step. The order's row of sweep_table once
-        that is built, else composed for this order alone and not kept."""
-        if "sweep_table" in self.__dict__:
-            rank = _ranks(np.array(order))
-            return self.sweep_table[0][rank], self.sweep_table[1][rank]
+        multiplier rows take the step. Composed for this order alone and not
+        kept; its bits are those of the order's row of sweep_table."""
         d, A = self.d, self.inst.A
         T, t = np.eye(d + A.shape[0]), np.zeros(d + A.shape[0])
         for i in order:
@@ -777,7 +774,7 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     U = sweep = None
     if streams is None:
         cyclic = tuple(range(ws.n))
-        streams, U = [itertools.repeat(np.tile(cyclic, (SWEEP_BLOCK, 1)))] * len(starts), ws.surrogate_matrix(cyclic)
+        U = ws.surrogate_matrix(cyclic)
         sweep = ws.sweep_map(cyclic) if ws.composed else ws.sweep_calls(cyclic)
     exact = ws.observer.exact
     tol = ws.cfg.tol
@@ -798,9 +795,10 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
         else:
             live.append(j)
     last, r_last = last[live], stat[live].tolist()
-    rest = [np.empty((0, ws.n), int)] * len(starts)  # orders drawn, not yet swept
     size = last.shape[1]
     left = int(ws.cfg.max_iter)
+    # orders drawn, not yet swept; a cyclic run's all at once, as one read-only view
+    rest = [np.empty((0, ws.n), int) if streams is not None else np.broadcast_to(cyclic, (left, ws.n))] * len(starts)
     nb = SWEEP_BLOCK
     while live:
         nb = min(nb, left)
@@ -860,14 +858,14 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
 
 def _sweep_block(ws, Z: np.ndarray, orders, sweep) -> None:
     """Rows 1.. of Z[:, i] from row 0 by the sweeps of run i in the (nb, n)
-    int array orders[i]: block by block (sweep_rows, on its rows as lists),
+    int array orders[i]: block by block (sweep_rows, on drawn rows as lists),
     one run at a time, when the workspace does not compose; else row by row
     by the cyclic map (_affine_rows) or by one stacked product per sweep of
     the maps gathered from sweep_table by rank. `sweep`: the cyclic order's
     calls, map or None."""
     if not ws.composed:
         for i, run in enumerate(orders):
-            ws.sweep_rows(Z[:, i], run.tolist(), sweep)
+            ws.sweep_rows(Z[:, i], run if sweep is not None else run.tolist(), sweep)
     elif sweep is not None:
         for i in range(Z.shape[1]):
             _affine_rows(*sweep, Z[:, i])

@@ -29,6 +29,7 @@ from .solvers import (
     SolverConfig,
     Trace,
     _Workspace,
+    _affine_rows,
     _write_artifact,
     check_beta,
     check_integer,
@@ -468,9 +469,10 @@ def oscillation_demo(
     start = IterateState.start(inst, x0, mu0)
     Z = np.empty((k_max + 1, d + inst.blocks.m))
     Z[0, :d], Z[0, d:] = start.x, start.mu
-    for k in range(1, k_max + 1):
-        Z[k] = Z[k - 1]
-        ws.advance(Z[k], (0, 1))
+    if ws.composed:
+        _affine_rows(*ws.sweep_map((0, 1)), Z)
+    else:
+        ws.sweep_rows(Z, [(0, 1)] * k_max, ws.sweep_calls((0, 1)))
 
     # the perturbed trajectory adds the witness at every even generated step
     # (and 0.0 elsewhere, which turns a -0.0 into 0.0)

@@ -76,7 +76,8 @@ def test_composed_sweeps_match_the_per_block_loop():
         assert len(T) == len(t) == math.factorial(n)
         alone = solvers._Workspace(inst, cfg, min_norm=min_norm)
         for order in orders:
-            for got, want in zip(ws.sweep_map(order), alone.sweep_map(order)):
+            rank = solvers._ranks(np.array(order))
+            for got, want in zip((T[rank], t[rank]), alone.sweep_map(order)):
                 assert np.array_equal(got, want), (cfg.variant, order)
 
 
@@ -95,28 +96,34 @@ def test_step_and_runs_compose_the_same_maps():
 
 
 def test_maps_past_the_budget_give_the_cached_bits():
-    """A workspace whose n_orders maps do not fit the budget keeps none
-    (it does not compose), yet sweep_map still composes any order, to the
-    bits of the table of every order's map that a composing workspace
-    keeps: for a 7-block randomly permuted run against a cyclic one, and
-    for a minimum-norm workspace."""
+    """A workspace whose n_orders maps do not fit the budget does not
+    compose, yet sweep_map still composes any order: for a 7-block randomly
+    permuted run, to rounding of the block-by-block loop and to the bits of
+    a cyclic workspace, which composes; for a minimum-norm workspace, to the
+    bits of a composing workspace's table."""
     rng, cases = _direct_cases()
     seven = mixed_instance(rng, (2,) * 7, 4, ("zero", "quadratic") * 3 + ("zero",))
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.3, gamma=0.7, R=scaled_identity_R(seven, 1.3))
+    unkept = solvers._Workspace(seven, cfg, n_orders=math.factorial(7))
+    cyclic = solvers._Workspace(seven, cfg)
+    assert not unkept.composed and cyclic.composed
+    z = np.concatenate([rng.standard_normal(14), rng.standard_normal(4)])
+    for order in [tuple(range(7))] + [tuple(int(v) for v in rng.permutation(7)) for _ in range(10)]:
+        T, t = unkept.sweep_map(order)
+        want = z.copy()
+        per_block_sweep(unkept, want, order)
+        assert np.max(np.abs(T.dot(z) + t - want)) <= COMPOSED_TOL * (1.0 + np.max(np.abs(want))), order
+        for got, alone in zip((T, t), cyclic.sweep_map(order)):
+            assert np.array_equal(got, alone), order
     singular, singular_cfg, _ = cases[-1]
-    runs = ((seven, cfg, False, math.factorial(7)), (singular, singular_cfg, True, 10**6))
-    for inst, run_cfg, min_norm, n_orders in runs:
-        n = inst.blocks.n
-        unkept = solvers._Workspace(inst, run_cfg, min_norm=min_norm, n_orders=n_orders)
-        kept = solvers._Workspace(inst, run_cfg, min_norm=min_norm)
-        assert not unkept.composed and kept.composed
-        T, t = kept.sweep_table
-        ranks = {order: r for r, order in enumerate(itertools.permutations(range(n)))}
-        orders = [tuple(range(n))] + [tuple(int(v) for v in rng.permutation(n)) for _ in range(10)]
-        for order in orders:
-            for got, want in zip(unkept.sweep_map(order), (T[ranks[order]], t[ranks[order]])):
-                assert np.array_equal(got, want), order
-        assert "sweep_table" not in unkept.__dict__
+    unkept = solvers._Workspace(singular, singular_cfg, min_norm=True, n_orders=10**6)
+    kept = solvers._Workspace(singular, singular_cfg, min_norm=True, n_orders=2)
+    assert not unkept.composed and kept.composed
+    T, t = kept.sweep_table
+    for rank, order in enumerate(itertools.permutations(range(2))):
+        for got, want in zip(unkept.sweep_map(order), (T[rank], t[rank])):
+            assert np.array_equal(got, want), order
+    assert "sweep_table" not in unkept.__dict__ and "sweep_table" not in cyclic.__dict__
 
 
 def test_composition_rule_is_per_instance_variant_and_kind_of_run():
