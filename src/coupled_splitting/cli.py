@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from .errors import CoupledSplittingError, UsageError
 from .model import load_instance
 from .rp import run_expected_iteration, run_rp_solver
 from .solvers import _fmt, _write_artifact, SolverConfig, VARIANTS, check_integer, run_solver
-from .spectral import analyze_instance, bcd_rate_matrices, divergence_witness, save_report
+from .spectral import _json_text, analyze_instance, bcd_rate_matrices, divergence_witness, save_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -168,7 +167,7 @@ def _cmd_witness(args) -> int:
     doc = {"found": cert is not None}
     if cert is not None:
         doc.update(cert.to_dict())
-    _write_artifact(path, json.dumps(doc, indent=2) + "\n")
+    _write_artifact(path, _json_text(doc) + "\n")
     print(f"wrote {path}")
     if cert is None:
         print("witness: none (subproblem curvature is positive definite)")

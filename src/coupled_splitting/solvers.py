@@ -370,11 +370,12 @@ def _prox_calls(f: ProxFn, r: float, v: np.ndarray, out: np.ndarray) -> tuple:
     overwrite. l1 and box terms take in-place ufuncs; other kinds call
     prox_eval on a copy of v, which user code may keep."""
     if f.kind == "l1":
-        # prox_eval's sign(v) * max(|v| - lam / r, 0); 0-d arrays and positional
-        # outs are faster than floats and out=, which np.maximum still needs
-        cut, zero, t = np.array(f.params["lam"] / r), np.zeros(()), np.empty(len(v))
-        return (partial(np.abs, v, t), partial(np.subtract, t, cut, t), partial(np.maximum, t, zero, out=t),
-                partial(np.sign, v, v), partial(np.multiply, v, t, out))
+        # prox_eval's sign(v) * max(|v| - cut, 0) as v - clip(v, -cut, cut) with
+        # sign(v)'s sign, which signs a zero as prox_eval does; 0-d arrays and
+        # positional outs are faster than floats and out=
+        cut, s, t = np.array(f.params["lam"] / r), np.empty(len(v)), np.empty(len(v))
+        return (partial(np.sign, v, s), partial(_clip, v, -cut, cut, t), partial(np.subtract, v, t, out),
+                partial(np.copysign, out, s, out))
     if f.kind == "box":
         # the broadcast views prox_eval clips against: another memory layout
         # can take another clip loop, which may differ in the sign of a zero
@@ -529,8 +530,10 @@ class _Workspace:
             update = (partial(W.dot, z, v), partial(np.add, v, c, v))
             blocks.append(update + ((partial(np.copyto, x_i, v),) if r is None else _prox_calls(f, r, v, x_i)))
         res, rate = np.empty(m), np.array(self.gamma * self.beta)
+        # a unit stepsize, as the CLI's default, takes the residual as it is
+        scale = () if rate == 1.0 else (partial(np.multiply, rate, res, res),)
         multiplier = (partial(self.inst.A.dot, x, res), partial(np.subtract, res, self.inst.b, res),
-                      partial(np.multiply, rate, res, res), partial(np.subtract, mu, res, mu))
+                      *scale, partial(np.subtract, mu, res, mu))
         return z, blocks, multiplier if m else ()
 
     def sweep_calls(self, order) -> list:
@@ -998,14 +1001,6 @@ def _drop_floor_rows(beta, weights, DX, DMU) -> np.ndarray:
 
 def _merit_weights(inst: ProblemInstance, cfg: SolverConfig) -> dict:
     return merit_weight_matrices(inst, cfg.beta, _proximal_matrices(inst, cfg)[1])
-
-
-def lyapunov_value(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, reference: KKTPoint) -> float:
-    """Merit value of a two-block iterate against a stationary reference:
-    a weighted squared distance to the reference plus a back-difference term,
-    nonincreasing along constrained two-block runs with unit dual stepsize."""
-    weights = _merit_weights(inst, cfg)
-    return float(_merit_rows(cfg.beta, weights, reference, state.x[None], state.x_prev[None], state.mu[None])[0])
 
 
 def lyapunov_decrease_floor(

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -126,8 +127,8 @@ class SpectralReport:
             "m": self.m,
             "Q": self.Q.tolist(),
             "M": self.M.tolist(),
-            "eig_QS": [float(v) for v in self.eig_QS],
-            "eig_M": [[float(v.real), float(v.imag)] for v in self.eig_M],
+            "eig_QS": self.eig_QS.tolist(),
+            "eig_M": np.stack([self.eig_M.real, self.eig_M.imag], axis=1).tolist(),
             "q_min_eig": self.q_min_eig,
             "consistency_defect": self.consistency_defect,
             "ranks": {
@@ -142,38 +143,42 @@ class SpectralReport:
             "verdicts": dict(self.verdicts),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SpectralReport":
-        ranks = doc["ranks"]
-        return cls(
-            beta=float(doc["beta"]),
-            n=int(doc["n"]),
-            d=int(doc["d"]),
-            m=int(doc["m"]),
-            Q=np.asarray(doc["Q"], dtype=float),
-            M=np.asarray(doc["M"], dtype=float),
-            eig_QS=np.asarray(doc["eig_QS"], dtype=float),
-            eig_M=np.asarray([complex(re, im) for re, im in doc["eig_M"]]),
-            q_min_eig=float(doc["q_min_eig"]),
-            consistency_defect=float(doc["consistency_defect"]),
-            rank_S=int(ranks["S"]),
-            rank_penalized_gram=int(ranks["penalized_gram"]),
-            rank_stationarity_block=int(ranks["stationarity_block"]),
-            am_one=int(doc["am_one"]),
-            gm_one=int(doc["gm_one"]),
-            eig_one_count=int(doc["eig_one_count"]),
-            rho_M=float(doc["rho_M"]),
-            verdicts=dict(doc["verdicts"]),
-        )
+
+def _json_text(doc, nl: str = "\n") -> str:
+    """json.dumps(doc, indent=2), byte for byte, without json's pure-Python
+    indenting encoder; nl is a newline and the indent of doc's level. A list
+    of floats that all print finite is one join of their float.__repr__, as
+    json prints each; other values take json's type tests in json's order,
+    and json prints NaN and infinities. A key that is not a string raises
+    TypeError, where json would convert it."""
+    if isinstance(doc, (list, tuple)) and doc:
+        inner = nl + "  "
+        try:
+            row = f",{inner}".join(map(float.__repr__, doc))
+        except TypeError:  # an item that is not a float
+            row = None
+        if row is None or "n" in row:  # nan and inf print as NaN and Infinity
+            row = f",{inner}".join([_json_text(v, inner) for v in doc])
+        return f"[{inner}{row}{nl}]"
+    if isinstance(doc, dict) and doc:
+        inner = nl + "  "
+        items = f",{inner}".join([f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in doc.items()])
+        return f"{{{inner}{items}{nl}}}"
+    if isinstance(doc, str):
+        return _json_str(doc)
+    if doc is None or isinstance(doc, bool):  # before int, of which bool is a subclass
+        return "null" if doc is None else "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, float) and math.isfinite(doc):
+        return float.__repr__(doc)
+    return json.dumps(doc)  # NaN, Infinity, or json's TypeError
 
 
 def save_report(report: SpectralReport, path) -> None:
-    _write_artifact(path, json.dumps(report.to_dict(), indent=2) + "\n")
-
-
-def load_report(path) -> SpectralReport:
-    with open(path) as fh:
-        return SpectralReport.from_dict(json.load(fh))
+    """Write report.to_dict() as json.dumps(..., indent=2) writes it, plus a
+    newline: Q, M and the spectra print as every float's repr."""
+    _write_artifact(path, _json_text(report.to_dict()) + "\n")
 
 
 def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:

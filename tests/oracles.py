@@ -3,17 +3,20 @@ n! block orders: one in floats, in stacked solves (the algorithm build_Q_M
 used before its subset algorithms), and one in exact rationals. Also the
 per-row recording of a solver trace, which the batched observation of
 solvers._drive must equal bit for bit; the block-by-block sweep, which
-composed sweeps must equal to rounding; and the expected iteration as a
-loop of copied rows."""
+composed sweeps must equal to rounding; the expected iteration as a
+loop of copied rows; a report read back from report.json; and the merit
+value of one two-block iterate."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from coupled_splitting.prox import fn_value, prox_eval
-from coupled_splitting.spectral import _order_stacks
+from coupled_splitting.solvers import _merit_rows, _merit_weights
+from coupled_splitting.spectral import SpectralReport, _order_stacks
 
 # block orders per stacked solve: memory stays bounded at any n
 ORDER_CHUNK = 64
@@ -190,3 +193,39 @@ def expected_iteration_rows(M, c, z0, k_max, tol):
             break
         z = z_new
     return np.asarray(zs), status
+
+
+def load_report(path):
+    """The SpectralReport that spectral.save_report wrote to path."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    ranks = doc["ranks"]
+    return SpectralReport(
+        beta=float(doc["beta"]),
+        n=int(doc["n"]),
+        d=int(doc["d"]),
+        m=int(doc["m"]),
+        Q=np.asarray(doc["Q"], dtype=float),
+        M=np.asarray(doc["M"], dtype=float),
+        eig_QS=np.asarray(doc["eig_QS"], dtype=float),
+        eig_M=np.asarray([complex(re, im) for re, im in doc["eig_M"]]),
+        q_min_eig=float(doc["q_min_eig"]),
+        consistency_defect=float(doc["consistency_defect"]),
+        rank_S=int(ranks["S"]),
+        rank_penalized_gram=int(ranks["penalized_gram"]),
+        rank_stationarity_block=int(ranks["stationarity_block"]),
+        am_one=int(doc["am_one"]),
+        gm_one=int(doc["gm_one"]),
+        eig_one_count=int(doc["eig_one_count"]),
+        rho_M=float(doc["rho_M"]),
+        verdicts=dict(doc["verdicts"]),
+    )
+
+
+def lyapunov_value(inst, cfg, state, reference):
+    """Merit value of a two-block iterate against a stationary reference:
+    a weighted squared distance to the reference plus a back-difference term,
+    nonincreasing along constrained two-block runs with unit dual stepsize.
+    One row of the merit the solver records."""
+    weights = _merit_weights(inst, cfg)
+    return float(_merit_rows(cfg.beta, weights, reference, state.x[None], state.x_prev[None], state.mu[None])[0])

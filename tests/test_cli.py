@@ -13,7 +13,8 @@ import coupled_splitting as cs
 from coupled_splitting._averaging import MAX_SUBSET_WORK, MAX_UNGUARDED_BLOCKS
 from coupled_splitting.cli import build_parser, main
 from coupled_splitting.solvers import _write_artifact
-from coupled_splitting.spectral import load_report
+
+from oracles import load_report
 
 
 def _arr(*vals):

@@ -13,7 +13,7 @@ from coupled_splitting.errors import ConditionError, SubproblemStructureError
 from coupled_splitting.model import normalize_block_matrices
 from coupled_splitting.prox import prox_eval, subdiff_distance
 from coupled_splitting.rp import permutation_at
-from coupled_splitting.solvers import _drop_floor_rows, _merit_weights, linearization_proximal, lyapunov_value
+from coupled_splitting.solvers import _drop_floor_rows, _merit_weights, linearization_proximal
 
 from gen import (
     drop_rows,
@@ -25,6 +25,7 @@ from gen import (
 from gen import block_curvatures as _block_curvatures
 from gen import mixed_instance as _mixed_instance
 from gen import scaled_identity_R as _scaled_identity_R
+from oracles import lyapunov_value
 
 
 def _arr(*vals):

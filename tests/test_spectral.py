@@ -21,11 +21,10 @@ from coupled_splitting.spectral import (
     build_Q_M,
     check_eig_QS,
     check_M_spectrum,
-    load_report,
     rank_identity_check,
 )
 from gen import past_guard_instance, random_psd, spectral_instance, two_block_instance, violating_instance
-from oracles import enumerated_average, exact_averaged_inverse
+from oracles import enumerated_average, exact_averaged_inverse, load_report
 
 
 def _arr(*vals):

@@ -12,6 +12,7 @@ import numpy as np
 
 import coupled_splitting as cs
 from coupled_splitting import solvers, spectral
+from coupled_splitting.prox import prox_eval
 from coupled_splitting.rp import permutation_at
 
 from gen import mixed_instance, random_psd, scaled_identity_R
@@ -253,3 +254,45 @@ def test_cyclic_runs_build_their_surrogate_matrix_once(monkeypatch):
         trace = cs.run_solver(inst, run_cfg)
         assert len(trace) > solvers.SWEEP_BLOCK + 1
         assert calls == [(0, 1, 2)]
+
+
+def test_l1_calls_equal_prox_eval_bytewise():
+    """The l1 prox as bound calls writes prox_eval's bytes on signed zeros,
+    values at, just inside and just outside +-cut, infinities and
+    subnormals, also at lam = 0; NaN gives NaN."""
+    for lam, r in ((0.37, 1.3), (5.0, 0.7), (0.0, 2.0), (1e-310, 1.0)):
+        cut = lam / r
+        edges = [0.0, cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf), 2.0 * cut + 1.0, np.inf,
+                 5e-324, 2.2e-308, 1e-300, 3.0]
+        v = np.array(edges + [-e for e in edges])
+        f = cs.ProxFn.l1(lam)
+        want = prox_eval(f, r, v.copy())
+        out, scratch = np.empty_like(v), v.copy()
+        for call in solvers._prox_calls(f, r, scratch, out):
+            call()
+        assert out.tobytes() == want.tobytes(), lam
+        out, scratch = np.empty(3), np.array([np.nan, -np.nan, 1.0])
+        for call in solvers._prox_calls(f, r, scratch, out):
+            call()
+        assert np.isnan(out[:2]).all() and out[2] == prox_eval(f, r, np.array([1.0]))[0]
+
+
+def test_unit_dual_step_sweeps_equal_the_whole_vector_loop_bytewise():
+    """gamma * beta == 1, which skips the multiplier step's scaling: 300
+    sweeps in random orders leave the whole-vector loop's bytes."""
+    rng = np.random.default_rng(76)
+    pair = _instance(rng, [(cs.ProxFn.l1(0.37), 3), (BROADCAST_BOX, 4)], 3)
+    three = _instance(rng, [(cs.ProxFn.l1(0.37), 3), (BROADCAST_BOX, 4), (cs.ProxFn.zero(), 2)], 2)
+    for inst, cfg in ((pair, cs.SolverConfig(variant="admm2_linearized", beta=2.0, gamma=0.5)),
+                      (three, cs.SolverConfig(variant="admm_cyclic_n", beta=2.0, gamma=0.5,
+                                              R=scaled_identity_R(three, 2.0)))):
+        n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
+        ws = solvers._Workspace(inst, cfg)
+        assert not ws.composed and len(ws.sweep_steps[2]) == 3
+        got = np.concatenate([5.0 * rng.standard_normal(d), rng.standard_normal(m)])
+        want = got.copy()
+        for k in range(SWEEPS):
+            order = tuple(int(v) for v in rng.permutation(n))
+            ws.advance(got, order)
+            per_block_sweep(ws, want, order)
+            assert got.tobytes() == want.tobytes(), k
