@@ -530,10 +530,8 @@ class _Workspace:
             update = (partial(W.dot, z, v), partial(np.add, v, c, v))
             blocks.append(update + ((partial(np.copyto, x_i, v),) if r is None else _prox_calls(f, r, v, x_i)))
         res, rate = np.empty(m), np.array(self.gamma * self.beta)
-        # a unit stepsize, as the CLI's default, takes the residual as it is
-        scale = () if rate == 1.0 else (partial(np.multiply, rate, res, res),)
         multiplier = (partial(self.inst.A.dot, x, res), partial(np.subtract, res, self.inst.b, res),
-                      *scale, partial(np.subtract, mu, res, mu))
+                      partial(np.multiply, rate, res, res), partial(np.subtract, mu, res, mu))
         return z, blocks, multiplier if m else ()
 
     def sweep_calls(self, order) -> list:

@@ -276,23 +276,3 @@ def test_l1_calls_equal_prox_eval_bytewise():
             call()
         assert np.isnan(out[:2]).all() and out[2] == prox_eval(f, r, np.array([1.0]))[0]
 
-
-def test_unit_dual_step_sweeps_equal_the_whole_vector_loop_bytewise():
-    """gamma * beta == 1, which skips the multiplier step's scaling: 300
-    sweeps in random orders leave the whole-vector loop's bytes."""
-    rng = np.random.default_rng(76)
-    pair = _instance(rng, [(cs.ProxFn.l1(0.37), 3), (BROADCAST_BOX, 4)], 3)
-    three = _instance(rng, [(cs.ProxFn.l1(0.37), 3), (BROADCAST_BOX, 4), (cs.ProxFn.zero(), 2)], 2)
-    for inst, cfg in ((pair, cs.SolverConfig(variant="admm2_linearized", beta=2.0, gamma=0.5)),
-                      (three, cs.SolverConfig(variant="admm_cyclic_n", beta=2.0, gamma=0.5,
-                                              R=scaled_identity_R(three, 2.0)))):
-        n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
-        ws = solvers._Workspace(inst, cfg)
-        assert not ws.composed and len(ws.sweep_steps[2]) == 3
-        got = np.concatenate([5.0 * rng.standard_normal(d), rng.standard_normal(m)])
-        want = got.copy()
-        for k in range(SWEEPS):
-            order = tuple(int(v) for v in rng.permutation(n))
-            ws.advance(got, order)
-            per_block_sweep(ws, want, order)
-            assert got.tobytes() == want.tobytes(), k
