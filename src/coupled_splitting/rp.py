@@ -11,7 +11,6 @@ here.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,10 +35,6 @@ from .solvers import (
 )
 
 
-# Orders a trial draws in one call to Generator.permuted
-ORDER_BLOCK = 256
-
-
 def _order_rng(seed: int, n: int) -> np.random.Generator:
     """The generator of the order stream seeded `seed`, for n blocks."""
     if n < 1:
@@ -62,13 +57,13 @@ def permutation_at(seed: int, counter: int, n: int) -> tuple:
 
 
 def _trial_orders(seed: int, n: int):
-    """permutation_at(seed, k, n) for k = 0, 1, ..., as the rows of the
-    (ORDER_BLOCK, n) int arrays Generator.permuted draws on a stack of
-    aranges: each row is the next rng.permutation(n), so the orders do not
-    depend on the block size."""
+    """The draw of the trial seeded `seed`: draw(k) returns its next k
+    orders as the rows of a (k, n) int array, by Generator.permuted on k
+    stacked aranges. Each row is the next rng.permutation(n), so the
+    concatenated draws are permutation_at(seed, 0, n), permutation_at(seed,
+    1, n), ..., whatever the sizes drawn."""
     rng = _order_rng(seed, n)
-    base = np.broadcast_to(np.arange(n), (ORDER_BLOCK, n))
-    return (rng.permuted(base, axis=1) for _ in itertools.count())
+    return lambda k: rng.permuted(np.broadcast_to(np.arange(n), (k, n)), axis=1)
 
 
 def run_rp_solver(

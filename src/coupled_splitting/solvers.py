@@ -27,9 +27,9 @@ import itertools
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -250,10 +250,6 @@ class Trace:
             self._path[lo:hi] = path
         self._len = hi
 
-    def truncate(self, rows: int) -> None:
-        """Keep the first `rows` rows."""
-        self._len = min(self._len, rows)
-
     def drop_iterates(self) -> None:
         """Stop keeping the iterates."""
         self._path = None
@@ -320,9 +316,17 @@ def _fmt(v) -> str:
 
 
 def _write_artifact(path, text: str) -> None:
-    """Write an artifact whole: truncate the file and write the text built in
-    memory. A rewrite is not atomic."""
-    Path(path).write_text(text, encoding="utf-8")
+    """Write an artifact whole: encode the text built in memory (UTF-8, with
+    the undecodable bytes of a file name given back as they were), then
+    truncate the file and write the bytes. An encoding error leaves the file
+    as it was; a rewrite is not atomic."""
+    data = memoryview(text.encode("utf-8", "surrogateescape"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
 
 
 def linearization_proximal(inst: ProblemInstance, beta: float) -> list:
@@ -539,26 +543,27 @@ class _Workspace:
         _, blocks, multiplier = self.sweep_steps
         return [*itertools.chain(*map(blocks.__getitem__, order)), *multiplier]
 
-    def sweep_rows(self, rows, orders, calls=None) -> None:
-        """rows[k] from rows[k - 1] by one block-by-block sweep in orders[k - 1]
-        for k = 1, 2, ...: rows[0] is loaded into the buffer once, and each
-        sweep runs its calls (`calls`, one order's sweep_calls, when given)
-        and is stored into its row. rows[0] may be the last row too."""
+    def sweep_rows(self, rows, sweeps) -> None:
+        """rows[k] from rows[k - 1] by the block-by-block sweep whose calls
+        (a sweep_calls list) sweeps yields k-th, for k = 1, 2, ...: rows[0]
+        is loaded into the buffer once, and each sweep runs its calls and is
+        stored into its row."""
         z = self.sweep_steps[0]
         np.copyto(z, rows[0])
-        for row, order in zip(rows[1:], orders):
-            for f in calls or self.sweep_calls(order):
+        for row, calls in zip(rows[1:], sweeps):
+            for f in calls:
                 f()
             np.copyto(row, z)
 
-    def advance(self, z: np.ndarray, order) -> None:
-        """One sweep of z = (x, mu) in place, in `order`, each block against
-        the latest values, then the multiplier step: the composed map of the
-        order when the run composes, else block by block (sweep_rows)."""
-        if not self.composed:
-            return self.sweep_rows((z, z), (order,))
-        T, t = self.sweep_map(order)
-        np.add(T.dot(z), t, out=z)
+    def order_sweep(self, order):
+        """The function that fills rows[1:] of a 2-d array from rows[0] by
+        sweeps in the one `order`: the order's composed map (_affine_rows)
+        when the workspace composes, else its block-by-block calls
+        (sweep_rows)."""
+        if self.composed:
+            return partial(_affine_rows, *self.sweep_map(order))
+        calls = self.sweep_calls(order)
+        return lambda rows: self.sweep_rows(rows, itertools.repeat(calls))
 
     def sweep_map(self, order) -> tuple:
         """(T, t) with one all-direct sweep in `order` equal to z -> T z + t:
@@ -683,8 +688,10 @@ def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=No
     """
     n, d = inst.blocks.n, inst.blocks.d
     ws = _Workspace(inst, cfg, n_orders=1 if order is None else math.factorial(n))
-    z = np.concatenate([state.x, state.mu])
-    ws.advance(z, tuple(range(n)) if order is None else check_order(order, n))
+    rows = np.empty((2, d + inst.blocks.m))
+    rows[0, :d], rows[0, d:] = _start_vector(state.x, d, "x"), _start_vector(state.mu, inst.blocks.m, "mu")
+    ws.order_sweep(tuple(range(n)) if order is None else check_order(order, n))(rows)
+    z = rows[1]
     return IterateState(x=z[:d], x_prev=state.x.copy(), mu=z[d:], k=state.k + 1)
 
 
@@ -737,21 +744,21 @@ def _past_limit(Z: np.ndarray):
     return ~(np.abs(Z).max(axis=1) <= DIVERGENCE_LIMIT)
 
 
-def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
+def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
     """The run loop of every variant, for a stack of independent runs that
     share the workspace: run j starts at the IterateState starts[j] and
-    sweeps in the orders that the iterator streams[j] yields, as int arrays
-    of any number of rows, one order a row, or in the cyclic order when
-    streams is None, whose surrogate matrix (and, when the workspace
-    composes, sweep map) the call then builds once. Each run observes its
-    start point, then sweeps until its largest residual component falls to
-    the tolerance, the divergence guard trips, or max_iter sweeps have run.
-    Returns one Trace per run, each bit for bit the trace of that run alone.
+    sweeps in the orders that draws[j](k) returns k at a time, as a (k, n)
+    int array, one order a row, or in the cyclic order when draws is None,
+    whose surrogate matrix and order_sweep the call then builds once. Each
+    run observes its start point, then sweeps until its largest residual
+    component falls to the tolerance, the divergence guard trips, or
+    max_iter sweeps have run. Returns one Trace per run, each bit for bit
+    the trace of that run alone.
 
-    The runs sweep in lockstep, a block of sweeps at a time (_sweep_block).
-    The first block is SWEEP_BLOCK sweeps and each later one is sized from
-    the runs' own rows (_block_length), never from timing, so no row
-    depends on it.
+    The runs sweep in lockstep, a block of sweeps at a time (_sweep_block),
+    and each run draws a block's orders as the block starts. The first
+    block is SWEEP_BLOCK sweeps and each later one is sized from the runs'
+    own rows (_block_length), never from timing, so no row depends on it.
 
     A run whose sweeps call no user code sweeps its whole block with no test
     inside it, then checks the divergence guard once on all the block's rows
@@ -763,24 +770,25 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     after every sweep and stops on the surrogate bound, which calls none
     (_sweep_to_stops), so no user code runs past any run's stop.
 
-    Each block's kept rows of all runs are observed in one call, with
+    Each block's swept rows of all runs are observed in one call, with
     stacked products whose rows equal the one-row products bit for bit
-    (Ax - b among them). A run keeps its rows up to the first that converged
-    or tripped the guard and leaves the stack there; the sweeps past it were
-    speculative and are dropped, with the orders they drew from the run's
-    own stream.
+    (Ax - b among them). A run's trace takes its rows up to the first that
+    converged or tripped the guard, and the run leaves the stack there; the
+    sweeps past it were speculative and are dropped, with the orders they
+    drew from the run's own draws.
     """
-    inst, d = ws.inst, ws.d
+    inst, d, n = ws.inst, ws.d, ws.n
     A, rhs = inst.A, inst.b
     U = sweep = None
-    if streams is None:
-        cyclic = tuple(range(ws.n))
-        U = ws.surrogate_matrix(cyclic)
-        sweep = ws.sweep_map(cyclic) if ws.composed else ws.sweep_calls(cyclic)
+    if draws is None:
+        cyclic = tuple(range(n))
+        U, sweep = ws.surrogate_matrix(cyclic), ws.order_sweep(cyclic)
+        # one read-only view of the cyclic order, k times over
+        draws = [lambda k: np.broadcast_to(cyclic, (k, n))] * len(starts)
     exact = ws.observer.exact
     tol = ws.cfg.tol
     merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
-    traces = [Trace(ws.n, exact_residuals=exact, d=d if keep_iterates else None) for _ in starts]
+    traces = [Trace(n, exact_residuals=exact, d=d if keep_iterates else None) for _ in starts]
     last = np.array([np.concatenate([state.x, state.mu]) for state in starts])
     cols = ws.observe(last, _gemv(A, last[:, :d]) - rhs, last[:, :d], merit=merit)
     # the stop statistic, each row's largest residual component; a start
@@ -798,16 +806,11 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
     last, r_last = last[live], stat[live].tolist()
     size = last.shape[1]
     left = int(ws.cfg.max_iter)
-    # orders drawn, not yet swept; a cyclic run's all at once, as one read-only view
-    rest = [np.empty((0, ws.n), int) if streams is not None else np.broadcast_to(cyclic, (left, ws.n))] * len(starts)
     nb = SWEEP_BLOCK
     while live:
         nb = min(nb, left)
         left -= nb
-        for j in live:
-            while len(rest[j]) < nb:
-                rest[j] = np.concatenate([rest[j], next(streams[j])])
-        orders, rest = [rest[j][:nb] for j in live], [r[nb:] for r in rest]
+        orders = [draws[j](nb) for j in live]
         # row 0 holds each run's last point observed, rows 1.. its sweeps since
         Z = np.empty((nb + 1, len(live), size))
         Z[0] = last
@@ -819,7 +822,7 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
             ends = np.minimum(ends, nb).tolist()
         else:
             ends, guards = _sweep_to_stops(ws, Z, orders, U, sweep)
-        # the runs' kept rows, as (run, its rows 0..end, its orders, whether
+        # the runs' swept rows, as (run, its rows 0..end, its orders, whether
         # its last row tripped the guard)
         block = [(j, Z[: e + 1, i], orders[i][:e], g) for i, (j, e, g) in enumerate(zip(live, ends, guards))]
         # one observation of the block's rows, run by run
@@ -831,25 +834,22 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
         hit = stat <= tol
         live, last, decays, lo = [], [], [], 0
         for (j, rows, run, guard), r_prev in zip(block, r_last):
-            trace, sel = traces[j], slice(lo, lo + len(run))
-            lo += len(run)
-            row = len(trace)
-            trace.extend(*_rows(cols, sel), path=rows[1:])
+            trace = traces[j]
             # the guard row stops the run as diverged whatever its residual
-            done = np.flatnonzero(hit[sel][: len(run) - guard])
-            end = rows[-1]
+            done = np.flatnonzero(hit[lo : lo + len(run) - guard])
+            keep = int(done[0]) + 1 if done.size else len(run)
+            trace.extend(*_rows(cols, slice(lo, lo + keep)), path=rows[1 : keep + 1])
+            lo += len(run)
             if done.size:
                 trace.status = "converged"
-                trace.truncate(row + int(done[0]) + 1)
-                end = rows[int(done[0]) + 1]
             elif guard:
                 trace.status = "diverged"
             elif len(run) == nb and left:
                 live.append(j)
-                last.append(end)
+                last.append(rows[-1])
                 decays.append((r_prev, float(stat[lo - 1])))
                 continue
-            _end(trace, end, d)
+            _end(trace, rows[keep], d)
         r_last = [r for _, r in decays]
         if exact and decays:
             # a stack takes the longest block any live run needs
@@ -859,17 +859,17 @@ def _drive(ws, starts, streams, keep_iterates, reference=None) -> list:
 
 def _sweep_block(ws, Z: np.ndarray, orders, sweep) -> None:
     """Rows 1.. of Z[:, i] from row 0 by the sweeps of run i in the (nb, n)
-    int array orders[i]: block by block (sweep_rows, on drawn rows as lists),
-    one run at a time, when the workspace does not compose; else row by row
-    by the cyclic map (_affine_rows) or by one stacked product per sweep of
-    the maps gathered from sweep_table by rank. `sweep`: the cyclic order's
-    calls, map or None."""
-    if not ws.composed:
-        for i, run in enumerate(orders):
-            ws.sweep_rows(Z[:, i], run if sweep is not None else run.tolist(), sweep)
-    elif sweep is not None:
+    int array orders[i]: by `sweep`, the cyclic order's order_sweep, when
+    given; else, when the workspace does not compose, block by block, one
+    run at a time (sweep_rows on each drawn order's calls); else by one
+    stacked product per sweep of the maps gathered from sweep_table by
+    rank."""
+    if sweep is not None:
         for i in range(Z.shape[1]):
-            _affine_rows(*sweep, Z[:, i])
+            sweep(Z[:, i])
+    elif not ws.composed:
+        for i, run in enumerate(orders):
+            ws.sweep_rows(Z[:, i], map(ws.sweep_calls, run.tolist()))
     else:
         T, t = ws.sweep_table
         at = _ranks(np.stack(orders, axis=1))
@@ -899,19 +899,21 @@ def _guard_rows(Z: np.ndarray) -> np.ndarray:
     return np.where(past.any(axis=0), past.argmax(axis=0), len(Z))
 
 
-def _sweep_to_stops(ws, Z: np.ndarray, orders, U, calls) -> tuple:
-    """Sweep each run of a block by sweep_rows, one run's block at a time
-    (so the user code of different runs is not interleaved), until its row
-    trips the guard or its surrogate bound falls to the tolerance, testing
-    after every sweep; returns each run's last row swept and whether it
-    tripped the guard. Rows past a run's stop are left unset."""
+def _sweep_to_stops(ws, Z: np.ndarray, orders, U, sweep) -> tuple:
+    """Sweep each run of a block one sweep at a time, by `sweep` (the cyclic
+    order's order_sweep) or each drawn order's order_sweep, one run's block
+    at a time (so the user code of different runs is not interleaved),
+    until its row trips the guard or its surrogate bound falls to the
+    tolerance, testing after every sweep; returns each run's last row swept
+    and whether it tripped the guard. Rows past a run's stop are left
+    unset."""
     A, rhs, d, tol = ws.inst.A, ws.inst.b, ws.d, ws.cfg.tol
     ends, guards = [], []
     for i, run in enumerate(orders):
         rows = Z[:, i]
         end, guard = len(run), False
         for b, order in enumerate(run.tolist(), 1):
-            ws.sweep_rows(rows[b - 1 : b + 1], (order,), calls)
+            (sweep or ws.order_sweep(order))(rows[b - 1 : b + 1])
             past = _past_limit(rows[b : b + 1])
             if past is not None and past[0]:
                 end, guard = b, True

@@ -25,12 +25,13 @@ from ._linalg import max_abs, psd_sqrt, rank_svd, spectral_radius, sym_part, sym
 from .errors import CertificateError, ConditionError, StructuralError, UsageError
 from .model import BlockStructure, ProblemInstance, _uniqueness_condition, normalize_block_matrices
 from ._averaging import averaged_update, bordered_curvature, check_sweep_blocks
+from ._observe import _gemv
 from .solvers import (
     IterateState,
     SolverConfig,
     Trace,
     _Workspace,
-    _affine_rows,
+    _end,
     _write_artifact,
     check_beta,
     check_integer,
@@ -192,7 +193,6 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     update = averaged_update(inst, beta)
     S, Q, M, A = update.S, update.Q, update.M, inst.A
-    QS = Q @ S
 
     q_eigs = np.linalg.eigvalsh(sym_part(Q))
     q_min = float(q_eigs[0])
@@ -200,7 +200,7 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
         root = psd_sqrt(Q)
         eig_QS = np.sort(np.linalg.eigvalsh(root @ S @ root))
     else:
-        vals = np.linalg.eigvals(QS)
+        vals = np.linalg.eigvals(Q @ S)
         eig_QS = np.sort(vals.real)
 
     eig_M = np.linalg.eigvals(M)
@@ -344,7 +344,7 @@ def bcd_rate_matrices(H, d1: int) -> BcdRateComparison:
         raise UsageError("the split must leave both blocks nonempty")
     d2 = d - d1
     inst = ProblemInstance(blocks=BlockStructure(dims=(d1, d2), m=0), H=H, g=np.zeros(d), A=None, b=None)
-    ws = _Workspace(inst, SolverConfig(variant="bcd"), n_orders=2)
+    ws = _Workspace(inst, SolverConfig(variant="bcd"))
     M1, M2 = ws.sweep_map((0, 1))[0], ws.sweep_map((1, 0))[0]
     H11, H12, H22 = H[:d1, :d1], H[:d1, d1:], H[d1:, d1:]
     M3 = 0.5 * (M1 + M2)
@@ -474,10 +474,7 @@ def oscillation_demo(
     start = IterateState.start(inst, x0, mu0)
     Z = np.empty((k_max + 1, d + inst.blocks.m))
     Z[0, :d], Z[0, d:] = start.x, start.mu
-    if ws.composed:
-        _affine_rows(*ws.sweep_map((0, 1)), Z)
-    else:
-        ws.sweep_rows(Z, [(0, 1)] * k_max, ws.sweep_calls((0, 1)))
+    ws.order_sweep((0, 1))(Z)
 
     # the perturbed trajectory adds the witness at every even generated step
     # (and 0.0 elsewhere, which turns a -0.0 into 0.0)
@@ -540,10 +537,8 @@ def _trace_from_path(ws, Z) -> Trace:
     surrogate."""
     inst, d = ws.inst, ws.d
     trace = Trace(n_blocks=ws.n, exact_residuals=ws.observer.exact)
-    RES = np.array([inst.A.dot(x) - inst.b for x in Z[:, :d]])
-    trace.extend(*ws.observe(Z, RES, Z[:, :d]))
-    trace.x = Z[-1, :d].copy()
-    trace.mu = Z[-1, d:].copy()
+    trace.extend(*ws.observe(Z, _gemv(inst.A, Z[:, :d]) - inst.b, Z[:, :d]))
+    _end(trace, Z[-1], d)
     return trace
 
 

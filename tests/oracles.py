@@ -3,7 +3,8 @@ n! block orders: one in floats, in stacked solves (the algorithm build_Q_M
 used before its subset algorithms), and one in exact rationals. Also the
 per-row recording of a solver trace, which the batched observation of
 solvers._drive must equal bit for bit; the block-by-block sweep, which
-composed sweeps must equal to rounding; the expected iteration as a
+composed sweeps must equal to rounding, and the engine's sweep of one
+vector that is compared with it; the expected iteration as a
 loop of copied rows; a report read back from report.json; and the merit
 value of one two-block iterate."""
 
@@ -165,9 +166,10 @@ def per_block_sweep(ws, z, order):
     prox blocks, then the multiplier step, each a whole-vector expression
     into a fresh array. The engine's block-by-block sweep, a list of numpy
     calls bound to the workspace's own iterate buffer and preallocated
-    temporaries (solvers._Workspace.sweep_steps, run by advance and
-    sweep_rows), equals it bit for bit; advance equals it to rounding when
-    it applies an order's composed map."""
+    temporaries (solvers._Workspace.sweep_steps, run by sweep_rows), equals
+    it bit for bit; the engine's order_sweep equals it to rounding when it
+    applies an order's composed map (engine_sweep runs either on one
+    vector)."""
     d = ws.d
     x = z[:d]
     for i in order:
@@ -175,6 +177,14 @@ def per_block_sweep(ws, z, order):
         r = ws.prox_weight[i]
         x[ws.slices[i]] = v if r is None else prox_eval(ws.inst.theta[i], r, v)
     z[d:] -= ws.gamma * ws.beta * (ws.inst.A.dot(x) - ws.inst.b)
+
+
+def engine_sweep(ws, z, order):
+    """One sweep of z = (x, mu) in place by the engine: the workspace's
+    order_sweep of `order` on the two rows (z, its sweep)."""
+    rows = np.array([z, z])
+    ws.order_sweep(order)(rows)
+    z[:] = rows[1]
 
 
 def expected_iteration_rows(M, c, z0, k_max, tol):

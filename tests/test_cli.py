@@ -612,6 +612,24 @@ def test_write_artifact_writes_through_a_symlink_to_dev_null(tmp_path):
     assert path.is_symlink()
 
 
+def test_instance_name_that_is_not_utf8_is_written_back_raw(pair_file, tmp_path, capsys):
+    """An instance file whose name holds a byte that is not UTF-8 (decoded
+    with surrogateescape, as sys.argv gives it) solves with exit 0, and the
+    trace header holds the name's raw bytes; a rerun writes the same bytes
+    over the first trace."""
+    name = os.fsdecode(b"inst-\xff.json")
+    inst = tmp_path / name
+    inst.write_bytes(pair_file.read_bytes())
+    out = tmp_path / "out"
+    traces = []
+    for _ in range(2):
+        assert main(["solve", str(inst), "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert b"# instance=inst-\xff.json\n" in traces[0]
+    assert traces[0] == traces[1] and traces[0].endswith(b"# status=converged\n")
+    capsys.readouterr()
+
+
 def _save(tmp_path, name, H, A, b):
     inst = cs.ProblemInstance(
         blocks=cs.BlockStructure(dims=(1,) * len(H), m=len(b)), H=np.asarray(H, dtype=float),

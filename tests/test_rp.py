@@ -76,18 +76,26 @@ def _draws(seed, n, count):
     return [tuple(rng.permutation(n).tolist()) for _ in range(count)]
 
 
+# the sizes of a trial's successive draws in _stream, taken in turn
+DRAW_SIZES = (1, 3, 4, 64, 256)
+
+
 def _stream(seed, n, count):
     """The first count orders of a trial seeded with seed, as tuples of
-    Python ints: the rows of the first blocks _trial_orders draws."""
-    blocks = itertools.islice(rp._trial_orders(seed, n), -(-count // rp.ORDER_BLOCK))
-    return list(map(tuple, np.concatenate(list(blocks))[:count].tolist()))
+    Python ints: the rows of its _trial_orders draws of DRAW_SIZES orders
+    in turn, concatenated."""
+    draw, sizes = rp._trial_orders(seed, n), itertools.cycle(DRAW_SIZES)
+    drawn = [draw(next(sizes))]
+    while sum(map(len, drawn)) < count:
+        drawn.append(draw(next(sizes)))
+    return list(map(tuple, np.concatenate(drawn)[:count].tolist()))
 
 
 def test_permutation_stream_is_pinned():
     """Order k of the stream seeded s, drawn one permutation call at a time,
-    is row k of the trial's blocked draws, entry by entry, as Python ints,
-    over seeds up to and past 2**31 and n up to 14; its first orders are
-    pinned to numpy's values."""
+    is row k of the trial's draws of irregular sizes, entry by entry, as
+    Python ints, over seeds up to and past 2**31 and n up to 14; its first
+    orders are pinned to numpy's values."""
     for seed in (0, 1, 9, 2**31 - 1, 2**31, 2**31 + 1, 2**32 + 5):
         for n in (1, 2, 3, 7, 14):
             want = _stream(seed, n, 12346)
@@ -104,9 +112,10 @@ def test_trial_orders_match_keyed_stream():
 
 
 def test_batched_orders_match_keyed_generator():
-    """Orders drawn ORDER_BLOCK at a time by _trial_orders, and one at a time
-    by permutation_at, are the successive default_rng(seed).permutation(n)
-    draws, for seeds of one, two and three words and n from 1 to 20."""
+    """Orders drawn in draws of irregular sizes by _trial_orders, and one at
+    a time by permutation_at, are the successive
+    default_rng(seed).permutation(n) draws, for seeds of one, two and three
+    words and n from 1 to 20."""
     for seed in (0, 2**31 - 1, 2**31 + 1, 2**32 + 5, 2**64 + 7):
         for n in range(1, 21):
             want = _draws(seed, n, 70)
@@ -114,14 +123,15 @@ def test_batched_orders_match_keyed_generator():
             assert [permutation_at(seed, k, n) for k in (0, 1, 69)] == [want[0], want[1], want[69]]
 
 
-def test_trial_orders_cross_refill_boundaries(monkeypatch):
-    """Orders drawn across many blocks of 3 orders are the successive
-    generator draws, order by order, for n from 1 to 20."""
-    monkeypatch.setattr(rp, "ORDER_BLOCK", 3)
+def test_trial_orders_cross_draw_boundaries():
+    """Orders drawn across draws of 1, 3, 4, 64 and 256 orders are the
+    successive generator draws, order by order, and the rows of one draw of
+    them all, for n from 1 to 20."""
     seed = 2**31 + 1
     for n in (1, 3, 4, 14, 20):
-        orders = _stream(seed, n, 42)
-        assert orders == _draws(seed, n, 42)
+        orders = _stream(seed, n, 80)
+        assert orders == _draws(seed, n, 80)
+        assert orders == list(map(tuple, rp._trial_orders(seed, n)(80).tolist()))
         assert all(type(v) is int for order in orders for v in order)
     with pytest.raises(cs.UsageError):
         _stream(seed, 0, 1)
@@ -237,12 +247,18 @@ def test_rp_trial_is_a_loop_of_steps_in_sampled_orders():
 
 
 def test_rp_trials_do_not_depend_on_how_orders_are_batched(monkeypatch):
-    """Trials whose orders are drawn in many blocks of 4 run bitwise as
-    with the default block size."""
+    """Trials whose every draw is made of draws of at most 4 orders run
+    bitwise as with whole draws."""
     inst = coupled_three_block()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.5, gamma=1.0, tol=1e-9, max_iter=400, seed=12)
     want, want_mean = cs.run_rp_solver(inst, cfg, trials=5, keep_iterates=True)
-    monkeypatch.setattr(rp, "ORDER_BLOCK", 4)
+    trial_orders = rp._trial_orders
+
+    def in_pieces(seed, n):
+        draw = trial_orders(seed, n)
+        return lambda k: np.concatenate([draw(min(4, k - lo)) for lo in range(0, k, 4)])
+
+    monkeypatch.setattr(rp, "_trial_orders", in_pieces)
     got, got_mean = cs.run_rp_solver(inst, cfg, trials=5, keep_iterates=True)
     for a, b in zip(want, got):
         assert a.ks == b.ks and len(a) > 20

@@ -114,6 +114,22 @@ def test_step_rejects_non_permutation():
             cs.step(inst, cfg, st0, order=order)
 
 
+def test_step_rejects_an_iterate_of_the_wrong_size():
+    """An IterateState whose x or mu has another number of entries than the
+    instance is a StructuralError naming the field, as a start point of the
+    wrong size is for run_solver."""
+    rng = np.random.default_rng(16)
+    inst = two_block_instance(rng, kinds=("zero",))
+    d, m = inst.blocks.d, inst.blocks.m
+    cfg = cs.SolverConfig(variant="admm2")
+    st0 = cs.IterateState.start(inst)
+    for field, size in (("x", d - 1), ("x", d + 1), ("mu", m + 1)):
+        bad = dataclasses.replace(st0, **{field: np.zeros(size)})
+        for order in (None, (1, 0)):
+            with pytest.raises(cs.StructuralError, match=f"^{field} has {size} entries, expected"):
+                cs.step(inst, cfg, bad, order=order)
+
+
 def test_linearized_soft_threshold_composition():
     # theta_1 = |.|: the half-point is soft-thresholded at 1/r_1
     inst = cs.ProblemInstance(

@@ -140,9 +140,10 @@ def test_runs_do_not_depend_on_the_sweep_block(monkeypatch):
 
 
 def test_rp_trials_do_not_depend_on_the_sweep_block(monkeypatch):
-    """Each trial draws the orders of its dropped speculative sweeps from its
-    own generator, so no trial and no sample mean moves with the block
-    size."""
+    """Each trial draws as many orders as a block sweeps, the orders of its
+    dropped speculative sweeps among them, from its own generator, so no
+    trial and no sample mean moves with the block size, which sets the size
+    of every draw."""
     inst = _three_by_three_instance()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, tol=1e-9, max_iter=3000, seed=7)
     results = _at_block_sizes(monkeypatch, lambda: cs.run_rp_solver(inst, cfg, trials=4, keep_iterates=True))
@@ -277,11 +278,10 @@ def test_guard_checked_once_per_block_keeps_the_guard_row(monkeypatch):
     inst, cfg = _fast_diverging((cs.ProxFn.l1(0.1), cs.ProxFn.zero()))
     ws = solvers._Workspace(inst, cfg)
     assert not ws.composed
-    z = np.zeros(3)
+    rows = np.zeros((solvers.SWEEP_BLOCK, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(solvers.SWEEP_BLOCK - 1):
-            ws.advance(z, (0, 1))
-    assert not np.all(np.isfinite(z))
+        ws.order_sweep((0, 1))(rows)
+    assert not np.all(np.isfinite(rows[-1]))
     runs = []
     for size in (64, 1):
         monkeypatch.setattr(solvers, "SWEEP_BLOCK", size)

@@ -22,7 +22,7 @@ from coupled_splitting import solvers
 from coupled_splitting.rp import permutation_at
 
 from gen import mixed_instance, random_psd, scaled_identity_R, violating_instance
-from oracles import per_block_sweep
+from oracles import engine_sweep, per_block_sweep
 
 # composed and block-by-block sweeps from the same point, relative to
 # 1 + the largest magnitude of the block-by-block result
@@ -67,7 +67,7 @@ def test_composed_sweeps_match_the_per_block_loop():
         for order in orders:
             want, got = z.copy(), z.copy()
             per_block_sweep(ws, want, order)
-            ws.advance(got, order)
+            engine_sweep(ws, got, order)
             scale = 1.0 + np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= COMPOSED_TOL * scale, (cfg.variant, order)
             z = want

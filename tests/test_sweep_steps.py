@@ -16,7 +16,7 @@ from coupled_splitting.prox import prox_eval
 from coupled_splitting.rp import permutation_at
 
 from gen import mixed_instance, random_psd, scaled_identity_R
-from oracles import per_block_sweep
+from oracles import engine_sweep, per_block_sweep
 
 SWEEPS = 300
 
@@ -82,8 +82,9 @@ def _prox_cases():
 
 
 def test_block_steps_equal_the_whole_vector_loop_bytewise():
-    """Over 300 sweeps in random orders from a wide start, advance leaves
-    the bytes the whole-vector loop leaves, after every sweep."""
+    """Over 300 sweeps in random orders from a wide start, the engine's
+    sweep of each order leaves the bytes the whole-vector loop leaves, after
+    every sweep."""
     rng, cases = _prox_cases()
     for inst, cfg in cases:
         n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
@@ -94,7 +95,7 @@ def test_block_steps_equal_the_whole_vector_loop_bytewise():
         zeros = 0
         for k in range(SWEEPS):
             order = tuple(range(n)) if k % 3 == 0 else tuple(int(v) for v in rng.permutation(n))
-            ws.advance(got, order)
+            engine_sweep(ws, got, order)
             per_block_sweep(ws, want, order)
             assert got.tobytes() == want.tobytes(), (cfg.variant, k)
             zeros += int(np.count_nonzero(got[:d] == 0.0))
@@ -109,8 +110,8 @@ def _assert_rows_are_whole_vector_sweeps(ws, trace, orders):
 
 
 def test_the_shared_buffer_carries_nothing_between_iterates():
-    """One workspace that advances two iterates in turn, and two workspaces
-    of one instance that advance theirs interleaved, leave the whole-vector
+    """One workspace that sweeps two iterates in turn, and two workspaces
+    of one instance that sweep theirs interleaved, leave the whole-vector
     loop's bytes after every sweep."""
     rng, cases = _prox_cases()
     for inst, cfg in cases:
@@ -123,7 +124,7 @@ def test_the_shared_buffer_carries_nothing_between_iterates():
         for k in range(60):
             order = tuple(int(v) for v in rng.permutation(n))
             for j, w in enumerate(ws):
-                w.advance(got[j], order)
+                engine_sweep(w, got[j], order)
                 per_block_sweep(w, want[j], order)
                 assert got[j].tobytes() == want[j].tobytes(), (cfg.variant, k, j)
 
@@ -213,7 +214,7 @@ def test_steps_are_laid_out_only_for_block_by_block_sweeps(monkeypatch):
     ws = solvers._Workspace(direct, cfg, n_orders=6)
     z = rng.standard_normal(9)
     for order in ((0, 1, 2), (1, 2, 0)):
-        ws.advance(z, order)
+        engine_sweep(ws, z, order)
     assert len(built) == 4
     assert all(w.composed and "sweep_steps" not in w.__dict__ for w in built)
 
@@ -228,9 +229,9 @@ def test_steps_are_laid_out_only_for_block_by_block_sweeps(monkeypatch):
     ws = solvers._Workspace(prox, cs.SolverConfig(variant="admm2_linearized"))
     assert "sweep_steps" not in ws.__dict__
     z = rng.standard_normal(5)
-    ws.advance(z, (0, 1))
+    engine_sweep(ws, z, (0, 1))
     steps = ws.__dict__["sweep_steps"]
-    ws.advance(z, (1, 0))
+    engine_sweep(ws, z, (1, 0))
     assert ws.sweep_steps is steps
 
 
