@@ -11,7 +11,6 @@ here.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +90,7 @@ def run_rp_solver(
     trials = check_integer(trials, "trials", 1)
     seed = int(cfg.seed)
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
-    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0), n_orders=math.factorial(n))
+    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0), random_orders=True)
     start = IterateState.start(inst, x0, mu0)
     # sweeps past a stop draw orders from that trial's generator only
     traces = _drive(ws, [start] * trials, [_trial_orders(seed ^ t, n) for t in range(trials)], True)

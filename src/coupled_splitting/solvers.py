@@ -421,15 +421,15 @@ class _Workspace:
     here.
 
     When every block is direct, a whole sweep is one affine map of z (see
-    sweep_map). It is composed when the maps of all n_orders block orders the
-    run can draw (1 for a cyclic run, n! for a randomly permuted one) fit in
+    sweep_map). It is composed when the maps of all block orders the run can
+    draw (n! when random_orders is set, else the one cyclic order) fit in
     SWEEP_MAP_BYTES, a rule of the instance, the variant and the kind of run
     alone; otherwise, and with any prox block, the blocks are swept one at a
     time. A randomly permuted run that composes keeps every order's map in
     one table, sweep_table; nothing else keeps a composed map.
     """
 
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, min_norm: bool = False, n_orders: int = 1):
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, min_norm: bool = False, random_orders: bool = False):
         cfg.validate(inst)
         variant = cfg.variant
         two_block = variant in ("admm2", "admm2_linearized")
@@ -462,6 +462,7 @@ class _Workspace:
                 )
         # whether sweeps are composed maps rather than swept block by block
         size = self.d + inst.blocks.m
+        n_orders = math.factorial(n) if random_orders else 1
         self.composed = all(r is None for r in self.prox_weight) and n_orders * 8 * size * (size + 1) <= SWEEP_MAP_BYTES
 
     def _block_update(self, S: np.ndarray, i: int) -> tuple:
@@ -567,35 +568,35 @@ class _Workspace:
 
     def sweep_map(self, order) -> tuple:
         """(T, t) with one all-direct sweep in `order` equal to z -> T z + t:
-        each block's rows become W_i times the map so far, plus c_i, and the
-        multiplier rows take the step. Composed for this order alone and not
-        kept; its bits are those of the order's row of sweep_table."""
-        d, A = self.d, self.inst.A
-        T, t = np.eye(d + A.shape[0]), np.zeros(d + A.shape[0])
-        for i in order:
-            sl = self.slices[i]
-            T[sl] = self.W[i] @ T
-            t[sl] = self.W[i] @ t + self.c[i]
-        step = self.gamma * self.beta
-        T[d:] -= step * (A @ T[:d])
-        t[d:] -= step * (A @ t[:d] - self.inst.b)
-        return T, t
+        the one-order case of _compose, not kept; its bits are those of the
+        order's row of sweep_table."""
+        T, t = self._compose(np.array([order]))
+        return T[0], t[0]
 
     @functools.cached_property
     def sweep_table(self) -> tuple:
         """(T, t) of shape (n!, d+m, d+m) and (n!, d+m): row r is the
-        sweep_map of the order of rank r (_ranks), bit for bit. All orders
-        are composed at once, position by position: at each position, block
-        i's rows of the orders that put i there take one stacked product
-        with W_i; then the multiplier rows of all orders take one."""
-        orders = np.array(list(itertools.permutations(range(self.n))))
+        sweep_map of the order of rank r (_ranks), all composed at once."""
+        return self._compose(np.array(list(itertools.permutations(range(self.n)))))
+
+    def _compose(self, orders: np.ndarray) -> tuple:
+        """(T, t) of shape (k, d+m, d+m) and (k, d+m) with row r the sweep in
+        orders[r], a (k, n) int array, as z -> T z + t. All orders are
+        composed at once, position by position: at each position, for each
+        block i present there, the rows of i of the orders that put it there
+        become W_i times the map so far, plus c_i, in one stacked product;
+        then the multiplier rows of all orders take the step in one."""
         d, A = self.d, self.inst.A
         T = np.tile(np.eye(d + A.shape[0]), (len(orders), 1, 1))
         t = np.zeros(T.shape[:2])
         for column in orders.T:  # the block each order sweeps at one position
-            for W, c, sl, here in zip(self.W, self.c, self.slices, column == np.arange(self.n)[:, None]):
+            present = set(column.tolist())
+            for i in present:
+                # every order, as a view, when all of them sweep block i here
+                here = column == i if len(present) > 1 else slice(None)
+                W, sl = self.W[i], self.slices[i]
                 T[here, sl] = np.matmul(W, T[here])
-                t[here, sl] = _gemv(W, t[here]) + c
+                t[here, sl] = _gemv(W, t[here]) + self.c[i]
         step = self.gamma * self.beta
         T[:, d:] -= step * np.matmul(A, T[:, :d])
         t[:, d:] -= step * (_gemv(A, t[:, :d]) - self.inst.b)
@@ -615,14 +616,14 @@ class _Workspace:
             base[sl, sl] = -R
         return base
 
-    def surrogate_matrix(self, order) -> np.ndarray:
-        """The surrogate matrix U of a block order: surrogate_base with the
-        blocks that come earlier in the order than the row block zeroed."""
-        U = self.surrogate_base.copy()
-        for p, i in enumerate(order):
-            for j in order[:p]:
-                U[self.slices[i], self.slices[j]] = 0.0
-        return U
+    def surrogate_matrix(self, orders) -> np.ndarray:
+        """The surrogate matrix U of a block order, or a stack of them, one
+        per row of a 2-d int array of orders: surrogate_base masked by the
+        blocks' positions pe in the order, so that the blocks that come
+        earlier in the order than the row block are zero."""
+        # ndarray methods: np.argsort on a list takes a slow fallback
+        pe = np.asarray(orders).argsort(axis=-1).repeat(self.inst.blocks.dims, axis=-1)
+        return self.surrogate_base * (pe[..., None, :] >= pe[..., :, None])
 
     def surrogate_parts(self, DX: np.ndarray, RES: np.ndarray, orders, U=None) -> np.ndarray:
         """Per-block norms of the exact optimality shift from each sweep, one
@@ -633,22 +634,19 @@ class _Workspace:
 
         Each row's product is one gemv with its order's U, as U.dot(dx). U,
         when given, is the surrogate_matrix of the one order of every row.
-        Otherwise each row's U is masked by the blocks' positions pe in its
-        order (an int array or list, one order a row), in chunks of rows
-        whose matrices take at most SURROGATE_CHUNK_BYTES.
+        Otherwise each row's U is built from its order (orders is an int
+        array or a list, one order a row), in chunks of rows whose matrices
+        take at most SURROGATE_CHUNK_BYTES.
         """
         if U is not None:
             V = _gemv(U, DX)
         else:
-            base = self.surrogate_base
-            # ndarray methods: np.argsort on a list takes a slow fallback
-            pe = np.asarray(orders).argsort(axis=1).repeat(self.inst.blocks.dims, axis=1)
+            orders = np.asarray(orders)
             V = np.empty_like(DX)
-            step = max(1, SURROGATE_CHUNK_BYTES // base.nbytes)
-            for lo in range(0, len(pe), step):
+            step = max(1, SURROGATE_CHUNK_BYTES // self.surrogate_base.nbytes)
+            for lo in range(0, len(orders), step):
                 rows = slice(lo, lo + step)
-                U = base * (pe[rows, None, :] >= pe[rows, :, None])
-                V[rows] = np.matmul(U, DX[rows, :, None])[:, :, 0]
+                V[rows] = np.matmul(self.surrogate_matrix(orders[rows]), DX[rows, :, None])[:, :, 0]
         if self.gamma != 1.0:
             V -= self.beta * (1.0 - self.gamma) * _gemv(self.At, RES)
         return np.sqrt(np.add.reduceat(V * V, self.offsets, axis=1))
@@ -687,7 +685,7 @@ def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=No
     does, and one in the cyclic order as run_solver does.
     """
     n, d = inst.blocks.n, inst.blocks.d
-    ws = _Workspace(inst, cfg, n_orders=1 if order is None else math.factorial(n))
+    ws = _Workspace(inst, cfg, random_orders=order is not None)
     rows = np.empty((2, d + inst.blocks.m))
     rows[0, :d], rows[0, d:] = _start_vector(state.x, d, "x"), _start_vector(state.mu, inst.blocks.m, "mu")
     ws.order_sweep(tuple(range(n)) if order is None else check_order(order, n))(rows)
@@ -759,16 +757,17 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
     and each run draws a block's orders as the block starts. The first
     block is SWEEP_BLOCK sweeps and each later one is sized from the runs'
     own rows (_block_length), never from timing, so no row depends on it.
+    A run with an opaque term, whose sweeps and objective call user code,
+    sweeps blocks of one sweep and stops on the surrogate bound, so no user
+    code runs past any run's stop.
 
-    A run whose sweeps call no user code sweeps its whole block with no test
-    inside it, then checks the divergence guard once on all the block's rows
-    and keeps its rows up to its first row past the limit. Those sweeps and
+    Each run sweeps its whole block with no test inside it, then checks the
+    divergence guard once on all the block's rows and keeps its rows up to
+    its first row past the limit. Without an opaque term those sweeps and
     that check run with overflow and invalid operations ignored
     (np.errstate), so neither a kept guard row nor the dropped rows past it
-    warn while swept; kept rows warn as usual when observed. A run with an
-    opaque term, whose sweeps and objective call user code, checks the guard
-    after every sweep and stops on the surrogate bound, which calls none
-    (_sweep_to_stops), so no user code runs past any run's stop.
+    warn while swept; kept rows warn as usual when observed. With one they
+    keep numpy's settings, so user code warns as it would alone.
 
     Each block's swept rows of all runs are observed in one call, with
     stacked products whose rows equal the one-row products bit for bit
@@ -806,7 +805,9 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
     last, r_last = last[live], stat[live].tolist()
     size = last.shape[1]
     left = int(ws.cfg.max_iter)
-    nb = SWEEP_BLOCK
+    nb = SWEEP_BLOCK if exact else 1
+    # np.errstate's settings around the sweeps; none for those that call user code
+    quiet = {"over": "ignore", "invalid": "ignore"} if exact else {}
     while live:
         nb = min(nb, left)
         left -= nb
@@ -814,14 +815,11 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
         # row 0 holds each run's last point observed, rows 1.. its sweeps since
         Z = np.empty((nb + 1, len(live), size))
         Z[0] = last
-        if exact:
-            with np.errstate(over="ignore", invalid="ignore"):
-                _sweep_block(ws, Z, orders, sweep)
-                ends = _guard_rows(Z[1:]) + 1
-            guards = ends <= nb
-            ends = np.minimum(ends, nb).tolist()
-        else:
-            ends, guards = _sweep_to_stops(ws, Z, orders, U, sweep)
+        with np.errstate(**quiet):
+            _sweep_block(ws, Z, orders, sweep)
+            ends = _guard_rows(Z[1:]) + 1
+        guards = ends <= nb
+        ends = np.minimum(ends, nb).tolist()
         # the runs' swept rows, as (run, its rows 0..end, its orders, whether
         # its last row tripped the guard)
         block = [(j, Z[: e + 1, i], orders[i][:e], g) for i, (j, e, g) in enumerate(zip(live, ends, guards))]
@@ -897,37 +895,6 @@ def _guard_rows(Z: np.ndarray) -> np.ndarray:
         return np.full(Z.shape[1], len(Z))
     past = past.reshape(Z.shape[:2])
     return np.where(past.any(axis=0), past.argmax(axis=0), len(Z))
-
-
-def _sweep_to_stops(ws, Z: np.ndarray, orders, U, sweep) -> tuple:
-    """Sweep each run of a block one sweep at a time, by `sweep` (the cyclic
-    order's order_sweep) or each drawn order's order_sweep, one run's block
-    at a time (so the user code of different runs is not interleaved),
-    until its row trips the guard or its surrogate bound falls to the
-    tolerance, testing after every sweep; returns each run's last row swept
-    and whether it tripped the guard. Rows past a run's stop are left
-    unset."""
-    A, rhs, d, tol = ws.inst.A, ws.inst.b, ws.d, ws.cfg.tol
-    ends, guards = [], []
-    for i, run in enumerate(orders):
-        rows = Z[:, i]
-        end, guard = len(run), False
-        for b, order in enumerate(run.tolist(), 1):
-            (sweep or ws.order_sweep(order))(rows[b - 1 : b + 1])
-            past = _past_limit(rows[b : b + 1])
-            if past is not None and past[0]:
-                end, guard = b, True
-                break
-            X = rows[b : b + 1, :d]
-            res = _gemv(A, X) - rhs
-            U_b = ws.surrogate_matrix(order) if U is None else U  # for one row, cheaper than masking
-            parts = ws.surrogate_parts(X - rows[b - 1 : b, :d], res, [order], U_b)
-            if _largest(parts, np.sqrt(_dots(res, res)))[0] <= tol:
-                end = b
-                break
-        ends.append(end)
-        guards.append(guard)
-    return ends, guards
 
 
 def _block_length(r_prev: float, r_last: float, swept: int, tol: float) -> int:

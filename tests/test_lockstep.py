@@ -4,7 +4,6 @@ opaque terms and with trials that trip the divergence guard mid-block; and
 the stacked divergence guard decides every row as max_abs does."""
 
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -42,7 +41,7 @@ def _assert_trials_run_alone(inst, cfg, trials, x0=None):
 
 
 def _composes(inst, cfg):
-    ws = solvers._Workspace(inst, cfg, n_orders=math.factorial(inst.blocks.n))
+    ws = solvers._Workspace(inst, cfg, random_orders=True)
     return ws.composed
 
 

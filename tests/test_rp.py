@@ -3,7 +3,6 @@ reproducibility, sample means, and the exact expected iteration."""
 
 import dataclasses
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -301,6 +300,17 @@ def test_surrogate_parts_build_each_orders_matrix_within_the_chunk_bound(monkeyp
     assert not hasattr(ws, "U")
 
 
+def test_surrogate_matrix_zeroes_the_blocks_earlier_in_the_order():
+    """surrogate_matrix of each order, alone and in a stack of all orders,
+    equals the matrix built entry by entry."""
+    inst, cfg, _ = _four_block_surrogate_case()
+    ws = _Workspace(inst, cfg)
+    orders = list(itertools.permutations(range(4)))
+    for order, U in zip(orders, ws.surrogate_matrix(np.array(orders))):
+        want = uncached_U(ws, order)
+        assert np.array_equal(ws.surrogate_matrix(order), want) and np.array_equal(U, want), order
+
+
 def test_one_observation_of_many_orders_stays_within_the_chunk_bound():
     """640 rows in distinct orders of 7 blocks of 10 (d = 70): the matrices
     built at a time stay within SURROGATE_CHUNK_BYTES (1 MiB), so the traced
@@ -314,7 +324,7 @@ def test_one_observation_of_many_orders_stays_within_the_chunk_bound():
         blocks=cs.BlockStructure(dims=dims, m=3), H=random_psd(rng, d) + 0.5 * np.eye(d),
         g=rng.standard_normal(d), A=A, b=A @ rng.standard_normal(d),
     )
-    ws = _Workspace(inst, cs.SolverConfig(variant="admm_cyclic_n"), n_orders=math.factorial(7))
+    ws = _Workspace(inst, cs.SolverConfig(variant="admm_cyclic_n"), random_orders=True)
     orders = list(dict.fromkeys(tuple(rng.permutation(7).tolist()) for _ in range(700)))[:640]
     assert len(orders) == 640
     Z = rng.standard_normal((640, d + 3))

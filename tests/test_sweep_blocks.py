@@ -3,6 +3,7 @@ per-row recording bit for bit, no row depends on the block size, and no user
 code runs past a run's stop."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -87,7 +88,15 @@ def test_random_order_rows_equal_the_per_row_recording_bitwise():
 
 
 def _assert_same_run(a, b):
-    assert a.csv_rows() == b.csv_rows()
+    """Same CSV rows, status, final point and iterates. The rows are
+    compared line by line, so that a mismatch names its first differing row
+    rather than having pytest diff two texts of thousands of lines."""
+    rows_a, rows_b = a.csv_rows(), b.csv_rows()
+    lines_a, lines_b = rows_a.splitlines(), rows_b.splitlines()
+    assert len(lines_a) == len(lines_b)
+    first = next((k for k, (la, lb) in enumerate(zip(lines_a, lines_b)) if la != lb), None)
+    assert first is None, (first, lines_a[first], lines_b[first])
+    assert hashlib.sha256(rows_a.encode()).digest() == hashlib.sha256(rows_b.encode()).digest()
     assert a.status == b.status
     assert np.array_equal(a.x, b.x, equal_nan=True) and np.array_equal(a.mu, b.mu, equal_nan=True)
     assert len(a.iterates) == len(b.iterates)
@@ -178,6 +187,31 @@ def test_opaque_terms_run_no_user_code_past_the_stop():
         trace = cs.run_solver(inst, run_cfg)
         assert trace.status == ("converged" if run_cfg.tol else "max_iter")
         assert calls == {"prox": len(trace) - 1, "value": len(trace)}
+
+
+def test_opaque_prox_warnings_reach_the_caller():
+    """User code runs under numpy's own settings, outside the engine's
+    np.errstate: an opaque prox whose arithmetic overflows warns once per
+    kept sweep, in a cyclic run and in a stack of randomly permuted trials,
+    at a max_iter stop and at a converged one."""
+
+    def prox(r, v):
+        np.square(np.float64(1e300))  # overflows, which numpy reports as a RuntimeWarning
+        return np.sign(v) * np.maximum(np.abs(v) - 0.4 / r, 0.0)
+
+    rng = np.random.default_rng(56)
+    base = mixed_instance(rng, (2, 2, 1), 2, ("l1", "l1", "zero"))
+    inst = dataclasses.replace(base, theta=(cs.ProxFn.opaque(prox),) + base.theta[1:])
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, R=scaled_identity_R(inst, 1.0), tol=0.0, max_iter=31)
+    for run_cfg in (cfg, dataclasses.replace(cfg, tol=1e-9, max_iter=5000)):
+        for run in (lambda: [cs.run_solver(inst, run_cfg)], lambda: cs.run_rp_solver(inst, run_cfg, trials=3)[0]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                traces = run()
+            overflows = [w for w in caught if w.category is RuntimeWarning and "overflow" in str(w.message)]
+            sweeps = sum(len(t) - 1 for t in traces)
+            assert len(overflows) == len(caught) == sweeps, (run_cfg.tol, len(traces))
+            assert {t.status for t in traces} == {"max_iter" if run_cfg.tol == 0.0 else "converged"}
 
 
 def test_fast_divergence_warns_about_no_row_past_the_guard():

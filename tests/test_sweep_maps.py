@@ -60,7 +60,7 @@ def test_composed_sweeps_match_the_per_block_loop():
     rng, cases = _direct_cases()
     for inst, cfg, min_norm in cases:
         n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
-        ws = solvers._Workspace(inst, cfg, min_norm=min_norm, n_orders=math.factorial(n))
+        ws = solvers._Workspace(inst, cfg, min_norm=min_norm, random_orders=True)
         assert ws.composed and "sweep_table" not in ws.__dict__
         orders = [tuple(range(n))] + [tuple(int(v) for v in rng.permutation(n)) for _ in range(20)]
         z = np.concatenate([3.0 * rng.standard_normal(d), rng.standard_normal(m)])
@@ -95,16 +95,18 @@ def test_step_and_runs_compose_the_same_maps():
         assert np.array_equal(x, state.x) and np.array_equal(mu, state.mu)
 
 
-def test_maps_past_the_budget_give_the_cached_bits():
-    """A workspace whose n_orders maps do not fit the budget does not
-    compose, yet sweep_map still composes any order: for a 7-block randomly
-    permuted run, to rounding of the block-by-block loop and to the bits of
-    a cyclic workspace, which composes; for a minimum-norm workspace, to the
-    bits of a composing workspace's table."""
+def test_maps_past_the_budget_give_the_cached_bits(monkeypatch):
+    """A workspace whose maps of all the orders it can draw do not fit the
+    budget does not compose, yet sweep_map still composes any order: for a
+    7-block randomly permuted run, to rounding of the block-by-block loop
+    and to the bits of a cyclic workspace, which composes; for a
+    minimum-norm workspace built under a budget one byte short of its two
+    orders' maps (it composes at exactly their size), to the bits of a
+    composing workspace's table."""
     rng, cases = _direct_cases()
     seven = mixed_instance(rng, (2,) * 7, 4, ("zero", "quadratic") * 3 + ("zero",))
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.3, gamma=0.7, R=scaled_identity_R(seven, 1.3))
-    unkept = solvers._Workspace(seven, cfg, n_orders=math.factorial(7))
+    unkept = solvers._Workspace(seven, cfg, random_orders=True)
     cyclic = solvers._Workspace(seven, cfg)
     assert not unkept.composed and cyclic.composed
     z = np.concatenate([rng.standard_normal(14), rng.standard_normal(4)])
@@ -116,8 +118,14 @@ def test_maps_past_the_budget_give_the_cached_bits():
         for got, alone in zip((T, t), cyclic.sweep_map(order)):
             assert np.array_equal(got, alone), order
     singular, singular_cfg, _ = cases[-1]
-    unkept = solvers._Workspace(singular, singular_cfg, min_norm=True, n_orders=10**6)
-    kept = solvers._Workspace(singular, singular_cfg, min_norm=True, n_orders=2)
+    size = singular.blocks.d + singular.blocks.m
+    assert singular.blocks.n == 2
+    monkeypatch.setattr(solvers, "SWEEP_MAP_BYTES", 2 * 8 * size * (size + 1) - 1)
+    unkept = solvers._Workspace(singular, singular_cfg, min_norm=True, random_orders=True)
+    monkeypatch.setattr(solvers, "SWEEP_MAP_BYTES", 2 * 8 * size * (size + 1))
+    assert solvers._Workspace(singular, singular_cfg, min_norm=True, random_orders=True).composed
+    monkeypatch.undo()
+    kept = solvers._Workspace(singular, singular_cfg, min_norm=True, random_orders=True)
     assert not unkept.composed and kept.composed
     T, t = kept.sweep_table
     for rank, order in enumerate(itertools.permutations(range(2))):
@@ -135,13 +143,14 @@ def test_composition_rule_is_per_instance_variant_and_kind_of_run():
     seven = mixed_instance(rng, (2,) * 7, 4, ("zero",) * 7)
     prox = mixed_instance(rng, (2, 2, 2), 2, ("zero", "l1", "zero"))
     cfg = cs.SolverConfig(variant="admm_cyclic_n")
-    for inst, n_orders, composed in (
-        (five, 1, True), (five, math.factorial(5), True),
-        (seven, 1, True), (seven, math.factorial(7), False),
-        (prox, 1, False),
+    for inst, random_orders, composed in (
+        (five, False, True), (five, True, True),
+        (seven, False, True), (seven, True, False),
+        (prox, False, False),
     ):
-        ws = solvers._Workspace(inst, dataclasses.replace(cfg, R=scaled_identity_R(inst, 1.0)), n_orders=n_orders)
-        assert ws.composed == composed, (inst.blocks.dims, n_orders)
+        ws = solvers._Workspace(inst, dataclasses.replace(cfg, R=scaled_identity_R(inst, 1.0)),
+                                random_orders=random_orders)
+        assert ws.composed == composed, (inst.blocks.dims, random_orders)
     bcpg = mixed_instance(rng, (2, 2), 0, ("l1", "zero"))
     assert not solvers._Workspace(bcpg, cs.SolverConfig(variant="bcpg")).composed
 
@@ -169,7 +178,7 @@ def test_runs_not_composed_equal_the_per_block_loop_bitwise():
     seven = mixed_instance(rng, (1,) * 7, 2, ("zero",) * 7)
     rp_cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, tol=0.0, max_iter=150, seed=3)
     traces, _ = cs.run_rp_solver(seven, rp_cfg, trials=2, keep_iterates=True)
-    ws = solvers._Workspace(seven, rp_cfg, n_orders=math.factorial(7))
+    ws = solvers._Workspace(seven, rp_cfg, random_orders=True)
     assert not ws.composed
     for t, trial in enumerate(traces):
         _assert_rows_are_per_block_sweeps(ws, trial, [permutation_at(3 ^ t, k, 7) for k in range(150)])
@@ -207,8 +216,8 @@ def test_table_rows_are_each_orders_map_composed_alone():
     index there, one order at a time and as a stack of runs' blocks."""
     for inst, cfg, min_norm in _table_cases():
         n, size = inst.blocks.n, inst.blocks.d + inst.blocks.m
-        ws = solvers._Workspace(inst, cfg, min_norm=min_norm, n_orders=math.factorial(n))
-        alone = solvers._Workspace(inst, cfg, min_norm=min_norm, n_orders=math.factorial(n))
+        ws = solvers._Workspace(inst, cfg, min_norm=min_norm, random_orders=True)
+        alone = solvers._Workspace(inst, cfg, min_norm=min_norm, random_orders=True)
         assert ws.composed
         T, t = ws.sweep_table
         orders = list(itertools.permutations(range(n)))
@@ -231,7 +240,7 @@ def test_table_build_stays_within_three_map_budgets():
     rng = np.random.default_rng(65)
     inst = mixed_instance(rng, (6,) * 5, 2, ("zero", "quadratic", "zero", "quadratic", "zero"))
     cfg = cs.SolverConfig(variant="admm_cyclic_n", R=scaled_identity_R(inst, 1.0))
-    ws = solvers._Workspace(inst, cfg, n_orders=120)
+    ws = solvers._Workspace(inst, cfg, random_orders=True)
     assert ws.composed and 120 * 8 * 33 * 34 > solvers.SWEEP_MAP_BYTES
     tracemalloc.start()
     try:
