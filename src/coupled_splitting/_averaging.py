@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs
+from ._linalg import CONSISTENCY_RTOL, floored, max_abs
 from .errors import CertificateError, EnumerationLimitError
 from .model import ProblemInstance
 from .solvers import check_beta, check_block_solvable
@@ -166,9 +166,9 @@ def averaged_update(inst: ProblemInstance, beta: float) -> AveragedUpdate:
     precision and rounded once: on instances with a multiple unit eigenvalue
     the expected iteration drifts along its eigenvectors by the rounding
     error of M and c, and in double precision that drift can exceed a
-    stopping tolerance of 1e-12. M is verified to 1e-12 against the direct
-    average of the per-order updates, I - E[Lbar_sigma^-1] Sbar, whose
-    averaged bordered inverse comes from the independent first-block
+    stopping tolerance of 1e-12. M is verified to CONSISTENCY_RTOL against
+    the direct average of the per-order updates, I - E[Lbar_sigma^-1] Sbar,
+    whose averaged bordered inverse comes from the independent first-block
     recursion.
     """
     inst.require_zero_terms("the order-averaged update")
@@ -203,7 +203,7 @@ def averaged_update(inst: ProblemInstance, beta: float) -> AveragedUpdate:
 
     M_direct = np.eye(d + m) - averaged_bordered_inverse(Sbar[:, :d], Dinv, blk, layers) @ Sbar
     consistency = max_abs(M - M_direct)
-    if consistency > 1e-12 * max(1.0, max_abs(M)):
+    if consistency > floored(CONSISTENCY_RTOL, max_abs(M)):
         raise CertificateError(
             f"closed-form averaged update disagrees with the direct average by {consistency:.3e}"
         )

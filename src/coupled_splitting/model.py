@@ -17,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import block_diag, require_symmetric_psd, singular_direction, symmetry_defect
+from ._linalg import ORACLE_RESIDUAL_RTOL, block_diag, require_symmetric_psd, singular_direction, symmetry_defect
 from .errors import (
     InfeasibleError,
     StructuralError,
     UnsupportedOracleError,
     UsageError,
 )
-from .prox import ProxFn, fn_value, prox_fn_from_dict, prox_fn_to_dict, subdiff_distance
-
-ORACLE_RESIDUAL_RTOL = 1e-10
+from .prox import ProxFn, _check_finite, fn_value, prox_fn_from_dict, prox_fn_to_dict, subdiff_distance
 
 CONDITION_MODES = ("two_block_full", "nblock_qp")
 
@@ -267,7 +265,8 @@ def _uniqueness_condition(inst: ProblemInstance, R_mats, mode: str) -> Condition
 
 def normalize_block_matrices(inst: ProblemInstance, R) -> list:
     """Per-block proximal weights: None -> zeros, scalar -> scaled identity,
-    matrix checked for shape, symmetry, and positive semidefiniteness."""
+    matrix checked for finiteness, shape, symmetry, and positive
+    semidefiniteness."""
     n = inst.blocks.n
     if R is None:
         return [np.zeros((d_i, d_i)) for d_i in inst.blocks.dims]
@@ -280,6 +279,7 @@ def normalize_block_matrices(inst: ProblemInstance, R) -> list:
             out.append(np.zeros((d_i, d_i)))
             continue
         entry = np.asarray(entry, dtype=float)
+        _check_finite(f"R[{i}]", entry)
         if entry.ndim == 0:
             entry = float(entry) * np.eye(d_i)
         if entry.shape != (d_i, d_i):

@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import block_diag, psd_sym, require_symmetric_psd
+from ._linalg import BOX_EDGE_TOL, block_diag, psd_sym, require_symmetric_psd
 from .errors import DomainError, StructuralError, UnsupportedOracleError, UsageError
 
 KINDS = ("zero", "l1", "box", "quadratic", "opaque")
-
-# A bound counts as active when x sits within this of it (absolute, the
-# iterates handed to residual checks come straight from exact clips).
-_BOX_EDGE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +135,10 @@ def _box_bounds(f: ProxFn, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _box_edge(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-coordinate distance within which x counts as on a bound."""
-    edge = _BOX_EDGE_TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-    return np.where(np.isfinite(edge), edge, _BOX_EDGE_TOL)
+    """Per-coordinate distance within which x counts as on a bound: the
+    iterates handed to residual checks come straight from exact clips."""
+    edge = BOX_EDGE_TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    return np.where(np.isfinite(edge), edge, BOX_EDGE_TOL)
 
 
 def prox_eval(f: ProxFn, r: float, v: np.ndarray) -> np.ndarray:

@@ -38,7 +38,8 @@ try:  # the ufunc ndarray.clip calls with both bounds, without its wrapper
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
-from ._linalg import block_diag, max_abs, singular_sym
+from ._linalg import CURVATURE_WARN_RTOL, MIN_NORM_RTOL, SCALED_IDENTITY_RTOL, floored
+from ._linalg import block_diag, max_abs, singular_sym, sym_part
 from .errors import (
     ConditionError,
     StructuralError,
@@ -137,8 +138,8 @@ class SolverConfig:
         if self.r is not None:
             if len(self.r) != inst.blocks.n:
                 raise StructuralError(f"r has {len(self.r)} entries, expected {inst.blocks.n}")
-            if any(not float(v) > 0 for v in self.r):
-                raise UsageError("every linearization curvature r_i must be positive")
+            if any(not 0.0 < float(v) < math.inf for v in self.r):
+                raise UsageError("every linearization curvature r_i must be positive and finite")
         check_integer(self.seed, "seed", 0)
 
 
@@ -341,7 +342,7 @@ def linearization_proximal(inst: ProblemInstance, beta: float) -> list:
     out = []
     for i in range(inst.blocks.n):
         B = inst.block_curvature(i, beta)
-        w = np.linalg.eigvalsh(0.5 * (B + B.T))
+        w = np.linalg.eigvalsh(sym_part(B))
         r = float(w[-1])
         if not r > 0:
             raise ConditionError(f"block {i} has no curvature; linearization is undefined")
@@ -362,7 +363,7 @@ def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
     warnings = [
         f"r[{i}]={r[i]!r} is below the block's top curvature {r_auto!r}; descent guarantees may fail"
         for i, (r_auto, _) in enumerate(pairs)
-        if r[i] < r_auto * (1.0 - 1e-12)
+        if r[i] < r_auto * (1.0 - CURVATURE_WARN_RTOL)
     ]
     R_eff = [r[i] * np.eye(d_i) - inst.block_curvature(i, cfg.beta) for i, d_i in enumerate(inst.blocks.dims)]
     return r, R_eff, warnings
@@ -493,14 +494,14 @@ class _Workspace:
                 # for every z exactly when K W = -row and K c = -lin
                 rhs = np.hstack([row, lin[:, None]])
                 sol = np.linalg.lstsq(K, -rhs, rcond=None)[0]
-                if np.any(np.abs(K @ sol + rhs).max(axis=0) > 1e-8 * (1.0 + np.abs(rhs).max(axis=0))):
+                if np.any(np.abs(K @ sol + rhs).max(axis=0) > MIN_NORM_RTOL * (1.0 + np.abs(rhs).max(axis=0))):
                     raise UsageError(f"block {i} subproblem is unbounded below")
                 return sol[:, :-1], sol[:, -1], None
             check_block_solvable(K, i)
             return -np.linalg.solve(K, row), -np.linalg.solve(K, lin), None
         ridge = float(np.trace(G)) / d_i
         off = max_abs(G - ridge * np.eye(d_i))
-        if not ridge > 0 or off > 1e-10 * max(1.0, abs(ridge)):
+        if not ridge > 0 or off > floored(SCALED_IDENTITY_RTOL, abs(ridge)):
             raise SubproblemStructureError(
                 f"block {i} (kind {f.kind!r}): effective quadratic is not a scaled "
                 f"identity, so no closed-form subproblem exists; {self._structure_advice(i)}"

@@ -21,7 +21,23 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from ._linalg import max_abs, psd_sqrt, rank_svd, spectral_radius, sym_part, symmetric
+from ._linalg import (
+    EIG_ONE_TOL,
+    GAP_FRACTION,
+    IDENTITY_TOL,
+    OSCILLATION_RTOL,
+    QS_LOWER,
+    QS_UPPER_GAP,
+    RANK_RTOL,
+    RATE_TIE_TOL,
+    WITNESS_RTOL,
+    max_abs,
+    psd_sqrt,
+    rank_svd,
+    spectral_radius,
+    sym_part,
+    symmetric,
+)
 from .errors import CertificateError, ConditionError, StructuralError, UsageError
 from .model import BlockStructure, ProblemInstance, _uniqueness_condition, normalize_block_matrices
 from ._averaging import averaged_update, bordered_curvature, check_sweep_blocks
@@ -37,13 +53,6 @@ from .solvers import (
     check_integer,
     check_order,
 )
-
-# Eigenvalue classification bands. A value within EIG_ONE_TOL of 1+0i counts
-# as one; a modulus below 1 - EIG_ONE_TOL counts as strictly inside; anything
-# between is indeterminate and fails verdicts conservatively.
-EIG_ONE_TOL = 1e-8
-QS_LOWER = -1e-10
-QS_UPPER_GAP = 1e-12
 
 
 @dataclass
@@ -187,8 +196,9 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
 
     Q is the averaged inverse of the ordered curvature factor, built by a DP
     over block paths; M is the full averaged one-step update, assembled in
-    closed form from Q and verified to 1e-12 against the direct average of
-    the per-order updates from an independent first-block recursion.
+    closed form from Q and verified to CONSISTENCY_RTOL against the direct
+    average of the per-order updates from an independent first-block
+    recursion.
     """
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
     update = averaged_update(inst, beta)
@@ -214,7 +224,7 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
         # one, so a thresholded rank is wrong
         raise CertificateError(
             f"rank formulas give am_one={am_one} below gm_one={gm_one}: the ranks are not "
-            "resolved at 1e-10 of each balanced matrix's largest singular value"
+            f"resolved at {RANK_RTOL:g} of each balanced matrix's largest singular value"
         )
     eig_one_count = int(np.sum(np.abs(eig_M - 1.0) <= EIG_ONE_TOL))
 
@@ -242,7 +252,7 @@ def build_Q_M(inst: ProblemInstance, beta: float) -> SpectralReport:
 def check_eig_QS(report: SpectralReport) -> bool:
     """True when the averaged inverse is positive definite and every
     eigenvalue of its product with the curvature matrix lies in
-    [-1e-10, 4/3 - 1e-12). Stored under verdict key 'lemma_3_1'."""
+    [QS_LOWER, 4/3 - QS_UPPER_GAP). Stored under verdict key 'lemma_3_1'."""
     q_ok = report.q_min_eig > 0.0
     lo = QS_LOWER
     hi = 4.0 / 3.0 - QS_UPPER_GAP
@@ -255,12 +265,12 @@ def check_eig_QS(report: SpectralReport) -> bool:
 def check_M_spectrum(report: SpectralReport) -> tuple:
     """Certify the averaged update's spectrum.
 
-    First verdict ('lemma_3_4'): every eigenvalue is either within 1e-8 of
-    one or has modulus below 1 - 1e-8; indeterminate values fail. Second
-    verdict ('lemma_3_5'): the rank formulas for the algebraic and geometric
-    multiplicity of eigenvalue one agree. A third stored verdict
-    ('am_matches_spectrum') requires the count of unit eigenvalues to equal
-    the rank-formula multiplicity.
+    First verdict ('lemma_3_4'): every eigenvalue is either within
+    EIG_ONE_TOL of one or has modulus below 1 - EIG_ONE_TOL; indeterminate
+    values fail. Second verdict ('lemma_3_5'): the rank formulas for the
+    algebraic and geometric multiplicity of eigenvalue one agree. A third
+    stored verdict ('am_matches_spectrum') requires the count of unit
+    eigenvalues to equal the rank-formula multiplicity.
     """
     on_circle = np.abs(report.eig_M - 1.0) <= EIG_ONE_TOL
     inside = np.abs(report.eig_M) < 1.0 - EIG_ONE_TOL
@@ -301,7 +311,7 @@ def analyze_instance(inst: ProblemInstance, beta: float) -> SpectralReport:
             cmp = None
         if cmp is not None:
             prop = bool(
-                abs(cmp.rho1 - cmp.rho2) <= 1e-10 and cmp.rho3 >= cmp.rho1 - 1e-10
+                abs(cmp.rho1 - cmp.rho2) <= RATE_TIE_TOL and cmp.rho3 >= cmp.rho1 - RATE_TIE_TOL
             )
     report.verdicts["prop_3_1"] = prop
     return report
@@ -350,7 +360,7 @@ def bcd_rate_matrices(H, d1: int) -> BcdRateComparison:
     M3 = 0.5 * (M1 + M2)
     sigma1 = None
     rho3_closed = None
-    if max_abs(H11 - np.eye(d1)) <= 1e-12 and max_abs(H22 - np.eye(d2)) <= 1e-12:
+    if max_abs(H11 - np.eye(d1)) <= IDENTITY_TOL and max_abs(H22 - np.eye(d2)) <= IDENTITY_TOL:
         sigma1 = float(np.linalg.eigvalsh(H12.T @ H12)[-1])
         rho3_closed = 0.5 * (sigma1 + math.sqrt(sigma1))
     return BcdRateComparison(
@@ -391,7 +401,7 @@ class WitnessCertificate:
 def _verified_witness(inst: ProblemInstance, R_mats, y: np.ndarray, failure: str) -> dict:
     """Largest image of the unit direction y under every curvature piece of a
     two-block instance; raises CertificateError, led by `failure`, when one
-    exceeds 1e-10 of the data scale."""
+    exceeds WITNESS_RTOL of the data scale."""
     sl1 = inst.blocks.slice_of(0)
     sl2 = inst.blocks.slice_of(1)
     y1, y2 = y[sl1], y[sl2]
@@ -406,7 +416,7 @@ def _verified_witness(inst: ProblemInstance, R_mats, y: np.ndarray, failure: str
         "cross_block_21": float(np.max(np.abs(H12.T @ y1), initial=0.0)),
     }
     scale = 1.0 + max(max_abs(inst.H), max_abs(inst.A), *[max_abs(Rm) for Rm in R_mats])
-    bad = {k: v for k, v in checks.items() if v > 1e-10 * scale}
+    bad = {k: v for k, v in checks.items() if v > WITNESS_RTOL * scale}
     if bad:
         raise CertificateError(f"{failure}: {bad}")
     return checks
@@ -485,7 +495,7 @@ def oscillation_demo(
 
     defect = _recheck_steps(inst, R_mats, cfg.beta, cfg.gamma, xs_p, mus_p)
     scale = 1.0 + max(float(np.max(np.abs(np.asarray(xs_p)))), float(np.max(np.abs(np.asarray(mus_p)))) if inst.blocks.m else 0.0)
-    if defect > 1e-10 * scale:
+    if defect > OSCILLATION_RTOL * scale:
         raise CertificateError(
             f"perturbed trajectory fails the optimality recheck: defect {defect:.3e}"
         )
@@ -496,7 +506,7 @@ def oscillation_demo(
     if ynorm > 0:
         tail = range(max(1, len(xs_p) - max(2, len(xs_p) // 4)), len(xs_p))
         gap = all(
-            float(np.linalg.norm(np.asarray(xs_p[k]) - np.asarray(xs_p[k - 1]))) >= 0.5 * ynorm
+            float(np.linalg.norm(np.asarray(xs_p[k]) - np.asarray(xs_p[k - 1]))) >= GAP_FRACTION * ynorm
             for k in tail
         )
     return OscillationResult(

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,21 @@ def test_wide_dynamic_range_keeps_ranks(h00, tmp_path, capsys):
     assert (report.am_one, report.gm_one) == (0, 0)
     assert (report.rank_S, report.rank_penalized_gram, report.rank_stationarity_block) == (2, 1, 3)
     assert all(report.verdicts.values()), report.verdicts
+
+
+def test_huge_finite_h_is_valid_input(tmp_path, capsys):
+    """H = diag(1e308, 1) is finite, semidefinite and overflows none of the
+    input checks: every subcommand runs without a warning, and witness
+    finds none."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_pair_doc(H=[[1e308, 0.0], [0.0, 1.0]])))
+    for cmd in _SUBCOMMANDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([cmd[0], str(path), *cmd[1:], "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 0, (cmd, err)
+    assert "witness: none" in out
 
 
 def test_large_blocks_within_block_limit(tmp_path, capsys):

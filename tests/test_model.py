@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import coupled_splitting as cs
-from coupled_splitting._linalg import psd_sym, singular_sym, symmetric
+from coupled_splitting._linalg import psd_sym, singular_sym, sym_part, symmetric
 from coupled_splitting.errors import InfeasibleError, StructuralError, UnsupportedOracleError
 from coupled_splitting.model import normalize_block_matrices, validate_instance
 from coupled_splitting.solvers import merit_weight_matrices
@@ -95,6 +95,29 @@ def test_one_rule_per_matrix_property():
     assert singular_sym(np.diag(_arr(1e-13, 1.0))) == (True, 1e-13)
     assert singular_sym(np.diag(_arr(5e-11, 1.0))) == (False, 5e-11)
     assert singular_sym(np.diag(_arr(1e-3, 1e10)))[0]
+
+
+def test_symmetric_part_of_huge_finite_entries_stays_finite():
+    """sym_part halves before it sums, so a finite matrix's symmetric part is
+    finite: H = diag(1e308, 1) is semidefinite and a block curvature of
+    1e308 is not singular."""
+    H = np.diag(_arr(1e308, 1.0))
+    assert np.array_equal(sym_part(H), H)
+    assert psd_sym(H) == (True, 1.0)
+    assert singular_sym(np.array([[1e308]])) == (False, 1e308)
+    M = np.array([[1e308, 1.5e308], [0.5e308, 1e308]])
+    assert np.array_equal(sym_part(M), np.full((2, 2), 1e308))
+    validate_instance(_simple(H, np.zeros(2), np.zeros((1, 2)), [0.0], (1, 1)))
+
+
+def test_proximal_weights_must_be_finite():
+    """A non-finite R_i is named as such before its symmetry is tested."""
+    inst = _simple(np.eye(3), np.zeros(3), np.zeros((1, 3)), [0.0], (1, 2))
+    for R1 in (np.inf, np.nan, [[1.0, np.inf], [np.inf, 1.0]], [[1.0, np.nan], [0.0, 1.0]]):
+        with pytest.raises(StructuralError, match=r"^R\[1\] must be finite$"):
+            normalize_block_matrices(inst, [None, R1])
+        with pytest.raises(StructuralError, match=r"^R\[1\] must be finite$"):
+            cs.run_solver(inst, cs.SolverConfig(variant="admm2", R=[None, R1]))
 
 
 def test_guards_name_the_matrix_they_reject():

@@ -480,6 +480,19 @@ def test_low_user_curvature_warns_and_proceeds():
     assert any("below" in w for w in tr.warnings)
 
 
+def test_linearization_curvatures_must_be_positive_and_finite():
+    """An infinite r_i is refused when the run is configured, instead of
+    sweeping to NaN (bcpg) or reporting an infinite eigenvalue."""
+    H = np.array([[2.0, 1.0], [1.0, 2.0]])
+    free = cs.ProblemInstance(blocks=cs.BlockStructure(dims=(1, 1), m=0), H=H, g=np.ones(2), A=None, b=None)
+    rows = scalar_pair_instance()
+    message = "^every linearization curvature r_i must be positive and finite$"
+    for inst, variant in ((free, "bcpg"), (rows, "admm2_linearized")):
+        for r0 in (np.inf, -np.inf, np.nan, 0.0):
+            with pytest.raises(cs.UsageError, match=message):
+                cs.run_solver(inst, cs.SolverConfig(variant=variant, r=[r0, 3.0]))
+
+
 # -- merit function ----------------------------------------------------------
 
 
