@@ -29,6 +29,10 @@ CURVATURE_WARN_RTOL = 1e-12
 MIN_NORM_RTOL = 1e-8
 SCALED_IDENTITY_RTOL = 1e-10
 
+# The augmented penalty: a beta above BETA_MAX is a usage error, so that beta
+# and its square times unit-scale data stay far inside the float range.
+BETA_MAX = 1e150
+
 # The order-averaged update: the closed-form M may differ from the direct
 # average by at most floored(CONSISTENCY_RTOL, max|M|).
 CONSISTENCY_RTOL = 1e-12

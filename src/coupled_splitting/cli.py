@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import CoupledSplittingError, UsageError
 from .model import load_instance
-from .rp import run_expected_iteration, run_rp_solver
+from .rp import run_expected_iteration, run_rp_solver, trials_csv_text
 from .solvers import _fmt, _write_artifact, SolverConfig, VARIANTS, check_integer, run_solver
 from .spectral import _json_text, analyze_instance, bcd_rate_matrices, divergence_witness, save_report
 
@@ -128,11 +128,7 @@ def _cmd_rp_expect(args) -> int:
         f"trials={args.trials}",
     ]
     expect = run_expected_iteration(inst, args.beta, k_max=args.max_iter, tol=args.tol)
-    out = _out_dir(args)
-    path = out / "expectation.csv"
-    expect.to_csv(path, header_lines=header)
-    print(f"wrote {path}")
-    print(f"expected_status={expect.status} steps={expect.ks[-1]}")
+    texts = {"expectation.csv": expect.csv_text(header)}
     if args.trials > 0:
         cfg = SolverConfig(
             variant="admm_cyclic_n",
@@ -143,16 +139,17 @@ def _cmd_rp_expect(args) -> int:
             seed=seed,
         )
         traces, mean_trace = run_rp_solver(inst, cfg, trials=args.trials)
-        mean_path = out / "expectation_sampled.csv"
-        mean_trace.to_csv(mean_path, header_lines=header)
-        trials_path = out / "trials.csv"
-        parts = [f"# {line}\n" for line in header]
-        parts.append(traces[0].csv_columns())
-        for trace in traces:
-            parts += (trace.csv_rows(), f"# trial={trace.trial} status={trace.status}\n")
-        _write_artifact(trials_path, "".join(parts))
-        print(f"wrote {mean_path}")
-        print(f"wrote {trials_path}")
+        texts["expectation_sampled.csv"] = mean_trace.csv_text(header)
+        texts["trials.csv"] = trials_csv_text(traces, header)
+    # every text is built before the first file is written
+    out = _out_dir(args)
+    for name, text in texts.items():
+        _write_artifact(out / name, text)
+    print(f"wrote {out / 'expectation.csv'}")
+    print(f"expected_status={expect.status} steps={expect.ks[-1]}")
+    if args.trials > 0:
+        print(f"wrote {out / 'expectation_sampled.csv'}")
+        print(f"wrote {out / 'trials.csv'}")
     else:
         # a run without trials leaves no sampled files of an earlier run
         (out / "expectation_sampled.csv").unlink(missing_ok=True)

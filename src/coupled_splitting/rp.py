@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._averaging import averaged_update
+from ._csvtext import csv_lines
 from .errors import UsageError
 from .model import ProblemInstance
 from ._observe import _dots
@@ -134,16 +135,32 @@ class ExpectationTrace:
         return np.concatenate([self.Ex[row], self.Emu[row]])
 
     def to_csv(self, path, header_lines=()) -> None:
+        _write_artifact(path, self.csv_text(header_lines))
+
+    def csv_text(self, header_lines=()) -> str:
+        """The CSV text: the header lines as comments, the column names, one
+        line per k (its cells the floats' reprs, a NaN cell "nan", then the
+        mode) and the status."""
         d = self.Ex.shape[1]
         m = self.Emu.shape[1]
         cols = ["k"] + [f"Ex_{j + 1}" for j in range(d)] + [f"Emu_{j + 1}" for j in range(m)] + ["mode"]
-        lines = [f"# {line}\n" for line in header_lines]
-        lines.append(",".join(cols) + "\n")
-        # .tolist() gives Python floats, whose repr is repr(float(v)) per cell
-        rows = np.hstack([self.Ex, self.Emu]).astype(float, copy=False).tolist()
-        lines += [",".join((str(k), *map(repr, row), self.mode)) + "\n" for k, row in zip(self.ks, rows)]
-        lines.append(f"# status={self.status}\n")
-        _write_artifact(path, "".join(lines))
+        head = "".join(f"# {line}\n" for line in header_lines) + ",".join(cols) + "\n"
+        rows = np.hstack([self.Ex, self.Emu])
+        n = min(len(self.ks), len(rows))
+        notes = [(0, head), (n, f"# status={self.status}\n")]
+        return csv_lines(rows[:n], (np.asarray(self.ks)[:n],), tail=f",{self.mode}\n", nan="nan", notes=notes)
+
+
+def trials_csv_text(traces: list, header_lines=()) -> str:
+    """The text of trials.csv: the header lines as comments, the column
+    names, then each trial's rows led by its number and followed by a
+    comment with its status."""
+    sizes = [len(trace) for trace in traces]
+    ends = np.cumsum(sizes)
+    lead = (np.repeat([trace.trial for trace in traces], sizes), np.concatenate([np.arange(n) for n in sizes]))
+    notes = [(0, "".join(f"# {line}\n" for line in header_lines) + traces[0].csv_columns())]
+    notes += [(end, f"# trial={trace.trial} status={trace.status}\n") for end, trace in zip(ends, traces)]
+    return csv_lines(np.concatenate([trace.csv_cells() for trace in traces]), lead, notes=notes)
 
 
 def expected_update_operator(inst: ProblemInstance, beta: float):

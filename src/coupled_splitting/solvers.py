@@ -38,7 +38,8 @@ try:  # the ufunc ndarray.clip calls with both bounds, without its wrapper
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
-from ._linalg import CURVATURE_WARN_RTOL, MIN_NORM_RTOL, SCALED_IDENTITY_RTOL, floored
+from ._csvtext import csv_lines
+from ._linalg import BETA_MAX, CURVATURE_WARN_RTOL, MIN_NORM_RTOL, SCALED_IDENTITY_RTOL, floored
 from ._linalg import block_diag, max_abs, singular_sym, sym_part
 from .errors import (
     ConditionError,
@@ -72,9 +73,10 @@ _LINEARIZED = ("admm2_linearized", "bcpg")
 
 
 def check_beta(beta) -> None:
-    """Reject a penalty weight that is not a positive finite number."""
-    if not 0.0 < beta < math.inf:
-        raise UsageError("beta must be positive and finite")
+    """Reject a penalty weight that is not a positive number of at most
+    BETA_MAX."""
+    if not 0.0 < beta <= BETA_MAX:
+        raise UsageError(f"beta must be positive and at most {BETA_MAX!r}, not {beta!r}")
 
 
 def check_gamma(gamma) -> None:
@@ -273,9 +275,15 @@ class Trace:
         return col if row is None else float(col[row])
 
     def to_csv(self, path, header_lines=()) -> None:
+        _write_artifact(path, self.csv_text(header_lines))
+
+    def csv_text(self, header_lines=()) -> str:
+        """The text of trace.csv: the header lines and warnings as comments,
+        the column names, the rows and the status."""
         head = "".join(f"# {line}\n" for line in header_lines)
         head += "".join(f"# warning: {w}\n" for w in self.warnings)
-        _write_artifact(path, f"{head}{self.csv_columns()}{self.csv_rows()}# status={self.status}\n")
+        notes = [(0, head + self.csv_columns()), (self._len, f"# status={self.status}\n")]
+        return csv_lines(self.csv_cells(), self._lead(), notes=notes)
 
     def csv_columns(self) -> str:
         cols = ["k"] if self.trial is None else ["trial", "k"]
@@ -283,13 +291,18 @@ class Trace:
         cols += ["r_feas", "surrogate", "objective", "lyapunov"]
         return ",".join(cols) + "\n"
 
+    def csv_cells(self) -> np.ndarray:
+        """The columns the CSV writes, one row per recorded row."""
+        return self._table[: self._len, : self.n_blocks + 4]
+
     def csv_rows(self) -> str:
-        """One CSV line per recorded row, led by the trial number when set."""
-        lead = "" if self.trial is None else f"{self.trial},"
-        # .tolist() gives Python floats, whose repr is _fmt's, and a NaN cell
-        # ("nan") is written empty
-        rows = self._table[: self._len, : self.n_blocks + 4].tolist()
-        return "".join(f"{lead}{k},{','.join(map(repr, row)).replace('nan', '')}\n" for k, row in enumerate(rows))
+        """One CSV line per recorded row, led by the trial number when set;
+        each cell is its float's repr, and a NaN cell is empty."""
+        return csv_lines(self.csv_cells(), self._lead())
+
+    def _lead(self) -> tuple:
+        ks = np.arange(self._len)
+        return (ks,) if self.trial is None else (np.full(self._len, self.trial), ks)
 
 
 def _ranks(orders: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ per-row recording of a solver trace, which the batched observation of
 solvers._drive must equal bit for bit; the block-by-block sweep, which
 composed sweeps must equal to rounding, and the engine's sweep of one
 vector that is compared with it; the expected iteration as a
-loop of copied rows; a report read back from report.json; and the merit
-value of one two-block iterate."""
+loop of copied rows; a report read back from report.json; the merit
+value of one two-block iterate; and the CSV text of traces, trials and
+expected iterates written one Python f-string per row, each cell
+float.__repr__'s."""
 
 import itertools
 import json
@@ -239,3 +241,44 @@ def lyapunov_value(inst, cfg, state, reference):
     One row of the merit the solver records."""
     weights = _merit_weights(inst, cfg)
     return float(_merit_rows(cfg.beta, weights, reference, state.x[None], state.x_prev[None], state.mu[None])[0])
+
+
+def csv_lines_text(table, lead=(), tail="\n", nan=""):
+    """_csvtext.csv_lines's text, one row at a time: the lead integers, then
+    each cell repr(float(v)), or `nan` for a NaN."""
+    cols = [np.asarray(col).tolist() for col in lead]
+    out = []
+    for r, row in enumerate(np.asarray(table, dtype=float).tolist()):
+        cells = [str(col[r]) for col in cols] + [nan if v != v else repr(v) for v in row]
+        out.append(",".join(cells) + tail)
+    return "".join(out)
+
+
+def trace_rows_text(trace):
+    """Trace.csv_rows's text: one line per row, led by the trial number when
+    set, each cell repr(float(v)) and a NaN cell empty."""
+    lead = "" if trace.trial is None else f"{trace.trial},"
+    rows = trace.csv_cells().tolist()
+    return "".join(f"{lead}{k},{','.join(map(repr, row)).replace('nan', '')}\n" for k, row in enumerate(rows))
+
+
+def trials_text(traces, header_lines=()):
+    """rp.trials_csv_text's text: each trial's rows, then its status line."""
+    parts = [f"# {line}\n" for line in header_lines]
+    parts.append(traces[0].csv_columns())
+    for trace in traces:
+        parts += (trace_rows_text(trace), f"# trial={trace.trial} status={trace.status}\n")
+    return "".join(parts)
+
+
+def expectation_text(et, header_lines=()):
+    """ExpectationTrace.csv_text's text: str(k), each cell repr(float(v))
+    (a NaN cell "nan") and the mode, one line per k."""
+    d, m = et.Ex.shape[1], et.Emu.shape[1]
+    cols = ["k"] + [f"Ex_{j + 1}" for j in range(d)] + [f"Emu_{j + 1}" for j in range(m)] + ["mode"]
+    lines = [f"# {line}\n" for line in header_lines]
+    lines.append(",".join(cols) + "\n")
+    rows = np.hstack([et.Ex, et.Emu]).astype(float, copy=False).tolist()
+    lines += [",".join((str(k), *map(repr, row), et.mode)) + "\n" for k, row in zip(et.ks, rows)]
+    lines.append(f"# status={et.status}\n")
+    return "".join(lines)

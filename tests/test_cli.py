@@ -12,6 +12,8 @@ import pytest
 
 import coupled_splitting as cs
 from coupled_splitting._averaging import MAX_SUBSET_WORK, MAX_UNGUARDED_BLOCKS
+from coupled_splitting._linalg import BETA_MAX
+from coupled_splitting import cli
 from coupled_splitting.cli import build_parser, main
 from coupled_splitting.solvers import _write_artifact
 
@@ -765,3 +767,47 @@ def test_module_invocation(pair_file, tmp_path):
     assert proc.returncode == 0
     assert "status=converged" in proc.stdout
     assert (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", _SUBCOMMANDS[:2] + _SUBCOMMANDS[3:] + (["solve", "--variant", "admm2_linearized"],))
+def test_beta_past_its_limit_is_a_usage_error(cmd, tmp_path, capsys):
+    """beta = 1e308 overflows the sweeps and the averaged update. Every
+    command that takes a beta rejects it, and any beta above BETA_MAX, at
+    the boundary: exit 64, one error line naming beta, no warning and no
+    artifact; BETA_MAX itself is accepted."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_pair_doc(H=[[2.0, 1.0], [1.0, 2.0]], b=[1.0])))
+    for beta, rc_want in ((1e308, 64), (2.0 * BETA_MAX, 64), (BETA_MAX, None)):
+        out = tmp_path / f"out{beta!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([cmd[0], str(path), *cmd[1:], "--beta", repr(beta), "--out", str(out)])
+        err = capsys.readouterr().err
+        if rc_want is None:
+            assert rc != 64, (cmd, err)
+            continue
+        assert rc == rc_want, (cmd, err)
+        assert err == f"error: beta must be positive and at most {BETA_MAX!r}, not {beta!r}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_rp_expect_writes_nothing_when_its_trials_fail(tmp_path, capsys, monkeypatch):
+    """rp-expect builds all three texts before it writes a file: when the
+    trials raise, the command exits 2 and the files of the earlier run keep
+    their bytes."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_pair_doc(H=[[2.0, 1.0], [1.0, 2.0]], b=[1.0])))
+    out = tmp_path / "out"
+    argv = ["rp-expect", str(path), "--trials", "2", "--max-iter", "50", "--out", str(out)]
+    assert main(argv) == 0
+    names = ("expectation.csv", "expectation_sampled.csv", "trials.csv")
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def fail(*_args, **_kwargs):
+        raise cs.ConditionError("trials failed")
+
+    monkeypatch.setattr(cli, "run_rp_solver", fail)
+    capsys.readouterr()
+    assert main([*argv[:-4], "--max-iter", "60", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: trials failed\n")
+    assert {name: (out / name).read_bytes() for name in names} == before

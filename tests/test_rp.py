@@ -14,7 +14,7 @@ from coupled_splitting import rp, solvers
 from coupled_splitting.rp import permutation_at
 from coupled_splitting.solvers import _Workspace
 from gen import past_guard_instance, random_psd, spectral_instance
-from oracles import expected_iteration_rows, uncached_U
+from oracles import expectation_text, expected_iteration_rows, uncached_U
 from test_acceptance import EXPECT_RUN_TOL, EXPECT_SEGMENT, SPECTRAL_SEED
 
 
@@ -585,18 +585,6 @@ def test_expectation_trace_csv(tmp_path):
     )
 
 
-def _cell_by_cell_expectation(et, header_lines) -> str:
-    """ExpectationTrace.to_csv's text, written one repr(float(v)) cell at a time."""
-    d, m = et.Ex.shape[1], et.Emu.shape[1]
-    cols = ["k"] + [f"Ex_{j + 1}" for j in range(d)] + [f"Emu_{j + 1}" for j in range(m)] + ["mode"]
-    out = [f"# {line}\n" for line in header_lines] + [",".join(cols) + "\n"]
-    for row, k in enumerate(et.ks):
-        cells = [str(k)] + [repr(float(v)) for v in et.Ex[row]] + [repr(float(v)) for v in et.Emu[row]]
-        out.append(",".join(cells + [et.mode]) + "\n")
-    out.append(f"# status={et.status}\n")
-    return "".join(out)
-
-
 @pytest.mark.parametrize("m", [2, 0])
 def test_expectation_trace_csv_matches_cell_by_cell_format(tmp_path, m):
     """NaN, infinite, signed-zero and subnormal cells, and a trace with no
@@ -613,4 +601,4 @@ def test_expectation_trace_csv_matches_cell_by_cell_format(tmp_path, m):
         path = tmp_path / f"{mode}{m}.csv"
         header = ["beta=1.0", "trials=2"]
         et.to_csv(path, header_lines=header)
-        assert path.read_text() == _cell_by_cell_expectation(et, header)
+        assert path.read_text() == expectation_text(et, header)
