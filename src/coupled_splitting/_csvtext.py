@@ -358,7 +358,8 @@ def csv_lines(table, lead=(), tail: str = "\n", nan: str = "", notes=()) -> str:
     by commas; `tail` ends each line. `notes` holds (row, text) pairs in row
     order, such as a file's header and its closing comment: each text goes,
     as given, before line `row` (after the last line when `row` is the row
-    count). A lead column of non-integers is a TypeError. Rows are laid out
+    count). A lead column of non-integers is a TypeError, and one whose
+    length is not the row count a ValueError. Rows are laid out
     CSV_CHUNK_BYTES of canvas at a time."""
     table = np.asarray(table, dtype=np.float64)
     cols = []
@@ -366,6 +367,8 @@ def csv_lines(table, lead=(), tail: str = "\n", nan: str = "", notes=()) -> str:
         col = np.asarray(col)
         if col.size and col.dtype.kind not in "iu":
             raise TypeError(f"a lead column holds {col.dtype}, not integers")
+        if len(col) != len(table):
+            raise ValueError(f"a lead column has {len(col)} entries for {len(table)} rows")
         cols.append(col.astype(np.int64))
     tail_b, nan_b = tail.encode("ascii"), nan.encode("ascii")
     step = max(1, CSV_CHUNK_BYTES // (8 * _SLOT * (len(cols) + table.shape[1]) + len(tail_b) + 8))

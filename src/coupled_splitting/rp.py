@@ -106,33 +106,27 @@ def run_rp_solver(
         if not keep_iterates:
             trace.drop_iterates()
     mean /= trials
-    mean_trace = ExpectationTrace(
-        mode="sample_mean",
-        ks=list(range(k_len)),
-        Ex=mean[:, :d],
-        Emu=mean[:, d:],
-        status="sampled",
-    )
-    return traces, mean_trace
+    return traces, ExpectationTrace(mode="sample_mean", ks=list(range(k_len)), Z=mean, d=d, status="sampled")
 
 
 @dataclass
 class ExpectationTrace:
     """Trajectory of per-iteration expected iterates, either computed exactly
-    from the averaged affine update or estimated by a sample mean."""
+    from the averaged affine update or estimated by a sample mean: one row
+    z = (x, mu) of Z per entry of ks, with x its first d entries."""
 
     mode: str
     ks: list
-    Ex: np.ndarray
-    Emu: np.ndarray
+    Z: np.ndarray
+    d: int
     status: str
 
     def __post_init__(self):
         if self.mode not in ("exact", "sample_mean"):
             raise UsageError("mode must be 'exact' or 'sample_mean'")
 
-    def z(self, row: int) -> np.ndarray:
-        return np.concatenate([self.Ex[row], self.Emu[row]])
+    Ex = property(lambda self: self.Z[:, : self.d])
+    Emu = property(lambda self: self.Z[:, self.d :])
 
     def to_csv(self, path, header_lines=()) -> None:
         _write_artifact(path, self.csv_text(header_lines))
@@ -140,15 +134,13 @@ class ExpectationTrace:
     def csv_text(self, header_lines=()) -> str:
         """The CSV text: the header lines as comments, the column names, one
         line per k (its cells the floats' reprs, a NaN cell "nan", then the
-        mode) and the status."""
-        d = self.Ex.shape[1]
-        m = self.Emu.shape[1]
+        mode) and the status. A ks whose length is not the number of rows is
+        a ValueError."""
+        d, m = self.d, self.Z.shape[1] - self.d
         cols = ["k"] + [f"Ex_{j + 1}" for j in range(d)] + [f"Emu_{j + 1}" for j in range(m)] + ["mode"]
         head = "".join(f"# {line}\n" for line in header_lines) + ",".join(cols) + "\n"
-        rows = np.hstack([self.Ex, self.Emu])
-        n = min(len(self.ks), len(rows))
-        notes = [(0, head), (n, f"# status={self.status}\n")]
-        return csv_lines(rows[:n], (np.asarray(self.ks)[:n],), tail=f",{self.mode}\n", nan="nan", notes=notes)
+        notes = [(0, head), (len(self.Z), f"# status={self.status}\n")]
+        return csv_lines(self.Z, (np.asarray(self.ks),), tail=f",{self.mode}\n", nan="nan", notes=notes)
 
 
 def trials_csv_text(traces: list, header_lines=()) -> str:
@@ -216,5 +208,4 @@ def run_expected_iteration(
                 k, status = k + int(settled[0]) + 1, "converged"
                 break
             k += nb
-    Z = Z[: k + 1]
-    return ExpectationTrace(mode="exact", ks=list(range(k + 1)), Ex=Z[:, :d], Emu=Z[:, d:], status=status)
+    return ExpectationTrace(mode="exact", ks=list(range(k + 1)), Z=Z[: k + 1], d=d, status=status)

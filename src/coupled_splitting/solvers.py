@@ -175,9 +175,39 @@ def _start_vector(value, size: int, name: str) -> np.ndarray:
     return v.reshape(size)
 
 
+# the fields of a recorded row, in column order
+_FIELDS = ("r_dual", "r_feas", "surrogate", "objective", "lyapunov", "surrogate_blocks")
+
+
+def _columns(n: int) -> dict:
+    """Where each field sits in a recorded row of n blocks: r_dual and
+    surrogate_blocks take one column per block, the others one each. Also
+    the columns trace.csv writes ("csv") and the row's width."""
+    return {"r_dual": slice(0, n), "r_feas": n, "surrogate": n + 1, "objective": n + 2, "lyapunov": n + 3,
+            "surrogate_blocks": slice(n + 4, 2 * n + 4), "csv": slice(0, n + 4), "width": 2 * n + 4}
+
+
+def _stop_statistic(rows: np.ndarray, n: int, exact: bool) -> np.ndarray:
+    """The statistic a run stops on, for each recorded row of n blocks: the
+    largest of its r_dual (its surrogate_blocks when exact is False) and its
+    r_feas, as Python's max takes it: a NaN r_feas is passed over. The start
+    row of a run that is not exact reads inf, as its surrogate_blocks do, so
+    such a run stops at its start only when tol is inf."""
+    at = _columns(n)
+    worst = rows[:, at["r_dual" if exact else "surrogate_blocks"]].max(axis=1)
+    feas = rows[:, at["r_feas"]]
+    return np.where(feas > worst, feas, worst)
+
+
+def _field(name: str) -> property:
+    """The Trace property that reads field `name` of the kept rows."""
+    return property(lambda self: self._table[: self._len, _columns(self.n_blocks)[name]])
+
+
 class Trace:
-    """Per-iteration records of a run, one float column per field, plus its
-    terminal state. Row k holds the iterate after k sweeps.
+    """Per-iteration records of a run, one row of a float table per iterate
+    (laid out by _columns), plus its terminal state. Row k holds the iterate
+    after k sweeps.
 
     Columns: r_dual (one per block), r_feas, surrogate, objective, lyapunov
     and surrogate_blocks (one per block). A missing value is NaN: r_dual when
@@ -196,8 +226,7 @@ class Trace:
         self.mu = None
         self.trial = None
         self._len = 0
-        # the columns side by side; the CSV writes the first n_blocks + 4
-        self._table = np.empty((0, 2 * n_blocks + 4))
+        self._table = np.empty((0, _columns(n_blocks)["width"]))
         self._d = d
         self._path = None if d is None else np.empty((0, 0))
         self._iterates = None
@@ -209,15 +238,7 @@ class Trace:
     def ks(self) -> list:
         return list(range(self._len))
 
-    def _column(self, lo: int, hi: int | None = None) -> np.ndarray:
-        return self._table[: self._len, lo if hi is None else slice(lo, hi)]
-
-    r_dual = property(lambda self: self._column(0, self.n_blocks))
-    r_feas = property(lambda self: self._column(self.n_blocks))
-    surrogate = property(lambda self: self._column(self.n_blocks + 1))
-    objective = property(lambda self: self._column(self.n_blocks + 2))
-    lyapunov = property(lambda self: self._column(self.n_blocks + 3))
-    surrogate_blocks = property(lambda self: self._column(self.n_blocks + 4, 2 * self.n_blocks + 4))
+    r_dual, r_feas, surrogate, objective, lyapunov, surrogate_blocks = map(_field, _FIELDS)
     path = property(lambda self: None if self._path is None else self._path[: self._len])
 
     @property
@@ -230,25 +251,19 @@ class Trace:
             self._iterates = [(z[:d], z[d:]) for z in self.path]
         return self._iterates
 
-    def extend(self, r_dual, r_feas, surrogate, objective, lyapunov, surrogate_blocks, path=None) -> None:
-        """Append rows: each argument holds one value per row, or one value
-        for them all; `path` holds the rows' z = (x, mu) when the trace keeps
-        its iterates. The columns double in length when full."""
-        n, lo = self.n_blocks, self._len
-        hi = lo + np.shape(r_feas)[0]
+    def extend(self, rows: np.ndarray, path=None) -> None:
+        """Append rows laid out by _columns, such as _Workspace.observe
+        returns; `path` holds the rows' z = (x, mu) when the trace keeps its
+        iterates. The table doubles in length when full."""
+        lo = self._len
+        hi = lo + len(rows)
         if hi > self._table.shape[0]:
             size = max(2 * self._table.shape[0], hi, 16)
             # np.resize copies the rows kept into a new, larger array
-            self._table = np.resize(self._table, (size, 2 * n + 4))
+            self._table = np.resize(self._table, (size, self._table.shape[1]))
             if self._path is not None:
                 self._path = np.resize(self._path, (size, np.shape(path)[1]))
-        rows = self._table[lo:hi]
-        rows[:, :n] = r_dual
-        rows[:, n] = r_feas
-        rows[:, n + 1] = surrogate
-        rows[:, n + 2] = objective
-        rows[:, n + 3] = lyapunov
-        rows[:, n + 4 :] = surrogate_blocks
+        self._table[lo:hi] = rows
         if self._path is not None:
             self._path[lo:hi] = path
         self._len = hi
@@ -265,8 +280,8 @@ class Trace:
         """Largest violation component at one row index (counted from the end
         when negative), from exact residuals when available and from the
         surrogate bound otherwise."""
-        sel = slice(row, row + 1 or None)
-        return float(_largest(self._dual()[sel], self.r_feas[sel])[0])
+        rows = self._table[: self._len]
+        return float(_stop_statistic(rows[slice(row, row + 1 or None)], self.n_blocks, self.exact_residuals)[0])
 
     def total_sq(self, row: int | None = None):
         """Summed squared residual components: a column over every row, or a
@@ -293,7 +308,7 @@ class Trace:
 
     def csv_cells(self) -> np.ndarray:
         """The columns the CSV writes, one row per recorded row."""
-        return self._table[: self._len, : self.n_blocks + 4]
+        return self._table[: self._len, _columns(self.n_blocks)["csv"]]
 
     def csv_rows(self) -> str:
         """One CSV line per recorded row, led by the trial number when set;
@@ -311,13 +326,6 @@ def _ranks(orders: np.ndarray) -> np.ndarray:
     entries are smaller, position by position) read in factorial base."""
     later = np.triu(orders[..., :, None] > orders[..., None, :], 1).sum(axis=-1)
     return later @ [math.factorial(k) for k in reversed(range(orders.shape[-1]))]
-
-
-def _largest(dual: np.ndarray, feas: np.ndarray) -> np.ndarray:
-    """max(max(dual row), feas) for each row, as Python's max takes it: a
-    NaN feas is passed over."""
-    worst = dual.max(axis=1)
-    return np.where(feas > worst, feas, worst)
 
 
 def _fmt(v) -> str:
@@ -665,27 +673,29 @@ class _Workspace:
             V -= self.beta * (1.0 - self.gamma) * _gemv(self.At, RES)
         return np.sqrt(np.add.reduceat(V * V, self.offsets, axis=1))
 
-    def observe(self, Z: np.ndarray, RES: np.ndarray, X_prev: np.ndarray, orders=None, merit=None, U=None) -> tuple:
-        """Trace.extend's columns for the points z = (x, mu) in the rows of Z,
-        with RES holding each row's Ax - b: row j came from x = X_prev[j] by
-        one sweep in orders[j], whose surrogate matrix U may be given when
-        every row has the same order. Without orders the points came from no
-        sweep and have no surrogate. merit, a (weights, reference) pair,
-        fills the lyapunov column."""
-        d = self.d
+    def observe(self, Z: np.ndarray, X_prev: np.ndarray, orders=None, merit=None, U=None) -> np.ndarray:
+        """Trace rows, laid out by _columns, for the points z = (x, mu) in the
+        rows of Z: row j came from x = X_prev[j] by one sweep in orders[j],
+        whose surrogate matrix U may be given when every row has the same
+        order. Without orders the points came from no sweep: their surrogate
+        is NaN and their surrogate_blocks inf. merit, a (weights, reference)
+        pair, fills the lyapunov column."""
+        d, at = self.d, _columns(self.n)
         X, MU = Z[:, :d], Z[:, d:]
-        r_dual, objective = self.observer.rows(X, MU)
-        r_feas = np.sqrt(_dots(RES, RES))
+        rows = np.empty((len(Z), at["width"]))
+        rows[:, at["r_dual"]], rows[:, at["objective"]] = self.observer.rows(X, MU)
+        RES = _gemv(self.inst.A, X) - self.inst.b
+        r_feas = rows[:, at["r_feas"]] = np.sqrt(_dots(RES, RES))
         if orders is None:
-            surrogate, parts = math.nan, math.inf
+            rows[:, at["surrogate"]], rows[:, at["surrogate_blocks"]] = math.nan, math.inf
         else:
-            parts = self.surrogate_parts(X - X_prev, RES, orders, U)
+            parts = rows[:, at["surrogate_blocks"]] = self.surrogate_parts(X - X_prev, RES, orders, U)
             # r_feas squared by Python's float pow, which rounds otherwise than
             # r * r (array ** 2) on a few values; the per-row recording in
             # tests/oracles.py pins it
-            surrogate = np.sqrt(_dots(parts, parts) + [r**2 for r in r_feas.tolist()])
-        lyapunov = math.nan if merit is None else _merit_rows(self.beta, *merit, X, X_prev, MU)
-        return r_dual, r_feas, surrogate, objective, lyapunov, parts
+            rows[:, at["surrogate"]] = np.sqrt(_dots(parts, parts) + [r**2 for r in r_feas.tolist()])
+        rows[:, at["lyapunov"]] = math.nan if merit is None else _merit_rows(self.beta, *merit, X, X_prev, MU)
+        return rows
 
 
 def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=None) -> IterateState:
@@ -785,13 +795,13 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
 
     Each block's swept rows of all runs are observed in one call, with
     stacked products whose rows equal the one-row products bit for bit
-    (Ax - b among them). A run's trace takes its rows up to the first that
-    converged or tripped the guard, and the run leaves the stack there; the
-    sweeps past it were speculative and are dropped, with the orders they
-    drew from the run's own draws.
+    (Ax - b among them). Start rows and swept rows stop on _stop_statistic.
+    A run's trace takes its rows up to the first that converged or tripped
+    the guard, and the run leaves the stack there; the sweeps past it were
+    speculative and are dropped, with the orders they drew from the run's
+    own draws.
     """
     inst, d, n = ws.inst, ws.d, ws.n
-    A, rhs = inst.A, inst.b
     U = sweep = None
     if draws is None:
         cyclic = tuple(range(n))
@@ -803,14 +813,12 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
     merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
     traces = [Trace(n, exact_residuals=exact, d=d if keep_iterates else None) for _ in starts]
     last = np.array([np.concatenate([state.x, state.mu]) for state in starts])
-    cols = ws.observe(last, _gemv(A, last[:, :d]) - rhs, last[:, :d], merit=merit)
-    # the stop statistic, each row's largest residual component; a start
-    # point has no surrogate bound to stop on
-    stat = _largest(cols[0], cols[1]) if exact else np.full(len(starts), math.nan)
+    observed = ws.observe(last, last[:, :d], merit=merit)
+    stat = _stop_statistic(observed, n, exact)
     live = []
     for j, trace in enumerate(traces):
         trace.warnings.extend(ws.warnings)
-        trace.extend(*_rows(cols, slice(j, j + 1)), path=last[j : j + 1])
+        trace.extend(observed[j : j + 1], path=last[j : j + 1])
         if stat[j] <= tol:
             trace.status = "converged"
             _end(trace, last[j], d)
@@ -841,8 +849,8 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
         X = np.concatenate([rows[1:] for _, rows, _, _ in block])
         X_prev = np.concatenate([rows[:-1, :d] for _, rows, _, _ in block])
         flat = np.concatenate([run for _, _, run, _ in block])
-        cols = ws.observe(X, _gemv(A, X[:, :d]) - rhs, X_prev, flat, merit, U)
-        stat = _largest(cols[0] if exact else cols[5], cols[1])
+        observed = ws.observe(X, X_prev, flat, merit, U)
+        stat = _stop_statistic(observed, n, exact)
         hit = stat <= tol
         live, last, decays, lo = [], [], [], 0
         for (j, rows, run, guard), r_prev in zip(block, r_last):
@@ -850,7 +858,7 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
             # the guard row stops the run as diverged whatever its residual
             done = np.flatnonzero(hit[lo : lo + len(run) - guard])
             keep = int(done[0]) + 1 if done.size else len(run)
-            trace.extend(*_rows(cols, slice(lo, lo + keep)), path=rows[1 : keep + 1])
+            trace.extend(observed[lo : lo + keep], path=rows[1 : keep + 1])
             lo += len(run)
             if done.size:
                 trace.status = "converged"
@@ -922,12 +930,6 @@ def _block_length(r_prev: float, r_last: float, swept: int, tol: float) -> int:
         return SWEEP_BLOCK
     need = swept * (math.log(tol) - math.log(r_last)) / math.log(ratio)
     return min(SWEEP_BLOCK, math.ceil(1.25 * need) + 2)
-
-
-def _rows(cols, sel) -> list:
-    """The rows `sel` of observed columns; a column given as one value for
-    every row stays that value."""
-    return [c[sel] if np.ndim(c) else c for c in cols]
 
 
 def _end(trace: Trace, z: np.ndarray, d: int) -> None:

@@ -41,7 +41,6 @@ from ._linalg import (
 from .errors import CertificateError, ConditionError, StructuralError, UsageError
 from .model import BlockStructure, ProblemInstance, _uniqueness_condition, normalize_block_matrices
 from ._averaging import averaged_update, bordered_curvature, check_sweep_blocks
-from ._observe import _gemv
 from .solvers import (
     IterateState,
     SolverConfig,
@@ -545,10 +544,9 @@ def _trace_from_path(ws, Z) -> Trace:
     """The trace of a trajectory of points z = (x, mu), the rows of Z, each
     row observed as _drive observes a start point: with no sweep, so with no
     surrogate."""
-    inst, d = ws.inst, ws.d
     trace = Trace(n_blocks=ws.n, exact_residuals=ws.observer.exact)
-    trace.extend(*ws.observe(Z, _gemv(inst.A, Z[:, :d]) - inst.b, Z[:, :d]))
-    _end(trace, Z[-1], d)
+    trace.extend(ws.observe(Z, Z[:, : ws.d]))
+    _end(trace, Z[-1], ws.d)
     return trace
 
 

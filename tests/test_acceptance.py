@@ -251,8 +251,8 @@ def _expected_limit(inst, beta):
         )
         rows = len(et.ks)
         total += et.ks[-1]
-        step = float(np.linalg.norm(et.z(rows - 1) - et.z(rows - 2))) if rows >= 2 else 0.0
-        z = et.z(rows - 1)
+        step = float(np.linalg.norm(et.Z[-1] - et.Z[-2])) if rows >= 2 else 0.0
+        z = et.Z[-1]
         if et.status == "converged":
             return z, step, total, "converged"
     return z, math.inf, total, "budget_exhausted"

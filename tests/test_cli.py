@@ -1,11 +1,14 @@
 """End-to-end tests of the command line: artifacts, exit codes, headers,
 and determinism."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -752,6 +755,30 @@ def test_build_parser_returns_a_new_parser_each_call():
     first = build_parser()
     assert build_parser() is not first
     assert first.parse_args(["witness", "x.json"]).beta == 1.0
+
+
+def _readme_commands() -> dict:
+    """The flags of each subcommand in README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```\n")[1]
+    flags = {}
+    for line in block.splitlines():
+        head = re.match(r"coupled-splitting (\S+)", line)
+        if head:
+            command = flags.setdefault(head.group(1), set())
+        command.update(re.findall(r"--[a-z-]+", line))
+    return flags
+
+
+def test_readme_command_block_matches_the_parser():
+    """README lists each subcommand with exactly the flags build_parser
+    gives it, --help aside."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert _readme_commands() == parsed
 
 
 # -- console entry point -----------------------------------------------------------

@@ -111,13 +111,22 @@ def test_csv_lines_across_chunk_boundaries(monkeypatch):
 def test_csv_lines_rejects_a_fractional_lead():
     with pytest.raises(TypeError):
         csv_lines(np.zeros((2, 1)), [np.array([0.0, 1.5])])
+    # a lead column of another length than the table
+    with pytest.raises(ValueError, match="^a lead column has 441 entries for 10 rows$"):
+        csv_lines(np.zeros((10, 1)), (np.arange(441),))
+
+
+def test_expectation_text_rejects_ks_of_another_length():
+    for ks in ([0, 1], [0, 1, 2, 3]):
+        et = rp.ExpectationTrace(mode="exact", ks=ks, Z=np.zeros((3, 2)), d=1, status="converged")
+        with pytest.raises(ValueError, match=f"has {len(ks)} entries for 3 rows"):
+            et.csv_text()
 
 
 def _edge_trace(rows: int, n_blocks: int, seed: int) -> solvers.Trace:
     table = _edge_table(rows, 2 * n_blocks + 4, seed)
     trace = solvers.Trace(n_blocks)
-    n = n_blocks
-    trace.extend(table[:, :n], table[:, n], table[:, n + 1], table[:, n + 2], table[:, n + 3], table[:, n + 4 :])
+    trace.extend(table)
     return trace
 
 
@@ -145,7 +154,7 @@ def test_trials_text_matches_the_oracle(monkeypatch):
 def test_expectation_text_matches_the_oracle(rows):
     table = _edge_table(rows, 5, rows)
     for mode, m in (("exact", 2), ("sample_mean", 0)):
-        et = rp.ExpectationTrace(mode=mode, ks=list(range(0, 3 * rows, 3)), Ex=table[:, :3], Emu=table[:, 3 : 3 + m], status="converged")
+        et = rp.ExpectationTrace(mode=mode, ks=list(range(0, 3 * rows, 3)), Z=table[:, : 3 + m], d=3, status="converged")
         assert et.csv_text(["trials=2"]) == expectation_text(et, ["trials=2"])
 
 

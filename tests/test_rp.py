@@ -329,11 +329,10 @@ def test_one_observation_of_many_orders_stays_within_the_chunk_bound():
     assert len(orders) == 640
     Z = rng.standard_normal((640, d + 3))
     X_prev = rng.standard_normal((640, d))
-    RES = Z[:, :d] @ A.T - inst.b
-    ws.observe(Z[:1], RES[:1], X_prev[:1], orders[:1])  # build the observer
+    ws.observe(Z[:1], X_prev[:1], orders[:1])  # build the observer
     tracemalloc.start()
     try:
-        ws.observe(Z, RES, X_prev, orders)
+        ws.observe(Z, X_prev, orders)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -460,7 +459,7 @@ def test_expected_iteration_reaches_oracle():
     et = cs.run_expected_iteration(inst, 1.0, tol=1e-12)
     assert et.status == "converged"
     assert et.mode == "exact"
-    z = et.z(len(et.ks) - 1)
+    z = et.Z[-1]
     pt = cs.solve_kkt_oracle(inst)
     assert np.linalg.norm(z[:2] - pt.x) <= 1e-8
     assert np.linalg.norm(z[2:] - pt.mu) <= 1e-8
@@ -473,7 +472,7 @@ def test_expected_iteration_handles_non_unique_solutions():
     )
     et = cs.run_expected_iteration(inst, 1.0, tol=1e-12)
     assert et.status == "converged"
-    z = et.z(len(et.ks) - 1)
+    z = et.Z[-1]
     assert abs(z[0] + z[1] - 1.0) <= 1e-10
     assert np.linalg.norm(inst.A.T @ z[2:]) <= 1e-10
 
@@ -563,7 +562,7 @@ def test_sample_mean_tracks_exact_expectation():
     k = 6
     samples = np.array([np.concatenate(t.iterates[k]) for t in traces])
     sigma_hat = np.linalg.norm(np.std(samples, axis=0, ddof=1))
-    gap = np.linalg.norm(mean_trace.z(k) - exact.z(k))
+    gap = np.linalg.norm(mean_trace.Z[k] - exact.Z[k])
     assert gap <= 5.0 * sigma_hat / np.sqrt(trials)
 
 
@@ -595,9 +594,7 @@ def test_expectation_trace_csv_matches_cell_by_cell_format(tmp_path, m):
         [0.1, -5e-324, 2.5, 1e-310],
     ])
     for mode in ("exact", "sample_mean"):
-        et = rp.ExpectationTrace(
-            mode=mode, ks=[0, 1, 7], Ex=edge[:, :2], Emu=edge[:, 2:2 + m], status="converged"
-        )
+        et = rp.ExpectationTrace(mode=mode, ks=[0, 1, 7], Z=edge[:, : 2 + m], d=2, status="converged")
         path = tmp_path / f"{mode}{m}.csv"
         header = ["beta=1.0", "trials=2"]
         et.to_csv(path, header_lines=header)

@@ -697,11 +697,14 @@ def test_trace_rows_match_cell_by_cell_format():
         opaque, cs.SolverConfig(variant="admm_cyclic_n", R=_scaled_identity_R(opaque, 1.0), tol=0.0, max_iter=30)
     )
     edge = solvers.Trace(n_blocks=3)
-    edge.extend(
-        r_dual=[[np.nan] * 3, [np.inf, np.nan, -0.0], [1e-300, 2.5, 1.0 / 3.0]],
-        r_feas=[0.0, np.inf, 5e-324], surrogate=[np.nan, 1e300, np.float64(0.1)],
-        objective=[np.inf, -np.inf, -7.0], lyapunov=[np.nan, np.nan, 2.0], surrogate_blocks=np.inf,
-    )
+    edge.extend(np.column_stack([
+        [[np.nan] * 3, [np.inf, np.nan, -0.0], [1e-300, 2.5, 1.0 / 3.0]],  # r_dual
+        [0.0, np.inf, 5e-324], [np.nan, 1e300, 0.1],  # r_feas, surrogate
+        [np.inf, -np.inf, -7.0], [np.nan, np.nan, 2.0],  # objective, lyapunov
+        np.full((3, 3), np.inf),  # surrogate_blocks
+    ]))
+    assert np.array_equal(edge.r_dual[1], [np.inf, np.nan, -0.0], equal_nan=True)
+    assert edge.lyapunov.tolist()[2] == 2.0 and np.all(np.isinf(edge.surrogate_blocks))
     assert not np.all(np.isnan(merit.lyapunov))
     assert np.all(np.isnan(opaque_run.r_dual))
     for trace in (merit, opaque_run, edge):

@@ -189,6 +189,20 @@ def test_opaque_terms_run_no_user_code_past_the_stop():
         assert calls == {"prox": len(trace) - 1, "value": len(trace)}
 
 
+def test_an_opaque_run_never_stops_at_its_start():
+    """A start point has no surrogate bound, so a run with an opaque term
+    sweeps once even under a tolerance every row meets, while the same run
+    with exact residuals stops at its start. Its start row's statistic reads
+    inf, which only an infinite tolerance meets."""
+    for kinds, rows in ((("opaque", "l1", "zero"), 2), (("l1", "l1", "zero"), 1)):
+        inst = mixed_instance(np.random.default_rng(3), (2, 2, 1), 2, kinds)
+        cfg = cs.SolverConfig(variant="admm_cyclic_n", R=scaled_identity_R(inst, 1.0), tol=1e300)
+        trace = cs.run_solver(inst, cfg)
+        assert (trace.status, len(trace)) == ("converged", rows), kinds
+        assert np.isinf(trace.max_residual(0)) == (kinds[0] == "opaque")
+        assert len(cs.run_solver(inst, dataclasses.replace(cfg, tol=np.inf))) == 1
+
+
 def test_opaque_prox_warnings_reach_the_caller():
     """User code runs under numpy's own settings, outside the engine's
     np.errstate: an opaque prox whose arithmetic overflows warns once per
@@ -242,13 +256,12 @@ def test_surrogate_squares_r_feas_as_the_per_row_recording():
     Z = rng.standard_normal((200_000, 4))
     X, MU = Z[:, :3], Z[:, 3:]
     X_prev = X + 0.3 * rng.standard_normal(X.shape)
-    RES = solvers._gemv(inst.A, X) - inst.b
-    cols = ws.observe(Z, RES, X_prev, [(0, 1)] * len(Z))
-    r_feas = cols[1].tolist()
+    trace = solvers.Trace(n_blocks=2)
+    trace.extend(ws.observe(Z, X_prev, [(0, 1)] * len(Z)))
+    r_feas = trace.r_feas.tolist()
     rows = [j for j, r in enumerate(r_feas) if r**2 != r * r]
-    r_dual, _, surrogate, objective, _, parts = cols
     for j in rows:
-        got = _row(r_dual[j], r_feas[j], surrogate[j], objective[j], parts[j])
+        got = _row(trace.r_dual[j], r_feas[j], trace.surrogate[j], trace.objective[j], trace.surrogate_blocks[j])
         assert np.array_equal(got, _row(*recorded_row(ws, X[j], X_prev[j], MU[j], (0, 1)))), j
 
 

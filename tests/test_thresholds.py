@@ -14,10 +14,14 @@ import pytest
 
 import coupled_splitting as cs
 from coupled_splitting import spectral
+from coupled_splitting import solvers
 from coupled_splitting._linalg import (
+    BOX_EDGE_TOL,
     CURVATURE_WARN_RTOL,
     EIG_ONE_TOL,
     IDENTITY_TOL,
+    MIN_NORM_RTOL,
+    ORACLE_RESIDUAL_RTOL,
     PSD_RTOL,
     QS_LOWER,
     QS_UPPER_GAP,
@@ -32,7 +36,8 @@ from coupled_splitting._linalg import (
     singular_sym,
     symmetric,
 )
-from coupled_splitting.errors import CertificateError, SubproblemStructureError
+from coupled_splitting.prox import fn_value, subdiff_distance
+from coupled_splitting.errors import CertificateError, DomainError, InfeasibleError, SubproblemStructureError, UsageError
 from coupled_splitting.spectral import BcdRateComparison, _verified_witness, build_Q_M, check_eig_QS, check_M_spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -245,3 +250,59 @@ def test_scaled_identity_tolerance():
             with pytest.raises(SubproblemStructureError, match="^block 0 .*not a scaled identity"):
                 cs.run_solver(inst, cfg)
 
+
+
+def test_min_norm_tolerance():
+    """A minimum-norm block solve is bounded below while its residual stays
+    within MIN_NORM_RTOL * (1 + max|rhs|). Block 0 has no curvature and the
+    linear term e, so its subproblem e x_0 leaves the residual e exactly."""
+    for factor, bounded in ((0.5, True), (2.0, False)):
+        e = factor * MIN_NORM_RTOL / (1.0 - factor * MIN_NORM_RTOL)
+        inst = cs.ProblemInstance(
+            blocks=cs.BlockStructure(dims=(1, 1), m=1),
+            H=np.diag(_arr(0.0, 1.0)), g=_arr(e, 0.0), A=np.array([[0.0, 1.0]]), b=_arr(1.0),
+        )
+        cfg = cs.SolverConfig(variant="admm_cyclic_n")
+        if bounded:
+            solvers._Workspace(inst, cfg, min_norm=True)
+        else:
+            with pytest.raises(UsageError, match="^block 0 subproblem is unbounded below$"):
+                solvers._Workspace(inst, cfg, min_norm=True)
+
+
+# -- the per-block oracles ---------------------------------------------------
+
+
+def test_box_edge_tolerance():
+    """A box coordinate within BOX_EDGE_TOL * (1 + max(|lo|, |hi|)) below lo
+    sits on the face: it has a subdifferential and value 0. Past it the point
+    is outside the box."""
+    f = cs.ProxFn.box(1.0, 3.0)
+    edge = BOX_EDGE_TOL * (1.0 + 3.0)
+    for factor, inside in ((0.5, True), (2.0, False)):
+        x = _arr(1.0 - factor * edge)
+        if inside:
+            assert np.isfinite(subdiff_distance(f, x, _arr(-1.0)))
+            assert fn_value(f, x) == 0.0
+        else:
+            with pytest.raises(DomainError, match="^point lies outside the box$"):
+                subdiff_distance(f, x, _arr(-1.0))
+            assert fn_value(f, x) == np.inf
+
+
+def test_oracle_residual_tolerance():
+    """The KKT oracle accepts a least-squares stationarity residual up to
+    ORACLE_RESIDUAL_RTOL * (1 + |g| + |b|). Two rows asking x = 0 and x = t
+    leave the residual t / sqrt(2)."""
+    for factor, consistent in ((0.5, True), (2.0, False)):
+        rtol = factor * ORACLE_RESIDUAL_RTOL
+        t = rtol / (2.0**-0.5 - rtol)
+        inst = cs.ProblemInstance(
+            blocks=cs.BlockStructure(dims=(1,), m=2), H=np.zeros((1, 1)), g=np.zeros(1),
+            A=np.array([[1.0], [1.0]]), b=_arr(0.0, t),
+        )
+        if consistent:
+            assert cs.solve_kkt_oracle(inst).x[0] == pytest.approx(t / 2.0)
+        else:
+            with pytest.raises(InfeasibleError, match="^stationarity system inconsistent"):
+                cs.solve_kkt_oracle(inst)
