@@ -195,9 +195,8 @@ def _drop_digits(vr, vp, vm, vr_tz, vm_tz, accept, e10) -> tuple:
     """Ryu's digit removal on all values at once. It drops the r trailing
     digits of vr for the largest r with vp // 10**r > vm // 10**r, found by
     one loop over the values that can still drop one, and updates the
-    trailing-zero flags and the last dropped digit from r directly; a lower
-    bound with trailing zeros then lets more digits go, one at a time.
-    Rounds to nearest, an exact tie to even."""
+    trailing-zero flags and the last dropped digit from r directly. Rounds
+    to nearest, an exact tie to even."""
     r = np.zeros(vr.shape, dtype=np.int64)
     at, p, m = slice(None), vp, vm
     while True:
@@ -219,16 +218,10 @@ def _drop_digits(vr, vp, vm, vr_tz, vm_tz, accept, e10) -> tuple:
     vr_tz &= vr == below * scale_1
     vm_tz &= vm == vm_r * scale
     last = np.where(r > 0, below % _U64(10), _U64(0))
+    # Ryu's removal of more digits while vm_tz and vm ends in 0 never runs: _shortest sets vm_tz only at q <= 1,
+    # where vm = 5**i (4 m2 - 2) / 2**q has one factor of 2 at most, which at q = 0 (vp - vm >= 20,
+    # so r >= 1) the dropped digits take
     vr, vm, e10 = below // (scale // scale_1), vm_r, e10 + r
-    at = np.flatnonzero(vm_tz)
-    at = at[vm[at] % _U64(10) == 0]
-    while at.size:
-        vr_tz[at] &= last[at] == 0
-        last[at] = vr[at] % _U64(10)
-        vr[at] //= _U64(10)
-        vm[at] //= _U64(10)
-        e10[at] += 1
-        at = at[vm[at] % _U64(10) == 0]
     last[vr_tz & (last == 5) & (vr % _U64(2) == 0)] = 4
     vr += ((vr == vm) & ~(accept & vm_tz)) | (last >= 5)
     return vr, e10

@@ -104,19 +104,18 @@ def run_rp_solver(
         mean[: len(path)] += path
         mean[len(path) :] += path[-1]
         if not keep_iterates:
-            trace.drop_iterates()
+            trace.path = None
     mean /= trials
-    return traces, ExpectationTrace(mode="sample_mean", ks=list(range(k_len)), Z=mean, d=d, status="sampled")
+    return traces, ExpectationTrace(mode="sample_mean", Z=mean, d=d, status="sampled")
 
 
 @dataclass
 class ExpectationTrace:
     """Trajectory of per-iteration expected iterates, either computed exactly
     from the averaged affine update or estimated by a sample mean: one row
-    z = (x, mu) of Z per entry of ks, with x its first d entries."""
+    z = (x, mu) of Z per step k = 0, 1, ..., with x its first d entries."""
 
     mode: str
-    ks: list
     Z: np.ndarray
     d: int
     status: str
@@ -125,6 +124,7 @@ class ExpectationTrace:
         if self.mode not in ("exact", "sample_mean"):
             raise UsageError("mode must be 'exact' or 'sample_mean'")
 
+    ks = property(lambda self: list(range(len(self.Z))))
     Ex = property(lambda self: self.Z[:, : self.d])
     Emu = property(lambda self: self.Z[:, self.d :])
 
@@ -134,13 +134,12 @@ class ExpectationTrace:
     def csv_text(self, header_lines=()) -> str:
         """The CSV text: the header lines as comments, the column names, one
         line per k (its cells the floats' reprs, a NaN cell "nan", then the
-        mode) and the status. A ks whose length is not the number of rows is
-        a ValueError."""
+        mode) and the status."""
         d, m = self.d, self.Z.shape[1] - self.d
         cols = ["k"] + [f"Ex_{j + 1}" for j in range(d)] + [f"Emu_{j + 1}" for j in range(m)] + ["mode"]
         head = "".join(f"# {line}\n" for line in header_lines) + ",".join(cols) + "\n"
         notes = [(0, head), (len(self.Z), f"# status={self.status}\n")]
-        return csv_lines(self.Z, (np.asarray(self.ks),), tail=f",{self.mode}\n", nan="nan", notes=notes)
+        return csv_lines(self.Z, (np.arange(len(self.Z)),), tail=f",{self.mode}\n", nan="nan", notes=notes)
 
 
 def trials_csv_text(traces: list, header_lines=()) -> str:
@@ -208,4 +207,4 @@ def run_expected_iteration(
                 k, status = k + int(settled[0]) + 1, "converged"
                 break
             k += nb
-    return ExpectationTrace(mode="exact", ks=list(range(k + 1)), Z=Z[: k + 1], d=d, status=status)
+    return ExpectationTrace(mode="exact", Z=Z[: k + 1], d=d, status=status)

@@ -28,7 +28,7 @@ import math
 import numbers
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -200,78 +200,55 @@ def _stop_statistic(rows: np.ndarray, n: int, exact: bool) -> np.ndarray:
 
 
 def _field(name: str) -> property:
-    """The Trace property that reads field `name` of the kept rows."""
-    return property(lambda self: self._table[: self._len, _columns(self.n_blocks)[name]])
+    """The Trace property that reads field `name` of its rows."""
+    return property(lambda self: self.rows[:, _columns(self.n_blocks)[name]])
 
 
+@dataclass(eq=False)
 class Trace:
-    """Per-iteration records of a run, one row of a float table per iterate
-    (laid out by _columns), plus its terminal state. Row k holds the iterate
-    after k sweeps.
+    """Per-iteration records of a run, built once when the run stops: one
+    row of the float table `rows` (laid out by _columns) per iterate, plus
+    its status and final point x, mu. Row k holds the iterate after k
+    sweeps.
 
     Columns: r_dual (one per block), r_feas, surrogate, objective, lyapunov
     and surrogate_blocks (one per block). A missing value is NaN: r_dual when
     some term is opaque, lyapunov without a merit reference, and the
     surrogate of a point no sweep produced, whose surrogate_blocks read inf.
-    A trace built with the primal dimension d keeps its iterates: each row's
-    z = (x, mu) in `path`, listed as (x, mu) pairs by `iterates`.
+    A trace that keeps its iterates holds each row's z = (x, mu) in `path`,
+    listed as (x, mu) pairs by `iterates`; otherwise both are None.
     """
 
-    def __init__(self, n_blocks: int, exact_residuals: bool = True, d: int | None = None):
-        self.n_blocks = n_blocks
-        self.exact_residuals = exact_residuals
-        self.status = "max_iter"
-        self.warnings = []
-        self.x = None
-        self.mu = None
-        self.trial = None
-        self._len = 0
-        self._table = np.empty((0, _columns(n_blocks)["width"]))
-        self._d = d
-        self._path = None if d is None else np.empty((0, 0))
-        self._iterates = None
+    rows: np.ndarray
+    status: str
+    x: np.ndarray
+    mu: np.ndarray
+    path: np.ndarray | None = None
+    warnings: list = field(default_factory=list)
+    exact_residuals: bool = True
+    trial: int | None = None
 
     def __len__(self) -> int:
-        return self._len
+        return len(self.rows)
+
+    @property
+    def n_blocks(self) -> int:
+        # _columns lays out rows 2n + 4 wide
+        return (self.rows.shape[1] - 4) // 2
 
     @property
     def ks(self) -> list:
-        return list(range(self._len))
+        return list(range(len(self)))
 
     r_dual, r_feas, surrogate, objective, lyapunov, surrogate_blocks = map(_field, _FIELDS)
-    path = property(lambda self: None if self._path is None else self._path[: self._len])
 
-    @property
+    @functools.cached_property
     def iterates(self) -> list | None:
-        """The kept iterates as (x, mu) pairs, views of `path`."""
-        if self._path is None:
+        """The kept iterates as (x, mu) pairs, views of `path`, listed once."""
+        if self.path is None:
             return None
-        if self._iterates is None or len(self._iterates) != self._len:
-            d = self._d
-            self._iterates = [(z[:d], z[d:]) for z in self.path]
-        return self._iterates
-
-    def extend(self, rows: np.ndarray, path=None) -> None:
-        """Append rows laid out by _columns, such as _Workspace.observe
-        returns; `path` holds the rows' z = (x, mu) when the trace keeps its
-        iterates. The table doubles in length when full."""
-        lo = self._len
-        hi = lo + len(rows)
-        if hi > self._table.shape[0]:
-            size = max(2 * self._table.shape[0], hi, 16)
-            # np.resize copies the rows kept into a new, larger array
-            self._table = np.resize(self._table, (size, self._table.shape[1]))
-            if self._path is not None:
-                self._path = np.resize(self._path, (size, np.shape(path)[1]))
-        self._table[lo:hi] = rows
-        if self._path is not None:
-            self._path[lo:hi] = path
-        self._len = hi
-
-    def drop_iterates(self) -> None:
-        """Stop keeping the iterates."""
-        self._path = None
-        self._iterates = None
+        d = len(self.x)
+        return [(z[:d], z[d:]) for z in self.path]
 
     def _dual(self) -> np.ndarray:
         return self.r_dual if self.exact_residuals else self.surrogate_blocks
@@ -280,8 +257,7 @@ class Trace:
         """Largest violation component at one row index (counted from the end
         when negative), from exact residuals when available and from the
         surrogate bound otherwise."""
-        rows = self._table[: self._len]
-        return float(_stop_statistic(rows[slice(row, row + 1 or None)], self.n_blocks, self.exact_residuals)[0])
+        return float(_stop_statistic(self.rows[slice(row, row + 1 or None)], self.n_blocks, self.exact_residuals)[0])
 
     def total_sq(self, row: int | None = None):
         """Summed squared residual components: a column over every row, or a
@@ -297,7 +273,7 @@ class Trace:
         the column names, the rows and the status."""
         head = "".join(f"# {line}\n" for line in header_lines)
         head += "".join(f"# warning: {w}\n" for w in self.warnings)
-        notes = [(0, head + self.csv_columns()), (self._len, f"# status={self.status}\n")]
+        notes = [(0, head + self.csv_columns()), (len(self), f"# status={self.status}\n")]
         return csv_lines(self.csv_cells(), self._lead(), notes=notes)
 
     def csv_columns(self) -> str:
@@ -308,7 +284,7 @@ class Trace:
 
     def csv_cells(self) -> np.ndarray:
         """The columns the CSV writes, one row per recorded row."""
-        return self._table[: self._len, _columns(self.n_blocks)["csv"]]
+        return self.rows[:, _columns(self.n_blocks)["csv"]]
 
     def csv_rows(self) -> str:
         """One CSV line per recorded row, led by the trial number when set;
@@ -316,8 +292,8 @@ class Trace:
         return csv_lines(self.csv_cells(), self._lead())
 
     def _lead(self) -> tuple:
-        ks = np.arange(self._len)
-        return (ks,) if self.trial is None else (np.full(self._len, self.trial), ks)
+        ks = np.arange(len(self))
+        return (ks,) if self.trial is None else (np.full(len(self), self.trial), ks)
 
 
 def _ranks(orders: np.ndarray) -> np.ndarray:
@@ -796,10 +772,11 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
     Each block's swept rows of all runs are observed in one call, with
     stacked products whose rows equal the one-row products bit for bit
     (Ax - b among them). Start rows and swept rows stop on _stop_statistic.
-    A run's trace takes its rows up to the first that converged or tripped
-    the guard, and the run leaves the stack there; the sweeps past it were
-    speculative and are dropped, with the orders they drew from the run's
-    own draws.
+    A run keeps its rows up to the first that converged or tripped the
+    guard, and leaves the stack there; the sweeps past it were speculative
+    and are dropped, with the orders they drew from the run's own draws.
+    When the stack is done, each run's Trace is built once from what it
+    kept.
     """
     inst, d, n = ws.inst, ws.d, ws.n
     U = sweep = None
@@ -811,19 +788,16 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
     exact = ws.observer.exact
     tol = ws.cfg.tol
     merit = None if reference is None else (merit_weight_matrices(inst, ws.beta, ws.R_eff), reference)
-    traces = [Trace(n, exact_residuals=exact, d=d if keep_iterates else None) for _ in starts]
     last = np.array([np.concatenate([state.x, state.mu]) for state in starts])
     observed = ws.observe(last, last[:, :d], merit=merit)
     stat = _stop_statistic(observed, n, exact)
-    live = []
-    for j, trace in enumerate(traces):
-        trace.warnings.extend(ws.warnings)
-        trace.extend(observed[j : j + 1], path=last[j : j + 1])
-        if stat[j] <= tol:
-            trace.status = "converged"
-            _end(trace, last[j], d)
-        else:
-            live.append(j)
+    # each run's kept rows, as views of each block's observe table; its z
+    # blocks, past the start's only when iterates are kept; and once it
+    # stops, its status and final z
+    tables = [[observed[j : j + 1]] for j in range(len(starts))]
+    paths = [[last[j : j + 1]] for j in range(len(starts))]
+    stops = [("converged", last[j]) if stat[j] <= tol else None for j in range(len(starts))]
+    live = [j for j, stop in enumerate(stops) if stop is None]
     last, r_last = last[live], stat[live].tolist()
     size = last.shape[1]
     left = int(ws.cfg.max_iter)
@@ -854,27 +828,29 @@ def _drive(ws, starts, draws, keep_iterates, reference=None) -> list:
         hit = stat <= tol
         live, last, decays, lo = [], [], [], 0
         for (j, rows, run, guard), r_prev in zip(block, r_last):
-            trace = traces[j]
             # the guard row stops the run as diverged whatever its residual
             done = np.flatnonzero(hit[lo : lo + len(run) - guard])
             keep = int(done[0]) + 1 if done.size else len(run)
-            trace.extend(observed[lo : lo + keep], path=rows[1 : keep + 1])
+            tables[j].append(observed[lo : lo + keep])
+            if keep_iterates:
+                paths[j].append(rows[1 : keep + 1])
             lo += len(run)
-            if done.size:
-                trace.status = "converged"
-            elif guard:
-                trace.status = "diverged"
-            elif len(run) == nb and left:
-                live.append(j)
-                last.append(rows[-1])
-                decays.append((r_prev, float(stat[lo - 1])))
+            if done.size or guard or not left:
+                stops[j] = ("converged" if done.size else "diverged" if guard else "max_iter", rows[keep])
                 continue
-            _end(trace, rows[keep], d)
+            live.append(j)
+            last.append(rows[-1])
+            decays.append((r_prev, float(stat[lo - 1])))
         r_last = [r for _, r in decays]
         if exact and decays:
             # a stack takes the longest block any live run needs
             nb = max(_block_length(r_prev, r, nb, tol) for r_prev, r in decays)
-    return traces
+    return [
+        Trace(np.concatenate(tables[j]), status, z[:d].copy(), z[d:].copy(),
+              path=np.concatenate(paths[j]) if keep_iterates else None, warnings=list(ws.warnings),
+              exact_residuals=exact)
+        for j, (status, z) in enumerate(stops)
+    ]
 
 
 def _sweep_block(ws, Z: np.ndarray, orders, sweep) -> None:
@@ -930,12 +906,6 @@ def _block_length(r_prev: float, r_last: float, swept: int, tol: float) -> int:
         return SWEEP_BLOCK
     need = swept * (math.log(tol) - math.log(r_last)) / math.log(ratio)
     return min(SWEEP_BLOCK, math.ceil(1.25 * need) + 2)
-
-
-def _end(trace: Trace, z: np.ndarray, d: int) -> None:
-    """Set a stopped run's final point z = (x, mu)."""
-    trace.x = z[:d].copy()
-    trace.mu = z[d:].copy()
 
 
 def merit_weight_matrices(inst: ProblemInstance, beta: float, R_mats) -> dict:

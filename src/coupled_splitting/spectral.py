@@ -46,7 +46,6 @@ from .solvers import (
     SolverConfig,
     Trace,
     _Workspace,
-    _end,
     _write_artifact,
     check_beta,
     check_integer,
@@ -544,10 +543,9 @@ def _trace_from_path(ws, Z) -> Trace:
     """The trace of a trajectory of points z = (x, mu), the rows of Z, each
     row observed as _drive observes a start point: with no sweep, so with no
     surrogate."""
-    trace = Trace(n_blocks=ws.n, exact_residuals=ws.observer.exact)
-    trace.extend(ws.observe(Z, Z[:, : ws.d]))
-    _end(trace, Z[-1], ws.d)
-    return trace
+    d = ws.d
+    return Trace(ws.observe(Z, Z[:, :d]), "max_iter", Z[-1, :d].copy(), Z[-1, d:].copy(),
+                 exact_residuals=ws.observer.exact)
 
 
 def cyclic_update_matrix(inst: ProblemInstance, beta: float, gamma: float = 1.0):

@@ -594,7 +594,7 @@ def test_expectation_trace_csv_matches_cell_by_cell_format(tmp_path, m):
         [0.1, -5e-324, 2.5, 1e-310],
     ])
     for mode in ("exact", "sample_mean"):
-        et = rp.ExpectationTrace(mode=mode, ks=[0, 1, 7], Z=edge[:, : 2 + m], d=2, status="converged")
+        et = rp.ExpectationTrace(mode=mode, Z=edge[:, : 2 + m], d=2, status="converged")
         path = tmp_path / f"{mode}{m}.csv"
         header = ["beta=1.0", "trials=2"]
         et.to_csv(path, header_lines=header)

@@ -179,6 +179,15 @@ def test_linearization_bcd_diagonal():
     assert np.allclose(pairs[0][1], np.diag(_arr(0.0, 3.0)), atol=1e-12)
 
 
+def test_linearization_refuses_a_block_with_no_curvature():
+    """bcpg cannot linearize a block whose quadratic model is zero."""
+    inst = cs.ProblemInstance(
+        blocks=cs.BlockStructure(dims=(1, 1, 1), m=0), H=np.diag(_arr(1.0, 0.0, 1.0)), g=np.zeros(3), A=None, b=None,
+    )
+    with pytest.raises(ConditionError, match="^block 1 has no curvature; linearization is undefined$"):
+        cs.run_solver(inst, cs.SolverConfig(variant="bcpg"))
+
+
 # -- variant equivalences ----------------------------------------------------
 
 
@@ -265,6 +274,45 @@ def test_run_rejects_a_start_of_the_wrong_length():
             cs.run_solver(inst, cfg, x0=x0, mu0=mu0)
     tr = cs.run_solver(inst, cfg, x0=[[1.0], [1.0]], mu0=1.0)
     assert tr.status == "converged" and list(tr.ks) == [0]
+
+
+def _ending(name):
+    """(status, instance, cfg, start) of a run that ends as `name` says: at
+    its start row (started at the KKT point), converged after sweeps, past
+    the divergence guard (a start near the limit on the 3x3 system, where
+    the cyclic order and some drawn orders grow) or at max_iter."""
+    pair = scalar_pair_instance()
+    kkt = cs.solve_kkt_oracle(pair)
+    cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, tol=1e-9, max_iter=3000)
+    return {
+        "start": ("converged", pair, cfg, {"x0": kkt.x, "mu0": kkt.mu}),
+        "sweeps": ("converged", pair, cfg, {}),
+        "guard": ("diverged", three_by_three_instance(), cfg, {"x0": [8e11, 0.0, 0.0]}),
+        "max_iter": ("max_iter", pair, dataclasses.replace(cfg, tol=0.0, max_iter=40), {}),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["start", "sweeps", "guard", "max_iter"])
+def test_every_ending_leaves_one_consistent_record(name):
+    """However a run ends, alone or as a trial of a 3-trial stack, its trace
+    holds one kept z per row, and its final x and mu equal the last z bit
+    for bit without sharing its memory. Without kept iterates, path and
+    iterates are None and the rest of the record is the same."""
+    status, inst, cfg, start = _ending(name)
+    kept = [cs.run_solver(inst, cfg, keep_iterates=True, **start)]
+    kept += cs.run_rp_solver(inst, cfg, trials=3, keep_iterates=True, **start)[0]
+    assert kept[0].status == status and status in {t.status for t in kept[1:]}
+    for trace in kept:
+        assert (len(trace) == 1) == (name == "start")
+        d = len(trace.x)
+        assert len(trace.path) == len(trace.iterates) == len(trace) and trace.iterates is trace.iterates
+        for got, want in ((trace.x, trace.path[-1, :d]), (trace.mu, trace.path[-1, d:])):
+            assert got.tobytes() == want.tobytes() and not np.shares_memory(got, trace.path)
+    bare = [cs.run_solver(inst, cfg, **start)] + cs.run_rp_solver(inst, cfg, trials=3, **start)[0]
+    for trace, want in zip(bare, kept):
+        assert trace.path is None and trace.iterates is None
+        assert trace.status == want.status and trace.csv_text() == want.csv_text()
+        assert trace.x.tobytes() == want.x.tobytes() and trace.mu.tobytes() == want.mu.tobytes()
 
 
 def test_run_coupled_lasso_against_grid_oracle():
@@ -696,13 +744,12 @@ def test_trace_rows_match_cell_by_cell_format():
     opaque_run = cs.run_solver(
         opaque, cs.SolverConfig(variant="admm_cyclic_n", R=_scaled_identity_R(opaque, 1.0), tol=0.0, max_iter=30)
     )
-    edge = solvers.Trace(n_blocks=3)
-    edge.extend(np.column_stack([
+    edge = solvers.Trace(np.column_stack([
         [[np.nan] * 3, [np.inf, np.nan, -0.0], [1e-300, 2.5, 1.0 / 3.0]],  # r_dual
         [0.0, np.inf, 5e-324], [np.nan, 1e300, 0.1],  # r_feas, surrogate
         [np.inf, -np.inf, -7.0], [np.nan, np.nan, 2.0],  # objective, lyapunov
         np.full((3, 3), np.inf),  # surrogate_blocks
-    ]))
+    ]), "max_iter", np.zeros(0), np.zeros(0))
     assert np.array_equal(edge.r_dual[1], [np.inf, np.nan, -0.0], equal_nan=True)
     assert edge.lyapunov.tolist()[2] == 2.0 and np.all(np.isinf(edge.surrogate_blocks))
     assert not np.all(np.isnan(merit.lyapunov))

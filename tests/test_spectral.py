@@ -2,6 +2,7 @@
 update, eigenvalue and multiplicity checks, block-order rate comparison, and
 non-uniqueness witnesses."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import coupled_splitting as cs
-from coupled_splitting import solvers
+from coupled_splitting import solvers, spectral
 from coupled_splitting._averaging import averaged_bordered_inverse, subset_layers
 from coupled_splitting.cli import main as cli_main
 from coupled_splitting.solvers import GAMMA_SUP
@@ -417,6 +418,34 @@ def test_verdict_checks_flag_fabricated_failures():
     report2.am_one, report2.gm_one = 2, 1
     _, mult_ok = check_M_spectrum(report2)
     assert not mult_ok
+
+
+def test_an_averaged_inverse_that_is_not_positive_definite_fails_lemma_3_1(monkeypatch):
+    """build_Q_M takes the spectrum of QS from eigvals(Q @ S) when Q is not
+    positive definite, which no instance reached by the DP yields: the
+    averaged update is replaced by one whose Q is negated."""
+    averaged_update = spectral.averaged_update
+
+    def negated(inst, beta):
+        update = averaged_update(inst, beta)
+        return dataclasses.replace(update, Q=-update.Q)
+
+    monkeypatch.setattr(spectral, "averaged_update", negated)
+    inst = pair_instance(2.0 * np.eye(2))
+    report = build_Q_M(inst, beta=1.0)
+    S = averaged_update(inst, 1.0).S
+    assert report.q_min_eig < 0.0
+    assert np.array_equal(report.eig_QS, np.sort(np.linalg.eigvals(report.Q @ S).real))
+    assert check_eig_QS(report) is False and report.verdicts["lemma_3_1"] is False
+
+
+def test_rank_formulas_below_the_geometric_multiplicity_raise(monkeypatch):
+    """An algebraic multiplicity of eigenvalue one below its geometric one
+    means a thresholded rank is wrong: with every matrix read as full rank,
+    am_one = m - d falls below gm_one = 0 on a pair with d = 2, m = 1."""
+    monkeypatch.setattr(spectral, "rank_svd", lambda M: M.shape[0])
+    with pytest.raises(cs.CertificateError, match="^rank formulas give am_one=-1 below gm_one=0: "):
+        build_Q_M(pair_instance(2.0 * np.eye(2)), beta=1.0)
 
 
 def test_analyze_batch_of_random_instances():

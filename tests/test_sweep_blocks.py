@@ -256,8 +256,7 @@ def test_surrogate_squares_r_feas_as_the_per_row_recording():
     Z = rng.standard_normal((200_000, 4))
     X, MU = Z[:, :3], Z[:, 3:]
     X_prev = X + 0.3 * rng.standard_normal(X.shape)
-    trace = solvers.Trace(n_blocks=2)
-    trace.extend(ws.observe(Z, X_prev, [(0, 1)] * len(Z)))
+    trace = solvers.Trace(ws.observe(Z, X_prev, [(0, 1)] * len(Z)), "max_iter", X[-1], MU[-1])
     r_feas = trace.r_feas.tolist()
     rows = [j for j, r in enumerate(r_feas) if r**2 != r * r]
     for j in rows:
