@@ -1,5 +1,6 @@
 """Small dense linear-algebra helpers shared across modules, with the one
-rule each for whether a matrix is symmetric, semidefinite or singular.
+rule each for whether a matrix is symmetric, semidefinite or singular, and
+for whether a point argument is a finite vector of the right size.
 
 This module is also the one home of every tolerance that decides a verdict,
 an error or a warning; the other modules import them from here. A floored
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import StructuralError, UsageError
 
 # -- decision tolerances ----------------------------------------------------
 
@@ -74,6 +75,20 @@ def floored(rtol: float, *scales: float) -> float:
     return rtol * max(1.0, *scales)
 
 
+def point_vector(value, size: int, name: str) -> np.ndarray:
+    """A point argument as a new float vector of `size` entries, zeros when
+    value is None. One with another number of entries is a StructuralError,
+    and one with a NaN or infinite entry a UsageError, each naming it."""
+    if value is None:
+        return np.zeros(size)
+    v = np.array(value, dtype=float)
+    if v.size != size:
+        raise StructuralError(f"{name} has {v.size} entries, expected {size}")
+    if not np.isfinite(v).all():
+        raise UsageError(f"{name} must be finite")
+    return v.reshape(size)
+
+
 def sym_part(M: np.ndarray) -> np.ndarray:
     """(M + M') / 2, halved before the sum so finite entries never overflow."""
     return 0.5 * M + 0.5 * M.T
@@ -81,9 +96,7 @@ def sym_part(M: np.ndarray) -> np.ndarray:
 
 def symmetry_defect(M: np.ndarray) -> float:
     """Max-abs difference between a matrix and its transpose."""
-    if M.size == 0:
-        return 0.0
-    return float(np.max(np.abs(M - M.T)))
+    return max_abs(M - M.T)
 
 
 def max_abs(M: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ORACLE_RESIDUAL_RTOL, block_diag, require_symmetric_psd, singular_direction, symmetry_defect
+from ._linalg import ORACLE_RESIDUAL_RTOL, block_diag, point_vector, require_symmetric_psd, singular_direction, symmetry_defect
 from .errors import (
     InfeasibleError,
     StructuralError,
@@ -148,6 +148,11 @@ class ProblemInstance:
         is defined only for the purely quadratic model."""
         if any(f.kind != "zero" for f in self.theta):
             raise UsageError(f"{what} is defined only when every separable term is zero")
+
+    def check_point(self, point, name: str) -> tuple:
+        """point.x and point.mu through _linalg.point_vector, named name.x and name.mu."""
+        return (point_vector(point.x, self.blocks.d, f"{name}.x"),
+                point_vector(point.mu, self.blocks.m, f"{name}.mu"))
 
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.H @ x + self.g
@@ -356,8 +361,7 @@ def kkt_residual(inst: ProblemInstance, point: KKTPoint) -> KKTResidual:
     """Exact stationarity violation of a point. Every term must support the
     subdifferential oracle; opaque terms raise UnsupportedOracleError (the
     solver's trace records a surrogate for those instead)."""
-    x = np.asarray(point.x, dtype=float)
-    mu = np.asarray(point.mu, dtype=float)
+    x, mu = inst.check_point(point, "point")
     grad = inst.smooth_gradient(x)
     r_dual = np.zeros(inst.blocks.n)
     for i in range(inst.blocks.n):

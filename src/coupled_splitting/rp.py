@@ -17,6 +17,7 @@ import numpy as np
 
 from ._averaging import averaged_update
 from ._csvtext import csv_lines
+from ._linalg import point_vector
 from .errors import UsageError
 from .model import ProblemInstance
 from ._observe import _dots
@@ -27,7 +28,6 @@ from .solvers import (
     _affine_rows,
     _drive,
     _guard_rows,
-    _start_vector,
     _Workspace,
     _write_artifact,
     check_integer,
@@ -35,22 +35,17 @@ from .solvers import (
 )
 
 
-def _order_rng(seed: int, n: int) -> np.random.Generator:
-    """The generator of the order stream seeded `seed`, for n blocks."""
-    if n < 1:
-        raise UsageError("need at least one block")
-    return np.random.default_rng(int(seed))
-
-
 def permutation_at(seed: int, counter: int, n: int) -> tuple:
     """Order number `counter` (from 0) of the stream seeded `seed`: the
     counter-th of successive default_rng(seed).permutation(n) draws, as a
     tuple of Python ints. It draws every earlier order one call at a time,
     in O(counter), and is the reference for _trial_orders. A seed or counter
-    that is not an integer of at least 0 is a UsageError."""
+    that is not an integer of at least 0, or an n not one of at least 1, is
+    a UsageError."""
     seed = check_integer(seed, "seed", 0)
     counter = check_integer(counter, "counter", 0)
-    rng = _order_rng(seed, n)
+    n = check_integer(n, "n", 1)
+    rng = np.random.default_rng(seed)
     for _ in range(counter):
         rng.permutation(n)
     return tuple(rng.permutation(n).tolist())
@@ -62,7 +57,8 @@ def _trial_orders(seed: int, n: int):
     stacked aranges. Each row is the next rng.permutation(n), so the
     concatenated draws are permutation_at(seed, 0, n), permutation_at(seed,
     1, n), ..., whatever the sizes drawn."""
-    rng = _order_rng(seed, n)
+    check_integer(n, "n", 1)
+    rng = np.random.default_rng(seed)
     return lambda k: rng.permuted(np.broadcast_to(np.arange(n), (k, n)), axis=1)
 
 
@@ -85,13 +81,14 @@ def run_rp_solver(
     past its stop, for sweeps it then drops; it draws them from its own
     generator, so no other trial's orders move. Returns the per-trial traces
     and the sample-mean trajectory across trials at matching iteration
-    counts (trials that stop early are held at their final iterate).
+    counts (trials that stop early are held at their final iterate). cfg's
+    variant and gamma are replaced by admm_cyclic_n and 1, so neither is
+    read or checked; the run's workspace validates the rest of cfg.
     """
-    cfg.validate(inst)
+    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0), random_orders=True)
     trials = check_integer(trials, "trials", 1)
     seed = int(cfg.seed)
     n, d, m = inst.blocks.n, inst.blocks.d, inst.blocks.m
-    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n", gamma=1.0), random_orders=True)
     start = IterateState.start(inst, x0, mu0)
     # sweeps past a stop draw orders from that trial's generator only
     traces = _drive(ws, [start] * trials, [_trial_orders(seed ^ t, n) for t in range(trials)], True)
@@ -171,28 +168,26 @@ def run_expected_iteration(
     """Follow the exact expected trajectory until successive expected iterates
     differ by at most tol, or k_max steps have run. A row that is NaN or
     above DIVERGENCE_LIMIT in absolute value ends the trajectory there, with
-    status diverged. z0 must be finite, with d + m entries.
+    status diverged. z0 (zeros when None) must pass _linalg.point_vector.
 
-    The rows are stepped SWEEP_BLOCK at a time by solvers._affine_rows into
-    an array grown by doubling, and each block's steps and guard are checked
-    after it, so up to SWEEP_BLOCK - 1 rows past the stop are computed and
-    dropped. Every step runs under np.errstate with overflow and invalid
-    operations ignored: neither a kept guard row nor a dropped row warns."""
+    The rows are stepped SWEEP_BLOCK at a time by solvers._affine_rows, each
+    block into a table of its own, and each block's steps and guard are
+    checked after it, so up to SWEEP_BLOCK - 1 rows past the stop are
+    computed and dropped; the kept rows are concatenated once, at the end.
+    Every step runs under np.errstate with overflow and invalid operations
+    ignored: neither a kept guard row nor a dropped row warns."""
     check_stopping(tol, k_max)
     d, m = inst.blocks.d, inst.blocks.m
-    z = _start_vector(z0, d + m, "z0")
-    if not np.all(np.isfinite(z)):
-        raise UsageError("z0 must be finite")
+    z = point_vector(z0, d + m, "z0")
     M, c = expected_update_operator(inst, beta)
-    Z = np.empty((256, d + m))
-    Z[0] = z
+    # the kept rows, block by block, as views of each block's table
+    kept = [z[None]]
     k, status = 0, "max_iter"
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < k_max:
+        while k < k_max and status == "max_iter":
             nb = min(SWEEP_BLOCK, k_max - k)
-            if k + nb >= len(Z):
-                Z = np.resize(Z, (2 * len(Z), d + m))
-            rows = Z[k : k + nb + 1]
+            rows = np.empty((nb + 1, d + m))
+            rows[0] = kept[-1][-1]
             _affine_rows(M, c, rows)
             # each step's np.linalg.norm, sqrt(dz.dot(dz)), one ddot per row
             dz = rows[1:] - rows[:-1]
@@ -201,10 +196,9 @@ def run_expected_iteration(
             # a row past the limit ends the run as diverged, also when its
             # step is within tol
             if past < nb and not (settled.size and settled[0] < past):
-                k, status = k + past + 1, "diverged"
-                break
-            if settled.size:
-                k, status = k + int(settled[0]) + 1, "converged"
-                break
+                nb, status = past + 1, "diverged"
+            elif settled.size:
+                nb, status = int(settled[0]) + 1, "converged"
+            kept.append(rows[1 : nb + 1])
             k += nb
-    return ExpectationTrace(mode="exact", Z=Z[: k + 1], d=d, status=status)
+    return ExpectationTrace(mode="exact", Z=np.concatenate(kept), d=d, status=status)

@@ -40,7 +40,7 @@ except ImportError:  # numpy < 2
 
 from ._csvtext import csv_lines
 from ._linalg import BETA_MAX, CURVATURE_WARN_RTOL, MIN_NORM_RTOL, SCALED_IDENTITY_RTOL, floored
-from ._linalg import block_diag, max_abs, singular_sym, sym_part
+from ._linalg import block_diag, max_abs, point_vector, singular_sym, sym_part
 from .errors import (
     ConditionError,
     StructuralError,
@@ -77,12 +77,6 @@ def check_beta(beta) -> None:
     BETA_MAX."""
     if not 0.0 < beta <= BETA_MAX:
         raise UsageError(f"beta must be positive and at most {BETA_MAX!r}, not {beta!r}")
-
-
-def check_gamma(gamma) -> None:
-    """Reject a dual stepsize outside (0, GAMMA_SUP)."""
-    if not 0.0 < gamma < GAMMA_SUP:
-        raise UsageError(f"gamma must lie in (0, {GAMMA_SUP}) exclusive")
 
 
 def check_integer(value, name: str, least: int) -> int:
@@ -129,26 +123,30 @@ class SolverConfig:
     max_iter: int = 100_000
     seed: int = 0
 
-    def validate(self, inst: ProblemInstance) -> None:
+    def validate(self, inst: ProblemInstance) -> list:
+        """Reject a parameter outside its domain and return R as per-block
+        matrices; _Workspace is the one caller, so a run checks cfg once."""
         if self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         check_beta(self.beta)
-        check_gamma(self.gamma)
+        if not 0.0 < self.gamma < GAMMA_SUP:
+            raise UsageError(f"gamma must lie in (0, {GAMMA_SUP}) exclusive")
         check_stopping(self.tol, self.max_iter)
-        if self.R is not None:
-            normalize_block_matrices(inst, self.R)
+        R = normalize_block_matrices(inst, self.R)
         if self.r is not None:
             if len(self.r) != inst.blocks.n:
                 raise StructuralError(f"r has {len(self.r)} entries, expected {inst.blocks.n}")
             if any(not 0.0 < float(v) < math.inf for v in self.r):
                 raise UsageError("every linearization curvature r_i must be positive and finite")
         check_integer(self.seed, "seed", 0)
+        return R
 
 
 @dataclass
 class IterateState:
-    """One iterate: current primal x, the previous primal (for proximal
-    anchors and back-differences), the multiplier, and the step count."""
+    """One iterate: the primal x, the multiplier mu and the step count k,
+    plus x_prev, the primal iterate before the last step (a copy of x at a
+    start); step sets it, and nothing in the package reads it."""
 
     x: np.ndarray
     x_prev: np.ndarray
@@ -157,22 +155,9 @@ class IterateState:
 
     @classmethod
     def start(cls, inst: ProblemInstance, x0=None, mu0=None) -> "IterateState":
-        x = _start_vector(x0, inst.blocks.d, "x0")
-        mu = _start_vector(mu0, inst.blocks.m, "mu0")
-        # the back-difference term is zero before any step has been taken
+        x = point_vector(x0, inst.blocks.d, "x0")
+        mu = point_vector(mu0, inst.blocks.m, "mu0")
         return cls(x=x, x_prev=x.copy(), mu=mu, k=0)
-
-
-def _start_vector(value, size: int, name: str) -> np.ndarray:
-    """A start point as a new float vector of `size` entries, zeros when
-    value is None; one with another number of entries is a StructuralError
-    naming the argument."""
-    if value is None:
-        return np.zeros(size)
-    v = np.array(value, dtype=float)
-    if v.size != size:
-        raise StructuralError(f"{name} has {v.size} entries, expected {size}")
-    return v.reshape(size)
 
 
 # the fields of a recorded row, in column order
@@ -347,12 +332,10 @@ def linearization_proximal(inst: ProblemInstance, beta: float) -> list:
     return out
 
 
-def _proximal_matrices(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
-    """The proximal matrices R_i that cfg.variant effectively applies, the
-    scalar curvatures r_i of the linearized variants (None for the others),
-    and warnings about user curvatures below a block's top eigenvalue."""
-    if cfg.variant not in _LINEARIZED:
-        return None, normalize_block_matrices(inst, cfg.R), []
+def _linearized_proximal(inst: ProblemInstance, cfg: SolverConfig) -> tuple:
+    """The scalar curvatures r_i of a linearized variant, the proximal
+    matrices R_i they effectively apply, and warnings about user curvatures
+    below a block's top eigenvalue."""
     pairs = linearization_proximal(inst, cfg.beta)
     if cfg.r is None:
         return [p[0] for p in pairs], [p[1] for p in pairs], []
@@ -428,7 +411,7 @@ class _Workspace:
     """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, min_norm: bool = False, random_orders: bool = False):
-        cfg.validate(inst)
+        R = cfg.validate(inst)
         variant = cfg.variant
         two_block = variant in ("admm2", "admm2_linearized")
         if two_block:
@@ -447,7 +430,7 @@ class _Workspace:
         self.slices = [inst.blocks.slice_of(i) for i in range(n)]
         self.offsets = np.asarray(inst.blocks.offsets)
         self.At = np.ascontiguousarray(inst.A.T)
-        self.r, self.R_eff, self.warnings = _proximal_matrices(inst, cfg)
+        self.r, self.R_eff, self.warnings = _linearized_proximal(inst, cfg) if self.linearized else (None, R, [])
         S = inst.curvature(self.beta)
         self.W, self.c, self.prox_weight = zip(*(self._block_update(S, i) for i in range(n)))
         if two_block:
@@ -686,11 +669,12 @@ def step(inst: ProblemInstance, cfg: SolverConfig, state: IterateState, order=No
     """
     n, d = inst.blocks.n, inst.blocks.d
     ws = _Workspace(inst, cfg, random_orders=order is not None)
+    x, mu = inst.check_point(state, "state")
     rows = np.empty((2, d + inst.blocks.m))
-    rows[0, :d], rows[0, d:] = _start_vector(state.x, d, "x"), _start_vector(state.mu, inst.blocks.m, "mu")
+    rows[0, :d], rows[0, d:] = x, mu
     ws.order_sweep(tuple(range(n)) if order is None else check_order(order, n))(rows)
     z = rows[1]
-    return IterateState(x=z[:d], x_prev=state.x.copy(), mu=z[d:], k=state.k + 1)
+    return IterateState(x=z[:d], x_prev=x, mu=z[d:], k=state.k + 1)
 
 
 # -- full runs -------------------------------------------------------------
@@ -719,6 +703,8 @@ def run_solver(
     """
     ws = _Workspace(inst, cfg)
     state = IterateState.start(inst, x0, mu0)
+    if reference is not None:
+        reference = KKTPoint(*inst.check_point(reference, "reference"))
     return _drive(ws, [state], None, keep_iterates, reference=reference)[0]
 
 
@@ -928,9 +914,9 @@ def merit_weight_matrices(inst: ProblemInstance, beta: float, R_mats) -> dict:
 def _merit_rows(beta, weights, reference, X, X_prev, MU) -> np.ndarray:
     """The merit value at each row pair (x, mu) of X and MU, reached from
     x = X_prev[j]; each row equals the one-row formula bit for bit."""
-    DX = X - np.asarray(reference.x, dtype=float)
+    DX = X - reference.x
     sl2 = weights["slice2"]
-    DMU = MU - np.asarray(reference.mu, dtype=float)
+    DMU = MU - reference.mu
     BACK = X[:, sl2] - X_prev[:, sl2]
     return (
         0.875 * _quad_rows(DX, weights["level"])
@@ -953,7 +939,9 @@ def _drop_floor_rows(beta, weights, DX, DMU) -> np.ndarray:
 
 
 def _merit_weights(inst: ProblemInstance, cfg: SolverConfig) -> dict:
-    return merit_weight_matrices(inst, cfg.beta, _proximal_matrices(inst, cfg)[1])
+    """The merit weights of a run of cfg, from its workspace's R_i."""
+    ws = _Workspace(inst, cfg)
+    return merit_weight_matrices(inst, ws.beta, ws.R_eff)
 
 
 def lyapunov_decrease_floor(
@@ -961,8 +949,9 @@ def lyapunov_decrease_floor(
 ) -> float:
     """Guaranteed minimum drop of the merit value across one step, evaluated
     from the two consecutive iterates."""
-    dx, dmu = nxt.x - prev.x, nxt.mu - prev.mu
-    return float(_drop_floor_rows(cfg.beta, _merit_weights(inst, cfg), dx[None], dmu[None])[0])
+    weights = _merit_weights(inst, cfg)
+    (x0, mu0), (x1, mu1) = inst.check_point(prev, "prev"), inst.check_point(nxt, "nxt")
+    return float(_drop_floor_rows(cfg.beta, weights, (x1 - x0)[None], (mu1 - mu0)[None])[0])
 
 
 def min_kkt_sq_curve(trace: Trace) -> np.ndarray:

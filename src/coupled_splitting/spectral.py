@@ -32,6 +32,7 @@ from ._linalg import (
     RATE_TIE_TOL,
     WITNESS_RTOL,
     max_abs,
+    point_vector,
     psd_sqrt,
     rank_svd,
     spectral_radius,
@@ -465,20 +466,19 @@ def oscillation_demo(
 
     The baseline is k_max cyclic sweeps of the solver engine (variant
     admm_cyclic_n with cfg's beta, gamma and R) whose blocks take the
-    minimum-norm solution of their subproblem. Separable terms must all be
-    zero (the construction is for the purely quadratic case)."""
+    minimum-norm solution of their subproblem; cfg's variant is replaced,
+    so it is neither read nor checked. Separable terms must all be zero (the
+    construction is for the purely quadratic case)."""
     inst.require_two_blocks("the oscillation construction")
     inst.require_zero_terms("the oscillation construction")
-    cfg.validate(inst)
+    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n"), min_norm=True)
     k_max = check_integer(k_max, "k_max", 2)
-    R_mats = normalize_block_matrices(inst, cfg.R)
-    y = np.asarray(ybar, dtype=float).reshape(inst.blocks.d)
+    d = inst.blocks.d
+    y = point_vector(ybar, d, "ybar")
     ynorm = float(np.linalg.norm(y))
     if ynorm > 0:
-        _verified_witness(inst, R_mats, y / ynorm, "ybar is not a valid witness")
+        _verified_witness(inst, ws.R_eff, y / ynorm, "ybar is not a valid witness")
 
-    ws = _Workspace(inst, dataclasses.replace(cfg, variant="admm_cyclic_n"), min_norm=True)
-    d = inst.blocks.d
     start = IterateState.start(inst, x0, mu0)
     Z = np.empty((k_max + 1, d + inst.blocks.m))
     Z[0, :d], Z[0, d:] = start.x, start.mu
@@ -491,7 +491,7 @@ def oscillation_demo(
     Z_p[:, :d] += np.where((k % 2 == 0) & (k >= 2), y, 0.0)
     xs_p, mus_p = Z_p[:, :d], Z_p[:, d:]
 
-    defect = _recheck_steps(inst, R_mats, cfg.beta, cfg.gamma, xs_p, mus_p)
+    defect = _recheck_steps(inst, ws.R_eff, cfg.beta, cfg.gamma, xs_p, mus_p)
     scale = 1.0 + max(float(np.max(np.abs(np.asarray(xs_p)))), float(np.max(np.abs(np.asarray(mus_p)))) if inst.blocks.m else 0.0)
     if defect > OSCILLATION_RTOL * scale:
         raise CertificateError(

@@ -356,13 +356,13 @@ def test_sample_mean_holds_stopped_trials_at_their_last_iterate():
     assert np.array_equal(mean_trace.Emu, expected[:, d:])
 
 
-def test_rp_run_nan_start_trips_divergence_guard():
+def test_rp_run_rejects_a_nan_start():
+    """A NaN start is bad input, not a diverged run: the point rule rejects
+    it before any trial sweeps."""
     inst = three_by_three_instance()
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, gamma=1.0, tol=1e-9, max_iter=300)
-    traces, _ = cs.run_rp_solver(inst, cfg, mu0=_arr(np.nan, 0.0, 0.0), trials=2)
-    for t in traces:
-        assert t.status == "diverged"
-        assert len(t) == 2
+    with pytest.raises(cs.UsageError, match="^mu0 must be finite$"):
+        cs.run_rp_solver(inst, cfg, mu0=_arr(np.nan, 0.0, 0.0), trials=2)
 
 
 def test_rp_run_rejects_a_start_of_the_wrong_length():
@@ -513,6 +513,14 @@ def test_expected_iteration_rows_equal_the_per_step_loop():
             assert status == "converged" and len(Z) == 2
         elif k_max < 100:
             assert status == "max_iter" and len(Z) == k_max + 1
+
+
+def test_expected_iteration_table_is_built_once():
+    """The trajectory's rows are one table of their own, concatenated once
+    from the blocks, not a view that keeps a larger buffer alive."""
+    et = cs.run_expected_iteration(three_by_three_instance(), 1.5, k_max=600, tol=0.0)
+    assert et.status == "max_iter" and len(et.Z) == 601
+    assert et.Z.base is None
 
 
 def test_expected_iteration_rejects_a_start_of_the_wrong_length():

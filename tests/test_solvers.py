@@ -116,8 +116,8 @@ def test_step_rejects_non_permutation():
 
 def test_step_rejects_an_iterate_of_the_wrong_size():
     """An IterateState whose x or mu has another number of entries than the
-    instance is a StructuralError naming the field, as a start point of the
-    wrong size is for run_solver."""
+    instance is a StructuralError naming the argument's field, as a start
+    point of the wrong size is for run_solver."""
     rng = np.random.default_rng(16)
     inst = two_block_instance(rng, kinds=("zero",))
     d, m = inst.blocks.d, inst.blocks.m
@@ -126,7 +126,7 @@ def test_step_rejects_an_iterate_of_the_wrong_size():
     for field, size in (("x", d - 1), ("x", d + 1), ("mu", m + 1)):
         bad = dataclasses.replace(st0, **{field: np.zeros(size)})
         for order in (None, (1, 0)):
-            with pytest.raises(cs.StructuralError, match=f"^{field} has {size} entries, expected"):
+            with pytest.raises(cs.StructuralError, match=f"^state\\.{field} has {size} entries, expected"):
                 cs.step(inst, cfg, bad, order=order)
 
 
@@ -561,14 +561,15 @@ def test_lyapunov_zero_at_reference():
 
 
 def test_lyapunov_formula_collapse():
-    # H = 0, R = 0, A = [0, 1] so A_2 = 1, beta = 1:
-    # value = 0.5 (x2 - xbar2)^2 + 0.5 (mu - mubar)^2
+    # H = 0, R_1 = 1, R_2 = 0, A = [0, 1] so A_2 = 1, beta = 1, and x1 at
+    # its reference: value = 0.5 (x2 - xbar2)^2 + 0.5 (mu - mubar)^2 (R_1
+    # keeps block 1's subproblem, and so the admm2 run, uniquely solvable)
     inst = cs.ProblemInstance(
         blocks=cs.BlockStructure(dims=(1, 1), m=1),
         H=np.zeros((2, 2)), g=np.zeros(2), A=np.array([[0.0, 1.0]]), b=_arr(1.0),
     )
-    cfg = cs.SolverConfig(variant="admm2", beta=1.0)
-    ref = cs.KKTPoint(x=_arr(0.0, 1.0), mu=_arr(0.0))
+    cfg = cs.SolverConfig(variant="admm2", beta=1.0, R=[1.0, None])
+    ref = cs.KKTPoint(x=_arr(5.0, 1.0), mu=_arr(0.0))
     st = cs.IterateState(x=_arr(5.0, 3.0), x_prev=_arr(5.0, 3.0), mu=_arr(2.0), k=1)
     expect = 0.5 * (3.0 - 1.0) ** 2 + 0.5 * (2.0 - 0.0) ** 2
     assert lyapunov_value(inst, cfg, st, ref) == pytest.approx(expect, abs=1e-14)

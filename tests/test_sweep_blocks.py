@@ -117,7 +117,8 @@ def test_runs_do_not_depend_on_the_sweep_block(monkeypatch):
     """Rows, status, final point and iterates are the same whether sweeps are
     observed one, three or 64 at a time: at a stop inside a block, at a
     max_iter stop on a block edge and one past it, on a diverging run, on a
-    NaN start, on a run with an opaque term and on a merit run."""
+    start whose first sweep trips the guard, on a run with an opaque term
+    and on a merit run."""
     rng = np.random.default_rng(53)
     inst = mixed_instance(rng, (2, 3, 2), 2, ("l1", "zero", "box"))
     cfg = cs.SolverConfig(variant="admm_cyclic_n", beta=1.0, R=scaled_identity_R(inst, 1.0), tol=1e-9, max_iter=5000)
@@ -130,7 +131,7 @@ def test_runs_do_not_depend_on_the_sweep_block(monkeypatch):
         lambda: cs.run_solver(inst, dataclasses.replace(cfg, tol=0.0, max_iter=64), keep_iterates=True),
         lambda: cs.run_solver(inst, dataclasses.replace(cfg, tol=0.0, max_iter=65), keep_iterates=True),
         lambda: cs.run_solver(chyy, cs.SolverConfig(variant="admm_cyclic_n", max_iter=20_000), keep_iterates=True),
-        lambda: cs.run_solver(inst, cfg, mu0=[np.nan, 0.0], keep_iterates=True),
+        lambda: cs.run_solver(inst, cfg, mu0=[1e13, 0.0], keep_iterates=True),
         lambda: cs.run_solver(opaque, dataclasses.replace(cfg, R=scaled_identity_R(opaque, 1.0)), keep_iterates=True),
         lambda: cs.run_solver(pair, pair_cfg, reference=cs.solve_kkt_oracle(pair), keep_iterates=True),
     ]
@@ -140,11 +141,11 @@ def test_runs_do_not_depend_on_the_sweep_block(monkeypatch):
         for other in rest:
             _assert_same_run(first, other)
         statuses.append((first.status, len(first)))
-    (converged, rows), edge, past_edge, (diverged, _), (nan_start, nan_rows), opaque_run, merit_run = statuses
+    (converged, rows), edge, past_edge, (diverged, _), (far_start, far_rows), opaque_run, merit_run = statuses
     assert converged == "converged" and (rows - 1) % 64 != 0 and rows > 64
     assert edge == ("max_iter", 65) and past_edge == ("max_iter", 66)
     assert diverged == "diverged"
-    assert nan_start == "diverged" and nan_rows == 2
+    assert far_start == "diverged" and far_rows == 2
     assert opaque_run[0] == merit_run[0] == "converged" and opaque_run[1] > 64 and merit_run[1] > 64
 
 

@@ -1,6 +1,7 @@
 """The decision tolerances: each is named once, in `_linalg`, no other module
 holds a threshold literal, README's table lists every one with its value,
 and each named threshold decides on the side of its bound that it says.
+Beside them, a source scan keeps each run-level guard to its one call site.
 
 Each boundary test builds one input at half the tolerance and one at twice
 it from the constant itself, so a changed constant moves both inputs."""
@@ -121,6 +122,65 @@ def test_readme_threshold_table_lists_every_tolerance():
     rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", table, flags=re.M)
     assert {name: float(value) for name, value in rows} == names
     assert len(rows) == len(names)
+
+
+# -- one call site for each run-level guard ------------------------------------
+
+
+def call_sites(source: str, name: str) -> list:
+    """The qualified name (Class.method or function) of the function around
+    each call of `name`, as a function or as a method, sorted. A method
+    called on a subscript, as each term's theta[i].validate(d_i) is, belongs
+    to another type and is not counted."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            f = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(f, ast.Name) and f.id == name) or (
+                isinstance(f, ast.Attribute) and f.attr == name and not isinstance(f.value, ast.Subscript)
+            ):
+                out.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(out)
+
+
+# SolverConfig.validate runs once per run, in the run's workspace, and hands
+# back the normalized R; the other entries that take an R normalize it once
+RUN_GUARDS = {
+    "validate": ["solvers.py:_Workspace.__init__"],
+    "normalize_block_matrices": [
+        "model.py:check_uniqueness_condition",
+        "solvers.py:SolverConfig.validate",
+        "spectral.py:divergence_witness",
+    ],
+}
+
+
+def test_call_site_scan_sees_functions_and_methods():
+    source = (
+        "def f(cfg, inst):\n"
+        "    cfg.validate(inst)\n"
+        "    inst.theta[0].validate(1)\n"
+        "class W:\n"
+        "    def __init__(self, cfg):\n"
+        "        R = [normalize_block_matrices(None, r) for r in cfg.validate(None)]\n"
+    )
+    assert call_sites(source, "validate") == ["W.__init__", "f"]
+    assert call_sites(source, "normalize_block_matrices") == ["W.__init__"]
+
+
+def test_each_run_guard_has_one_call_site():
+    found = {
+        name: sorted(f"{path.name}:{site}" for path in PACKAGE.glob("*.py") for site in call_sites(path.read_text(), name))
+        for name in RUN_GUARDS
+    }
+    assert found == RUN_GUARDS
 
 
 # -- matrix properties --------------------------------------------------------
